@@ -67,7 +67,7 @@ func getFixture(b *testing.B) *fixture {
 		}
 		f.src = analysis.SliceSource(f.samples)
 		release := cfg.Update.Release
-		prep, err := analysis.BuildPrep(f.meta, f.src, &release)
+		prep, err := analysis.BuildPrep(f.meta, f.src, &release, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -154,7 +154,7 @@ func BenchmarkPrepass(b *testing.B) {
 	release := f.cfg.Update.Release
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.BuildPrep(f.meta, f.src, &release); err != nil {
+		if _, err := analysis.BuildPrep(f.meta, f.src, &release, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -244,7 +244,7 @@ func BenchmarkTable2(b *testing.B) {
 // cleaning rules applied.
 func runAnalyzer(b *testing.B, f *fixture, a analysis.Analyzer) {
 	b.Helper()
-	if err := analysis.Run(f.src, f.prep, []analysis.Analyzer{a}, nil); err != nil {
+	if err := analysis.Run(f.src, f.prep, []analysis.Analyzer{a}, nil, 1); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -420,7 +420,7 @@ func BenchmarkFig18(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ut := analysis.NewUpdateTiming(f.meta, f.prep, release)
-		if err := analysis.Run(f.src, f.prep, nil, []analysis.Analyzer{ut}); err != nil {
+		if err := analysis.Run(f.src, f.prep, nil, []analysis.Analyzer{ut}, 1); err != nil {
 			b.Fatal(err)
 		}
 		_ = ut.Result()
@@ -601,7 +601,7 @@ func BenchmarkPrepassFromFile(b *testing.B) {
 	src := analysis.FileSource(path)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.BuildPrep(f.meta, src, &release); err != nil {
+		if _, err := analysis.BuildPrep(f.meta, src, &release, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

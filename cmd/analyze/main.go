@@ -267,7 +267,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed (fresh simulation)")
 		exp        = flag.String("exp", "", "experiment id (or 'list')")
 		workers    = flag.Int("workers", 0, "simulation workers (0 = sequential, -1 = all cores)")
-		anaWorkers = flag.Int("analysis-workers", 0, "analysis workers (0 = sequential, -1 = all cores)")
+		anaWorkers = flag.Int("analysis-workers", 0, "analysis workers (0 = one, -1 = all cores)")
 		sketchMode = flag.Bool("sketch", false, "bounded-memory sketch analyzers (~1% quantile error)")
 	)
 	flag.Parse()
@@ -298,12 +298,8 @@ func main() {
 		var cfg config.Campaign
 		cfg, err = config.ForYear(*year, *scale, *seed)
 		if err == nil {
-			src := analysis.FileSource(*tracePath)
-			if *anaWorkers != 0 {
-				run, err = core.AnalyzeCampaignParallel(cfg, nil, src, core.Options{AnalysisWorkers: *anaWorkers, SketchMode: *sketchMode})
-			} else {
-				run, err = core.AnalyzeCampaign(cfg, nil, src, core.Options{SketchMode: *sketchMode})
-			}
+			run, err = core.AnalyzeCampaignParallel(cfg, nil, analysis.FileSource(*tracePath),
+				core.Options{AnalysisWorkers: *anaWorkers, SketchMode: *sketchMode})
 		}
 	}
 	if err != nil {

@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON benchmark manifest: one object keyed by
 // "<package>.<Benchmark>" mapping to ns/op, B/op, and allocs/op. CI runs it
-// after the benchmark smoke pass and publishes the result (BENCH_7.json) as
+// after the benchmark smoke pass and publishes the result (BENCH_8.json) as
 // an artifact, so the perf trajectory of a branch is one download away
 // instead of buried in a log.
 //
@@ -13,8 +13,8 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchtime=1x -benchmem ./... | benchjson -o BENCH_7.json
-//	go test -run '^$' -bench . -benchtime=1x -benchmem ./... | benchjson -diff BENCH_7.json
+//	go test -run '^$' -bench . -benchtime=1x -benchmem ./... | benchjson -o BENCH_8.json
+//	go test -run '^$' -bench . -benchtime=1x -benchmem ./... | benchjson -diff BENCH_8.json
 package main
 
 import (

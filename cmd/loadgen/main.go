@@ -27,13 +27,15 @@
 //
 // In-process mode spins up the collector with a rotating spool (and, with
 // -wal, a write-ahead log whose "batch" fsync policy exercises group commit
-// under concurrent connections) in a scratch directory that is deleted on
-// exit unless -scratch names a path to keep.
+// under concurrent connections) in a scratch directory that also holds the
+// -agent-spool journals. It is deleted when the run ends, pass or fail,
+// unless -scratch names a path to keep.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -56,89 +58,131 @@ import (
 	"smartusage/internal/wal"
 )
 
+// options is one run's configuration: the command-line flags, plus a hook
+// for tests.
+type options struct {
+	addr, addrs, metrics string
+	agents, batches      int
+	batch, aps, essids   int
+	token                string
+	seed                 int64
+	scratch              string
+	useWAL               bool
+	fsync                string
+	fsyncLag             time.Duration
+	spool                bool
+	out                  string
+	minRate              float64
+	timeout, readTimeout time.Duration
+
+	// wrapSink, when non-nil, wraps the in-process collector's sink.
+	wrapSink func(collector.Sink) collector.Sink
+}
+
 func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("loadgen: ")
-	var (
-		addr      = flag.String("addr", "", "collectd address to load (empty starts an in-process collector)")
-		addrs     = flag.String("addrs", "", "comma-separated collectd tier addresses (overrides -addr; agents pick a rendezvous primary per device and fail over between replicas)")
-		metrics   = flag.String("metrics", "", "comma-separated metrics endpoint base URLs to scrape; counters are summed across endpoints (default: the in-process one; required with -addr/-addrs for server-side counters)")
-		agents    = flag.Int("agents", 1000, "concurrent synthetic agents")
-		batches   = flag.Int("batches", 6, "batches each agent uploads")
-		batch     = flag.Int("batch", 24, "samples per batch")
-		aps       = flag.Int("aps", 2, "AP observations per sample")
-		essids    = flag.Int("essids", 512, "distinct ESSID universe")
-		token     = flag.String("token", "", "shared auth token")
-		seed      = flag.Int64("seed", 1, "workload rng seed (same seed, same samples)")
-		scratch   = flag.String("scratch", "", "scratch dir for in-process collector state (kept; empty uses a deleted temp dir)")
-		useWAL    = flag.Bool("wal", false, "give the in-process collector a write-ahead log")
-		fsync     = flag.String("fsync", "batch", "WAL fsync policy: batch (group commit), interval, or off")
-		fsyncLag  = flag.Duration("fsync-delay", 0, "emulate slow-disk fsync by sleeping this long per WAL fsync (shows group-commit coalescing on fast disks)")
-		spool     = flag.Bool("agent-spool", false, "journal each agent's queue to a disk spool in scratch")
-		out       = flag.String("out", "", "write the JSON manifest here (stdout always gets a summary)")
-		minRate   = flag.Float64("min-rate", 0, "fail unless samples/sec reaches this floor (0 disables)")
-		timeout   = flag.Duration("timeout", 5*time.Minute, "overall run deadline")
-		keepalive = flag.Duration("read-timeout", 30*time.Second, "in-process collector per-frame read deadline")
-	)
+	var o options
+	flag.StringVar(&o.addr, "addr", "", "collectd address to load (empty starts an in-process collector)")
+	flag.StringVar(&o.addrs, "addrs", "", "comma-separated collectd tier addresses (overrides -addr; agents pick a rendezvous primary per device and fail over between replicas)")
+	flag.StringVar(&o.metrics, "metrics", "", "comma-separated metrics endpoint base URLs to scrape; counters are summed across endpoints (default: the in-process one; required with -addr/-addrs for server-side counters)")
+	flag.IntVar(&o.agents, "agents", 1000, "concurrent synthetic agents")
+	flag.IntVar(&o.batches, "batches", 6, "batches each agent uploads")
+	flag.IntVar(&o.batch, "batch", 24, "samples per batch")
+	flag.IntVar(&o.aps, "aps", 2, "AP observations per sample")
+	flag.IntVar(&o.essids, "essids", 512, "distinct ESSID universe")
+	flag.StringVar(&o.token, "token", "", "shared auth token")
+	flag.Int64Var(&o.seed, "seed", 1, "workload rng seed (same seed, same samples)")
+	flag.StringVar(&o.scratch, "scratch", "", "scratch dir for in-process collector state and agent spools (kept; empty uses a deleted temp dir)")
+	flag.BoolVar(&o.useWAL, "wal", false, "give the in-process collector a write-ahead log")
+	flag.StringVar(&o.fsync, "fsync", "batch", "WAL fsync policy: batch (group commit), interval, or off")
+	flag.DurationVar(&o.fsyncLag, "fsync-delay", 0, "emulate slow-disk fsync by sleeping this long per WAL fsync (shows group-commit coalescing on fast disks)")
+	flag.BoolVar(&o.spool, "agent-spool", false, "journal each agent's queue to a disk spool in scratch")
+	flag.StringVar(&o.out, "out", "", "write the JSON manifest here (stdout always gets a summary)")
+	flag.Float64Var(&o.minRate, "min-rate", 0, "fail unless samples/sec reaches this floor (0 disables)")
+	flag.DurationVar(&o.timeout, "timeout", 5*time.Minute, "overall run deadline")
+	flag.DurationVar(&o.readTimeout, "read-timeout", 30*time.Second, "in-process collector per-frame read deadline")
 	flag.Parse()
+	// Every failure returns through run, so its deferred cleanup — the
+	// in-process collector's shutdown and the temp scratch removal — runs
+	// before the process exits.
+	if err := run(o, os.Stdout); err != nil {
+		log.Print(err)
+		os.Exit(1)
+	}
+}
 
-	if *agents <= 0 || *batches <= 0 || *batch <= 0 {
-		log.Fatal("-agents, -batches, and -batch must be positive")
+// run executes one load test and writes the manifest to stdout. It fails on
+// bad options, setup errors, the -timeout deadline, any conservation error,
+// or a rate under -min-rate.
+func run(o options, stdout io.Writer) error {
+	if o.agents <= 0 || o.batches <= 0 || o.batch <= 0 {
+		return errors.New("-agents, -batches, and -batch must be positive")
+	}
+	scratch := o.scratch
+	if scratch == "" {
+		d, err := os.MkdirTemp("", "loadgen-*")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(d)
+		scratch = d
+	} else if err := os.MkdirAll(scratch, 0o755); err != nil {
+		return err
 	}
 
 	// --- target: in-process collector, or a remote one (or a remote tier) --
-	scrapeURLs := splitList(*metrics)
-	tier := splitList(*addrs)
-	target := *addr
+	scrapeURLs := splitList(o.metrics)
+	tier := splitList(o.addrs)
+	target := o.addr
 	if len(tier) > 0 {
 		target = tier[0] // agents dial by cfg.Servers; target is informational
 	}
 	var (
-		cleanup  func()
 		sunk     atomic.Int64
 		walLog   *wal.Log
 		inProcSt func() *collector.Stats
+		// abandon is set when the fleet overruns -timeout: agents may still
+		// hold connections, so the in-process collector is left running
+		// instead of drained, and only the scratch removal happens.
+		abandon bool
 	)
 	if target == "" {
-		dir := *scratch
-		if dir == "" {
-			d, err := os.MkdirTemp("", "loadgen-*")
-			if err != nil {
-				log.Fatal(err)
-			}
-			dir = d
-			defer os.RemoveAll(d)
-		} else if err := os.MkdirAll(dir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-
 		reg := obs.NewRegistry()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		msrv := &http.Server{Handler: obs.Handler(reg, nil)}
 		go msrv.Serve(ln)
+		defer msrv.Close()
 		if len(scrapeURLs) == 0 {
 			scrapeURLs = []string{"http://" + ln.Addr().String()}
 		}
 
-		sp, err := collector.NewRotatingSpool(filepath.Join(dir, "spool"), 256<<20)
+		sp, err := collector.NewRotatingSpool(filepath.Join(scratch, "spool"), 256<<20)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		spSink := sp.Sink()
-		if *useWAL {
-			policy, err := wal.ParsePolicy(*fsync)
+		defer func() {
+			if abandon {
+				return
+			}
+			if err := sp.Close(); err != nil {
+				log.Printf("spool close: %v", err)
+			}
+		}()
+		if o.useWAL {
+			policy, err := wal.ParsePolicy(o.fsync)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			opts := wal.Options{
 				Policy:      policy,
 				Metrics:     reg,
 				MetricsName: "collector",
 			}
-			if d := *fsyncLag; d > 0 {
+			if d := o.fsyncLag; d > 0 {
 				// On fast local disks fsync returns in microseconds, so
 				// group-commit rounds rarely overlap and the fsyncs/appends
 				// ratio stays near 1. This hook stretches each fsync to a
@@ -151,29 +195,42 @@ func main() {
 					return nil
 				}
 			}
-			walLog, err = wal.Open(filepath.Join(dir, "wal"), opts)
+			walLog, err = wal.Open(filepath.Join(scratch, "wal"), opts)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
+			defer func() {
+				if abandon {
+					return
+				}
+				if err := walLog.Close(); err != nil {
+					log.Printf("wal close: %v", err)
+				}
+			}()
+		}
+		spSink := sp.Sink()
+		sink := collector.Sink(func(s *trace.Sample) error {
+			sunk.Add(1)
+			return spSink(s)
+		})
+		if o.wrapSink != nil {
+			sink = o.wrapSink(sink)
 		}
 		srv, err := collector.New(collector.Config{
-			Addr:  "127.0.0.1:0",
-			Token: *token,
-			Sink: func(s *trace.Sample) error {
-				sunk.Add(1)
-				return spSink(s)
-			},
-			ReadTimeout: *keepalive,
-			MaxConns:    *agents + 16,
+			Addr:        "127.0.0.1:0",
+			Token:       o.token,
+			Sink:        sink,
+			ReadTimeout: o.readTimeout,
+			MaxConns:    o.agents + 16,
 			WAL:         walLog,
 			Metrics:     reg,
 			Logf:        func(string, ...any) {},
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := srv.Listen(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		served := make(chan struct{})
@@ -181,53 +238,46 @@ func main() {
 			defer close(served)
 			srv.Serve(ctx)
 		}()
+		// Deferred calls run last-in first-out: the collector stops before
+		// the WAL and spool it writes to are closed.
+		defer func() {
+			cancel()
+			if !abandon {
+				<-served
+			}
+		}()
 		target = srv.Addr().String()
 		inProcSt = srv.Stats
-		cleanup = func() {
-			cancel()
-			<-served
-			if walLog != nil {
-				if err := walLog.Close(); err != nil {
-					log.Printf("loadgen: wal close: %v", err)
-				}
-			}
-			if err := sp.Close(); err != nil {
-				log.Printf("loadgen: spool close: %v", err)
-			}
-			msrv.Close()
-		}
 		log.Printf("in-process collector on %s (scratch %s, wal=%v fsync=%s), metrics %s",
-			target, dir, *useWAL, *fsync, scrapeURLs[0])
+			target, scratch, o.useWAL, o.fsync, scrapeURLs[0])
 	}
 
 	before, err := scrapeAll(scrapeURLs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// --- drive the fleet ---------------------------------------------------
-	deadline := time.After(*timeout)
+	deadline := time.After(o.timeout)
 	fleetDone := make(chan fleetResult, 1)
 	go func() {
-		fleetDone <- runFleet(target, tier, *token, *agents, *batches, *batch, *aps, *essids, *seed, *spool, *scratch)
+		fleetDone <- runFleet(target, tier, o.token, o.agents, o.batches, o.batch, o.aps, o.essids, o.seed, o.spool, scratch)
 	}()
 	var fleet fleetResult
 	select {
 	case fleet = <-fleetDone:
 	case <-deadline:
-		log.Fatalf("run exceeded -timeout %s", *timeout)
+		abandon = true
+		return fmt.Errorf("run exceeded -timeout %s", o.timeout)
 	}
 
 	after, err := scrapeAll(scrapeURLs)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if cleanup != nil {
-		cleanup()
+		return err
 	}
 
 	// --- reconcile ---------------------------------------------------------
-	man := buildManifest(fleet, before, after, *agents, *batches, *batch)
+	man := buildManifest(fleet, before, after, o.agents, o.batches, o.batch)
 	if inProcSt != nil {
 		st := inProcSt()
 		man.Server.SinkSamples = sunk.Load()
@@ -239,23 +289,25 @@ func main() {
 		}
 	}
 	if walLog != nil {
-		man.WAL = &walManifest{Fsync: *fsync, Appends: diffCounter(before, after, "wal_appends_total"), Fsyncs: diffCounter(before, after, "wal_fsyncs_total")}
+		man.WAL = &walManifest{Fsync: o.fsync, Appends: diffCounter(before, after, "wal_appends_total"), Fsyncs: diffCounter(before, after, "wal_fsyncs_total")}
 	}
 
-	data, jerr := json.MarshalIndent(map[string]*manifest{"loadgen": man}, "", "  ")
-	if jerr != nil {
-		log.Fatal(jerr)
+	data, err := json.MarshalIndent(map[string]*manifest{"loadgen": man}, "", "  ")
+	if err != nil {
+		return err
 	}
 	data = append(data, '\n')
-	if *out != "" {
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			log.Fatal(err)
+	if o.out != "" {
+		if err := os.WriteFile(o.out, data, 0o644); err != nil {
+			return err
 		}
 	}
-	os.Stdout.Write(data)
+	if _, err := stdout.Write(data); err != nil {
+		return err
+	}
 
 	log.Printf("%d agents x %d batches x %d samples: %.0f samples/sec, ack p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms, %d retries, %d conservation errors",
-		*agents, *batches, *batch, man.SamplesPerSec,
+		o.agents, o.batches, o.batch, man.SamplesPerSec,
 		man.AckLatencyMS.P50, man.AckLatencyMS.P95, man.AckLatencyMS.P99, man.AckLatencyMS.Max,
 		man.Client.Retries, len(man.ConservationErrors))
 	if len(tier) > 0 {
@@ -264,13 +316,13 @@ func main() {
 	for _, e := range man.ConservationErrors {
 		log.Printf("CONSERVATION: %s", e)
 	}
-	if len(man.ConservationErrors) > 0 {
-		os.Exit(1)
+	if n := len(man.ConservationErrors); n > 0 {
+		return fmt.Errorf("FAIL: %d conservation errors", n)
 	}
-	if *minRate > 0 && man.SamplesPerSec < *minRate {
-		log.Printf("FAIL: %.0f samples/sec under the -min-rate floor %.0f", man.SamplesPerSec, *minRate)
-		os.Exit(1)
+	if o.minRate > 0 && man.SamplesPerSec < o.minRate {
+		return fmt.Errorf("FAIL: %.0f samples/sec under the -min-rate floor %.0f", man.SamplesPerSec, o.minRate)
 	}
+	return nil
 }
 
 // fleetResult aggregates the client side of a run.
@@ -573,8 +625,12 @@ func scrapeAll(bases []string) ([]*obs.Snapshot, error) {
 	return snaps, nil
 }
 
+// scrapeClient bounds each metrics fetch, so a stalled endpoint fails the
+// scrape instead of hanging the run past -timeout.
+var scrapeClient = &http.Client{Timeout: 30 * time.Second}
+
 func scrape(base string) (*obs.Snapshot, error) {
-	resp, err := http.Get(base + "/metrics?format=json")
+	resp, err := scrapeClient.Get(base + "/metrics?format=json")
 	if err != nil {
 		return nil, err
 	}

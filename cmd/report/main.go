@@ -27,7 +27,7 @@ func main() {
 		out        = flag.String("o", "", "output file (default stdout)")
 		traceDir   = flag.String("tracedir", "", "spool traces to this directory instead of memory")
 		workers    = flag.Int("workers", 0, "simulation workers (0 = sequential, -1 = all cores)")
-		anaWorkers = flag.Int("analysis-workers", 0, "analysis workers (0 = sequential, -1 = all cores)")
+		anaWorkers = flag.Int("analysis-workers", 0, "analysis workers (0 = one, -1 = all cores)")
 		sketchMode = flag.Bool("sketch", false, "bounded-memory sketch analyzers (~1% quantile error)")
 		traceOut   = flag.String("trace-out", "", "write per-stage spans (simulate, prepass, shards, merges) as Chrome trace JSONL to this file")
 	)

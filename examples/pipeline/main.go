@@ -125,7 +125,11 @@ func main() {
 	mu.Lock()
 	dataset := collected
 	mu.Unlock()
-	run, err := core.AnalyzeCampaign(cfg, sm, analysis.SliceSource(dataset), core.Options{})
+	sh, err := analysis.ShardSamples(analysis.SliceSource(dataset), 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	run, err := core.AnalyzeCampaignShards(cfg, sm, sh, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,8 +63,8 @@ func TestFanOutSteadyStateAllocs(t *testing.T) {
 	var seen atomic.Int64 // work runs on one goroutine per shard
 	cycle := func() {
 		seen.Store(0)
-		err = fanOut(src, 4, func(_ int, batch []trace.Sample) error {
-			seen.Add(int64(len(batch)))
+		err = fanOut(src, 4, func(int, *trace.Sample) error {
+			seen.Add(1)
 			return nil
 		})
 	}
@@ -109,7 +109,7 @@ func batteryFootprint(b sketchEquivalenceBattery) int {
 // reuse their structs in place, and sketch updates are pure array writes.
 func TestSketchBatterySteadyStateAllocs(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
-	prep, err := BuildPrep(meta, SliceSource(samples), release)
+	prep, err := inlinePrep(meta, SliceSource(samples), release)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSketchBatterySteadyStateAllocs(t *testing.T) {
 // soak's heap ceiling possible.
 func TestSketchFootprintNoGrowth(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
-	prep, err := BuildPrep(meta, SliceSource(samples), release)
+	prep, err := inlinePrep(meta, SliceSource(samples), release)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSketchFootprintNoGrowth(t *testing.T) {
 func TestShardPoolConcurrentSoak(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
-	want, err := BuildPrep(meta, src, release)
+	want, err := inlinePrep(meta, src, release)
 	if err != nil {
 		t.Fatal(err)
 	}

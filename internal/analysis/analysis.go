@@ -12,10 +12,11 @@
 //     The Run helper applies the paper's cleaning rules (tethering removal
 //     and update-day excision, §2) before cleaned analyzers see a sample.
 //
-// Both passes exist in a sequential form (BuildPrep, Run) and a sharded
-// parallel form (BuildPrepShards/BuildPrepParallel, RunShards/RunParallel)
-// that partitions samples by device across workers and merges shard results
-// deterministically; see shard.go for the engine and the merge contract.
+// Each pass has one streaming driver (BuildPrep, Run) that takes a worker
+// count, and an in-memory form (BuildPrepShards, RunShards) over a campaign
+// decoded once into device shards. Both partition samples by device across
+// workers and merge shard results deterministically; one worker is the
+// sequential case. See shard.go for the engine and the merge contract.
 //
 // Analyzer results are plain data structs that renderers print and tests
 // assert against.
@@ -220,22 +221,9 @@ type Analyzer interface {
 	Add(s *trace.Sample)
 }
 
-// Run performs the second pass: raw analyzers see every sample; cleaned
-// analyzers see samples that survive the paper's cleaning rules, evaluated
-// against prep (tethered intervals removed; for updated devices, the update
-// day and the following day removed, §2).
-func Run(src Source, prep *Prep, cleaned []Analyzer, raw []Analyzer) error {
-	sp := traceStart("analysis:run")
-	defer sp.End()
-	return src(func(s *trace.Sample) error {
-		dispatch(s, prep, cleaned, raw)
-		return nil
-	})
-}
-
 // dispatch applies the cleaning rules to one sample and feeds the
 // analyzers. It is the single definition of the second-pass semantics, shared
-// by the sequential Run and the sharded RunShards/RunParallel paths.
+// by the streaming Run and the in-memory RunShards.
 func dispatch(s *trace.Sample, prep *Prep, cleaned []Analyzer, raw []Analyzer) {
 	for _, a := range raw {
 		a.Add(s)

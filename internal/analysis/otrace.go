@@ -18,8 +18,7 @@ var tracer atomic.Pointer[obs.Tracer]
 
 // SetTracer installs the stage tracer for the analysis engine; nil removes
 // it. Spans cover each pipeline stage: prepass and analysis shards (one
-// trace track per shard), merges (one span per analyzer), and the
-// sequential fallbacks.
+// trace track per shard), and merges (one span per analyzer).
 func SetTracer(t *obs.Tracer) { tracer.Store(t) }
 
 // traceStart begins a span on the installed tracer (nil and inert when no

@@ -180,10 +180,28 @@ func workerCounts() []int {
 	return counts
 }
 
+// inlinePrep and inlineRun are the equivalence oracles: each pass applied
+// sample by sample on the calling goroutine, with no fan-out, no batch copy
+// and no shards.
+func inlinePrep(meta Meta, src Source, release *time.Time) (*Prep, error) {
+	ps := newPrepShard(meta, release)
+	if err := src(ps.add); err != nil {
+		return nil, err
+	}
+	return finishPrep(meta, release, []*prepShard{ps}), nil
+}
+
+func inlineRun(src Source, prep *Prep, cleaned, raw []Analyzer) error {
+	return src(func(s *trace.Sample) error {
+		dispatch(s, prep, cleaned, raw)
+		return nil
+	})
+}
+
 func TestBuildPrepParallelEquivalence(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
-	want, err := BuildPrep(meta, src, release)
+	want, err := inlinePrep(meta, src, release)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,12 +210,12 @@ func TestBuildPrepParallelEquivalence(t *testing.T) {
 			len(want.Devices), len(want.APs), len(want.UpdateDay))
 	}
 	for _, workers := range workerCounts() {
-		got, err := BuildPrepParallel(meta, src, release, workers)
+		got, err := BuildPrep(meta, src, release, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("BuildPrepParallel(workers=%d) differs from sequential", workers)
+			t.Errorf("BuildPrep(workers=%d) differs from the inline oracle", workers)
 		}
 		sh, err := ShardSamples(src, workers)
 		if err != nil {
@@ -208,7 +226,7 @@ func TestBuildPrepParallelEquivalence(t *testing.T) {
 			t.Fatalf("shards=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("BuildPrepShards(n=%d) differs from sequential", workers)
+			t.Errorf("BuildPrepShards(n=%d) differs from the inline oracle", workers)
 		}
 	}
 }
@@ -251,20 +269,20 @@ func batteryResults(t *testing.T, meta Meta, prep *Prep, release *time.Time, run
 func TestRunParallelEquivalence(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
-	prep, err := BuildPrep(meta, src, release)
+	prep, err := inlinePrep(meta, src, release)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := batteryResults(t, meta, prep, release, func(cleaned, raw []Analyzer) error {
-		return Run(src, prep, cleaned, raw)
+		return inlineRun(src, prep, cleaned, raw)
 	})
 	for _, workers := range workerCounts() {
 		got := batteryResults(t, meta, prep, release, func(cleaned, raw []Analyzer) error {
-			return RunParallel(src, prep, cleaned, raw, workers)
+			return Run(src, prep, cleaned, raw, workers)
 		})
 		for name, w := range want {
 			if !reflect.DeepEqual(w, got[name]) {
-				t.Errorf("RunParallel(workers=%d): %s differs from sequential", workers, name)
+				t.Errorf("Run(workers=%d): %s differs from the inline oracle", workers, name)
 			}
 		}
 		sh, err := ShardSamples(src, workers)
@@ -276,7 +294,7 @@ func TestRunParallelEquivalence(t *testing.T) {
 		})
 		for name, w := range want {
 			if !reflect.DeepEqual(w, got[name]) {
-				t.Errorf("RunShards(n=%d): %s differs from sequential", workers, name)
+				t.Errorf("RunShards(n=%d): %s differs from the inline oracle", workers, name)
 			}
 		}
 	}
@@ -288,12 +306,12 @@ func TestRunParallelEquivalence(t *testing.T) {
 func TestShardCountSweep(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
-	prep, err := BuildPrep(meta, src, release)
+	prep, err := inlinePrep(meta, src, release)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := NewAggregate(meta)
-	if err := Run(src, prep, []Analyzer{base}, nil); err != nil {
+	if err := inlineRun(src, prep, []Analyzer{base}, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := base.Result()
@@ -310,7 +328,7 @@ func TestShardCountSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := agg.Result(); !reflect.DeepEqual(want, got) {
-			t.Errorf("shard count %d: aggregate differs from sequential", n)
+			t.Errorf("shard count %d: aggregate differs from the inline oracle", n)
 		}
 	}
 }
@@ -360,26 +378,26 @@ func TestFanOutPropagatesSourceError(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := BuildPrepParallel(meta, src, release, 4); err == nil {
+	if _, err := BuildPrep(meta, src, release, 4); err == nil {
 		t.Fatal("source error swallowed")
 	}
 	agg := NewAggregate(meta)
-	if err := RunParallel(src, nil, []Analyzer{agg}, nil, 4); err == nil {
-		t.Fatal("source error swallowed by RunParallel")
+	if err := Run(src, nil, []Analyzer{agg}, nil, 4); err == nil {
+		t.Fatal("source error swallowed by Run")
 	}
 }
 
 // TestRunParallelFallsBackOnUnshardable checks that a battery containing a
-// plain Analyzer still runs (sequentially) rather than failing.
+// plain Analyzer still runs (on one worker) rather than failing.
 func TestRunParallelFallsBackOnUnshardable(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
-	prep, err := BuildPrep(meta, src, release)
+	prep, err := inlinePrep(meta, src, release)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var c counter
-	if err := RunParallel(src, prep, []Analyzer{&c}, nil, 4); err != nil {
+	if err := Run(src, prep, []Analyzer{&c}, nil, 4); err != nil {
 		t.Fatal(err)
 	}
 	if c.n == 0 {

@@ -155,8 +155,8 @@ const (
 const updateDetectBytes = 400 << 20
 
 // prepShard accumulates one device-partition's share of the first pass. The
-// sequential BuildPrep is a single shard; the parallel builders run one per
-// worker and fold them with finishPrep. All of its state is keyed (directly
+// pass drivers run one per worker (or per in-memory shard) and fold them
+// with finishPrep. All of its state is keyed (directly
 // or through UserDayKey) by device except aps, which finishPrep merges.
 type prepShard struct {
 	meta        Meta
@@ -354,19 +354,6 @@ func finishPrep(meta Meta, updateRelease *time.Time, shards []*prepShard) *Prep 
 	}
 	p.rankDays()
 	return p
-}
-
-// BuildPrep runs the first pass over src and derives all shared context.
-// updateRelease, when non-nil, enables iOS-update detection from that
-// instant (2015 campaign).
-func BuildPrep(meta Meta, src Source, updateRelease *time.Time) (*Prep, error) {
-	sp := traceStart("analysis:prep")
-	defer sp.End()
-	ps := newPrepShard(meta, updateRelease)
-	if err := src(ps.add); err != nil {
-		return nil, err
-	}
-	return finishPrep(meta, updateRelease, []*prepShard{ps}), nil
 }
 
 // inferHomes applies the night-time rule per device-day and picks each

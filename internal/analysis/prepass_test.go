@@ -59,7 +59,7 @@ func (b *tb) src() Source { return SliceSource(b.samples) }
 
 func (b *tb) prep(t *testing.T, release *time.Time) *Prep {
 	t.Helper()
-	p, err := BuildPrep(b.meta, b.src(), release)
+	p, err := BuildPrep(b.meta, b.src(), release, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSampleOutsideWindowRejected(t *testing.T) {
 	b := &tb{meta: testMeta(2)}
 	s := b.add(7, trace.Android, 0, 10, 0)
 	s.Time = b.meta.Start.AddDate(0, 0, 5).Unix() // beyond Days
-	if _, err := BuildPrep(b.meta, b.src(), nil); err == nil {
+	if _, err := BuildPrep(b.meta, b.src(), nil, 1); err == nil {
 		t.Fatal("out-of-window sample accepted")
 	}
 }
@@ -361,7 +361,7 @@ func TestRunCleaning(t *testing.T) {
 
 	p := b.prep(t, &release)
 	var clean, raw counter
-	if err := Run(b.src(), p, []Analyzer{&clean}, []Analyzer{&raw}); err != nil {
+	if err := Run(b.src(), p, []Analyzer{&clean}, []Analyzer{&raw}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if raw.n != len(b.samples) {

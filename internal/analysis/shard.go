@@ -13,13 +13,15 @@ import (
 	"smartusage/internal/trace"
 )
 
-// This file implements the sharded parallel analysis engine. Both pipeline
-// passes admit a map-reduce shape: samples are partitioned by device (so all
-// state keyed per device stays shard-local), each shard accumulates
-// independently, and shard results are merged in fixed shard order.
+// This file implements the analysis engine that drives both pipeline passes.
+// Both passes admit a map-reduce shape: samples are partitioned by device (so
+// all state keyed per device stays shard-local), each shard accumulates
+// independently, and shard results are merged in fixed shard order. One
+// worker is the degenerate case: a single shard, fed the base analyzers, with
+// nothing to merge.
 //
-// Determinism contract: given the same samples, the sharded pipeline
-// produces results identical to the sequential one, for any worker count.
+// Determinism contract: given the same samples, the pipeline produces
+// identical results for any worker or shard count.
 // This holds because (a) analyzer accumulations sum integer-valued floats
 // (byte counts, interval counts, battery levels), which float64 adds exactly
 // in any order; (b) merges always run in shard-index order on one goroutine;
@@ -57,7 +59,7 @@ func shardOf(dev trace.DeviceID, n int) int {
 // copies the whole campaign into memory (sample slabs plus arena chunks for
 // the per-sample Apps/APs slices); recycling those buffers across campaign
 // years and repeated runs is what keeps the parallel path's steady-state
-// allocation near the sequential path's, instead of 11x over it.
+// allocation near the streaming path's, instead of 11x over it.
 var (
 	samplePool = mempool.NewSlicePool[trace.Sample](64)
 	apObsPool  = mempool.NewSlicePool[trace.APObs](256)
@@ -148,23 +150,6 @@ func (sh *Shards) Release() {
 	}
 }
 
-// Source returns a restartable sequential stream replaying every shard in
-// shard order. Per-device sample order is preserved (each device lives in
-// exactly one shard, and shards keep arrival order).
-func (sh *Shards) Source() Source {
-	return func(fn func(*trace.Sample) error) error {
-		for w := range sh.parts {
-			part := sh.parts[w].samples
-			for i := range part {
-				if err := fn(&part[i]); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-}
-
 // ShardSamples decodes src exactly once into an n-way device partition.
 func ShardSamples(src Source, n int) (*Shards, error) {
 	sh := NewShards(n)
@@ -176,7 +161,10 @@ func ShardSamples(src Source, n int) (*Shards, error) {
 
 // Fan-out tuning: workers receive samples in batches to amortize channel
 // operations; a small backlog per worker keeps the decoder ahead without
-// holding much of the trace in flight.
+// holding much of the trace in flight. Each worker owns at most
+// fanOutBacklog+2 batches (the backlog, the one it is working on, and the one
+// the decoder is filling), so a pass holds at most that many batches of
+// samples per worker whatever the trace length.
 const (
 	fanOutBatch   = 512
 	fanOutBacklog = 4
@@ -185,24 +173,27 @@ const (
 // errFanOutStopped aborts the source pass after a worker failure.
 var errFanOutStopped = errors.New("analysis: fan-out stopped")
 
-// sampleBatch is one pooled unit of fan-out transfer: a slab of deep-copied
+// sampleBatch is one unit of fan-out transfer: a pooled slab of deep-copied
 // samples whose Apps/APs live in the batch's own arenas. Batches cycle
-// producer → worker → pool; the worker recycles the batch after work
-// returns, which is why analyzers must not retain sample slices past Add.
+// decoder → worker → decoder within a pass; the worker resets the batch once
+// every sample in it has been fed to work, which is why analyzers must not
+// retain sample slices past Add.
 type sampleBatch struct {
 	samples []trace.Sample
 	aps     mempool.Arena[trace.APObs]
 	apps    mempool.Arena[trace.AppTraffic]
 }
 
-// batchPool recycles fan-out batches across shards, runs, and campaigns.
-var batchPool = sync.Pool{New: func() any {
+// newBatch returns an empty batch; its slab comes from the sample pool, which
+// (unlike a sync.Pool) survives garbage collections, so repeated passes reuse
+// slabs and their allocation stays deterministic.
+func newBatch() *sampleBatch {
 	return &sampleBatch{
 		samples: samplePool.Get(fanOutBatch),
 		aps:     mempool.NewArena(apObsPool),
 		apps:    mempool.NewArena(appPool),
 	}
-}}
+}
 
 // add deep-copies s into the batch.
 func (b *sampleBatch) add(s *trace.Sample) {
@@ -212,72 +203,93 @@ func (b *sampleBatch) add(s *trace.Sample) {
 	ns.APs = b.aps.Append(s.APs)
 }
 
-// recycle empties the batch and returns it to the pool.
-func (b *sampleBatch) recycle() {
+// reset empties the batch for reuse.
+func (b *sampleBatch) reset() {
 	b.samples = b.samples[:0]
 	b.aps.Release()
 	b.apps.Release()
-	batchPool.Put(b)
 }
 
-// fanOut streams src once on the calling goroutine, deep-copying each sample
-// into pooled batches routed by device hash to one of n worker goroutines.
-// work runs on a dedicated goroutine per shard and sees that shard's samples
-// in stream order; the batch is recycled the moment work returns. The source
-// error takes precedence; otherwise the lowest-index worker error is
-// returned.
-func fanOut(src Source, n int, work func(shard int, batch []trace.Sample) error) error {
-	chans := make([]chan *sampleBatch, n)
+// fanOut is the one streaming pass driver: it runs src once on the calling
+// goroutine and calls work for every sample, with shard = the sample's
+// device hash modulo n. Each shard's samples reach work in stream order.
+//
+// The decoder deep-copies samples into batches handed to one worker
+// goroutine per shard, so decoding batch k+1 overlaps work on batch k — even
+// with n == 1.
+//
+// A work error stops the decode at the next sample. The source error takes
+// precedence; otherwise the lowest-shard work error is returned.
+func fanOut(src Source, n int, work func(shard int, s *trace.Sample) error) error {
 	errs := make([]error, n)
+	// Filled batches travel decoder → worker over full[w] and come back
+	// empty over free[w], which starts with all fanOutBacklog+2 of the
+	// worker's batches.
+	full := make([]chan *sampleBatch, n)
+	free := make([]chan *sampleBatch, n)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		chans[w] = make(chan *sampleBatch, fanOutBacklog)
+	for w := range full {
+		full[w] = make(chan *sampleBatch, fanOutBacklog)
+		free[w] = make(chan *sampleBatch, fanOutBacklog+2)
+		for i := 0; i < cap(free[w]); i++ {
+			free[w] <- newBatch()
+		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for batch := range chans[w] {
-				if errs[w] == nil {
-					if err := work(w, batch.samples); err != nil {
+			for b := range full[w] {
+				for i := range b.samples {
+					if errs[w] != nil {
+						break
+					}
+					if err := work(w, &b.samples[i]); err != nil {
 						errs[w] = err
 						stop.Store(true)
 					}
 				}
-				batch.recycle()
+				b.reset()
+				free[w] <- b
 			}
 		}(w)
 	}
 
-	batches := make([]*sampleBatch, n)
+	filling := make([]*sampleBatch, n)
 	srcErr := src(func(s *trace.Sample) error {
 		if stop.Load() {
 			return errFanOutStopped
 		}
 		w := shardOf(s.Device, n)
-		b := batches[w]
+		b := filling[w]
 		if b == nil {
-			b = batchPool.Get().(*sampleBatch)
-			batches[w] = b
+			b = <-free[w]
+			filling[w] = b
 		}
 		b.add(s)
 		if len(b.samples) >= fanOutBatch {
-			chans[w] <- b
-			batches[w] = nil
+			full[w] <- b
+			filling[w] = nil
 		}
 		return nil
 	})
-	for w := 0; w < n; w++ {
-		if b := batches[w]; b != nil {
-			if srcErr == nil && len(b.samples) > 0 {
-				chans[w] <- b
+	for w := range full {
+		if b := filling[w]; b != nil {
+			if srcErr == nil {
+				full[w] <- b
 			} else {
-				b.recycle()
+				b.reset()
+				free[w] <- b
 			}
 		}
-		close(chans[w])
+		close(full[w])
 	}
 	wg.Wait()
-
+	for w := range free {
+		close(free[w])
+		for b := range free[w] {
+			samplePool.Put(b.samples)
+		}
+	}
 	if srcErr != nil && !errors.Is(srcErr, errFanOutStopped) {
 		return srcErr
 	}
@@ -289,9 +301,23 @@ func fanOut(src Source, n int, work func(shard int, batch []trace.Sample) error)
 	return nil
 }
 
-// shardAnalyzers clones every base analyzer n times via NewShard. ok is
-// false when any analyzer does not implement ShardedAnalyzer, in which case
-// callers fall back to the sequential path.
+// shardBattery prepares the analyzer sets for an n-way pass: per-shard clones
+// made with NewShard, and n itself. With one shard, or when any analyzer is
+// not a ShardedAnalyzer, it returns the base sets as the single shard and 1:
+// the one-worker pass feeds the base analyzers directly and merges nothing.
+func shardBattery(cleaned, raw []Analyzer, n int) (perCleaned, perRaw [][]Analyzer, shards int) {
+	if n > 1 {
+		c, okC := shardAnalyzers(cleaned, n)
+		r, okR := shardAnalyzers(raw, n)
+		if okC && okR {
+			return c, r, n
+		}
+	}
+	return [][]Analyzer{cleaned}, [][]Analyzer{raw}, 1
+}
+
+// shardAnalyzers clones every base analyzer n times via NewShard. ok is false
+// when any analyzer does not implement ShardedAnalyzer.
 func shardAnalyzers(base []Analyzer, n int) (perShard [][]Analyzer, ok bool) {
 	perShard = make([][]Analyzer, n)
 	for w := range perShard {
@@ -322,56 +348,77 @@ func mergeShards(base []Analyzer, perShard [][]Analyzer) {
 	}
 }
 
-// RunParallel is Run distributed over workers goroutines: samples stream
-// from src once, fan out by device hash, and each worker applies the
-// cleaning rules and feeds its own analyzer shards, which are merged back
-// into cleaned and raw afterwards. workers <= 0 selects GOMAXPROCS. When
-// workers is 1 or any analyzer is not shardable, it degrades to the
-// sequential Run.
-func RunParallel(src Source, prep *Prep, cleaned []Analyzer, raw []Analyzer, workers int) error {
+// resolveWorkers maps a workers argument to a concrete count: <= 0 selects
+// GOMAXPROCS.
+func resolveWorkers(workers int) int {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		return runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 {
-		return Run(src, prep, cleaned, raw)
-	}
-	cleanedShards, okC := shardAnalyzers(cleaned, workers)
-	rawShards, okR := shardAnalyzers(raw, workers)
-	if !okC || !okR {
-		return Run(src, prep, cleaned, raw)
-	}
-	sp := traceStart("analysis:run-parallel").Arg("workers", strconv.Itoa(workers))
-	err := fanOut(src, workers, func(w int, batch []trace.Sample) error {
-		for i := range batch {
-			dispatch(&batch[i], prep, cleanedShards[w], rawShards[w])
-		}
+	return workers
+}
+
+// Run performs the second pass over src on workers goroutines (<= 0 selects
+// GOMAXPROCS): raw analyzers see every sample; cleaned analyzers see samples
+// that survive the paper's cleaning rules, evaluated against prep (tethered
+// intervals removed; for updated devices, the update day and the following
+// day removed, §2). Samples stream once through fanOut; with several workers
+// each feeds its own analyzer shards, merged back into cleaned and raw in
+// shard order. One worker, or any analyzer that is not shardable, feeds the
+// base analyzers directly.
+func Run(src Source, prep *Prep, cleaned []Analyzer, raw []Analyzer, workers int) error {
+	perCleaned, perRaw, n := shardBattery(cleaned, raw, resolveWorkers(workers))
+	sp := traceStart("analysis:run").Arg("workers", strconv.Itoa(n))
+	defer sp.End()
+	err := fanOut(src, n, func(w int, s *trace.Sample) error {
+		dispatch(s, prep, perCleaned[w], perRaw[w])
 		return nil
 	})
-	if err != nil {
-		sp.End()
+	if err != nil || n == 1 {
 		return err
 	}
-	mergeShards(cleaned, cleanedShards)
-	mergeShards(raw, rawShards)
-	sp.End()
+	mergeShards(cleaned, perCleaned)
+	mergeShards(raw, perRaw)
 	return nil
+}
+
+// BuildPrep runs the first pass over src on workers goroutines (<= 0 selects
+// GOMAXPROCS) and derives all shared context: each worker accumulates its
+// device partition's prepass state, and the partitions are folded and
+// finalized in shard order. updateRelease, when non-nil, enables iOS-update
+// detection from that instant (2015 campaign).
+func BuildPrep(meta Meta, src Source, updateRelease *time.Time, workers int) (*Prep, error) {
+	workers = resolveWorkers(workers)
+	sp := traceStart("analysis:prep").Arg("workers", strconv.Itoa(workers))
+	defer sp.End()
+	shards := make([]*prepShard, workers)
+	for w := range shards {
+		shards[w] = newPrepShard(meta, updateRelease)
+	}
+	if err := fanOut(src, workers, func(w int, s *trace.Sample) error {
+		return shards[w].add(s)
+	}); err != nil {
+		return nil, err
+	}
+	return finishPrep(meta, updateRelease, shards), nil
 }
 
 // RunShards is the second pass over a pre-partitioned in-memory campaign:
 // one goroutine per shard, no decoding and no copying, merged in shard
-// order. It degrades to the sequential Run over sh.Source() when the
-// partition is single-shard or an analyzer is not shardable.
+// order. A single-shard partition, or a battery with an unshardable
+// analyzer, is replayed in shard order on the calling goroutine instead.
 func RunShards(sh *Shards, prep *Prep, cleaned []Analyzer, raw []Analyzer) error {
-	n := sh.NumShards()
-	if n == 1 {
-		return Run(sh.Source(), prep, cleaned, raw)
-	}
-	cleanedShards, okC := shardAnalyzers(cleaned, n)
-	rawShards, okR := shardAnalyzers(raw, n)
-	if !okC || !okR {
-		return Run(sh.Source(), prep, cleaned, raw)
-	}
+	perCleaned, perRaw, n := shardBattery(cleaned, raw, sh.NumShards())
 	sp := traceStart("analysis:run-shards").Arg("shards", strconv.Itoa(n))
+	defer sp.End()
+	if n == 1 {
+		for w := range sh.parts {
+			part := sh.parts[w].samples
+			for i := range part {
+				dispatch(&part[i], prep, cleaned, raw)
+			}
+		}
+		return nil
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
 		wg.Add(1)
@@ -380,21 +427,20 @@ func RunShards(sh *Shards, prep *Prep, cleaned []Analyzer, raw []Analyzer) error
 			ssp := traceStart("analysis:shard").OnTID(w + 1)
 			part := sh.parts[w].samples
 			for i := range part {
-				dispatch(&part[i], prep, cleanedShards[w], rawShards[w])
+				dispatch(&part[i], prep, perCleaned[w], perRaw[w])
 			}
 			ssp.End()
 		}(w)
 	}
 	wg.Wait()
-	mergeShards(cleaned, cleanedShards)
-	mergeShards(raw, rawShards)
-	sp.End()
+	mergeShards(cleaned, perCleaned)
+	mergeShards(raw, perRaw)
 	return nil
 }
 
 // BuildPrepShards is the first pass over a pre-partitioned campaign: each
 // shard accumulates its own prepass state concurrently, then the shards are
-// folded and finalized exactly like the sequential BuildPrep.
+// folded and finalized exactly like BuildPrep.
 func BuildPrepShards(meta Meta, sh *Shards, updateRelease *time.Time) (*Prep, error) {
 	n := sh.NumShards()
 	sp := traceStart("analysis:prep-shards").Arg("shards", strconv.Itoa(n))
@@ -428,35 +474,5 @@ func BuildPrepShards(meta Meta, sh *Shards, updateRelease *time.Time) (*Prep, er
 	}
 	fsp := traceStart("analysis:prep-finish")
 	defer fsp.End()
-	return finishPrep(meta, updateRelease, shards), nil
-}
-
-// BuildPrepParallel is BuildPrep distributed over workers goroutines fed by
-// a single streaming decode of src. workers <= 0 selects GOMAXPROCS;
-// workers == 1 degrades to the sequential BuildPrep.
-func BuildPrepParallel(meta Meta, src Source, updateRelease *time.Time, workers int) (*Prep, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return BuildPrep(meta, src, updateRelease)
-	}
-	sp := traceStart("analysis:prep-parallel").Arg("workers", strconv.Itoa(workers))
-	defer sp.End()
-	shards := make([]*prepShard, workers)
-	for w := range shards {
-		shards[w] = newPrepShard(meta, updateRelease)
-	}
-	err := fanOut(src, workers, func(w int, batch []trace.Sample) error {
-		for i := range batch {
-			if err := shards[w].add(&batch[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return finishPrep(meta, updateRelease, shards), nil
 }

@@ -61,14 +61,14 @@ func newSketchEquivalenceBattery(meta Meta, prep *Prep) (sketchEquivalenceBatter
 func TestSketchEquivalence(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
-	prep, err := BuildPrep(meta, src, release)
+	prep, err := BuildPrep(meta, src, release, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	exactAPD := NewAPsPerDay(meta, prep)
 	exactDur := NewAssocDuration(meta, prep)
-	if err := Run(src, prep, []Analyzer{exactAPD, exactDur}, nil); err != nil {
+	if err := Run(src, prep, []Analyzer{exactAPD, exactDur}, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	wantAPD := exactAPD.Result()
@@ -77,7 +77,7 @@ func TestSketchEquivalence(t *testing.T) {
 	wantVS := prep.VolumeStats()
 
 	b, cleaned, raw := newSketchEquivalenceBattery(meta, prep)
-	if err := Run(src, prep, cleaned, raw); err != nil {
+	if err := Run(src, prep, cleaned, raw, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -203,12 +203,12 @@ func TestSketchEquivalence(t *testing.T) {
 
 // TestSketchShardEquivalence pins bit-identical determinism across the
 // production shard engine: for every worker count, RunShards over the sketch
-// battery must DeepEqual the sequential run — the same guarantee the exact
+// battery must DeepEqual the inline oracle — the same guarantee the exact
 // battery has, made possible by the sketches' integer-only merge state.
 func TestSketchShardEquivalence(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
-	prep, err := BuildPrep(meta, src, release)
+	prep, err := inlinePrep(meta, src, release)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,15 +227,15 @@ func TestSketchShardEquivalence(t *testing.T) {
 		}
 	}
 	want := results(func(cleaned, raw []Analyzer) error {
-		return Run(src, prep, cleaned, raw)
+		return inlineRun(src, prep, cleaned, raw)
 	})
 	for _, workers := range workerCounts() {
 		got := results(func(cleaned, raw []Analyzer) error {
-			return RunParallel(src, prep, cleaned, raw, workers)
+			return Run(src, prep, cleaned, raw, workers)
 		})
 		for name, w := range want {
 			if !reflect.DeepEqual(w, got[name]) {
-				t.Errorf("RunParallel(workers=%d): sketch %s differs from sequential", workers, name)
+				t.Errorf("Run(workers=%d): sketch %s differs from the inline oracle", workers, name)
 			}
 		}
 		sh, err := ShardSamples(src, workers)
@@ -247,7 +247,7 @@ func TestSketchShardEquivalence(t *testing.T) {
 		})
 		for name, w := range want {
 			if !reflect.DeepEqual(w, got[name]) {
-				t.Errorf("RunShards(n=%d): sketch %s differs from sequential", workers, name)
+				t.Errorf("RunShards(n=%d): sketch %s differs from the inline oracle", workers, name)
 			}
 		}
 	}
@@ -261,12 +261,12 @@ func TestSketchShardEquivalence(t *testing.T) {
 func TestSketchMergeOrderInvariance(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
-	prep, err := BuildPrep(meta, src, release)
+	prep, err := inlinePrep(meta, src, release)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base, cleaned, raw := newSketchEquivalenceBattery(meta, prep)
-	if err := Run(src, prep, cleaned, raw); err != nil {
+	if err := inlineRun(src, prep, cleaned, raw); err != nil {
 		t.Fatal(err)
 	}
 	wantDV, wantVS := base.volumes.Result()

@@ -31,8 +31,9 @@ func benchCampaign(b testing.TB) (config.Campaign, analysis.Source, int) {
 	return cfg, src, n
 }
 
-// BenchmarkAnalyzeCampaignSequential is the baseline: two sequential passes
-// over the trace file, each decoding every sample.
+// BenchmarkAnalyzeCampaignSequential is the baseline: the one-worker
+// streaming driver's two passes over the trace file, each decoding every
+// sample while the worker analyzes the batch before.
 func BenchmarkAnalyzeCampaignSequential(b *testing.B) {
 	cfg, src, n := benchCampaign(b)
 	if _, err := core.AnalyzeCampaign(cfg, nil, src, core.Options{}); err != nil { // warm analyzer pools
@@ -52,7 +53,7 @@ func BenchmarkAnalyzeCampaignSequential(b *testing.B) {
 
 // BenchmarkAnalyzeCampaignSketch runs the same campaign through the
 // bounded-memory sketch battery (Options.SketchMode), anchoring the cost of
-// the streaming analyzers against the exact sequential baseline above.
+// the streaming analyzers against the exact one-worker baseline above.
 func BenchmarkAnalyzeCampaignSketch(b *testing.B) {
 	cfg, src, n := benchCampaign(b)
 	opts := core.Options{SketchMode: true}
@@ -77,7 +78,7 @@ func BenchmarkAnalyzeCampaignSketch(b *testing.B) {
 
 // BenchmarkAnalyzeCampaignParallel shards both passes across at least four
 // workers (more when GOMAXPROCS exceeds that) and verifies the single-decode
-// guarantee: exactly one decode per sample per run, against the sequential
+// guarantee: exactly one decode per sample per run, against the streaming
 // path's two. A warmup run primes the process-wide shard pools, so the
 // committed one-iteration manifest records the steady state the pools are
 // designed for rather than the first campaign's slab faults.

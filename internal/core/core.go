@@ -49,7 +49,7 @@ type Options struct {
 	Workers int
 	// AnalysisWorkers parallelizes the two analysis passes by sharding
 	// samples across goroutines by device (results are identical
-	// regardless); 0 keeps them sequential, negative uses GOMAXPROCS.
+	// regardless); 0 means one worker, negative uses GOMAXPROCS.
 	AnalysisWorkers int
 	// SketchMode swaps the slice-buffering figure analyzers for the
 	// bounded-memory sketch battery (internal/sketch): quantile-derived
@@ -163,9 +163,8 @@ func RunWithConfig(cfg config.Campaign, opts Options) (*CampaignRun, error) {
 		}
 		return sm.Run(sink)
 	}
-	workers := opts.analysisWorkers()
 	if opts.TraceDir == "" {
-		sh := analysis.NewShards(workers)
+		sh := analysis.NewShards(opts.analysisWorkers())
 		if err := runSim(sh.Add); err != nil {
 			return nil, fmt.Errorf("core: simulate %d: %w", cfg.Year, err)
 		}
@@ -175,11 +174,7 @@ func RunWithConfig(cfg config.Campaign, opts Options) (*CampaignRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := analysis.FileSource(path)
-	if workers > 1 {
-		return analyzeCampaignStreaming(cfg, sm, src, opts, workers)
-	}
-	return AnalyzeCampaign(cfg, sm, src, opts)
+	return AnalyzeCampaign(cfg, sm, analysis.FileSource(path), opts)
 }
 
 // spoolTrace executes the simulation once, writing the binary trace under
@@ -350,30 +345,35 @@ func updateRelease(cfg config.Campaign) *time.Time {
 	return nil
 }
 
-// AnalyzeCampaign runs the two-pass analysis pipeline sequentially over an
-// existing sample source. sm may be nil when analyzing a trace without its
-// world (the survey is skipped in that case). Of opts, only the analysis
-// options (SketchMode, Tracer) apply; parallelism is the caller's choice of
-// entry point.
+// AnalyzeCampaign runs the two-pass analysis pipeline over an existing
+// sample source, streaming it once per pass on opts.AnalysisWorkers workers
+// (zero means one, negative GOMAXPROCS). The calling goroutine decodes each
+// pass into small batches while the workers analyze the batches before them,
+// so memory stays bounded by the in-flight batches whatever the trace length.
+// sm may be nil when analyzing a trace without its world (the survey is
+// skipped in that case). Of opts, only the analysis options
+// (AnalysisWorkers, SketchMode, Tracer) apply.
 func AnalyzeCampaign(cfg config.Campaign, sm *sim.Simulator, src analysis.Source, opts Options) (*CampaignRun, error) {
+	workers := opts.analysisWorkers()
 	meta := analysis.MetaFor(cfg)
 	release := updateRelease(cfg)
-	prep, err := analysis.BuildPrep(meta, src, release)
+	prep, err := analysis.BuildPrep(meta, src, release, workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: prepass %d: %w", cfg.Year, err)
 	}
 	set := newAnalyzerSet(meta, prep, release, opts.SketchMode)
-	if err := analysis.Run(src, prep, set.cleaned, set.raw); err != nil {
+	if err := analysis.Run(src, prep, set.cleaned, set.raw, workers); err != nil {
 		return nil, fmt.Errorf("core: analysis pass %d: %w", cfg.Year, err)
 	}
 	return assembleRun(cfg, sm, prep, set)
 }
 
-// AnalyzeCampaignParallel is AnalyzeCampaign with both passes sharded over
-// opts.AnalysisWorkers goroutines (negative selects GOMAXPROCS). The source
-// is decoded exactly once — into device-partitioned in-memory shards that
-// both passes then stream from. Results are identical to the sequential
-// path.
+// AnalyzeCampaignParallel is AnalyzeCampaign with the source decoded exactly
+// once — into device-partitioned in-memory shards, one per
+// opts.AnalysisWorkers (negative selects GOMAXPROCS), that both passes then
+// read. It trades AnalyzeCampaign's bounded memory for the saved decode; with
+// one worker there is nothing to shard and it is AnalyzeCampaign. Results are
+// identical either way.
 func AnalyzeCampaignParallel(cfg config.Campaign, sm *sim.Simulator, src analysis.Source, opts Options) (*CampaignRun, error) {
 	workers := opts.analysisWorkers()
 	if workers == 1 {
@@ -400,24 +400,6 @@ func AnalyzeCampaignShards(cfg config.Campaign, sm *sim.Simulator, sh *analysis.
 	}
 	set := newAnalyzerSet(meta, prep, release, opts.SketchMode)
 	if err := analysis.RunShards(sh, prep, set.cleaned, set.raw); err != nil {
-		return nil, fmt.Errorf("core: analysis pass %d: %w", cfg.Year, err)
-	}
-	return assembleRun(cfg, sm, prep, set)
-}
-
-// analyzeCampaignStreaming runs both passes with the streaming fan-out: the
-// source is decoded once per pass on one goroutine while workers accumulate
-// shard-locally. Unlike AnalyzeCampaignParallel it never holds the whole
-// campaign in memory, which is why the TraceDir path uses it.
-func analyzeCampaignStreaming(cfg config.Campaign, sm *sim.Simulator, src analysis.Source, opts Options, workers int) (*CampaignRun, error) {
-	meta := analysis.MetaFor(cfg)
-	release := updateRelease(cfg)
-	prep, err := analysis.BuildPrepParallel(meta, src, release, workers)
-	if err != nil {
-		return nil, fmt.Errorf("core: prepass %d: %w", cfg.Year, err)
-	}
-	set := newAnalyzerSet(meta, prep, release, opts.SketchMode)
-	if err := analysis.RunParallel(src, prep, set.cleaned, set.raw, workers); err != nil {
 		return nil, fmt.Errorf("core: analysis pass %d: %w", cfg.Year, err)
 	}
 	return assembleRun(cfg, sm, prep, set)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"smartusage/internal/analysis"
+	"smartusage/internal/config"
 	"smartusage/internal/core"
 	"smartusage/internal/stats"
 	"smartusage/internal/trace"
@@ -482,15 +484,58 @@ func compareRuns(t *testing.T, label string, want, got *core.CampaignRun) {
 			continue
 		}
 		if !reflect.DeepEqual(vw.Field(i).Interface(), vg.Field(i).Interface()) {
-			t.Errorf("%s: field %s differs from sequential analysis", label, name)
+			t.Errorf("%s: field %s differs from the reference run", label, name)
 		}
+	}
+}
+
+// inlineAnalyze is the oracle for the streaming driver: it decodes the trace
+// once into a single in-memory shard and runs both passes over it inline on
+// the calling goroutine, with no fan-out, batch copy or decode-ahead.
+func inlineAnalyze(t *testing.T, cfg config.Campaign, src analysis.Source, opts core.Options) *core.CampaignRun {
+	t.Helper()
+	sh, err := analysis.ShardSamples(src, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := core.AnalyzeCampaignShards(cfg, nil, sh, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// TestAnalyzeCampaignMatchesInlineOracle checks the one-worker streaming
+// AnalyzeCampaign over a trace file, in exact and sketch mode, against the
+// inline oracle. 2015 is used so the update-timing (raw) analyzer runs too.
+func TestAnalyzeCampaignMatchesInlineOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("oracle campaign skipped in -short mode")
+	}
+	cfg, err := config.ForYear(2015, 0.05, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := core.RunWithConfig(cfg, core.Options{Scale: 0.05, Seed: 9, TraceDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	src := analysis.FileSource(filepath.Join(dir, "campaign-2015.trace"))
+	for _, sketch := range []bool{false, true} {
+		opts := core.Options{SketchMode: sketch}
+		want := inlineAnalyze(t, cfg, src, opts)
+		got, err := core.AnalyzeCampaign(cfg, nil, src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareRuns(t, fmt.Sprintf("sketch=%v", sketch), want, got)
 	}
 }
 
 // TestAnalysisWorkersEquivalence checks the tentpole determinism guarantee
 // end to end: a campaign analyzed with sharded workers — both the in-memory
 // shard path and the streaming trace-file path — produces a CampaignRun
-// identical to the sequential analysis, experiment by experiment. 2015 is
+// identical to the one-worker analysis, experiment by experiment. 2015 is
 // used so the update-timing (raw) analyzer runs too.
 func TestAnalysisWorkersEquivalence(t *testing.T) {
 	if testing.Short() {

@@ -6,17 +6,23 @@ import (
 	"testing"
 	"time"
 
+	"smartusage/internal/analysis"
 	"smartusage/internal/core"
 )
 
-// TestMultiCoreSpeedup times the sharded analysis path against the
-// sequential one on the same campaign trace. On a machine with at least four
-// cores the parallel path must win by >= 2x — the whole point of sharding —
-// and a regression that quietly serializes it (a stray lock on the hot path,
-// a worker pool collapsing to one goroutine) fails here before it ships. On
-// smaller machines the measured ratio is only logged: timing a 1-2 core box
-// proves nothing about the sharding, and the decode-count and
-// result-equality checks still run everywhere.
+// TestMultiCoreSpeedup times the sharded analysis compute — BuildPrepShards
+// plus RunShards over a campaign already decoded into memory — at N shards
+// against the same code at one shard. On a machine with at least four cores
+// the N-shard run must win by >= 2x — the whole point of sharding — and a
+// regression that quietly serializes it (a stray lock on the hot path, a
+// worker pool collapsing to one goroutine) fails here before it ships. The
+// ShardSamples decode is excluded from both timings: the one-worker streaming
+// driver already overlaps decode with analysis, so timing decode here would
+// measure that overlap rather than the sharding. The end-to-end ratio of the
+// streaming one-worker AnalyzeCampaign to the N-worker AnalyzeCampaignParallel
+// is logged alongside. On smaller machines both ratios are only logged:
+// timing a 1-2 core box proves nothing about the sharding, and the
+// result-equality check still runs everywhere.
 func TestMultiCoreSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup timing is noise under -short")
@@ -37,39 +43,79 @@ func TestMultiCoreSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Fatal("parallel analysis result differs from sequential on the same trace")
+		t.Fatal("parallel analysis result differs from the one-worker run on the same trace")
 	}
 
-	// Best-of-N on each path: the minimum is robust against scheduler noise
+	// Best-of-N on each side: the minimum is robust against scheduler noise
 	// in a way the mean is not, and N=3 keeps the test cheap.
 	const rounds = 3
-	best := func(run func() error) time.Duration {
+	best := func(run func() (time.Duration, error)) time.Duration {
 		bestD := time.Duration(1<<63 - 1)
 		for i := 0; i < rounds; i++ {
-			t0 := time.Now()
-			if err := run(); err != nil {
+			d, err := run()
+			if err != nil {
 				t.Fatal(err)
 			}
-			if d := time.Since(t0); d < bestD {
-				bestD = d
-			}
+			bestD = min(bestD, d)
 		}
 		return bestD
 	}
-	seq := best(func() error {
+	meta := analysis.MetaFor(cfg) // benchCampaign is 2013: no update release
+	shardCompute := func(n int) func() (time.Duration, error) {
+		return func() (time.Duration, error) {
+			sh, err := analysis.ShardSamples(src, n)
+			if err != nil {
+				return 0, err
+			}
+			defer sh.Release()
+			t0 := time.Now()
+			prep, err := analysis.BuildPrepShards(meta, sh, nil)
+			if err != nil {
+				return 0, err
+			}
+			if err := analysis.RunShards(sh, prep, battery(meta, prep), nil); err != nil {
+				return 0, err
+			}
+			return time.Since(t0), nil
+		}
+	}
+	timed := func(run func() error) func() (time.Duration, error) {
+		return func() (time.Duration, error) {
+			t0 := time.Now()
+			err := run()
+			return time.Since(t0), err
+		}
+	}
+	one := best(shardCompute(1))
+	many := best(shardCompute(workers))
+	stream := best(timed(func() error {
 		_, err := core.AnalyzeCampaign(cfg, nil, src, core.Options{})
 		return err
-	})
-	par := best(func() error {
+	}))
+	par := best(timed(func() error {
 		_, err := core.AnalyzeCampaignParallel(cfg, nil, src, core.Options{AnalysisWorkers: workers})
 		return err
-	})
+	}))
 
-	speedup := float64(seq) / float64(par)
-	t.Logf("sequential %v, parallel %v with %d workers on GOMAXPROCS=%d: %.2fx",
-		seq, par, workers, runtime.GOMAXPROCS(0), speedup)
+	speedup := float64(one) / float64(many)
+	t.Logf("shard compute: 1 shard %v, %d shards %v: %.2fx on GOMAXPROCS=%d",
+		one, workers, many, speedup, runtime.GOMAXPROCS(0))
+	t.Logf("end to end: streaming one-worker %v, in-memory %d workers %v: %.2fx",
+		stream, workers, par, float64(stream)/float64(par))
 	if runtime.GOMAXPROCS(0) >= 4 && speedup < 2 {
-		t.Errorf("parallel analysis only %.2fx faster than sequential on %d cores; want >= 2x",
-			speedup, runtime.GOMAXPROCS(0))
+		t.Errorf("%d-shard analysis only %.2fx faster than 1 shard on %d cores; want >= 2x",
+			workers, speedup, runtime.GOMAXPROCS(0))
+	}
+}
+
+// battery is a representative second-pass battery: every exact analyzer
+// that needs no update release.
+func battery(meta analysis.Meta, prep *analysis.Prep) []analysis.Analyzer {
+	return []analysis.Analyzer{
+		analysis.NewAggregate(meta), analysis.NewWiFiRatios(meta, prep),
+		analysis.NewInterfaceState(meta), analysis.NewLocationTraffic(meta, prep),
+		analysis.NewAPsPerDay(meta, prep), analysis.NewAssocDuration(meta, prep),
+		analysis.NewPublicAvailability(prep), analysis.NewAppBreakdown(meta, prep),
+		analysis.NewBattery(meta), analysis.NewCarrierRatios(),
 	}
 }

@@ -12,7 +12,7 @@ import (
 // every concrete type implementing the package's Analyzer interface must
 //
 //  1. also implement ShardedAnalyzer (NewShard/Merge), so it cannot silently
-//     degrade RunParallel to the sequential path, and
+//     drop a multi-worker Run or RunShards to one worker, and
 //  2. appear in a []Analyzer table inside the package's tests — the
 //     parallel-equivalence suite — so the sharded == sequential property is
 //     actually exercised for it, and
@@ -81,7 +81,7 @@ func runShardMerge(pass *Pass) error {
 				}
 				if !implements(named, shardedIface) {
 					pass.Reportf(ts.Pos(),
-						"%s implements Analyzer but not ShardedAnalyzer (NewShard/Merge): it silently drops RunParallel/RunShards to the sequential path",
+						"%s implements Analyzer but not ShardedAnalyzer (NewShard/Merge): it silently drops multi-worker Run/RunShards to one worker",
 						obj.Name())
 				}
 				impls = append(impls, impl{

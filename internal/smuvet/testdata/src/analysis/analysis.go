@@ -27,8 +27,8 @@ func (g *Good) NewShard() Analyzer { return &Good{} }
 // Merge implements ShardedAnalyzer.
 func (g *Good) Merge(shard Analyzer) { g.n += shard.(*Good).n }
 
-// NoShard implements Analyzer only, so RunParallel would silently fall back
-// to the sequential path for it.
+// NoShard implements Analyzer only, so a multi-worker Run would silently
+// fall back to one worker for it.
 type NoShard struct{ n int } // want `NoShard implements Analyzer but not ShardedAnalyzer`
 
 // Add implements Analyzer.

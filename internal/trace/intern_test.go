@@ -30,7 +30,7 @@ func internSample() *Sample {
 // TestDecodeSampleInternedSteadyStateAllocs pins the decode hot path's
 // allocation contract: with a warm interner and a reused Sample, decoding
 // allocates nothing — repeat ESSIDs reuse interned strings and the slices
-// reuse their capacity. This is the per-sample cost BuildPrepParallel and
+// reuse their capacity. This is the per-sample cost BuildPrep, Run and
 // ShardSamples pay once per trace decode.
 func TestDecodeSampleInternedSteadyStateAllocs(t *testing.T) {
 	enc := AppendSample(nil, internSample())
