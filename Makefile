@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short pipebench-test bench bench-json bench-diff bench-multicore check lint smuvet smuvet-determinism fmt-check bench-smoke fuzz-smoke chaos crash tier-soak soak-1m external-smoke report experiments experiments-full ingest-smoke ingest-json clean
+.PHONY: all build vet test test-short pipebench-test bench bench-json bench-diff bench-multicore check lint smuvet smuvet-determinism fmt-check bench-smoke fuzz-smoke chaos crash tier-soak soak-1m external-smoke report experiments ingest-smoke ingest-json clean
 
 all: build vet test
 
@@ -133,10 +133,11 @@ tier-soak:
 	$(GO) test -race -run TestTierFailoverSoak -count=1 ./internal/faultnet
 
 # Bounded-memory scale proof: stream SOAK_DEVICES devices (a million by
-# default here) through the sketch battery under a MemStats watchdog. The
-# test asserts the peak heap stays under a per-device ceiling AND that the
-# exact path's accumulator lower bound would have blown through it. Set
-# SOAK_MEMSTATS_OUT to keep the measurements as a JSON artifact.
+# default here) through sketch mode's second-pass battery under a MemStats
+# watchdog. The test asserts the peak heap stays under a per-device ceiling
+# AND that a lower bound on accumulating per user-day would have blown
+# through it. Set SOAK_MEMSTATS_OUT to keep the measurements as a JSON
+# artifact.
 SOAK_DEVICES ?= 1000000
 soak-1m:
 	SOAK_DEVICES=$(SOAK_DEVICES) SOAK_MEMSTATS_OUT=$(SOAK_MEMSTATS_OUT) \
@@ -163,13 +164,13 @@ check: lint
 	$(MAKE) ingest-smoke
 	$(MAKE) external-smoke
 
-# Regenerate EXPERIMENTS.md at the reference scale.
+# Regenerate EXPERIMENTS.md, the golden that pipebench's
+# TestReportFullReproducesExperiments byte-compares (make pipebench-test):
+# the paper-sized study, scale 1.0 and seed 1, rendered the way that test
+# renders it — each campaign spooled to a trace file and streamed back, with
+# sequential simulation. Needs ~2 GB of temp disk for the traces.
 experiments:
-	$(GO) run ./cmd/report -scale 0.25 -seed 1 -o EXPERIMENTS.md
-
-# Full-scale (paper-sized) report; needs ~2 GB of temp disk for traces.
-experiments-full:
-	$(GO) run ./cmd/report -scale 1.0 -seed 1 -workers -1 -tracedir /tmp/smartusage-traces -o EXPERIMENTS.md
+	$(GO) run ./cmd/report -scale 1.0 -seed 1 -tracedir $${TMPDIR:-/tmp}/smartusage-traces -o EXPERIMENTS.md
 
 # Removes run artifacts from the repo root (collectd spool/WAL dirs as named
 # in the docs, report/agentsim outputs, loadgen manifests), loadgen scratch

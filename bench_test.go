@@ -4,9 +4,10 @@
 //
 // The per-experiment benchmarks measure the cost of computing that
 // experiment's result from an already-simulated campaign: prepass-derived
-// experiments (Tables 1/3/4, Figs. 5/10/13-16/19...) re-run their
-// derivation; streaming experiments (Figs. 2/6-9/11/12/17, Tables 5-7)
-// re-run their analyzer over the in-memory sample stream.
+// experiments (Tables 1/3/4, Figs. 3-5/10/14-16/19...) re-run their
+// derivation; streaming experiments (Figs. 2/6-9/11-13/17/18, Tables 5-7)
+// re-run their analyzer over the campaign held as one in-memory shard
+// (RunShards), so they time the analyzer rather than a decode or batch copy.
 package smartusage_test
 
 import (
@@ -38,6 +39,7 @@ type fixture struct {
 	sim     *sim.Simulator
 	samples []trace.Sample
 	src     analysis.Source
+	sh      *analysis.Shards // the campaign as one shard, never released
 	prep    *analysis.Prep
 	meta    analysis.Meta
 }
@@ -66,12 +68,13 @@ func getFixture(b *testing.B) *fixture {
 			panic(err)
 		}
 		f.src = analysis.SliceSource(f.samples)
-		release := cfg.Update.Release
-		prep, err := analysis.BuildPrep(f.meta, f.src, &release, 1)
-		if err != nil {
+		if f.sh, err = analysis.ShardSamples(f.src, 1); err != nil {
 			panic(err)
 		}
-		f.prep = prep
+		release := cfg.Update.Release
+		if f.prep, err = analysis.BuildPrepShards(f.meta, f.sh, &release); err != nil {
+			panic(err)
+		}
 		fix = f
 	})
 	return fix
@@ -154,7 +157,7 @@ func BenchmarkPrepass(b *testing.B) {
 	release := f.cfg.Update.Release
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.BuildPrep(f.meta, f.src, &release, 1); err != nil {
+		if _, err := analysis.BuildPrepShards(f.meta, f.sh, &release); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -240,11 +243,11 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-// runAnalyzer streams the fixture through one analyzer with the paper's
-// cleaning rules applied.
+// runAnalyzer replays the fixture's one shard through one analyzer with the
+// paper's cleaning rules applied.
 func runAnalyzer(b *testing.B, f *fixture, a analysis.Analyzer) {
 	b.Helper()
-	if err := analysis.Run(f.src, f.prep, []analysis.Analyzer{a}, nil, 1); err != nil {
+	if err := analysis.RunShards(f.sh, f.prep, []analysis.Analyzer{a}, nil); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -263,7 +266,7 @@ func BenchmarkFig3(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = f.prep.DailyVolumes()
+		_, _ = f.prep.Volumes(false)
 	}
 }
 
@@ -281,7 +284,7 @@ func BenchmarkTable3(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := f.prep.VolumeStats()
+		_, v := f.prep.Volumes(false)
 		if _, err := analysis.Growth([]analysis.VolumeStats{v, v, v}); err != nil {
 			b.Fatal(err)
 		}
@@ -353,7 +356,7 @@ func BenchmarkFig13(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ad := analysis.NewAssocDuration(f.meta, f.prep)
+		ad := analysis.NewAssocDuration(f.meta, f.prep, false)
 		runAnalyzer(b, f, ad)
 		_ = ad.Result()
 	}
@@ -420,7 +423,7 @@ func BenchmarkFig18(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ut := analysis.NewUpdateTiming(f.meta, f.prep, release)
-		if err := analysis.Run(f.src, f.prep, nil, []analysis.Analyzer{ut}, 1); err != nil {
+		if err := analysis.RunShards(f.sh, f.prep, nil, []analysis.Analyzer{ut}); err != nil {
 			b.Fatal(err)
 		}
 		_ = ut.Result()
@@ -440,7 +443,7 @@ func BenchmarkTable9(b *testing.B) { BenchmarkTable2(b) }
 
 func BenchmarkImplications(b *testing.B) {
 	f := getFixture(b)
-	v := f.prep.VolumeStats()
+	_, v := f.prep.Volumes(false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := macro.ComputeImplications(2015, v.MedianCell, v.MedianWiFi, 0.95); err != nil {

@@ -87,26 +87,18 @@ func TestFanOutSteadyStateAllocs(t *testing.T) {
 // maps are deliberately excluded: they are O(devices) by design and the
 // soak test budgets them separately.
 func batteryFootprint(b sketchEquivalenceBattery) int {
-	n := 0
-	for _, q := range b.durations.durs {
-		n += q.Footprint()
-	}
-	sk := b.volumes.sk
-	for _, q := range []interface{ Footprint() int }{
-		sk.AllRX, sk.AllTX, sk.CellRX, sk.CellTX, sk.WiFiRX, sk.WiFiTX,
-		b.volumes.statsCell, b.volumes.statsWiFi,
-		b.card.devices, b.card.aps,
-	} {
-		n += q.Footprint()
+	n := b.card.devices.Footprint() + b.card.aps.Footprint()
+	for _, d := range b.durations.hours {
+		n += d.q.Footprint()
 	}
 	return n
 }
 
 // TestSketchBatterySteadyStateAllocs pins the streaming contract of the
 // sketch analyzers: once every device in the stream has its transient state
-// (association run, partial volume day, partial AP-set day), re-feeding the
-// whole campaign allocates a small constant — day flushes and run closes
-// reuse their structs in place, and sketch updates are pure array writes.
+// (association run, partial AP-set day), re-feeding the whole campaign
+// allocates a small constant — day flushes and run closes reuse their structs
+// in place, and sketch updates are pure array writes.
 func TestSketchBatterySteadyStateAllocs(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	prep, err := inlinePrep(meta, SliceSource(samples), release)

@@ -18,6 +18,13 @@
 // workers and merge shard results deterministically; one worker is the
 // sequential case. See shard.go for the engine and the merge contract.
 //
+// Each figure has one analyzer. The quantile figures — daily volumes (Figs.
+// 3-4, Table 3, from the prepass user-days) and association durations (Fig.
+// 13) — hold their distributions in a Dist, whose store is exact sorted
+// samples or a bounded-memory quantile sketch; core.Options.SketchMode picks
+// the store and nothing else (dist.go). Sketch mode also runs
+// SketchCardinality for HLL panel and AP-census estimates.
+//
 // Analyzer results are plain data structs that renderers print and tests
 // assert against.
 package analysis

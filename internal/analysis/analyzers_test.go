@@ -154,10 +154,10 @@ func TestAssocDurationRuns(t *testing.T) {
 	b.assoc(dev, trace.Android, 0, 13, 0, 0x200, "0000docomo", -60)
 
 	p := b.prep(t, nil)
-	ad := NewAssocDuration(meta, p)
+	ad := NewAssocDuration(meta, p, false)
 	feed(t, ad, b.samples)
 	r := ad.Result()
-	hours := r.Hours[APPublic] // sorted ascending
+	hours := r.Hours[APPublic].Values() // sorted ascending
 	if len(hours) != 2 {
 		t.Fatalf("runs %v", hours)
 	}
@@ -177,11 +177,11 @@ func TestAssocDurationToleratesOneGap(t *testing.T) {
 	// Missing report at 10:10 (no sample at all), then continue at 10:20.
 	b.assoc(dev, trace.Android, 0, 10, 20, 0x200, "0000docomo", -60)
 	p := b.prep(t, nil)
-	ad := NewAssocDuration(meta, p)
+	ad := NewAssocDuration(meta, p, false)
 	feed(t, ad, b.samples)
 	r := ad.Result()
-	if len(r.Hours[APPublic]) != 1 {
-		t.Fatalf("gap split the run: %v", r.Hours[APPublic])
+	if hours := r.Hours[APPublic].Values(); len(hours) != 1 {
+		t.Fatalf("gap split the run: %v", hours)
 	}
 }
 
@@ -334,9 +334,9 @@ func TestVolumeStatsAndDailyVolumes(t *testing.T) {
 	b.add(3, trace.Android, 0, 12, 0)
 
 	p := b.prep(t, nil)
-	v := p.DailyVolumes()
-	if len(v.AllRX) != 2 {
-		t.Fatalf("AllRX %v (zero-traffic day must be filtered)", v.AllRX)
+	v, st := p.Volumes(false)
+	if all := v.AllRX.Values(); len(all) != 2 {
+		t.Fatalf("AllRX %v (zero-traffic day must be filtered)", all)
 	}
 	if math.Abs(v.ZeroCellFrac-2.0/3) > 1e-9 || math.Abs(v.ZeroWiFiFrac-2.0/3) > 1e-9 {
 		t.Fatalf("zero fracs %g %g", v.ZeroCellFrac, v.ZeroWiFiFrac)
@@ -344,7 +344,6 @@ func TestVolumeStatsAndDailyVolumes(t *testing.T) {
 	if v.MaxRXMB != 30 {
 		t.Fatalf("max %g", v.MaxRXMB)
 	}
-	st := p.VolumeStats()
 	if math.Abs(st.MedianAll-20) > 1e-9 {
 		t.Fatalf("median all %g", st.MedianAll)
 	}

@@ -131,16 +131,40 @@ type HPO struct {
 // APsPerDay reproduces Fig. 12 and Table 5: how many distinct networks
 // each device associates with per day, and the home/public/other
 // composition of those sets.
+//
+// Samples of one device must arrive in time order, as AssocDuration also
+// requires: a device's set is folded into the counts the moment its stream
+// reaches the next day, so the analyzer holds one day's set per device, not
+// one per user-day. Trace files, the simulator, Shards, the streaming fan-out
+// and tiermerge.MergeDirs all deliver that order. Excluded days never arrive:
+// dispatch drops them before any cleaned analyzer.
 type APsPerDay struct {
 	meta Meta
 	prep *Prep
-	// sets[key] accumulates the day's distinct associated pairs.
-	sets map[UserDayKey]map[APKey]bool
+	cur  map[trace.DeviceID]*apDayState
+
+	counts      [3][5]uint64
+	totals      [3]uint64
+	multi       uint64
+	breakdown   map[HPO]uint64
+	maxNetworks int
+}
+
+// apDayState is one device's current-day distinct association set; per-day
+// network counts are tiny (the paper's maximum is 8), so a linear-scanned
+// slice beats a map.
+type apDayState struct {
+	day   int
+	pairs []APKey
 }
 
 // NewAPsPerDay returns an empty Fig. 12 / Table 5 accumulator.
 func NewAPsPerDay(meta Meta, prep *Prep) *APsPerDay {
-	return &APsPerDay{meta: meta, prep: prep, sets: make(map[UserDayKey]map[APKey]bool)}
+	return &APsPerDay{
+		meta: meta, prep: prep,
+		cur:       make(map[trace.DeviceID]*apDayState),
+		breakdown: make(map[HPO]uint64),
+	}
 }
 
 // Add implements Analyzer.
@@ -149,29 +173,85 @@ func (a *APsPerDay) Add(s *trace.Sample) {
 	if ap == nil {
 		return
 	}
-	key := UserDayKey{Device: s.Device, Day: a.meta.Day(s.Time)}
-	set := a.sets[key]
-	if set == nil {
-		set = make(map[APKey]bool, 2)
-		a.sets[key] = set
+	day := a.meta.Day(s.Time)
+	st := a.cur[s.Device]
+	if st == nil {
+		st = &apDayState{day: day}
+		a.cur[s.Device] = st
+	} else if st.day != day {
+		a.flush(s.Device, st)
+		st.day = day
+		st.pairs = st.pairs[:0]
 	}
-	set[APKey{BSSID: ap.BSSID, ESSID: ap.ESSID}] = true
+	key := APKey{BSSID: ap.BSSID, ESSID: ap.ESSID}
+	for _, p := range st.pairs {
+		if p == key {
+			return
+		}
+	}
+	st.pairs = append(st.pairs, key)
+}
+
+// flush folds one completed user-day set, never empty, into the composition
+// counters.
+func (a *APsPerDay) flush(dev trace.DeviceID, st *apDayState) {
+	n := len(st.pairs)
+	if n > a.maxNetworks {
+		a.maxNetworks = n
+	}
+	var hpo HPO
+	for _, pair := range st.pairs {
+		switch a.prep.ClassOf(pair) {
+		case APHome:
+			hpo.H++
+		case APPublic:
+			hpo.P++
+		default:
+			hpo.O++
+		}
+	}
+	a.breakdown[hpo]++
+	slot := n
+	if slot > 4 {
+		slot = 4
+	}
+	a.counts[0][slot]++
+	a.totals[0]++
+	switch a.prep.RankOf(dev, st.day) {
+	case RankHeavy:
+		a.counts[1][slot]++
+		a.totals[1]++
+	case RankLight:
+		a.counts[2][slot]++
+		a.totals[2]++
+	}
+	if n >= 2 {
+		a.multi++
+	}
 }
 
 // NewShard implements ShardedAnalyzer.
 func (a *APsPerDay) NewShard() Analyzer { return NewAPsPerDay(a.meta, a.prep) }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements ShardedAnalyzer. Shards are device-disjoint, so open
+// days transfer without clashing.
 func (a *APsPerDay) Merge(shard Analyzer) {
 	o := shard.(*APsPerDay)
-	for key, set := range o.sets {
-		if cur, ok := a.sets[key]; ok {
-			for k := range set {
-				cur[k] = true
-			}
-		} else {
-			a.sets[key] = set
+	for dev, st := range o.cur {
+		a.cur[dev] = st
+	}
+	for b := range a.counts {
+		for k := range a.counts[b] {
+			a.counts[b][k] += o.counts[b][k]
 		}
+		a.totals[b] += o.totals[b]
+	}
+	a.multi += o.multi
+	for k, n := range o.breakdown {
+		a.breakdown[k] += n
+	}
+	if o.maxNetworks > a.maxNetworks {
+		a.maxNetworks = o.maxNetworks
 	}
 }
 
@@ -192,72 +272,25 @@ type APsPerDayResult struct {
 	MaxNetworks int
 }
 
-// Result finalizes the accumulator.
+// Result flushes the open days and finalizes the shares.
 func (a *APsPerDay) Result() APsPerDayResult {
-	r := APsPerDayResult{Breakdown: make(map[HPO]float64)}
-	var totals [3]int
-	var multi int
-	for key, set := range a.sets {
-		if ud := a.prep.UserDays[key]; ud != nil && ud.Excluded {
-			continue
-		}
-		n := len(set)
-		if n == 0 {
-			continue
-		}
-		if n > r.MaxNetworks {
-			r.MaxNetworks = n
-		}
-		var hpo HPO
-		for pair := range set {
-			switch a.prep.ClassOf(pair) {
-			case APHome:
-				hpo.H++
-			case APPublic:
-				hpo.P++
-			default:
-				hpo.O++
-			}
-		}
-		r.Breakdown[hpo]++
-
-		slot := n
-		if slot > 4 {
-			slot = 4
-		}
-		buckets := [3]bool{true, false, false}
-		switch a.prep.RankOf(key.Device, key.Day) {
-		case RankHeavy:
-			buckets[1] = true
-		case RankLight:
-			buckets[2] = true
-		}
-		for b, on := range buckets {
-			if on {
-				r.CountShares[b][slot]++
-				if b == 0 {
-					totals[0]++
-				} else {
-					totals[b]++
-				}
-			}
-		}
-		if n >= 2 {
-			multi++
-		}
+	for dev, st := range a.cur {
+		a.flush(dev, st)
+		delete(a.cur, dev)
 	}
+	r := APsPerDayResult{Breakdown: make(map[HPO]float64), MaxNetworks: a.maxNetworks}
 	for b := range r.CountShares {
-		if totals[b] == 0 {
+		if a.totals[b] == 0 {
 			continue
 		}
 		for k := range r.CountShares[b] {
-			r.CountShares[b][k] /= float64(totals[b])
+			r.CountShares[b][k] = float64(a.counts[b][k]) / float64(a.totals[b])
 		}
 	}
-	if totals[0] > 0 {
-		r.MultiAPShare = float64(multi) / float64(totals[0])
-		for k := range r.Breakdown {
-			r.Breakdown[k] /= float64(totals[0])
+	if a.totals[0] > 0 {
+		r.MultiAPShare = float64(a.multi) / float64(a.totals[0])
+		for k, n := range a.breakdown {
+			r.Breakdown[k] = float64(n) / float64(a.totals[0])
 		}
 	}
 	return r

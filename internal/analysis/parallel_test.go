@@ -240,7 +240,7 @@ func batteryResults(t *testing.T, meta Meta, prep *Prep, release *time.Time, run
 	ifstate := NewInterfaceState(meta)
 	location := NewLocationTraffic(meta, prep)
 	apsPerDay := NewAPsPerDay(meta, prep)
-	durations := NewAssocDuration(meta, prep)
+	durations := NewAssocDuration(meta, prep, false)
 	publicAvail := NewPublicAvailability(prep)
 	appBreak := NewAppBreakdown(meta, prep)
 	battery := NewBattery(meta)

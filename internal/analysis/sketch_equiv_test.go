@@ -10,13 +10,13 @@ import (
 	"smartusage/internal/trace"
 )
 
-// This file is the exactness-tolerance suite for sketch mode: every
-// sketch-backed analyzer runs side by side with its exact counterpart over
-// the equivalence fixture, and each output is held to its documented
-// tolerance — DeepEqual for everything integral (counts, shares, fractions,
-// maxima) and a per-figure epsilon for quantile-derived numbers. The
-// tolerances here are the same ones DESIGN.md's "Sketch-based analysis"
-// table documents; tightening one without the other should fail review.
+// This file is the exactness-tolerance suite for sketch mode: every figure
+// with a store runs in both stores over the equivalence fixture, and each
+// output is held to its documented tolerance — DeepEqual for everything
+// integral (counts, shares, fractions, maxima) and a per-figure epsilon for
+// quantile-derived numbers. The tolerances here are the same ones DESIGN.md's
+// "Sketch-based analysis" table documents; tightening one without the other
+// should fail review.
 
 // Per-figure tolerances. The sketch guarantees ~1% relative error per bin
 // boundary; interpolation across a boundary can double it, and tiny values
@@ -35,29 +35,119 @@ func withinTol(got, want, rel, abs float64) bool {
 	return d <= abs || d <= rel*math.Abs(want)
 }
 
-// sketchEquivalenceBattery bundles one fresh instance of every sketch-backed
-// analyzer with the cleaned/raw split Run expects. Keeping construction in
-// one place lets the shardmerge lint verify each sketch analyzer is enrolled
-// in the equivalence suite.
+// sketchEquivalenceBattery bundles one fresh instance of every streamed
+// analyzer of a sketch-mode run, with the cleaned/raw split Run expects:
+// AssocDuration in its sketch store, APsPerDay (integer counts, the same in
+// both modes) and SketchCardinality. Keeping construction in one place lets
+// the shardmerge lint verify each sketch-backed analyzer is enrolled in the
+// equivalence suite.
 type sketchEquivalenceBattery struct {
-	durations *SketchAssocDuration
-	volumes   *SketchVolumes
-	apsPerDay *SketchAPsPerDay
+	durations *AssocDuration
+	apsPerDay *APsPerDay
 	card      *SketchCardinality
 }
 
 func newSketchEquivalenceBattery(meta Meta, prep *Prep) (sketchEquivalenceBattery, []Analyzer, []Analyzer) {
 	b := sketchEquivalenceBattery{
-		durations: NewSketchAssocDuration(meta, prep),
-		volumes:   NewSketchVolumes(meta),
-		apsPerDay: NewSketchAPsPerDay(meta, prep),
+		durations: NewAssocDuration(meta, prep, true),
+		apsPerDay: NewAPsPerDay(meta, prep),
 		card:      NewSketchCardinality(),
 	}
-	cleaned := []Analyzer{b.durations, b.volumes, b.apsPerDay}
+	cleaned := []Analyzer{b.durations, b.apsPerDay}
 	raw := []Analyzer{b.card}
 	return b, cleaned, raw
 }
 
+// apSetsOracle is the map-of-sets form of APsPerDay: one distinct-pair set
+// per user-day, kept to the end of the pass and folded in Result, with
+// excluded days skipped there. It needs no per-device stream order, which
+// makes it the oracle for APsPerDay's day-flush accumulation.
+type apSetsOracle struct {
+	meta Meta
+	prep *Prep
+	sets map[UserDayKey]map[APKey]bool
+}
+
+func (a *apSetsOracle) Add(s *trace.Sample) {
+	ap := s.AssociatedAP()
+	if ap == nil {
+		return
+	}
+	key := UserDayKey{Device: s.Device, Day: a.meta.Day(s.Time)}
+	set := a.sets[key]
+	if set == nil {
+		set = make(map[APKey]bool, 2)
+		a.sets[key] = set
+	}
+	set[APKey{BSSID: ap.BSSID, ESSID: ap.ESSID}] = true
+}
+
+func (a *apSetsOracle) Result() APsPerDayResult {
+	r := APsPerDayResult{Breakdown: make(map[HPO]float64)}
+	var totals [3]int
+	var multi int
+	for key, set := range a.sets {
+		if ud := a.prep.UserDays[key]; ud != nil && ud.Excluded {
+			continue
+		}
+		n := len(set)
+		if n > r.MaxNetworks {
+			r.MaxNetworks = n
+		}
+		var hpo HPO
+		for pair := range set {
+			switch a.prep.ClassOf(pair) {
+			case APHome:
+				hpo.H++
+			case APPublic:
+				hpo.P++
+			default:
+				hpo.O++
+			}
+		}
+		r.Breakdown[hpo]++
+		slot := n
+		if slot > 4 {
+			slot = 4
+		}
+		buckets := [3]bool{true, false, false}
+		switch a.prep.RankOf(key.Device, key.Day) {
+		case RankHeavy:
+			buckets[1] = true
+		case RankLight:
+			buckets[2] = true
+		}
+		for b, on := range buckets {
+			if on {
+				r.CountShares[b][slot]++
+				totals[b]++
+			}
+		}
+		if n >= 2 {
+			multi++
+		}
+	}
+	for b := range r.CountShares {
+		if totals[b] == 0 {
+			continue
+		}
+		for k := range r.CountShares[b] {
+			r.CountShares[b][k] /= float64(totals[b])
+		}
+	}
+	if totals[0] > 0 {
+		r.MultiAPShare = float64(multi) / float64(totals[0])
+		for k := range r.Breakdown {
+			r.Breakdown[k] /= float64(totals[0])
+		}
+	}
+	return r
+}
+
+// TestSketchEquivalence runs every figure with a store in both of its
+// stores over the equivalence fixture and holds the sketch store to the
+// tolerance table; APsPerDay, which has no store, must DeepEqual its
+// map-of-sets oracle.
 func TestSketchEquivalence(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
@@ -66,15 +156,14 @@ func TestSketchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exactAPD := NewAPsPerDay(meta, prep)
-	exactDur := NewAssocDuration(meta, prep)
-	if err := Run(src, prep, []Analyzer{exactAPD, exactDur}, nil, 1); err != nil {
+	oracleAPD := &apSetsOracle{meta: meta, prep: prep, sets: make(map[UserDayKey]map[APKey]bool)}
+	exactDur := NewAssocDuration(meta, prep, false)
+	if err := inlineRun(src, prep, []Analyzer{oracleAPD, exactDur}, nil); err != nil {
 		t.Fatal(err)
 	}
-	wantAPD := exactAPD.Result()
+	wantAPD := oracleAPD.Result()
 	wantDur := exactDur.Result()
-	wantDV := prep.DailyVolumes()
-	wantVS := prep.VolumeStats()
+	wantDV, wantVS := prep.Volumes(false)
 
 	b, cleaned, raw := newSketchEquivalenceBattery(meta, prep)
 	if err := Run(src, prep, cleaned, raw, 1); err != nil {
@@ -83,28 +172,30 @@ func TestSketchEquivalence(t *testing.T) {
 
 	t.Run("apsPerDay", func(t *testing.T) {
 		// Per-day composition statistics are pure integer counting: the
-		// sketch analyzer must be bit-identical, not merely close.
+		// day-flush analyzer must be bit-identical to the oracle, not
+		// merely close.
 		if got := b.apsPerDay.Result(); !reflect.DeepEqual(wantAPD, got) {
-			t.Errorf("sketch APsPerDay differs from exact:\n got %+v\nwant %+v", got, wantAPD)
+			t.Errorf("APsPerDay differs from the map-of-sets oracle:\n got %+v\nwant %+v", got, wantAPD)
 		}
 	})
 
 	t.Run("durations", func(t *testing.T) {
 		got := b.durations.Result()
 		for c := APClass(0); c < NumAPClasses; c++ {
-			// Sketch mode never materializes the raw hours.
-			if got.Hours[c] != nil {
-				t.Errorf("%v: sketch result carries %d raw hours", c, len(got.Hours[c]))
+			// The sketch store never materializes the raw hours.
+			if raw := got.Hours[c].Values(); raw != nil {
+				t.Errorf("%v: sketch result carries %d raw hours", c, len(raw))
 			}
-			if n := b.durations.durs[c].Count(); n != uint64(len(wantDur.Hours[c])) {
-				t.Errorf("%v: sketch holds %d runs, exact %d", c, n, len(wantDur.Hours[c]))
+			exact := wantDur.Hours[c].Values()
+			if n := got.Hours[c].Count(); n != len(exact) {
+				t.Errorf("%v: sketch holds %d runs, exact %d", c, n, len(exact))
 			}
-			if len(wantDur.Hours[c]) == 0 {
+			if len(exact) == 0 {
 				continue
 			}
 			for _, p := range []float64{0.10, 0.50, 0.90, 0.99} {
-				want := stats.Quantile(wantDur.Hours[c], p)
-				if got := b.durations.durs[c].Quantile(p); !withinTol(got, want, durQuantileRel, durQuantileAbs) {
+				want := stats.Quantile(exact, p)
+				if got := got.Hours[c].Quantile(p); !withinTol(got, want, durQuantileRel, durQuantileAbs) {
 					t.Errorf("%v q%.2f: sketch %.4fh, exact %.4fh", c, p, got, want)
 				}
 			}
@@ -122,9 +213,9 @@ func TestSketchEquivalence(t *testing.T) {
 	})
 
 	t.Run("volumes", func(t *testing.T) {
-		gotDV, gotVS := b.volumes.Result()
+		gotDV, gotVS := prep.Volumes(true)
 		// User-day population, silent-interface fractions, and the heaviest
-		// day aggregate the same integers the prepass does: exact equality.
+		// day aggregate the same integers in both stores: exact equality.
 		if gotDV.ZeroCellFrac != wantDV.ZeroCellFrac || gotDV.ZeroWiFiFrac != wantDV.ZeroWiFiFrac {
 			t.Errorf("zero fractions: sketch (%g, %g), exact (%g, %g)",
 				gotDV.ZeroCellFrac, gotDV.ZeroWiFiFrac, wantDV.ZeroCellFrac, wantDV.ZeroWiFiFrac)
@@ -132,33 +223,32 @@ func TestSketchEquivalence(t *testing.T) {
 		if gotDV.MaxRXMB != wantDV.MaxRXMB {
 			t.Errorf("MaxRXMB: sketch %g, exact %g", gotDV.MaxRXMB, wantDV.MaxRXMB)
 		}
-		if gotDV.Sketches == nil {
-			t.Fatal("sketch-mode DailyVolumes is missing its Sketches")
-		}
 		series := []struct {
-			name  string
-			exact []float64
-			q     interface{ Quantile(float64) float64 }
-			count uint64
+			name      string
+			got, want *Dist
 		}{
-			{"AllRX", wantDV.AllRX, gotDV.Sketches.AllRX, gotDV.Sketches.AllRX.Count()},
-			{"AllTX", wantDV.AllTX, gotDV.Sketches.AllTX, gotDV.Sketches.AllTX.Count()},
-			{"CellRX", wantDV.CellRX, gotDV.Sketches.CellRX, gotDV.Sketches.CellRX.Count()},
-			{"CellTX", wantDV.CellTX, gotDV.Sketches.CellTX, gotDV.Sketches.CellTX.Count()},
-			{"WiFiRX", wantDV.WiFiRX, gotDV.Sketches.WiFiRX, gotDV.Sketches.WiFiRX.Count()},
-			{"WiFiTX", wantDV.WiFiTX, gotDV.Sketches.WiFiTX, gotDV.Sketches.WiFiTX.Count()},
+			{"AllRX", &gotDV.AllRX, &wantDV.AllRX},
+			{"AllTX", &gotDV.AllTX, &wantDV.AllTX},
+			{"CellRX", &gotDV.CellRX, &wantDV.CellRX},
+			{"CellTX", &gotDV.CellTX, &wantDV.CellTX},
+			{"WiFiRX", &gotDV.WiFiRX, &wantDV.WiFiRX},
+			{"WiFiTX", &gotDV.WiFiTX, &wantDV.WiFiTX},
 		}
 		for _, s := range series {
-			if s.count != uint64(len(s.exact)) {
-				t.Errorf("%s: sketch holds %d user-days, exact %d", s.name, s.count, len(s.exact))
+			exact := s.want.Values()
+			if s.got.Values() != nil {
+				t.Errorf("%s: sketch result carries raw volumes", s.name)
+			}
+			if n := s.got.Count(); n != len(exact) {
+				t.Errorf("%s: sketch holds %d user-days, exact %d", s.name, n, len(exact))
 				continue
 			}
-			if len(s.exact) == 0 {
+			if len(exact) == 0 {
 				continue
 			}
 			for _, p := range []float64{0.10, 0.50, 0.90, 0.99} {
-				want := stats.Quantile(s.exact, p)
-				if got := s.q.Quantile(p); !withinTol(got, want, volQuantileRel, volQuantileAbs) {
+				want := stats.Quantile(exact, p)
+				if got := s.got.Quantile(p); !withinTol(got, want, volQuantileRel, volQuantileAbs) {
 					t.Errorf("%s q%.2f: sketch %.4f MB, exact %.4f MB", s.name, p, got, want)
 				}
 			}
@@ -217,11 +307,8 @@ func TestSketchShardEquivalence(t *testing.T) {
 		if err := run(cleaned, raw); err != nil {
 			t.Fatal(err)
 		}
-		dv, vs := b.volumes.Result()
 		return map[string]any{
 			"durations": b.durations.Result(),
-			"volumes":   dv,
-			"stats":     vs,
 			"apsPerDay": b.apsPerDay.Result(),
 			"card":      b.card.Result(),
 		}
@@ -269,7 +356,6 @@ func TestSketchMergeOrderInvariance(t *testing.T) {
 	if err := inlineRun(src, prep, cleaned, raw); err != nil {
 		t.Fatal(err)
 	}
-	wantDV, wantVS := base.volumes.Result()
 	wantDur := base.durations.Result()
 	wantAPD := base.apsPerDay.Result()
 	wantCard := base.card.Result()
@@ -299,18 +385,14 @@ func TestSketchMergeOrderInvariance(t *testing.T) {
 			acc := parts[order[0]]
 			for _, i := range order[1:] {
 				acc.durations.Merge(parts[i].durations)
-				acc.volumes.Merge(parts[i].volumes)
 				acc.apsPerDay.Merge(parts[i].apsPerDay)
 				acc.card.Merge(parts[i].card)
 			}
-			gotDV, gotVS := acc.volumes.Result()
 			checks := []struct {
 				name      string
 				got, want any
 			}{
 				{"durations", acc.durations.Result(), wantDur},
-				{"volumes", gotDV, wantDV},
-				{"stats", gotVS, wantVS},
 				{"apsPerDay", acc.apsPerDay.Result(), wantAPD},
 				{"card", acc.card.Result(), wantCard},
 			}

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"sort"
 
 	"smartusage/internal/stats"
 	"smartusage/internal/trace"
@@ -15,16 +14,16 @@ func MB(b uint64) float64 { return float64(b) / 1e6 }
 // ("we omitted users that downloaded less than 0.1MB", §3.2).
 const volumeFloor = 0.1 // MB
 
-// DailyVolumes holds per-user-day volume samples (MB), the raw material of
-// Figs. 3-4 and Table 3. Excluded (cleaned) days are omitted.
+// DailyVolumes holds the per-user-day volume distributions (MB) of Figs.
+// 3-4. Excluded (cleaned) days are omitted.
 type DailyVolumes struct {
 	// AllRX/AllTX include every user-day whose download total reaches the
 	// 0.1 MB floor.
-	AllRX, AllTX []float64
+	AllRX, AllTX Dist
 	// Interface-specific volumes, conditioned on the interface moving any
 	// bytes that day.
-	CellRX, CellTX []float64
-	WiFiRX, WiFiTX []float64
+	CellRX, CellTX Dist
+	WiFiRX, WiFiTX Dist
 	// ZeroCellFrac/ZeroWiFiFrac are the fractions of user-days whose
 	// interface moved no bytes at all (§3.2: 8% cellular, 20% WiFi).
 	ZeroCellFrac float64
@@ -32,51 +31,6 @@ type DailyVolumes struct {
 	// MaxRXMB is the heaviest observed day (the paper's top heavy hitter
 	// downloaded 11 GB in one day).
 	MaxRXMB float64
-	// Sketches carries the same distributions in bounded-memory form when
-	// the run used sketch mode; the raw slices above are then nil.
-	Sketches *VolumeSketches
-}
-
-// DailyVolumes extracts the per-user-day volume samples from the prepass.
-func (p *Prep) DailyVolumes() DailyVolumes {
-	var v DailyVolumes
-	var total, zeroCell, zeroWiFi int
-	for _, ud := range p.UserDays {
-		if ud.Excluded {
-			continue
-		}
-		total++
-		if ud.CellRX+ud.CellTX == 0 {
-			zeroCell++
-		} else {
-			v.CellRX = append(v.CellRX, MB(ud.CellRX))
-			v.CellTX = append(v.CellTX, MB(ud.CellTX))
-		}
-		if ud.WiFiRX+ud.WiFiTX == 0 {
-			zeroWiFi++
-		} else {
-			v.WiFiRX = append(v.WiFiRX, MB(ud.WiFiRX))
-			v.WiFiTX = append(v.WiFiTX, MB(ud.WiFiTX))
-		}
-		rx := MB(ud.TotalRX())
-		if rx >= volumeFloor {
-			v.AllRX = append(v.AllRX, rx)
-			v.AllTX = append(v.AllTX, MB(ud.TotalTX()))
-		}
-		if rx > v.MaxRXMB {
-			v.MaxRXMB = rx
-		}
-	}
-	if total > 0 {
-		v.ZeroCellFrac = float64(zeroCell) / float64(total)
-		v.ZeroWiFiFrac = float64(zeroWiFi) / float64(total)
-	}
-	// The samples accumulate in map-iteration order; sorting makes the
-	// slices (only ever consumed as distributions) deterministic.
-	for _, xs := range [][]float64{v.AllRX, v.AllTX, v.CellRX, v.CellTX, v.WiFiRX, v.WiFiTX} {
-		sort.Float64s(xs)
-	}
-	return v
 }
 
 // VolumeStats is one year's row of Table 3: median and mean daily download
@@ -87,38 +41,66 @@ type VolumeStats struct {
 	MeanAll, MeanCell, MeanWiFi       float64
 }
 
-// VolumeStats summarizes the daily download volumes. Following Table 3's
-// framing, the per-interface statistics are computed over user-days that
-// pass the overall 0.1 MB floor, including interface-zero days (a WiFi
-// median below the cellular median in 2013 requires counting non-WiFi
-// days).
-func (p *Prep) VolumeStats() VolumeStats {
-	var all, cell, wifi []float64
+// Volumes derives Figs. 3-4 and this year's Table 3 row from the prepass
+// user-days in one walk, in the sketch store when sketchMode is set, else in
+// the exact store. The prepass builds UserDays in both modes, so neither
+// re-aggregates the trace.
+//
+// Following Table 3's framing, the per-interface statistics are computed
+// over user-days that pass the overall 0.1 MB floor, including
+// interface-zero days (a WiFi median below the cellular median in 2013
+// requires counting non-WiFi days).
+func (p *Prep) Volumes(sketchMode bool) (DailyVolumes, VolumeStats) {
+	v := DailyVolumes{
+		AllRX: NewDist(sketchMode), AllTX: NewDist(sketchMode),
+		CellRX: NewDist(sketchMode), CellTX: NewDist(sketchMode),
+		WiFiRX: NewDist(sketchMode), WiFiTX: NewDist(sketchMode),
+	}
+	cell, wifi := NewDist(sketchMode), NewDist(sketchMode) // Table 3's floor-gated columns
+	var total, zeroCell, zeroWiFi int
 	for _, ud := range p.UserDays {
 		if ud.Excluded {
 			continue
 		}
-		rx := MB(ud.TotalRX())
-		if rx < volumeFloor {
-			continue
+		total++
+		if ud.CellRX+ud.CellTX == 0 {
+			zeroCell++
+		} else {
+			v.CellRX.Add(MB(ud.CellRX))
+			v.CellTX.Add(MB(ud.CellTX))
 		}
-		all = append(all, rx)
-		cell = append(cell, MB(ud.CellRX))
-		wifi = append(wifi, MB(ud.WiFiRX))
+		if ud.WiFiRX+ud.WiFiTX == 0 {
+			zeroWiFi++
+		} else {
+			v.WiFiRX.Add(MB(ud.WiFiRX))
+			v.WiFiTX.Add(MB(ud.WiFiTX))
+		}
+		rx := MB(ud.TotalRX())
+		if rx >= volumeFloor {
+			v.AllRX.Add(rx)
+			v.AllTX.Add(MB(ud.TotalTX()))
+			cell.Add(MB(ud.CellRX))
+			wifi.Add(MB(ud.WiFiRX))
+		}
+		if rx > v.MaxRXMB {
+			v.MaxRXMB = rx
+		}
 	}
-	// Fix the summation order of the means: map iteration would otherwise
-	// leave ULP-level noise between runs over identical prep content.
-	sort.Float64s(all)
-	sort.Float64s(cell)
-	sort.Float64s(wifi)
-	return VolumeStats{
+	if total > 0 {
+		v.ZeroCellFrac = float64(zeroCell) / float64(total)
+		v.ZeroWiFiFrac = float64(zeroWiFi) / float64(total)
+	}
+	for _, d := range []*Dist{&v.AllRX, &v.AllTX, &v.CellRX, &v.CellTX, &v.WiFiRX, &v.WiFiTX, &cell, &wifi} {
+		d.finish()
+	}
+	return v, VolumeStats{
 		Year:       p.Meta.Year,
-		MedianAll:  stats.Median(all),
-		MedianCell: stats.Median(cell),
-		MedianWiFi: stats.Median(wifi),
-		MeanAll:    stats.Mean(all),
-		MeanCell:   stats.Mean(cell),
-		MeanWiFi:   stats.Mean(wifi),
+		MedianAll:  v.AllRX.Quantile(0.5),
+		MedianCell: cell.Quantile(0.5),
+		MedianWiFi: wifi.Quantile(0.5),
+		MeanAll:    v.AllRX.Mean(),
+		MeanCell:   cell.Mean(),
+		MeanWiFi:   wifi.Mean(),
 	}
 }
 
@@ -296,12 +278,4 @@ func (p *Prep) Overview() Overview {
 		o.WiFiShare = float64(wifi) / float64(cell+wifi)
 	}
 	return o
-}
-
-// sortedCopy returns a sorted copy of xs; a convenience for CDF consumers.
-func sortedCopy(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	sort.Float64s(out)
-	return out
 }

@@ -67,7 +67,7 @@ func BenchmarkAnalyzeCampaignSketch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if run.Volumes.Sketches == nil || run.SketchCard == nil {
+		if run.Volumes.AllRX.Values() != nil || run.SketchCard == nil {
 			b.Fatal("sketch mode produced no sketch results")
 		}
 	}

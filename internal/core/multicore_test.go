@@ -114,7 +114,7 @@ func battery(meta analysis.Meta, prep *analysis.Prep) []analysis.Analyzer {
 	return []analysis.Analyzer{
 		analysis.NewAggregate(meta), analysis.NewWiFiRatios(meta, prep),
 		analysis.NewInterfaceState(meta), analysis.NewLocationTraffic(meta, prep),
-		analysis.NewAPsPerDay(meta, prep), analysis.NewAssocDuration(meta, prep),
+		analysis.NewAPsPerDay(meta, prep), analysis.NewAssocDuration(meta, prep, false),
 		analysis.NewPublicAvailability(prep), analysis.NewAppBreakdown(meta, prep),
 		analysis.NewBattery(meta), analysis.NewCarrierRatios(),
 	}

@@ -10,7 +10,7 @@ import (
 	"math"
 	"strings"
 
-	"smartusage/internal/sketch"
+	"smartusage/internal/analysis"
 	"smartusage/internal/stats"
 )
 
@@ -187,9 +187,11 @@ func CCDFLogLog(w io.Writer, label string, d stats.Distribution, xmin, xmax floa
 	return err
 }
 
-// Quantiles prints a labelled quantile summary of a distribution's sample.
-func Quantiles(w io.Writer, label string, xs []float64, unit string) error {
-	if len(xs) == 0 {
+// Quantiles prints a labelled quantile summary of a distribution. A
+// sketch-store distribution prints the same line as an exact one, its values
+// carrying the sketch's ~1% relative error.
+func Quantiles(w io.Writer, label string, d *analysis.Dist, unit string) error {
+	if d.Count() == 0 {
 		_, err := fmt.Fprintf(w, "%s: (empty)\n", label)
 		return err
 	}
@@ -200,32 +202,9 @@ func Quantiles(w io.Writer, label string, xs []float64, unit string) error {
 		if i > 0 {
 			b.WriteString("  ")
 		}
-		fmt.Fprintf(&b, "p%02.0f=%.3g", q*100, stats.Quantile(xs, q))
+		fmt.Fprintf(&b, "p%02.0f=%.3g", q*100, d.Quantile(q))
 	}
-	fmt.Fprintf(&b, " %s (n=%d)", unit, len(xs))
-	_, err := fmt.Fprintln(w, b.String())
-	return err
-}
-
-// SketchQuantiles writes the same quantile summary line as Quantiles but
-// reads a bounded-memory quantile sketch instead of a raw sample slice, so
-// sketch-mode reports keep the exact-mode format (values carry the sketch's
-// ~1% relative error).
-func SketchQuantiles(w io.Writer, label string, q *sketch.Quantile, unit string) error {
-	if q == nil || q.Count() == 0 {
-		_, err := fmt.Fprintf(w, "%s: (empty)\n", label)
-		return err
-	}
-	qs := []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.99}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: ", label)
-	for i, p := range qs {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		fmt.Fprintf(&b, "p%02.0f=%.3g", p*100, q.Quantile(p))
-	}
-	fmt.Fprintf(&b, " %s (n=%d)", unit, q.Count())
+	fmt.Fprintf(&b, " %s (n=%d)", unit, d.Count())
 	_, err := fmt.Fprintln(w, b.String())
 	return err
 }

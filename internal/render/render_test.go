@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"smartusage/internal/analysis"
 	"smartusage/internal/stats"
 )
 
@@ -109,20 +110,28 @@ func TestHeatMap(t *testing.T) {
 }
 
 func TestQuantiles(t *testing.T) {
-	var b strings.Builder
-	if err := Quantiles(&b, "lbl", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, "MB"); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "p50=5.5") || !strings.Contains(out, "n=10") {
-		t.Fatalf("quantiles %q", out)
-	}
-	b.Reset()
-	if err := Quantiles(&b, "empty", nil, "MB"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "(empty)") {
-		t.Fatal("empty rendering missing")
+	for _, sketchMode := range []bool{false, true} {
+		// Ascending adds leave the exact store sorted, as a final Dist is.
+		d := analysis.NewDist(sketchMode)
+		for x := 1.0; x <= 10; x++ {
+			d.Add(x)
+		}
+		var b strings.Builder
+		if err := Quantiles(&b, "lbl", &d, "MB"); err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		if !strings.Contains(out, "n=10") || (!sketchMode && !strings.Contains(out, "p50=5.5")) {
+			t.Fatalf("sketch=%v: quantiles %q", sketchMode, out)
+		}
+		b.Reset()
+		empty := analysis.NewDist(sketchMode)
+		if err := Quantiles(&b, "empty", &empty, "MB"); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), "(empty)") {
+			t.Fatalf("sketch=%v: empty rendering missing", sketchMode)
+		}
 	}
 }
 

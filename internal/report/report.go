@@ -174,24 +174,14 @@ func (r *reporter) fig2() {
 func (r *reporter) fig3and4() {
 	r.pf("## Figs. 3-4 — Daily per-user traffic volume CDFs\n\n```\n")
 	for _, y := range r.years() {
-		v := r.run(y).Volumes
-		if v.Sketches != nil {
-			render.SketchQuantiles(r.w, fmt.Sprintf("%d all RX", y), v.Sketches.AllRX, "MB")
-			render.SketchQuantiles(r.w, fmt.Sprintf("%d all TX", y), v.Sketches.AllTX, "MB")
-		} else {
-			render.Quantiles(r.w, fmt.Sprintf("%d all RX", y), v.AllRX, "MB")
-			render.Quantiles(r.w, fmt.Sprintf("%d all TX", y), v.AllTX, "MB")
-		}
+		v := &r.run(y).Volumes
+		render.Quantiles(r.w, fmt.Sprintf("%d all RX", y), &v.AllRX, "MB")
+		render.Quantiles(r.w, fmt.Sprintf("%d all TX", y), &v.AllTX, "MB")
 	}
 	if run := r.run(2015); run != nil {
-		v := run.Volumes
-		if v.Sketches != nil {
-			render.SketchQuantiles(r.w, "2015 WiFi RX (active)", v.Sketches.WiFiRX, "MB")
-			render.SketchQuantiles(r.w, "2015 cell RX (active)", v.Sketches.CellRX, "MB")
-		} else {
-			render.Quantiles(r.w, "2015 WiFi RX (active)", v.WiFiRX, "MB")
-			render.Quantiles(r.w, "2015 cell RX (active)", v.CellRX, "MB")
-		}
+		v := &run.Volumes
+		render.Quantiles(r.w, "2015 WiFi RX (active)", &v.WiFiRX, "MB")
+		render.Quantiles(r.w, "2015 cell RX (active)", &v.CellRX, "MB")
 		fmt.Fprintf(r.w, "2015 silent interfaces: cellular %s (paper 8%%), WiFi %s (paper 20%%)\n",
 			pct(v.ZeroCellFrac), pct(v.ZeroWiFiFrac))
 		fmt.Fprintf(r.w, "heaviest user-day: %.0f MB (paper: 11 GB)\n", v.MaxRXMB)

@@ -1,6 +1,10 @@
 package report_test
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -44,6 +48,46 @@ func TestWriteFullReport(t *testing.T) {
 	}
 	if len(out) < 10_000 {
 		t.Fatalf("report suspiciously short: %d bytes", len(out))
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata goldens from the current code")
+
+// TestWriteSketchReportGolden pins every sketch-mode number in the rendered
+// report: TestWriteFullReport's study, run with SketchMode, must reproduce
+// testdata/sketch-report.golden byte for byte. Sketch bins are integers that
+// do not depend on insertion order, so any change here is a change in what a
+// sketch-mode analyzer computes.
+func TestWriteSketchReportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full study skipped in -short mode")
+	}
+	st, err := core.RunStudy(core.Options{Scale: 0.06, Seed: 11, SketchMode: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := report.Write(&b, st); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "sketch-report.golden")
+	if *update {
+		if err := os.WriteFile(golden, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), want) {
+		got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(got) && i < len(wantLines); i++ {
+			if got[i] != wantLines[i] {
+				t.Fatalf("sketch report differs from %s at line %d:\n got: %s\nwant: %s", golden, i+1, got[i], wantLines[i])
+			}
+		}
+		t.Fatalf("sketch report differs from %s: %d lines, want %d", golden, len(got), len(wantLines))
 	}
 }
 

@@ -90,7 +90,7 @@ func Quantile(xs []float64, q float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	return QuantileSorted(sorted, q)
 }
 
 // QuantilesSorted returns the quantiles qs of an already-sorted sample. It is
@@ -99,12 +99,14 @@ func Quantile(xs []float64, q float64) float64 {
 func QuantilesSorted(sorted []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	for i, q := range qs {
-		out[i] = quantileSorted(sorted, q)
+		out[i] = QuantileSorted(sorted, q)
 	}
 	return out
 }
 
-func quantileSorted(sorted []float64, q float64) float64 {
+// QuantileSorted is Quantile over an already-sorted sample, without the
+// copy.
+func QuantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		return 0
