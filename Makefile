@@ -78,7 +78,7 @@ ingest-json:
 # round-trip regressions without a dedicated fuzzing farm.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	for t in FuzzDecodeSample FuzzUnmarshalJSONSample; do \
+	for t in FuzzDecodeSample FuzzDecodeSampleMatchesReference FuzzUnmarshalJSONSample; do \
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/trace || exit 1; \
 	done
 	for t in FuzzDecodeHello FuzzDecodeBatch FuzzReadFrame; do \

@@ -131,6 +131,39 @@ func BenchmarkTraceDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceRead times the decode path both analysis passes use: a
+// Reader (in-place record decode, interned ESSIDs) draining the whole
+// fixture campaign encoded in memory. It reports ns/sample.
+func BenchmarkTraceRead(b *testing.B) {
+	f := getFixture(b)
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for i := range f.samples {
+		if err := w.Write(&f.samples[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	encoded := buf.Bytes()
+	b.SetBytes(int64(len(encoded)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		if err := trace.NewReader(bytes.NewReader(encoded)).ReadAll(func(*trace.Sample) error {
+			n++
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if n != len(f.samples) {
+			b.Fatalf("read %d of %d samples", n, len(f.samples))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(f.samples)), "ns/sample")
+}
+
 func BenchmarkProtoBatchRoundTrip(b *testing.B) {
 	f := getFixture(b)
 	batch := proto.Batch{BatchID: 1, Samples: f.samples[:64]}

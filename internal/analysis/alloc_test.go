@@ -106,9 +106,10 @@ func TestSketchBatterySteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, cleaned, raw := newSketchEquivalenceBattery(meta, prep)
+	var upd updateMemo
 	cycle := func() {
 		for i := range samples {
-			dispatch(&samples[i], prep, cleaned, raw)
+			dispatch(&samples[i], prep, cleaned, raw, &upd)
 		}
 	}
 	// Two warm passes populate the per-device maps and the rank breakdown.
@@ -132,9 +133,10 @@ func TestSketchFootprintNoGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, cleaned, raw := newSketchEquivalenceBattery(meta, prep)
+	var upd updateMemo
 	feed := func() {
 		for i := range samples {
-			dispatch(&samples[i], prep, cleaned, raw)
+			dispatch(&samples[i], prep, cleaned, raw, &upd)
 		}
 	}
 	feed()

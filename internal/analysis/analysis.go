@@ -76,9 +76,9 @@ func (m *Meta) initFastClock() {
 }
 
 // Day returns the 0-based campaign day of a sample time, which may be out
-// of range for samples outside the campaign window.
+// of range for samples outside the campaign window (negative before it).
 func (m Meta) Day(unix int64) int {
-	return int((unix - m.Start.Unix()) / 86400)
+	return int(floorDiv(unix-m.Start.Unix(), 86400))
 }
 
 // floorDiv is integer division rounding toward negative infinity.
@@ -228,10 +228,20 @@ type Analyzer interface {
 	Add(s *trace.Sample)
 }
 
+// updateDay is one device's Prep.UpdateDay entry, present or not.
+type updateDay struct {
+	day     int
+	updated bool
+}
+
+// updateMemo memoizes Prep.UpdateDay per device run for dispatch.
+type updateMemo = memo[trace.DeviceID, updateDay]
+
 // dispatch applies the cleaning rules to one sample and feeds the
 // analyzers. It is the single definition of the second-pass semantics, shared
-// by the streaming Run and the in-memory RunShards.
-func dispatch(s *trace.Sample, prep *Prep, cleaned []Analyzer, raw []Analyzer) {
+// by the streaming Run and the in-memory RunShards. upd memoizes the sample's
+// device's update day; each dispatching goroutine passes its own.
+func dispatch(s *trace.Sample, prep *Prep, cleaned []Analyzer, raw []Analyzer, upd *updateMemo) {
 	for _, a := range raw {
 		a.Add(s)
 	}
@@ -239,9 +249,14 @@ func dispatch(s *trace.Sample, prep *Prep, cleaned []Analyzer, raw []Analyzer) {
 		return
 	}
 	if prep != nil {
-		if d, ok := prep.UpdateDay[s.Device]; ok {
+		u, ok := upd.get(s.Device)
+		if !ok {
+			u.day, u.updated = prep.UpdateDay[s.Device]
+			upd.put(s.Device, u)
+		}
+		if u.updated {
 			day := prep.Meta.Day(s.Time)
-			if day == d || day == d+1 {
+			if day == u.day || day == u.day+1 {
 				return
 			}
 		}

@@ -39,8 +39,11 @@ func (s AppScene) String() string {
 // Home for cellular traffic is inferred from the device's home grid cell;
 // home/public for WiFi from the associated AP class.
 type AppBreakdown struct {
-	meta Meta
-	prep *Prep
+	meta  Meta
+	prep  *Prep
+	rank  memo[UserDayKey, Rank]
+	home  memo[trace.DeviceID, homeCell]
+	class memo[APKey, APClass]
 	// rx/tx[scene][category], plus a separate light-user accumulation.
 	rx, tx           [NumAppScenes][trace.NumCategories]float64
 	rxLight, txLight [NumAppScenes][trace.NumCategories]float64
@@ -56,17 +59,17 @@ func (ab *AppBreakdown) Add(s *trace.Sample) {
 	if s.OS != trace.Android || len(s.Apps) == 0 {
 		return
 	}
-	atHome := ab.prep.AtHome(s)
+	atHome := ab.prep.atHomeMemo(&ab.home, s)
 	var wifiScene AppScene = NumAppScenes // sentinel: not attributable
 	if ap := s.AssociatedAP(); ap != nil {
-		switch ab.prep.ClassOf(APKey{BSSID: ap.BSSID, ESSID: ap.ESSID}) {
+		switch ab.prep.classMemo(&ab.class, APKey{BSSID: ap.BSSID, ESSID: ap.ESSID}) {
 		case APHome:
 			wifiScene = AppWiFiHome
 		case APPublic:
 			wifiScene = AppWiFiPublic
 		}
 	}
-	light := ab.prep.RankOf(s.Device, ab.meta.Day(s.Time)) == RankLight
+	light := ab.prep.rankMemo(&ab.rank, UserDayKey{Device: s.Device, Day: ab.meta.Day(s.Time)}) == RankLight
 	for _, a := range s.Apps {
 		var scene AppScene
 		if a.Iface == trace.Cellular {

@@ -142,6 +142,8 @@ type APsPerDay struct {
 	meta Meta
 	prep *Prep
 	cur  map[trace.DeviceID]*apDayState
+	// last memoizes cur for the current device run (nil: no entry).
+	last memo[trace.DeviceID, *apDayState]
 
 	counts      [3][5]uint64
 	totals      [3]uint64
@@ -174,10 +176,15 @@ func (a *APsPerDay) Add(s *trace.Sample) {
 		return
 	}
 	day := a.meta.Day(s.Time)
-	st := a.cur[s.Device]
+	st, ok := a.last.get(s.Device)
+	if !ok {
+		st = a.cur[s.Device]
+		a.last.put(s.Device, st)
+	}
 	if st == nil {
 		st = &apDayState{day: day}
 		a.cur[s.Device] = st
+		a.last.put(s.Device, st)
 	} else if st.day != day {
 		a.flush(s.Device, st)
 		st.day = day
@@ -240,6 +247,7 @@ func (a *APsPerDay) Merge(shard Analyzer) {
 	for dev, st := range o.cur {
 		a.cur[dev] = st
 	}
+	a.last.reset()
 	for b := range a.counts {
 		for k := range a.counts[b] {
 			a.counts[b][k] += o.counts[b][k]
@@ -278,6 +286,7 @@ func (a *APsPerDay) Result() APsPerDayResult {
 		a.flush(dev, st)
 		delete(a.cur, dev)
 	}
+	a.last.reset()
 	r := APsPerDayResult{Breakdown: make(map[HPO]float64), MaxNetworks: a.maxNetworks}
 	for b := range r.CountShares {
 		if a.totals[b] == 0 {

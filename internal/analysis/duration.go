@@ -14,6 +14,8 @@ type AssocDuration struct {
 	prep       *Prep
 	sketchMode bool
 	cur        map[trace.DeviceID]*assocRun
+	// last memoizes cur for the current device run (nil: no entry).
+	last memo[trace.DeviceID, *assocRun]
 	// hours holds the closed runs' durations per class.
 	hours [NumAPClasses]Dist
 }
@@ -42,7 +44,11 @@ func NewAssocDuration(meta Meta, prep *Prep, sketchMode bool) *AssocDuration {
 // Add implements Analyzer. Samples of one device must arrive in time order
 // (trace files and the simulator guarantee this).
 func (a *AssocDuration) Add(s *trace.Sample) {
-	run := a.cur[s.Device]
+	run, ok := a.last.get(s.Device)
+	if !ok {
+		run = a.cur[s.Device]
+		a.last.put(s.Device, run)
+	}
 	open := run != nil && run.start != 0
 	ap := s.AssociatedAP()
 	if ap == nil {
@@ -62,6 +68,7 @@ func (a *AssocDuration) Add(s *trace.Sample) {
 	if run == nil {
 		run = &assocRun{}
 		a.cur[s.Device] = run
+		a.last.put(s.Device, run)
 	} else if open {
 		a.close(run)
 	}
@@ -84,6 +91,7 @@ func (a *AssocDuration) Merge(shard Analyzer) {
 	for dev, run := range o.cur {
 		a.cur[dev] = run
 	}
+	a.last.reset()
 	for c := range a.hours {
 		a.hours[c].Merge(&o.hours[c])
 	}
@@ -108,6 +116,7 @@ func (a *AssocDuration) Result() AssocDurationResult {
 		}
 		delete(a.cur, dev)
 	}
+	a.last.reset()
 	var r AssocDurationResult
 	for c := range a.hours {
 		a.hours[c].finish()

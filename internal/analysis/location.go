@@ -6,11 +6,12 @@ import "smartusage/internal/trace"
 // split by the location class of the associated AP (home, public, office,
 // other).
 type LocationTraffic struct {
-	meta Meta
-	prep *Prep
-	rx   [NumAPClasses][168]float64
-	tx   [NumAPClasses][168]float64
-	tot  [NumAPClasses]float64
+	meta  Meta
+	prep  *Prep
+	class memo[APKey, APClass]
+	rx    [NumAPClasses][168]float64
+	tx    [NumAPClasses][168]float64
+	tot   [NumAPClasses]float64
 }
 
 // NewLocationTraffic returns an empty Fig. 11 accumulator.
@@ -27,7 +28,7 @@ func (l *LocationTraffic) Add(s *trace.Sample) {
 	if ap == nil {
 		return
 	}
-	class := l.prep.ClassOf(APKey{BSSID: ap.BSSID, ESSID: ap.ESSID})
+	class := l.prep.classMemo(&l.class, APKey{BSSID: ap.BSSID, ESSID: ap.ESSID})
 	h := l.meta.HourOfWeek(s.Time)
 	l.rx[class][h] += float64(s.WiFiRX)
 	l.tx[class][h] += float64(s.WiFiTX)

@@ -192,8 +192,9 @@ func inlinePrep(meta Meta, src Source, release *time.Time) (*Prep, error) {
 }
 
 func inlineRun(src Source, prep *Prep, cleaned, raw []Analyzer) error {
+	var upd updateMemo
 	return src(func(s *trace.Sample) error {
-		dispatch(s, prep, cleaned, raw)
+		dispatch(s, prep, cleaned, raw, &upd)
 		return nil
 	})
 }

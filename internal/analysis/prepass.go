@@ -169,6 +169,26 @@ type prepShard struct {
 	userDays   map[UserDayKey]*UserDay
 	nights     map[UserDayKey]*nightAgg
 	assocPairs map[trace.DeviceID]map[APKey]bool
+
+	// Memos of the current device run and device-day run.
+	dev memo[trace.DeviceID, prepDevice]
+	day memo[UserDayKey, prepDay]
+}
+
+// prepDevice is what prepShard.add resolves once per device run: the OS
+// last written to devices and the device's assocPairs set (nil until its
+// first association).
+type prepDevice struct {
+	os    trace.OS
+	pairs map[APKey]bool
+}
+
+// prepDay is what prepShard.add resolves once per device-day run: the
+// day's userDays entry (nil until its first untethered sample) and its
+// nights entry.
+type prepDay struct {
+	ud *UserDay
+	na *nightAgg
 }
 
 // newPrepShard returns an empty first-pass accumulator.
@@ -197,19 +217,35 @@ func (ps *prepShard) add(s *trace.Sample) error {
 		// is not known yet, so the second pass may append slightly fewer.
 		ps.card.AvailIntervals++
 	}
-	ps.devices[s.Device] = s.OS
+	dev, ok := ps.dev.get(s.Device)
+	if !ok || dev.os != s.OS {
+		ps.devices[s.Device] = s.OS
+		dev = prepDevice{os: s.OS, pairs: ps.assocPairs[s.Device]}
+		ps.dev.put(s.Device, dev)
+	}
 	day := meta.Day(s.Time)
 	if day < 0 || day >= meta.Days {
 		return fmt.Errorf("analysis: sample at %d outside campaign window", s.Time)
 	}
 	key := UserDayKey{Device: s.Device, Day: day}
+	ctx, ok := ps.day.get(key)
+	if !ok {
+		ctx = prepDay{ud: ps.userDays[key], na: ps.nights[key]}
+		if ctx.na == nil {
+			ctx.na = &nightAgg{pairBins: make(map[APKey]int), cellBins: make(map[geo.Cell]int)}
+			ps.nights[key] = ctx.na
+		}
+		ps.day.put(key, ctx)
+	}
 
 	// Volumes (tethered intervals are excluded everywhere, §2).
 	if !s.Tethered {
-		ud := ps.userDays[key]
+		ud := ctx.ud
 		if ud == nil {
 			ud = &UserDay{Device: s.Device, OS: s.OS, Day: day}
 			ps.userDays[key] = ud
+			ctx.ud = ud
+			ps.day.put(key, ctx)
 		}
 		ud.CellRX += s.CellRX
 		ud.CellTX += s.CellTX
@@ -225,11 +261,7 @@ func (ps *prepShard) add(s *trace.Sample) error {
 	weekday := meta.Weekday(s.Time)
 	business := weekday && hour >= 10 && hour < 18
 
-	na := ps.nights[key]
-	if na == nil {
-		na = &nightAgg{pairBins: make(map[APKey]int), cellBins: make(map[geo.Cell]int)}
-		ps.nights[key] = na
-	}
+	na := ctx.na
 	if night {
 		na.cellBins[geo.Cell{CX: int(s.GeoCX), CY: int(s.GeoCY)}]++
 	}
@@ -268,12 +300,12 @@ func (ps *prepShard) add(s *trace.Sample) error {
 			st.MaxRSSI = obs.RSSI
 		}
 		if obs.Associated {
-			pairs := ps.assocPairs[s.Device]
-			if pairs == nil {
-				pairs = make(map[APKey]bool, 2)
-				ps.assocPairs[s.Device] = pairs
+			if dev.pairs == nil {
+				dev.pairs = make(map[APKey]bool, 2)
+				ps.assocPairs[s.Device] = dev.pairs
+				ps.dev.put(s.Device, dev)
 			}
-			pairs[k] = true
+			dev.pairs[k] = true
 			st.AssocSamples++
 			if business {
 				st.AssocBusiness++
@@ -525,4 +557,43 @@ func (p *Prep) AtHome(s *trace.Sample) bool {
 		return false
 	}
 	return home.CX == int(s.GeoCX) && home.CY == int(s.GeoCY)
+}
+
+// The memoized forms of the lookups above, for analyzers that resolve them
+// per sample; m is the calling analyzer's own memo.
+
+// rankMemo is RankOf through m.
+func (p *Prep) rankMemo(m *memo[UserDayKey, Rank], k UserDayKey) Rank {
+	r, ok := m.get(k)
+	if !ok {
+		r = p.RankOf(k.Device, k.Day)
+		m.put(k, r)
+	}
+	return r
+}
+
+// classMemo is ClassOf through m.
+func (p *Prep) classMemo(m *memo[APKey, APClass], k APKey) APClass {
+	c, ok := m.get(k)
+	if !ok {
+		c = p.ClassOf(k)
+		m.put(k, c)
+	}
+	return c
+}
+
+// homeCell is a device's HomeCell entry, present or not.
+type homeCell struct {
+	cell  geo.Cell
+	known bool
+}
+
+// atHomeMemo is AtHome through m.
+func (p *Prep) atHomeMemo(m *memo[trace.DeviceID, homeCell], s *trace.Sample) bool {
+	h, ok := m.get(s.Device)
+	if !ok {
+		h.cell, h.known = p.HomeCell[s.Device]
+		m.put(s.Device, h)
+	}
+	return h.known && h.cell.CX == int(s.GeoCX) && h.cell.CY == int(s.GeoCY)
 }

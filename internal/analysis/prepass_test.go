@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -187,12 +188,22 @@ func TestUserDayAggregation(t *testing.T) {
 	}
 }
 
+// TestSampleOutsideWindowRejected covers both sides of the window; a sample
+// up to a day before Start must not round to day 0.
 func TestSampleOutsideWindowRejected(t *testing.T) {
-	b := &tb{meta: testMeta(2)}
-	s := b.add(7, trace.Android, 0, 10, 0)
-	s.Time = b.meta.Start.AddDate(0, 0, 5).Unix() // beyond Days
-	if _, err := BuildPrep(b.meta, b.src(), nil, 1); err == nil {
-		t.Fatal("out-of-window sample accepted")
+	meta := testMeta(2)
+	for _, at := range []time.Time{
+		meta.Start.AddDate(0, 0, 5), // beyond Days
+		meta.Start.Add(-time.Hour),
+		meta.Start.Add(-25 * time.Hour),
+	} {
+		s := trace.Sample{Device: 7, OS: trace.Android, Time: at.Unix()}
+		if err := newPrepShard(meta, nil).add(&s); err == nil || !strings.Contains(err.Error(), "outside campaign window") {
+			t.Errorf("prepShard.add at %v: %v, want the out-of-window error", at, err)
+		}
+		if _, err := BuildPrep(meta, SliceSource([]trace.Sample{s}), nil, 1); err == nil {
+			t.Errorf("BuildPrep accepted a sample at %v", at)
+		}
 	}
 }
 

@@ -124,13 +124,25 @@ type PublicAvailability struct {
 	// Per-available-interval public AP counts.
 	n24All, n24Strong, n5All, n5Strong []float64
 
-	// Per-device offloading accounting.
-	offloadable map[trace.DeviceID]uint64
-	cellTotal   map[trace.DeviceID]uint64
-	availBins   map[trace.DeviceID]int
-	strongBins  map[trace.DeviceID]int
-	dev5Any     map[trace.DeviceID]bool
-	dev5Strong  map[trace.DeviceID]bool
+	// Per-device offloading accounting: devs indexes dev, and last
+	// memoizes devs for the current device run.
+	devs map[trace.DeviceID]int
+	dev  []availDevice
+	last memo[trace.DeviceID, int]
+}
+
+// availDevice is one Android device's offloading accounting.
+type availDevice struct {
+	id trace.DeviceID
+	// cellTotal is all cellular download; offloadable the part inside
+	// intervals with a strong public AP in range.
+	cellTotal, offloadable uint64
+	// availBins counts WiFi-available intervals; strongBins those with a
+	// strong public AP in range.
+	availBins, strongBins int
+	// any5/strong5 record whether any / a strong 5 GHz public AP was ever
+	// detected.
+	any5, strong5 bool
 }
 
 // NewPublicAvailability returns an empty Fig. 17 accumulator. Its
@@ -155,13 +167,9 @@ func NewPublicAvailability(prep *Prep) *PublicAvailability {
 func newPublicAvailability(prep *Prep) *PublicAvailability {
 	hint := len(prep.Devices)
 	return &PublicAvailability{
-		prep:        prep,
-		offloadable: make(map[trace.DeviceID]uint64, hint),
-		cellTotal:   make(map[trace.DeviceID]uint64, hint),
-		availBins:   make(map[trace.DeviceID]int, hint),
-		strongBins:  make(map[trace.DeviceID]int, hint),
-		dev5Any:     make(map[trace.DeviceID]bool),
-		dev5Strong:  make(map[trace.DeviceID]bool),
+		prep: prep,
+		devs: make(map[trace.DeviceID]int, hint),
+		dev:  make([]availDevice, 0, hint),
 	}
 }
 
@@ -194,6 +202,7 @@ func (pa *PublicAvailability) Release() {
 	pa.n24Strong = putFloats(pa.n24Strong)
 	pa.n5All = putFloats(pa.n5All)
 	pa.n5Strong = putFloats(pa.n5Strong)
+	pa.last.reset()
 }
 
 // Add implements Analyzer.
@@ -201,11 +210,21 @@ func (pa *PublicAvailability) Add(s *trace.Sample) {
 	if s.OS != trace.Android {
 		return
 	}
-	pa.cellTotal[s.Device] += s.CellRX
+	di, ok := pa.last.get(s.Device)
+	if !ok {
+		if di, ok = pa.devs[s.Device]; !ok {
+			di = len(pa.dev)
+			pa.dev = append(pa.dev, availDevice{id: s.Device})
+			pa.devs[s.Device] = di
+		}
+		pa.last.put(s.Device, di)
+	}
+	dev := &pa.dev[di]
+	dev.cellTotal += s.CellRX
 	if s.WiFiState != trace.WiFiOn {
 		return
 	}
-	pa.availBins[s.Device]++
+	dev.availBins++
 	var c24, c24s, c5, c5s int
 	for i := range s.APs {
 		obs := &s.APs[i]
@@ -229,15 +248,11 @@ func (pa *PublicAvailability) Add(s *trace.Sample) {
 	pa.n24Strong = appendPooled(pa.n24Strong, float64(c24s))
 	pa.n5All = appendPooled(pa.n5All, float64(c5))
 	pa.n5Strong = appendPooled(pa.n5Strong, float64(c5s))
-	if c5 > 0 {
-		pa.dev5Any[s.Device] = true
-	}
-	if c5s > 0 {
-		pa.dev5Strong[s.Device] = true
-	}
+	dev.any5 = dev.any5 || c5 > 0
+	dev.strong5 = dev.strong5 || c5s > 0
 	if c24s+c5s > 0 {
-		pa.offloadable[s.Device] += s.CellRX
-		pa.strongBins[s.Device]++
+		dev.offloadable += s.CellRX
+		dev.strongBins++
 	}
 }
 
@@ -265,24 +280,23 @@ func (pa *PublicAvailability) Merge(shard Analyzer) {
 	pa.n5All = appendAllPooled(pa.n5All, o.n5All)
 	pa.n5Strong = appendAllPooled(pa.n5Strong, o.n5Strong)
 	o.Release()
-	for dev, v := range o.offloadable {
-		pa.offloadable[dev] += v
+	for j := range o.dev {
+		od := &o.dev[j]
+		i, ok := pa.devs[od.id]
+		if !ok {
+			pa.devs[od.id] = len(pa.dev)
+			pa.dev = append(pa.dev, *od)
+			continue
+		}
+		dev := &pa.dev[i]
+		dev.cellTotal += od.cellTotal
+		dev.offloadable += od.offloadable
+		dev.availBins += od.availBins
+		dev.strongBins += od.strongBins
+		dev.any5 = dev.any5 || od.any5
+		dev.strong5 = dev.strong5 || od.strong5
 	}
-	for dev, v := range o.cellTotal {
-		pa.cellTotal[dev] += v
-	}
-	for dev, v := range o.availBins {
-		pa.availBins[dev] += v
-	}
-	for dev, v := range o.strongBins {
-		pa.strongBins[dev] += v
-	}
-	for dev := range o.dev5Any {
-		pa.dev5Any[dev] = true
-	}
-	for dev := range o.dev5Strong {
-		pa.dev5Strong[dev] = true
-	}
+	pa.last.reset()
 }
 
 // PublicAvailabilityResult holds the Fig. 17 CCDFs and §3.5 estimates.
@@ -345,20 +359,21 @@ func (pa *PublicAvailability) Result() PublicAvailabilityResult {
 	}
 	var off, tot uint64
 	var devices, withStrong, with5, with5s int
-	for dev, bins := range pa.availBins {
-		if bins < minAvailBins {
+	for i := range pa.dev {
+		dev := &pa.dev[i]
+		if dev.availBins < minAvailBins {
 			continue
 		}
 		devices++
-		off += pa.offloadable[dev]
-		tot += pa.cellTotal[dev]
-		if pa.strongBins[dev] > 0 {
+		off += dev.offloadable
+		tot += dev.cellTotal
+		if dev.strongBins > 0 {
 			withStrong++
 		}
-		if pa.dev5Any[dev] {
+		if dev.any5 {
 			with5++
 		}
-		if pa.dev5Strong[dev] {
+		if dev.strong5 {
 			with5s++
 		}
 	}

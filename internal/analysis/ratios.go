@@ -12,6 +12,7 @@ import (
 type WiFiRatios struct {
 	meta Meta
 	prep *Prep
+	rank memo[UserDayKey, Rank]
 
 	// Indexed by rank bucket: 0 = all, 1 = light, 2 = heavy.
 	wifiRX  [3][168]float64
@@ -29,7 +30,7 @@ func NewWiFiRatios(meta Meta, prep *Prep) *WiFiRatios {
 func (w *WiFiRatios) Add(s *trace.Sample) {
 	h := w.meta.HourOfWeek(s.Time)
 	buckets := [3]bool{true, false, false}
-	switch w.prep.RankOf(s.Device, w.meta.Day(s.Time)) {
+	switch w.prep.rankMemo(&w.rank, UserDayKey{Device: s.Device, Day: w.meta.Day(s.Time)}) {
 	case RankLight:
 		buckets[1] = true
 	case RankHeavy:

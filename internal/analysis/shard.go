@@ -369,8 +369,9 @@ func Run(src Source, prep *Prep, cleaned []Analyzer, raw []Analyzer, workers int
 	perCleaned, perRaw, n := shardBattery(cleaned, raw, resolveWorkers(workers))
 	sp := traceStart("analysis:run").Arg("workers", strconv.Itoa(n))
 	defer sp.End()
+	upd := make([]updateMemo, n)
 	err := fanOut(src, n, func(w int, s *trace.Sample) error {
-		dispatch(s, prep, perCleaned[w], perRaw[w])
+		dispatch(s, prep, perCleaned[w], perRaw[w], &upd[w])
 		return nil
 	})
 	if err != nil || n == 1 {
@@ -411,10 +412,11 @@ func RunShards(sh *Shards, prep *Prep, cleaned []Analyzer, raw []Analyzer) error
 	sp := traceStart("analysis:run-shards").Arg("shards", strconv.Itoa(n))
 	defer sp.End()
 	if n == 1 {
+		var upd updateMemo
 		for w := range sh.parts {
 			part := sh.parts[w].samples
 			for i := range part {
-				dispatch(&part[i], prep, cleaned, raw)
+				dispatch(&part[i], prep, cleaned, raw, &upd)
 			}
 		}
 		return nil
@@ -425,9 +427,10 @@ func RunShards(sh *Shards, prep *Prep, cleaned []Analyzer, raw []Analyzer) error
 		go func(w int) {
 			defer wg.Done()
 			ssp := traceStart("analysis:shard").OnTID(w + 1)
+			var upd updateMemo
 			part := sh.parts[w].samples
 			for i := range part {
-				dispatch(&part[i], prep, perCleaned[w], perRaw[w])
+				dispatch(&part[i], prep, perCleaned[w], perRaw[w], &upd)
 			}
 			ssp.End()
 		}(w)

@@ -18,6 +18,10 @@ type SketchCardinality struct {
 
 	devices *sketch.Distinct
 	aps     *sketch.Distinct
+
+	// run memoizes the current device run, whose device is already added
+	// (HLL adds are idempotent, so the registers stay bit-identical).
+	run memo[trace.DeviceID, struct{}]
 }
 
 // NewSketchCardinality returns an empty sketch-mode cardinality analyzer.
@@ -31,7 +35,10 @@ func (c *SketchCardinality) Add(s *trace.Sample) {
 	if !s.Tethered && s.OS == trace.Android && s.WiFiState == trace.WiFiOn {
 		c.AvailIntervals++
 	}
-	c.devices.AddUint64(uint64(s.Device))
+	if _, ok := c.run.get(s.Device); !ok {
+		c.devices.AddUint64(uint64(s.Device))
+		c.run.put(s.Device, struct{}{})
+	}
 	for i := range s.APs {
 		obs := &s.APs[i]
 		c.aps.AddKey(uint64(obs.BSSID), obs.ESSID)
@@ -49,6 +56,7 @@ func (c *SketchCardinality) Merge(shard Analyzer) {
 	c.AvailIntervals += o.AvailIntervals
 	c.devices.Merge(o.devices)
 	c.aps.Merge(o.aps)
+	c.run.reset()
 }
 
 // SketchCardinalityResult reports the exact stream counters and the

@@ -372,6 +372,7 @@ func TestSketchMergeOrderInvariance(t *testing.T) {
 			// Random device-disjoint assignment; stream order per device is
 			// preserved because samples dispatch one at a time.
 			assign := make(map[trace.DeviceID]int)
+			var upd updateMemo
 			for i := range samples {
 				s := &samples[i]
 				w, ok := assign[s.Device]
@@ -379,7 +380,7 @@ func TestSketchMergeOrderInvariance(t *testing.T) {
 					w = rng.Intn(shards)
 					assign[s.Device] = w
 				}
-				dispatch(s, prep, partCleaned[w], partRaw[w])
+				dispatch(s, prep, partCleaned[w], partRaw[w], &upd)
 			}
 			order := rng.Perm(shards)
 			acc := parts[order[0]]

@@ -108,8 +108,9 @@ func TestSketchSoak(t *testing.T) {
 	}()
 
 	start := time.Now()
+	var upd updateMemo
 	samples := soakStream(meta, devices, func(s *trace.Sample) {
-		dispatch(s, prep, cleaned, raw)
+		dispatch(s, prep, cleaned, raw, &upd)
 	})
 	close(stop)
 	wg.Wait()
@@ -265,9 +266,10 @@ func BenchmarkSketchDispatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	done := 0
+	var upd updateMemo
 	for done < b.N {
 		done += soakStream(meta, devices, func(s *trace.Sample) {
-			dispatch(s, prep, cleaned, raw)
+			dispatch(s, prep, cleaned, raw, &upd)
 		})
 	}
 	_ = fmt.Sprint()

@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"smartusage/internal/analysis"
 	"smartusage/internal/config"
@@ -367,6 +369,20 @@ func TestTraceDirRoundTrip(t *testing.T) {
 func TestRunCampaignErrors(t *testing.T) {
 	if _, err := core.RunCampaign(1999, core.Options{Scale: 0.05}); err == nil {
 		t.Fatal("unknown year accepted")
+	}
+}
+
+// TestAnalyzeCampaignRejectsEarlySample: a sample an hour before the
+// campaign's first midnight is outside the window, not on day 0.
+func TestAnalyzeCampaignRejectsEarlySample(t *testing.T) {
+	cfg, err := config.ForYear(2015, 0.05, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := trace.Sample{Device: 1, OS: trace.Android, Time: cfg.Start.Add(-time.Hour).Unix()}
+	_, err = core.AnalyzeCampaign(cfg, nil, analysis.SliceSource([]trace.Sample{early}), core.Options{})
+	if err == nil || !strings.Contains(err.Error(), "outside campaign window") {
+		t.Fatalf("AnalyzeCampaign: %v, want the out-of-window error", err)
 	}
 }
 

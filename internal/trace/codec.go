@@ -80,12 +80,20 @@ func boolByte(b bool) byte {
 // its own (Reader embeds one automatically).
 type Interner struct {
 	m map[string]string
+	// recent is a direct-mapped cache in front of m for the decoder's AP
+	// loop, one slot per BSSID hash: a device reports the same few APs scan
+	// after scan, so most ESSIDs resolve with one byte compare instead of a
+	// string hash. Allocated on the first AP decode.
+	recent *[internRecentSlots]string
 }
 
 // maxInternEntries bounds the table. Legitimate ESSID cardinality is tiny
 // (thousands); a hostile stream of unique strings just degrades to the
 // non-interned behaviour after the table resets.
 const maxInternEntries = 1 << 16
+
+// internRecentSlots sizes Interner.recent (a power of two).
+const internRecentSlots = 256
 
 // Intern returns a string equal to b, reusing a previous allocation when b
 // has been seen before. The fast path (map hit) does not allocate.
@@ -98,6 +106,22 @@ func (it *Interner) Intern(b []byte) string {
 	}
 	s := string(b)
 	it.m[s] = s
+	return s
+}
+
+// internESSID is Intern for the ESSID of the AP with the given BSSID,
+// checking the BSSID's recent slot first. Every slot holds a string some
+// earlier Intern returned, so a hit is as valid as a map hit.
+func (it *Interner) internESSID(bssid BSSID, b []byte) string {
+	if it.recent == nil {
+		it.recent = new([internRecentSlots]string)
+	}
+	slot := &it.recent[(uint64(bssid)*0x9e3779b97f4a7c15)>>(64-8)]
+	if *slot == string(b) {
+		return *slot
+	}
+	s := it.Intern(b)
+	*slot = s
 	return s
 }
 
@@ -130,17 +154,28 @@ func decodeSample(buf []byte, s *Sample, it *Interner, alias bool) (int, error) 
 	s.Device = DeviceID(d.uvarint())
 	s.OS = OS(d.byte())
 	s.Time = d.varint()
-	s.GeoCX = int16(d.varint())
-	s.GeoCY = int16(d.varint())
+	for _, p := range [...]*int16{&s.GeoCX, &s.GeoCY} {
+		v, ok := d.small()
+		if !ok {
+			v = d.uvarint()
+		}
+		*p = int16(unzigzag(v))
+	}
 	s.WiFiState = WiFiState(d.byte())
 	s.RAT = RAT(d.byte())
 	s.Carrier = d.byte()
-	s.CellRX = d.uvarint()
-	s.CellTX = d.uvarint()
-	s.WiFiRX = d.uvarint()
-	s.WiFiTX = d.uvarint()
+	for _, p := range [...]*uint64{&s.CellRX, &s.CellTX, &s.WiFiRX, &s.WiFiTX} {
+		v, ok := d.small()
+		if !ok {
+			v = d.uvarint()
+		}
+		*p = v
+	}
 
-	nApps := d.uvarint()
+	nApps, ok := d.small()
+	if !ok {
+		nApps = d.uvarint()
+	}
 	if d.err == nil && nApps > uint64(len(buf)) {
 		return 0, fmt.Errorf("trace: corrupt app count %d", nApps)
 	}
@@ -154,7 +189,10 @@ func decodeSample(buf []byte, s *Sample, it *Interner, alias bool) (int, error) 
 		s.Apps = append(s.Apps, a)
 	}
 
-	nAPs := d.uvarint()
+	nAPs, ok := d.small()
+	if !ok {
+		nAPs = d.uvarint()
+	}
 	if d.err == nil && nAPs > uint64(len(buf)) {
 		return 0, fmt.Errorf("trace: corrupt AP count %d", nAPs)
 	}
@@ -162,8 +200,12 @@ func decodeSample(buf []byte, s *Sample, it *Interner, alias bool) (int, error) 
 	for i := uint64(0); i < nAPs && d.err == nil; i++ {
 		var ap APObs
 		ap.BSSID = BSSID(d.uvarint())
-		ap.ESSID = d.string()
-		ap.RSSI = int8(d.varint())
+		ap.ESSID = d.essid(ap.BSSID)
+		rssi, ok := d.small()
+		if !ok {
+			rssi = d.uvarint()
+		}
+		ap.RSSI = int8(unzigzag(rssi))
 		ap.Channel = d.byte()
 		ap.Band = Band(d.byte())
 		ap.Associated = d.byte() != 0
@@ -189,7 +231,9 @@ var decodeCount atomic.Uint64
 // DecodeSample in this process.
 func DecodeCount() uint64 { return decodeCount.Load() }
 
-// decoder tracks an offset and a sticky error across field reads.
+// decoder tracks an offset and a sticky error across field reads. The
+// first error also empties buf, so the inlined fast paths need only their
+// bounds check to return zero values from then on.
 type decoder struct {
 	buf    []byte
 	off    int
@@ -200,52 +244,110 @@ type decoder struct {
 	alias bool
 }
 
+// fail records a truncated or malformed field.
+func (d *decoder) fail() {
+	if d.err == nil {
+		d.err = io.ErrUnexpectedEOF
+	}
+	d.buf, d.off = nil, 0
+}
+
 func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
+	if d.off < len(d.buf) {
+		b := d.buf[d.off]
+		d.off++
+		return b
 	}
-	if d.off >= len(d.buf) {
-		d.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
+	d.fail()
+	return 0
 }
 
+// uvarint decodes an unsigned varint of any length. With at least
+// binary.MaxVarintLen64 bytes left it decodes with constant shifts; nearer
+// the end of buf it defers to binary.Uvarint. Both accept and reject exactly
+// what binary.Uvarint does, non-minimal encodings included.
 func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+	b := d.buf[d.off:]
+	if len(b) < binary.MaxVarintLen64 {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			d.fail()
+			return 0
+		}
+		d.off += n
+		return v
 	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = io.ErrUnexpectedEOF
-		return 0
+	b = b[:binary.MaxVarintLen64]
+	var x uint64
+	var n int
+	switch {
+	case b[0] < 0x80:
+		x, n = uint64(b[0]), 1
+	case b[1] < 0x80:
+		x, n = uint64(b[0]&0x7f)|uint64(b[1])<<7, 2
+	case b[2] < 0x80:
+		x, n = uint64(b[0]&0x7f)|uint64(b[1]&0x7f)<<7|uint64(b[2])<<14, 3
+	default:
+		x = uint64(b[0]&0x7f) | uint64(b[1]&0x7f)<<7 | uint64(b[2]&0x7f)<<14
+		switch {
+		case b[3] < 0x80:
+			x, n = x|uint64(b[3])<<21, 4
+		case b[4] < 0x80:
+			x, n = x|uint64(b[3]&0x7f)<<21|uint64(b[4])<<28, 5
+		case b[5] < 0x80:
+			x, n = x|uint64(b[3]&0x7f)<<21|uint64(b[4]&0x7f)<<28|uint64(b[5])<<35, 6
+		case b[6] < 0x80:
+			x, n = x|uint64(b[3]&0x7f)<<21|uint64(b[4]&0x7f)<<28|uint64(b[5]&0x7f)<<35|
+				uint64(b[6])<<42, 7
+		default:
+			x |= uint64(b[3]&0x7f)<<21 | uint64(b[4]&0x7f)<<28 | uint64(b[5]&0x7f)<<35 |
+				uint64(b[6]&0x7f)<<42
+			switch {
+			case b[7] < 0x80:
+				x, n = x|uint64(b[7])<<49, 8
+			case b[8] < 0x80:
+				x, n = x|uint64(b[7]&0x7f)<<49|uint64(b[8])<<56, 9
+			case b[9] <= 1: // a tenth byte carries only bit 63
+				x, n = x|uint64(b[7]&0x7f)<<49|uint64(b[8]&0x7f)<<56|uint64(b[9])<<63, 10
+			default: // overflows 64 bits
+				d.fail()
+				return 0
+			}
+		}
 	}
 	d.off += n
-	return v
+	return x
 }
 
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
+func (d *decoder) varint() int64 { return unzigzag(d.uvarint()) }
+
+// unzigzag maps a zig-zag encoded varint back to its signed value.
+func unzigzag(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
+
+// small decodes a one-byte varint; ok is false when the varint at the
+// cursor is longer, or missing, and the caller must call uvarint. The
+// compiler inlines small but not a function that also makes that call, so
+// decodeSample reads the fields that are usually one byte long as small,
+// then uvarint.
+func (d *decoder) small() (uint64, bool) {
+	if i := d.off; i < len(d.buf) && d.buf[i] < 0x80 {
+		d.off = i + 1
+		return uint64(d.buf[i]), true
 	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	d.off += n
-	return v
+	return 0, false
 }
 
-func (d *decoder) string() string {
-	n := d.uvarint()
+// essid decodes the ESSID of the AP with the given BSSID.
+func (d *decoder) essid(bssid BSSID) string {
+	n, ok := d.small()
+	if !ok {
+		n = d.uvarint()
+	}
 	if d.err != nil {
 		return ""
 	}
 	if n > uint64(len(d.buf)-d.off) {
-		d.err = io.ErrUnexpectedEOF
+		d.fail()
 		return ""
 	}
 	raw := d.buf[d.off : d.off+int(n)]
@@ -257,7 +359,7 @@ func (d *decoder) string() string {
 		return unsafe.String(&raw[0], len(raw))
 	}
 	if d.intern != nil {
-		return d.intern.Intern(raw)
+		return d.intern.internESSID(bssid, raw)
 	}
 	return string(raw)
 }
@@ -334,6 +436,13 @@ func NewReader(r io.Reader) *Reader {
 
 // Read decodes the next sample into s, reusing s's slices. It returns io.EOF
 // at a clean end of stream.
+//
+// A record whose length prefix and body are already buffered is decoded in
+// place from the bufio buffer and then discarded; that is safe because
+// decoded strings are interned copies, never aliases of the buffer, and such
+// a record is within MaxSampleSize because the buffer is. A record
+// straddling the buffer's end, or longer than the buffer, is read out into
+// r.buf first.
 func (r *Reader) Read(s *Sample) error {
 	if !r.checked {
 		hdr := make([]byte, len(fileMagic))
@@ -347,6 +456,13 @@ func (r *Reader) Read(s *Sample) error {
 			return ErrBadMagic
 		}
 		r.checked = true
+	}
+	if buf, _ := r.br.Peek(r.br.Buffered()); len(buf) > 0 {
+		if size, n := binary.Uvarint(buf); n > 0 && size <= uint64(len(buf)-n) {
+			err := r.decode(buf[n:n+int(size)], s)
+			_, _ = r.br.Discard(n + int(size)) // the bytes are buffered: it cannot fail
+			return err
+		}
 	}
 	size, err := binary.ReadUvarint(r.br)
 	if err != nil {
@@ -365,12 +481,17 @@ func (r *Reader) Read(s *Sample) error {
 	if _, err := io.ReadFull(r.br, r.buf); err != nil {
 		return fmt.Errorf("trace: read sample body: %w", err)
 	}
-	n, err := DecodeSampleInterned(r.buf, s, &r.it)
+	return r.decode(r.buf, s)
+}
+
+// decode decodes one whole record.
+func (r *Reader) decode(rec []byte, s *Sample) error {
+	n, err := decodeSample(rec, s, &r.it, false)
 	if err != nil {
 		return err
 	}
-	if n != int(size) {
-		return fmt.Errorf("trace: sample decoded %d of %d bytes", n, size)
+	if n != len(rec) {
+		return fmt.Errorf("trace: sample decoded %d of %d bytes", n, len(rec))
 	}
 	return nil
 }
