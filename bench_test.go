@@ -13,6 +13,7 @@ package smartusage_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
 	"os"
 	"sync"
@@ -159,6 +160,26 @@ func BenchmarkTraceRead(b *testing.B) {
 		}
 		if n != len(f.samples) {
 			b.Fatalf("read %d of %d samples", n, len(f.samples))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(f.samples)), "ns/sample")
+}
+
+// BenchmarkTraceWrite times the spool path simulator output takes: the
+// whole fixture campaign through a trace.Writer to io.Discard. It reports
+// ns/sample.
+func BenchmarkTraceWrite(b *testing.B) {
+	f := getFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := trace.NewWriter(io.Discard)
+		for j := range f.samples {
+			if err := w.Write(&f.samples[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(f.samples)), "ns/sample")

@@ -8,6 +8,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"smartusage/internal/trace"
@@ -236,53 +237,70 @@ type Allocation struct {
 	TX       uint64
 }
 
-// Allocate splits rxBytes of download volume across categories according to
-// the scene mix modulated by the user affinity, returning per-category RX
-// and the derived TX. The split draws a small number of weighted chunks so
-// that individual 10-minute samples carry a handful of active categories,
-// as real per-interval accounting does. Allocations with zero RX and TX are
-// omitted. The total RX of the result equals rxBytes.
-func (m Mix) Allocate(rxBytes uint64, aff *Affinity, rng *rand.Rand) []Allocation {
-	if rxBytes == 0 {
-		return nil
-	}
-	// Effective weights.
-	var eff [trace.NumCategories]float64
-	var total float64
-	for i := range eff {
+// Weights is a scene mix weighed by one user-day's affinity: the effective
+// per-category weights that Allocate draws from, and their total. The inputs
+// change once per user-day, so a simulator weighs each scene once per day
+// and allocates every interval of that day from the result.
+type Weights struct {
+	eff   [trace.NumCategories]float64
+	total float64
+}
+
+// Allocate tracks the categories it drew in a uint64 bitmask.
+var _ [64 - trace.NumCategories]struct{}
+
+// Weigh modulates the mix by the user affinity; a nil affinity leaves the
+// mix as it is.
+func (m Mix) Weigh(aff *Affinity) Weights {
+	var w Weights
+	for i := range w.eff {
 		v := m.Weights[i]
 		if aff != nil {
 			v *= aff.Mult[i]
 		}
-		eff[i] = v
-		total += v
+		w.eff[i] = v
+		w.total += v
 	}
-	if total == 0 {
-		return nil
+	return w
+}
+
+// Allocate splits rxBytes of download volume across categories according to
+// the weights, appending per-category RX and the derived TX to dst. The
+// split draws a small number of weighted chunks so that individual 10-minute
+// samples carry a handful of active categories, as real per-interval
+// accounting does. Allocations with zero RX and TX are omitted, so nothing
+// is appended for zero volume. The total RX appended equals rxBytes.
+//
+// The random draws are the chunk draws in order, then one TX draw per
+// category that received volume, in ascending category order.
+func (w *Weights) Allocate(dst []Allocation, rxBytes uint64, rng *rand.Rand) []Allocation {
+	if rxBytes == 0 || w.total == 0 {
+		return dst
 	}
-	// Draw chunks.
 	const chunks = 5
 	var rx [trace.NumCategories]uint64
+	var drawn uint64 // bit c is set once category c has drawn a chunk
 	per := rxBytes / chunks
 	rem := rxBytes - per*chunks
 	for k := 0; k < chunks; k++ {
-		c := sampleWeighted(eff[:], total, rng)
+		c := sampleWeighted(w.eff[:], w.total, rng)
 		amt := per
 		if k == 0 {
 			amt += rem
 		}
 		rx[c] += amt
+		drawn |= 1 << c
 	}
-	out := make([]Allocation, 0, chunks)
-	for c, v := range rx {
+	for ; drawn != 0; drawn &= drawn - 1 {
+		cat := trace.Category(bits.TrailingZeros64(drawn))
+		v := rx[cat]
 		if v == 0 {
-			continue
+			continue // drew only zero-byte chunks
 		}
-		cat := trace.Category(c)
 		tx := uint64(float64(v) * txRatio[cat] * (0.6 + 0.8*rng.Float64()))
-		out = append(out, Allocation{Category: cat, RX: v, TX: tx})
+		dst = append(dst, Allocation{Category: cat, RX: v, TX: tx})
 	}
-	return out
+	return dst
 }
 
 func sampleWeighted(ws []float64, total float64, rng *rand.Rand) int {

@@ -91,7 +91,8 @@ func TestAllocateConservesRX(t *testing.T) {
 		m, _ := MixFor(2015, SceneWiFiHome)
 		aff := NewAffinity(rng.Float64(), rng)
 		rx := uint64(rxRaw)
-		allocs := m.Allocate(rx, &aff, rng)
+		w := m.Weigh(&aff)
+		allocs := w.Allocate(nil, rx, rng)
 		var sum uint64
 		for _, a := range allocs {
 			if a.RX == 0 && a.TX == 0 {
@@ -108,14 +109,16 @@ func TestAllocateConservesRX(t *testing.T) {
 
 func TestAllocateZero(t *testing.T) {
 	m, _ := MixFor(2014, SceneCellOther)
-	if got := m.Allocate(0, nil, rand.New(rand.NewSource(1))); got != nil {
+	w := m.Weigh(nil)
+	if got := w.Allocate(nil, 0, rand.New(rand.NewSource(1))); got != nil {
 		t.Fatalf("zero volume allocated: %v", got)
 	}
 }
 
 func TestAllocateNilAffinity(t *testing.T) {
 	m, _ := MixFor(2014, SceneCellOther)
-	allocs := m.Allocate(1_000_000, nil, rand.New(rand.NewSource(1)))
+	w := m.Weigh(nil)
+	allocs := w.Allocate(nil, 1_000_000, rand.New(rand.NewSource(1)))
 	if len(allocs) == 0 {
 		t.Fatal("no allocations")
 	}
@@ -130,7 +133,8 @@ func TestAffinityHeavynessSkew(t *testing.T) {
 		var video, total uint64
 		for i := 0; i < 400; i++ {
 			aff := NewAffinity(heavyness, rng)
-			for _, a := range m.Allocate(10_000_000, &aff, rng) {
+			w := m.Weigh(&aff)
+			for _, a := range w.Allocate(nil, 10_000_000, rng) {
 				total += a.RX
 				if a.Category == trace.CatVideo {
 					video += a.RX
@@ -163,8 +167,9 @@ func TestSceneString(t *testing.T) {
 func TestAllocateTXBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m, _ := MixFor(2013, SceneCellHome)
+	w := m.Weigh(nil)
 	for i := 0; i < 200; i++ {
-		for _, a := range m.Allocate(5_000_000, nil, rng) {
+		for _, a := range w.Allocate(nil, 5_000_000, rng) {
 			ratio := TXRatio(a.Category)
 			lo := uint64(float64(a.RX) * ratio * 0.6)
 			hi := uint64(float64(a.RX)*ratio*1.4) + 1

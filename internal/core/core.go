@@ -43,9 +43,9 @@ type Options struct {
 	TraceDir string
 	// Years restricts the campaigns to run; nil means all three.
 	Years []int
-	// Workers parallelizes the simulation across goroutines (the output
-	// stream is identical regardless); 0 keeps it sequential, negative
-	// uses GOMAXPROCS.
+	// Workers parallelizes the simulation across that many goroutines
+	// (sim.RunConcurrent, whose output stream equals the sequential run's
+	// at every count); 0 keeps it sequential, negative uses GOMAXPROCS.
 	Workers int
 	// AnalysisWorkers parallelizes the two analysis passes by sharding
 	// samples across goroutines by device (results are identical

@@ -90,11 +90,12 @@ func binOfClock(hour, minute int) int {
 	return b
 }
 
-// Build constructs the schedule of user u for one day. weekday selects the
-// weekday routine; rng drives all jitter. The user's office (when present)
-// anchors the commute; outings visit public venues near home or office.
-func Build(u *population.User, weekday bool, rng *rand.Rand) *Schedule {
-	s := &Schedule{}
+// Fill overwrites s with the schedule of user u for one day, writing every
+// bin, so a caller can refill one Schedule day after day. weekday selects
+// the weekday routine; rng drives all jitter. The user's office (when
+// present) anchors the commute; outings visit public venues near home or
+// office.
+func (s *Schedule) Fill(u *population.User, weekday bool, rng *rand.Rand) {
 	// Default: the whole day at home.
 	for i := range s.Place {
 		s.Place[i] = PlaceHome
@@ -119,7 +120,6 @@ func Build(u *population.User, weekday bool, rng *rand.Rand) *Schedule {
 	}
 
 	fillActivity(s, rng)
-	return s
 }
 
 // span sets [from, to) bins to the given place/position.

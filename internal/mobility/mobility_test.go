@@ -40,9 +40,10 @@ func findUser(p *population.Panel, pred func(*population.User) bool) *population
 func TestActivityNormalized(t *testing.T) {
 	p := testUsers(t)
 	rng := rand.New(rand.NewSource(1))
+	var s Schedule
 	for i := range p.Users[:50] {
 		for _, weekday := range []bool{true, false} {
-			s := Build(&p.Users[i], weekday, rng)
+			s.Fill(&p.Users[i], weekday, rng)
 			var sum float64
 			for _, a := range s.Activity {
 				if a < 0 {
@@ -52,6 +53,24 @@ func TestActivityNormalized(t *testing.T) {
 			}
 			if math.Abs(sum-1) > 1e-9 {
 				t.Fatalf("activity sums to %g", sum)
+			}
+		}
+	}
+}
+
+// Fill writes every bin: refilling a schedule that holds another day gives
+// the same day as filling a fresh one, so the simulator can reuse one
+// Schedule per user.
+func TestFillOverwritesEveryBin(t *testing.T) {
+	p := testUsers(t)
+	var reused Schedule
+	for i := range p.Users[:50] {
+		for _, weekday := range []bool{true, false} {
+			var fresh Schedule
+			fresh.Fill(&p.Users[i], weekday, rand.New(rand.NewSource(int64(i))))
+			reused.Fill(&p.Users[i], weekday, rand.New(rand.NewSource(int64(i))))
+			if reused != fresh {
+				t.Fatalf("user %d weekday=%v: refilled schedule differs from a fresh one", i, weekday)
 			}
 		}
 	}
@@ -68,8 +87,9 @@ func TestCommuterDayStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	officeBins, homeNight := 0, 0
 	const days = 50
+	var s Schedule
 	for d := 0; d < days; d++ {
-		s := Build(u, true, rng)
+		s.Fill(u, true, rng)
 		// 10:30 should be office time.
 		if s.Place[binOfClock(10, 30)] == PlaceOffice {
 			officeBins++
@@ -98,8 +118,9 @@ func TestWeekendMostlyHome(t *testing.T) {
 	u := findUser(p, func(u *population.User) bool { return u.Occupation.Commutes() })
 	rng := rand.New(rand.NewSource(3))
 	office := 0
+	var s Schedule
 	for d := 0; d < 30; d++ {
-		s := Build(u, false, rng)
+		s.Fill(u, false, rng)
 		for b := 0; b < BinsPerDay; b++ {
 			if s.Place[b] == PlaceOffice {
 				office++
@@ -119,8 +140,9 @@ func TestLunchGeneratesPublicBins(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	lunchPublic := 0
 	const days = 50
+	var s Schedule
 	for d := 0; d < days; d++ {
-		s := Build(u, true, rng)
+		s.Fill(u, true, rng)
 		for b := binOfClock(12, 0); b <= binOfClock(13, 30); b++ {
 			if s.Place[b] == PlacePublic {
 				lunchPublic++
@@ -194,8 +216,9 @@ func TestHousewifeDay(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(6))
 	home, outings := 0, 0
+	var s Schedule
 	for d := 0; d < 30; d++ {
-		s := Build(u, true, rng)
+		s.Fill(u, true, rng)
 		dayOut := false
 		for b := 0; b < BinsPerDay; b++ {
 			switch s.Place[b] {

@@ -92,3 +92,31 @@ func TestDecodeBatchAliasZeroAlloc(t *testing.T) {
 		t.Fatalf("alias decode mangled the batch: %d samples", len(out.Samples))
 	}
 }
+
+// TestFrameRoundTripZeroAlloc pins the framing layer under both: a warm
+// WriteFrame+ReadFrame round trip allocates nothing. The frame header and
+// checksum are written from the Conn's own scratch, and the type byte's
+// share of the checksum comes from a table, so no small buffer escapes to
+// the heap per frame.
+func TestFrameRoundTripZeroAlloc(t *testing.T) {
+	var wire bytes.Buffer
+	c := NewConn(&wire)
+	payload := bytes.Repeat([]byte("smartusage"), 300) // a 2-byte length prefix
+	roundTrip := func() {
+		if err := c.WriteFrame(FrameBatch, payload); err != nil {
+			panic(err)
+		}
+		ft, got, err := c.ReadFrame()
+		if err != nil {
+			panic(err)
+		}
+		if ft != FrameBatch || !bytes.Equal(got, payload) {
+			panic("frame round trip mangled the frame")
+		}
+	}
+	roundTrip() // warm: read scratch, wire buffer
+	allocs := testing.AllocsPerRun(100, roundTrip)
+	if allocs != 0 {
+		t.Fatalf("warm frame round trip allocates %.1f times per frame, want 0", allocs)
+	}
+}

@@ -149,6 +149,8 @@ type Conn struct {
 	bw      *bufio.Writer
 	scratch []byte
 	limit   int // per-frame read cap; 0 means MaxFrameSize
+	// hdr holds an outgoing frame's type and length, then its checksum.
+	hdr [1 + binary.MaxVarintLen64]byte
 }
 
 // NewConn wraps rw (typically a *net.TCPConn).
@@ -169,10 +171,18 @@ func (c *Conn) SetReadLimit(n int) {
 	c.limit = n
 }
 
+// typeCRC[t] is the CRC-32C of the one type byte t, the running checksum a
+// frame's payload continues.
+var typeCRC = func() (sums [256]uint32) {
+	for t := range sums {
+		sums[t] = crc32.Update(0, crcTable, []byte{byte(t)})
+	}
+	return sums
+}()
+
 // frameCRC covers the type byte and payload.
 func frameCRC(t FrameType, payload []byte) uint32 {
-	sum := crc32.Update(0, crcTable, []byte{byte(t)})
-	return crc32.Update(sum, crcTable, payload)
+	return crc32.Update(typeCRC[t], crcTable, payload)
 }
 
 // WriteFrame sends one frame and flushes it.
@@ -180,20 +190,16 @@ func (c *Conn) WriteFrame(t FrameType, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	if err := c.bw.WriteByte(byte(t)); err != nil {
-		return fmt.Errorf("proto: write type: %w", err)
-	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-	if _, err := c.bw.Write(lenBuf[:n]); err != nil {
-		return fmt.Errorf("proto: write length: %w", err)
+	c.hdr[0] = byte(t)
+	n := binary.PutUvarint(c.hdr[1:], uint64(len(payload)))
+	if _, err := c.bw.Write(c.hdr[:1+n]); err != nil {
+		return fmt.Errorf("proto: write header: %w", err)
 	}
 	if _, err := c.bw.Write(payload); err != nil {
 		return fmt.Errorf("proto: write payload: %w", err)
 	}
-	var crcBuf [4]byte
-	binary.BigEndian.PutUint32(crcBuf[:], frameCRC(t, payload))
-	if _, err := c.bw.Write(crcBuf[:]); err != nil {
+	binary.BigEndian.PutUint32(c.hdr[:4], frameCRC(t, payload))
+	if _, err := c.bw.Write(c.hdr[:4]); err != nil {
 		return fmt.Errorf("proto: write checksum: %w", err)
 	}
 	if err := c.bw.Flush(); err != nil {

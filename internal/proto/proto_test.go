@@ -2,6 +2,8 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -23,6 +25,25 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if ft != FrameBatch || !bytes.Equal(got, payload) {
 		t.Fatalf("got %v %q", ft, got)
+	}
+}
+
+// A frame on the wire is the type byte, the uvarint payload length, the
+// payload, and the big-endian CRC-32C of the type byte and payload.
+func TestFrameWireLayout(t *testing.T) {
+	for _, size := range []int{0, 5, 127, 128, 70_000} {
+		payload := bytes.Repeat([]byte{0xa5}, size)
+		var buf bytes.Buffer
+		if err := NewConn(&buf).WriteFrame(FrameBatchAck, payload); err != nil {
+			t.Fatal(err)
+		}
+		want := binary.AppendUvarint([]byte{byte(FrameBatchAck)}, uint64(size))
+		want = append(want, payload...)
+		sum := crc32.Checksum(append([]byte{byte(FrameBatchAck)}, payload...), crc32.MakeTable(crc32.Castagnoli))
+		want = binary.BigEndian.AppendUint32(want, sum)
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%d-byte payload: frame bytes differ from the reference layout", size)
+		}
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 // produces the exact same sample stream as Run, in the same order: per-user
 // randomness is seeded independently (see runUser), so every user's block
 // is byte-identical to the sequential run, and blocks are re-sequenced into
-// panel order before delivery. The sink is always called from this
-// goroutine, so non-thread-safe sinks are fine.
+// panel order before delivery. Workers never touch the shared deployment:
+// the shop APs a user opens carry placeholder identities until this
+// goroutine names them in panel order (newOpenAP), as Run does. The sink is
+// always called from this goroutine, so non-thread-safe sinks are fine.
 //
 // workers <= 0 uses GOMAXPROCS.
 func (s *Simulator) RunConcurrent(workers int, sink Sink) error {
@@ -70,6 +72,9 @@ func (s *Simulator) RunConcurrent(workers int, sink Sink) error {
 	next := 0
 	var firstErr error
 	var sample trace.Sample
+	var it trace.Interner
+	names := newOpenAPNames(s.Deploy)
+	named := names.wrap(sink)
 	emit := func(b userBlock, idx int) {
 		if firstErr != nil {
 			return
@@ -78,7 +83,8 @@ func (s *Simulator) RunConcurrent(workers int, sink Sink) error {
 			firstErr = fmt.Errorf("sim: user %s: %w", s.Panel.Users[idx].ID, b.err)
 			return
 		}
-		if err := replayBlock(b.encoded, &sample, sink); err != nil {
+		names.nextUser()
+		if err := replayBlock(b.encoded, &sample, &it, named); err != nil {
 			firstErr = err
 		}
 	}
@@ -97,8 +103,9 @@ func (s *Simulator) RunConcurrent(workers int, sink Sink) error {
 	return firstErr
 }
 
-// replayBlock feeds one device's encoded samples to the sink.
-func replayBlock(buf []byte, sample *trace.Sample, sink Sink) error {
+// replayBlock feeds one device's encoded samples to the sink, interning
+// their ESSIDs through it.
+func replayBlock(buf []byte, sample *trace.Sample, it *trace.Interner, sink Sink) error {
 	off := 0
 	for off < len(buf) {
 		size, n := binary.Uvarint(buf[off:])
@@ -109,7 +116,7 @@ func replayBlock(buf []byte, sample *trace.Sample, sink Sink) error {
 		if size > uint64(len(buf)-off) {
 			return fmt.Errorf("sim: worker block truncated")
 		}
-		used, err := trace.DecodeSample(buf[off:off+int(size)], sample)
+		used, err := trace.DecodeSampleInterned(buf[off:off+int(size)], sample, it)
 		if err != nil {
 			return err
 		}

@@ -1,51 +1,66 @@
 package sim
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
+	"smartusage/internal/config"
 	"smartusage/internal/trace"
 )
 
-// RunConcurrent must produce the byte-identical stream of Run, in order.
+// RunConcurrent must produce the identical stream of Run, in order, at any
+// worker count, including the shop APs users open along the way: naming one
+// draws from the deployment's shared random source, so it must happen in
+// panel order whichever worker simulated the user. Run it under -race.
 func TestRunConcurrentMatchesSequential(t *testing.T) {
-	cfg := smallConfig(t, 2014)
-	sm, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, year := range config.Years {
+		cfg := smallConfig(t, year)
+		seq := runSim(t, cfg)
+		shops := 0
+		for i := range seq {
+			for _, ap := range seq[i].APs {
+				if ap.Associated && isShopESSID(ap.ESSID) {
+					shops++
+				}
+			}
+		}
+		if shops == 0 {
+			t.Fatalf("%d: fixture holds no shop-AP association", year)
+		}
+		for _, workers := range []int{2, 4} {
+			// A fresh simulator: per-user state must not leak between runs.
+			sm, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []trace.Sample
+			if err := sm.RunConcurrent(workers, func(s *trace.Sample) error {
+				got = append(got, *s.Clone())
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(seq) {
+				t.Fatalf("%d, %d workers: %d samples, want %d", year, workers, len(got), len(seq))
+			}
+			for i := range seq {
+				if !reflect.DeepEqual(got[i], seq[i]) {
+					t.Fatalf("%d, %d workers: sample %d differs from Run:\n got %+v\nwant %+v",
+						year, workers, i, got[i], seq[i])
+				}
+			}
+		}
 	}
-	var seq []trace.Sample
-	if err := sm.Run(func(s *trace.Sample) error {
-		seq = append(seq, *s.Clone())
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	// A fresh simulator: per-user state must not leak between runs.
-	sm2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	err = sm2.RunConcurrent(4, func(s *trace.Sample) error {
-		if i >= len(seq) {
-			t.Fatalf("concurrent run produced extra samples")
+func isShopESSID(essid string) bool {
+	for _, prefix := range []string{"cafe_wifi_", "hotel-guest-", "shop-free-"} {
+		if strings.HasPrefix(essid, prefix) {
+			return true
 		}
-		want := &seq[i]
-		if s.Device != want.Device || s.Time != want.Time ||
-			s.CellRX != want.CellRX || s.WiFiRX != want.WiFiRX ||
-			s.WiFiState != want.WiFiState || len(s.APs) != len(want.APs) {
-			t.Fatalf("sample %d differs between sequential and concurrent runs", i)
-		}
-		i++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if i != len(seq) {
-		t.Fatalf("concurrent run produced %d of %d samples", i, len(seq))
-	}
+	return false
 }
 
 func TestRunConcurrentSingleWorkerFallsBack(t *testing.T) {

@@ -57,8 +57,11 @@ func New(cfg config.Campaign) (*Simulator, error) {
 // sink. Samples of one device arrive in time order; devices are emitted one
 // after another.
 func (s *Simulator) Run(sink Sink) error {
+	names := newOpenAPNames(s.Deploy)
+	named := names.wrap(sink)
 	for i := range s.Panel.Users {
-		if err := s.runUser(&s.Panel.Users[i], sink); err != nil {
+		names.nextUser()
+		if err := s.runUser(&s.Panel.Users[i], named); err != nil {
 			return fmt.Errorf("sim: user %s: %w", s.Panel.Users[i].ID, err)
 		}
 	}
@@ -114,8 +117,10 @@ type userState struct {
 	homeAssocToday   bool
 	officeAssocToday bool
 
-	// openAP is the ephemeral shop/hotel AP of the current outing.
-	openAP *wifi.AP
+	// openAP is the ephemeral shop/hotel AP of the current outing, under a
+	// placeholder identity (newOpenAP); openAPs counts those opened so far.
+	openAP  *wifi.AP
+	openAPs uint64
 
 	// tethering window for the current day, in bins ([0,0) = none).
 	tetherFrom, tetherTo int
@@ -128,6 +133,16 @@ type userState struct {
 	// dayAffinity is the user's category affinity adjusted for today's
 	// demand level (light days carry little video, §3.6).
 	dayAffinity apps.Affinity
+
+	// sched is today's schedule, refilled at every day start.
+	sched mobility.Schedule
+	// weights caches each scene's mix weighed by dayAffinity; bit s of
+	// weighed marks scene s as weighed today. The cache is invalidated
+	// whenever dayAffinity changes.
+	weights [apps.NumScenes]apps.Weights
+	weighed uint8
+	// allocs is the scratch the current interval's allocation lands in.
+	allocs []apps.Allocation
 }
 
 func (s *Simulator) runUser(u *population.User, sink Sink) error {
@@ -182,12 +197,13 @@ func (s *Simulator) runUser(u *population.User, sink Sink) error {
 		} else {
 			st.dayBoost = 1 + b*0.5
 		}
-		sched := mobility.Build(u, weekday, st.rng)
+		st.sched.Fill(u, weekday, st.rng)
 
 		// Daily demand: campaign median x user scale x day volatility.
 		demand := s.Cfg.DemandMedianMB * 1e6 * u.VolumeScale *
 			math.Exp(s.Cfg.DaySigma*st.rng.NormFloat64())
 		st.dayAffinity = u.Affinity.DayAdjusted(demand / (s.Cfg.DemandMedianMB * 1e6))
+		st.weighed = 0
 
 		st.tetherFrom, st.tetherTo = 0, 0
 		if u.TetherProne && st.rng.Float64() < 0.08 {
@@ -210,7 +226,7 @@ func (s *Simulator) runUser(u *population.User, sink Sink) error {
 				st.link = nil
 				continue
 			}
-			s.stepBin(u, st, sched, dayStart, bin, demand, &sample)
+			s.stepBin(u, st, dayStart, bin, demand, &sample)
 			if err := sink(&sample); err != nil {
 				return err
 			}
@@ -255,10 +271,11 @@ func (s *Simulator) planUpdate(u *population.User, st *userState) {
 }
 
 // stepBin simulates one 10-minute interval into out.
-func (s *Simulator) stepBin(u *population.User, st *userState, sched *mobility.Schedule,
+func (s *Simulator) stepBin(u *population.User, st *userState,
 	dayStart time.Time, bin int, dailyDemand float64, out *trace.Sample) {
 
 	rng := st.rng
+	sched := &st.sched
 	place := sched.Place[bin]
 	pos := sched.Pos[bin]
 	hour := bin / 6
@@ -412,17 +429,21 @@ func (s *Simulator) stepBin(u *population.User, st *userState, sched *mobility.S
 }
 
 // allocate splits rx bytes over app categories for the scene, honouring the
-// user's day-adjusted affinities. The mix lookup cannot fail for configured
-// years.
+// user's day-adjusted affinities. The result is st.allocs, valid until the
+// next call. The scene's mix is looked up and weighed on its first use of
+// the day only; the lookup cannot fail for configured years.
 func (s *Simulator) allocate(st *userState, scene apps.Scene, rx uint64, rng *rand.Rand) []apps.Allocation {
-	if rx == 0 {
-		return nil
+	w := &st.weights[scene]
+	if st.weighed&(1<<scene) == 0 {
+		mix, err := apps.MixFor(s.Cfg.Year, scene)
+		if err != nil {
+			panic(err) // configuration invariant: years 2013-2015 only
+		}
+		*w = mix.Weigh(&st.dayAffinity)
+		st.weighed |= 1 << scene
 	}
-	mix, err := apps.MixFor(s.Cfg.Year, scene)
-	if err != nil {
-		panic(err) // configuration invariant: years 2013-2015 only
-	}
-	return mix.Allocate(rx, &st.dayAffinity, rng)
+	st.allocs = w.Allocate(st.allocs[:0], rx, rng)
+	return st.allocs
 }
 
 func sumTX(allocs []apps.Allocation) uint64 {

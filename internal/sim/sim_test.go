@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -88,6 +90,38 @@ func TestPerDeviceTimeOrdered(t *testing.T) {
 	}
 }
 
+// traceDigests pins the simulated stream: the sha256 of each year's
+// smallConfig campaign written through trace.Writer, and its sample count.
+// The random draw order is the output, so a moved draw, a reordered float
+// operation feeding one, or a change to the Writer's framing moves a digest.
+// Update these only for an intended change to the simulated data.
+var traceDigests = map[int]struct {
+	samples int
+	sha256  string
+}{
+	2013: {46472, "7f89e0ab65369b9f809910f1606d59bcd0787bed74cdbba87699b74514c20318"},
+	2014: {45370, "3fa85a69aebee697bd6102fc1a8dd23bd7952585eeaac24d4d54ad2bb8b60a8c"},
+	2015: {42956, "a87df072a85fb65f7cdc3430df80572b8b80715071d8bc831e75561c4b56cf1d"},
+}
+
+// traceDigest runs the campaign through a trace.Writer into sha256.
+func traceDigest(t *testing.T, cfg config.Campaign) (int, string) {
+	t.Helper()
+	sm, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	w := trace.NewWriter(h)
+	if err := sm.Run(w.Write); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return w.Count(), hex.EncodeToString(h.Sum(nil))
+}
+
 func TestDeterminism(t *testing.T) {
 	cfg := smallConfig(t, 2013)
 	a := runSim(t, cfg)
@@ -101,6 +135,41 @@ func TestDeterminism(t *testing.T) {
 			sa.CellRX != sb.CellRX || sa.WiFiRX != sb.WiFiRX ||
 			sa.WiFiState != sb.WiFiState || len(sa.APs) != len(sb.APs) {
 			t.Fatalf("sample %d differs between identical runs", i)
+		}
+	}
+	for _, year := range config.Years {
+		want := traceDigests[year]
+		n, sum := traceDigest(t, smallConfig(t, year))
+		if n != want.samples || sum != want.sha256 {
+			t.Errorf("%d: %d samples, sha256 %s; want %d samples, sha256 %s",
+				year, n, sum, want.samples, want.sha256)
+		}
+	}
+}
+
+// TestRunAllocsPerSample pins simulation's allocation contract: a user's
+// schedule, per-day scene weights and allocation scratch live in its state
+// and are reused, so what allocates is per user (its generator and state)
+// or per association session, never per sample.
+func TestRunAllocsPerSample(t *testing.T) {
+	for _, year := range config.Years {
+		sm, err := New(smallConfig(t, year))
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := 0
+		if err := sm.Run(func(*trace.Sample) error { samples++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(2, func() {
+			if err := sm.Run(func(*trace.Sample) error { return nil }); err != nil {
+				panic(err)
+			}
+		})
+		perSample := allocs / float64(samples)
+		t.Logf("%d: %.4f allocations per sample", year, perSample)
+		if perSample >= 0.1 {
+			t.Errorf("%d: Run allocates %.3f times per sample, want < 0.1", year, perSample)
 		}
 	}
 }

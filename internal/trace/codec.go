@@ -366,17 +366,24 @@ func (d *decoder) essid(bssid BSSID) string {
 
 // Writer streams samples to an io.Writer in the binary trace format.
 type Writer struct {
-	bw      *bufio.Writer
+	bw *bufio.Writer
+	// scratch holds the record being written: the body is encoded after
+	// lenRoom reserved bytes and the length varint is put right in front
+	// of it, so a record costs one buffered write and no allocation.
 	scratch []byte
 	n       int
 	started bool
 }
 
+// lenRoom is the room Writer reserves for a record's length prefix; it fits
+// any length, so no record is refused.
+const lenRoom = binary.MaxVarintLen64
+
 // NewWriter returns a Writer over w. The header is emitted lazily on the
 // first Write so that an aborted run leaves no partial file header behind an
 // empty stream.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
+	return &Writer{bw: bufio.NewWriterSize(w, 1<<16), scratch: make([]byte, 0, 512)}
 }
 
 // Write encodes and appends one sample.
@@ -387,13 +394,12 @@ func (w *Writer) Write(s *Sample) error {
 		}
 		w.started = true
 	}
-	w.scratch = AppendSample(w.scratch[:0], s)
+	w.scratch = AppendSample(w.scratch[:lenRoom], s)
 	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(w.scratch)))
-	if _, err := w.bw.Write(lenBuf[:n]); err != nil {
-		return fmt.Errorf("trace: write length: %w", err)
-	}
-	if _, err := w.bw.Write(w.scratch); err != nil {
+	n := binary.PutUvarint(lenBuf[:], uint64(len(w.scratch)-lenRoom))
+	start := lenRoom - n
+	copy(w.scratch[start:], lenBuf[:n])
+	if _, err := w.bw.Write(w.scratch[start:]); err != nil {
 		return fmt.Errorf("trace: write sample: %w", err)
 	}
 	w.n++

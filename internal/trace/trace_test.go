@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -151,6 +152,66 @@ func TestWriterReaderStream(t *testing.T) {
 		if !samplesEqual(&in[i], &out[i]) {
 			t.Fatalf("sample %d mismatch:\n in=%+v\nout=%+v", i, in[i], out[i])
 		}
+	}
+}
+
+// The Writer's framing is the magic, then per record the uvarint body
+// length and the AppendSample body. Records here span one- to three-byte
+// length prefixes, and the last one outgrows the Writer's 64 KiB buffer.
+func TestWriterFraming(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var in []Sample
+	for i := 0; i < 64; i++ {
+		in = append(in, randomSample(rng))
+	}
+	big := randomSample(rng)
+	for i := 0; i < 500; i++ { // ~100 KB
+		big.APs = append(big.APs, APObs{BSSID: BSSID(i), ESSID: strings.Repeat("x", 200)})
+	}
+	in = append(in, Sample{}, big)
+
+	want := append([]byte(nil), fileMagic...)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := range in {
+		body := AppendSample(nil, &in[i])
+		want = binary.AppendUvarint(want, uint64(len(body)))
+		want = append(want, body...)
+		if err := w.Write(&in[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("writer emitted %d bytes that differ from the %d-byte reference framing", buf.Len(), len(want))
+	}
+}
+
+// A warm Writer allocates nothing per record: the length prefix is encoded
+// in front of the body in the Writer's own scratch.
+func TestWriterSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var in []Sample
+	for i := 0; i < 32; i++ {
+		in = append(in, randomSample(rng))
+	}
+	w := NewWriter(io.Discard)
+	for i := range in { // warm: header written, scratch grown
+		if err := w.Write(&in[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := w.Write(&in[i%len(in)]); err != nil {
+			panic(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Writer.Write allocates %.1f times per record, want 0", allocs)
 	}
 }
 

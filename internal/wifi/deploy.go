@@ -326,16 +326,19 @@ func (d *Deployment) NewMobileAP() AP {
 	}
 }
 
-// NewOpenAP provisions a shop/hotel open AP near pos.
-func (d *Deployment) NewOpenAP(pos geo.Point) AP {
+// OpenAP returns a shop/hotel open AP near pos before it is named: the
+// fields every open AP shares, none of them random. NameOpenAP draws the
+// rest.
+func OpenAP(pos geo.Point) AP {
+	return AP{Class: ClassOpen, Band: trace.Band24, Pos: pos, TxPowerDBm: 15}
+}
+
+// NameOpenAP gives an open AP its identity: a BSSID from the deployment's
+// counter, and an ESSID and channel from its random source. Identities thus
+// depend on the order in which open APs are named.
+func (d *Deployment) NameOpenAP(ap *AP) {
 	names := []string{"cafe_wifi_%03x", "hotel-guest-%03x", "shop-free-%03x"}
-	return AP{
-		BSSID:      d.allocBSSID(ouiOffice),
-		ESSID:      fmt.Sprintf(names[d.rng.Intn(len(names))], d.rng.Intn(1<<12)),
-		Class:      ClassOpen,
-		Band:       trace.Band24,
-		Channel:    uint8(1 + d.rng.Intn(Channels24)),
-		Pos:        pos,
-		TxPowerDBm: 15,
-	}
+	ap.BSSID = d.allocBSSID(ouiOffice)
+	ap.ESSID = fmt.Sprintf(names[d.rng.Intn(len(names))], d.rng.Intn(1<<12))
+	ap.Channel = uint8(1 + d.rng.Intn(Channels24))
 }
