@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short pipebench-test bench bench-json bench-diff bench-multicore check lint smuvet smuvet-determinism fmt-check bench-smoke fuzz-smoke chaos crash tier-soak soak-1m external-smoke report experiments ingest-smoke ingest-json clean
+.PHONY: all build vet test test-short pipebench-test bench bench-json bench-diff bench-multicore loc check lint smuvet smuvet-determinism fmt-check bench-smoke fuzz-smoke chaos crash tier-soak soak-1m external-smoke report experiments ingest-smoke ingest-json clean
 
 all: build vet test
 
@@ -56,11 +56,18 @@ bench-diff:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./... | \
 		$(GO) run ./cmd/benchjson -o $(BENCH_DIFF_OUT) -diff $(BENCH_JSON)
 
-# Multi-core scaling gate: times the sharded analysis compute at N shards
-# against one shard (decode excluded) and (on >= 4 cores) asserts a >= 2x
-# speedup. On smaller machines the ratio is logged but not enforced.
+# Multi-core scaling gate: times both analysis passes (BuildPrep plus Run)
+# over a campaign decoded into in-memory Shards at N shards against one shard
+# (the decode excluded) and (on >= 4 cores) asserts a >= 2x speedup. On
+# smaller machines the ratio is logged but not enforced.
 bench-multicore:
 	$(GO) test -run TestMultiCoreSpeedup -count=1 -v ./internal/core
+
+# Net production Go lines (non-test .go files outside testdata) per package,
+# with a total for the root module and for pipebench, which it only reads.
+# The "least code" number ROADMAP tracks; CI prints it without gating on it.
+loc:
+	@./scripts/loc.sh
 
 # Ingest load test: 1000 concurrent agents replayed against an in-process
 # WAL-backed collector through the real retry/spool machinery; fails on any

@@ -6,8 +6,9 @@
 // experiment's result from an already-simulated campaign: prepass-derived
 // experiments (Tables 1/3/4, Figs. 3-5/10/14-16/19...) re-run their
 // derivation; streaming experiments (Figs. 2/6-9/11-13/17/18, Tables 5-7)
-// re-run their analyzer over the campaign held as one in-memory shard
-// (RunShards), so they time the analyzer rather than a decode or batch copy.
+// re-run their analyzer over the campaign held as one in-memory shard, which
+// Run reads inline, so they time the analyzer rather than a decode or batch
+// copy.
 package smartusage_test
 
 import (
@@ -69,11 +70,12 @@ func getFixture(b *testing.B) *fixture {
 			panic(err)
 		}
 		f.src = analysis.SliceSource(f.samples)
-		if f.sh, err = analysis.ShardSamples(f.src, 1); err != nil {
+		f.sh = analysis.NewShards(1)
+		if err := f.src(f.sh.Add); err != nil {
 			panic(err)
 		}
 		release := cfg.Update.Release
-		if f.prep, err = analysis.BuildPrepShards(f.meta, f.sh, &release); err != nil {
+		if f.prep, err = analysis.BuildPrep(f.meta, f.sh, &release); err != nil {
 			panic(err)
 		}
 		fix = f
@@ -211,7 +213,7 @@ func BenchmarkPrepass(b *testing.B) {
 	release := f.cfg.Update.Release
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.BuildPrepShards(f.meta, f.sh, &release); err != nil {
+		if _, err := analysis.BuildPrep(f.meta, f.sh, &release); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,7 +303,7 @@ func BenchmarkTable2(b *testing.B) {
 // paper's cleaning rules applied.
 func runAnalyzer(b *testing.B, f *fixture, a analysis.Analyzer) {
 	b.Helper()
-	if err := analysis.RunShards(f.sh, f.prep, []analysis.Analyzer{a}, nil); err != nil {
+	if err := analysis.Run(f.sh, f.prep, []analysis.Analyzer{a}, nil); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -477,7 +479,7 @@ func BenchmarkFig18(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ut := analysis.NewUpdateTiming(f.meta, f.prep, release)
-		if err := analysis.RunShards(f.sh, f.prep, nil, []analysis.Analyzer{ut}); err != nil {
+		if err := analysis.Run(f.sh, f.prep, nil, []analysis.Analyzer{ut}); err != nil {
 			b.Fatal(err)
 		}
 		_ = ut.Result()
@@ -658,7 +660,7 @@ func BenchmarkPrepassFromFile(b *testing.B) {
 	src := analysis.FileSource(path)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.BuildPrep(f.meta, src, &release, 1); err != nil {
+		if _, err := analysis.BuildPrep(f.meta, analysis.Stream(src, 1), &release); err != nil {
 			b.Fatal(err)
 		}
 	}

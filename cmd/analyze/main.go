@@ -241,6 +241,16 @@ var experiments = map[string]func(io.Writer, *core.CampaignRun){
 	},
 }
 
+// experimentIDs returns the experiment ids in sorted order.
+func experimentIDs() []string {
+	ids := make([]string, 0, len(experiments))
+	for id := range experiments {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
 func printApps(w io.Writer, r *core.CampaignRun, tx bool) {
 	for sc := analysis.AppScene(0); sc < analysis.NumAppScenes; sc++ {
 		shares := r.Apps.RX[sc]
@@ -274,12 +284,7 @@ func main() {
 	flag.Parse()
 
 	if *exp == "" || *exp == "list" {
-		ids := make([]string, 0, len(experiments))
-		for id := range experiments {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		fmt.Println("experiments:", strings.Join(ids, " "))
+		fmt.Println("experiments:", strings.Join(experimentIDs(), " "))
 		return
 	}
 	fn, ok := experiments[*exp]
@@ -287,24 +292,27 @@ func main() {
 		log.Fatalf("unknown experiment %q (try -exp list)", *exp)
 	}
 
-	var run *core.CampaignRun
-	var err error
-	if *tracePath == "" {
-		run, err = core.RunCampaign(*year, core.Options{
-			Scale: *scale, Seed: *seed,
-			Workers: *workers, AnalysisWorkers: *anaWorkers,
-			SketchMode: *sketchMode,
-		})
-	} else {
-		var cfg config.Campaign
-		cfg, err = config.ForYear(*year, *scale, *seed)
-		if err == nil {
-			run, err = core.AnalyzeCampaignParallel(cfg, nil, analysis.FileSource(*tracePath),
-				core.Options{AnalysisWorkers: *anaWorkers, SketchMode: *sketchMode})
-		}
-	}
+	run, err := load(*tracePath, *year, core.Options{
+		Scale: *scale, Seed: *seed,
+		Workers: *workers, AnalysisWorkers: *anaWorkers,
+		SketchMode: *sketchMode,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fn(os.Stdout, run)
+}
+
+// load returns the campaign run to print: a fresh simulation of year when
+// tracePath is empty, else the streaming, bounded-memory analysis of the
+// trace file, which has no simulated world and so no survey.
+func load(tracePath string, year int, opts core.Options) (*core.CampaignRun, error) {
+	if tracePath == "" {
+		return core.RunCampaign(year, opts)
+	}
+	cfg, err := config.ForYear(year, opts.Scale, opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return core.AnalyzeCampaign(cfg, nil, analysis.FileSource(tracePath), opts)
 }

@@ -1,10 +1,11 @@
 package main
 
 import (
-	"sort"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"smartusage/internal/config"
 	"smartusage/internal/core"
 )
 
@@ -23,12 +24,7 @@ func TestExperimentsPrintInBothModes(t *testing.T) {
 		}
 		runs[sketch] = r
 	}
-	ids := make([]string, 0, len(experiments))
-	for id := range experiments {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range experimentIDs() {
 		var exact, sketch strings.Builder
 		experiments[id](&exact, runs[false])
 		experiments[id](&sketch, runs[true])
@@ -45,6 +41,50 @@ func TestExperimentsPrintInBothModes(t *testing.T) {
 		for i := range el {
 			if strings.Contains(sl[i], "(empty)") && !strings.Contains(el[i], "(empty)") {
 				t.Errorf("%s: sketch mode printed %q where exact printed %q", id, sl[i], el[i])
+			}
+		}
+	}
+}
+
+// TestTraceMatchesInMemory runs every experiment id on one small 2015
+// campaign twice: simulated in memory, and loaded the way -trace loads it,
+// streamed with bounded memory from the campaign's trace spooled to disk.
+// Both must print the same lines, except the survey tables: a trace carries
+// no simulated world, so they print their omit -trace note.
+func TestTraceMatchesInMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a campaign twice")
+	}
+	opts := core.Options{Scale: 0.05, Seed: 1, AnalysisWorkers: 2}
+	mem, err := load("", 2015, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := config.ForYear(2015, opts.Scale, opts.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spool := opts
+	spool.TraceDir = t.TempDir()
+	if _, err := core.RunWithConfig(cfg, spool); err != nil {
+		t.Fatal(err)
+	}
+	traced, err := load(filepath.Join(spool.TraceDir, "campaign-2015.trace"), 2015, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range experimentIDs() {
+		var want, got strings.Builder
+		experiments[id](&want, mem)
+		experiments[id](&got, traced)
+		switch id {
+		case "table2", "table8", "table9":
+			if !strings.Contains(got.String(), "(omit -trace)") {
+				t.Errorf("%s: trace run printed %q, want the survey's omit -trace note", id, got.String())
+			}
+		default:
+			if got.String() != want.String() {
+				t.Errorf("%s: trace run printed\n%s\nin-memory run printed\n%s", id, got.String(), want.String())
 			}
 		}
 	}

@@ -125,11 +125,7 @@ func main() {
 	mu.Lock()
 	dataset := collected
 	mu.Unlock()
-	sh, err := analysis.ShardSamples(analysis.SliceSource(dataset), 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	run, err := core.AnalyzeCampaignShards(cfg, sm, sh, core.Options{})
+	run, err := core.AnalyzeCampaign(cfg, sm, analysis.SliceSource(dataset), core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,9 +24,8 @@ func TestShardSamplesSteadyStateAllocs(t *testing.T) {
 	}
 	var err error
 	cycle := func() {
-		var sh *Shards
-		sh, err = ShardSamples(src, 4)
-		if err == nil {
+		sh := NewShards(4)
+		if err = src(sh.Add); err == nil {
 			if sh.Len() != len(samples) {
 				err = errShardLost
 			}
@@ -46,7 +45,7 @@ func TestShardSamplesSteadyStateAllocs(t *testing.T) {
 	// Shards header, parts slice, and a few arena chunk-list appends; the
 	// ~17k deep-copied samples must come from the pools.
 	if allocs > 64 {
-		t.Fatalf("warm ShardSamples+Release allocates %.0f times per cycle over %d samples, want <= 64", allocs, len(samples))
+		t.Fatalf("warm NewShards+Add+Release allocates %.0f times per cycle over %d samples, want <= 64", allocs, len(samples))
 	}
 }
 
@@ -168,12 +167,12 @@ func TestShardPoolConcurrentSoak(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				sh, err := ShardSamples(src, 2+g)
-				if err != nil {
+				sh := NewShards(2 + g)
+				if err := src(sh.Add); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				got, err := BuildPrepShards(meta, sh, release)
+				got, err := BuildPrep(meta, sh, release)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return

@@ -12,10 +12,10 @@
 //     The Run helper applies the paper's cleaning rules (tethering removal
 //     and update-day excision, §2) before cleaned analyzers see a sample.
 //
-// Each pass has one streaming driver (BuildPrep, Run) that takes a worker
-// count, and an in-memory form (BuildPrepShards, RunShards) over a campaign
-// decoded once into device shards. Both partition samples by device across
-// workers and merge shard results deterministically; one worker is the
+// Each pass is one function (BuildPrep, Run) that reads an Input: a Source
+// streamed on a number of workers (Stream), or a campaign held in memory as
+// device shards (*Shards). Either way samples are partitioned by device
+// across workers and shard results merge deterministically; one worker is the
 // sequential case. See shard.go for the engine and the merge contract.
 //
 // Each figure has one analyzer. The quantile figures — daily volumes (Figs.
@@ -238,9 +238,9 @@ type updateDay struct {
 type updateMemo = memo[trace.DeviceID, updateDay]
 
 // dispatch applies the cleaning rules to one sample and feeds the
-// analyzers. It is the single definition of the second-pass semantics, shared
-// by the streaming Run and the in-memory RunShards. upd memoizes the sample's
-// device's update day; each dispatching goroutine passes its own.
+// analyzers. It is the single definition of the second-pass semantics, which
+// Run applies to either Input form. upd memoizes the sample's device's update
+// day; each dispatching goroutine passes its own.
 func dispatch(s *trace.Sample, prep *Prep, cleaned []Analyzer, raw []Analyzer, upd *updateMemo) {
 	for _, a := range raw {
 		a.Add(s)

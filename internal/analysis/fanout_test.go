@@ -67,11 +67,11 @@ func TestDriverSourceErrorMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	if _, err := BuildPrep(meta, src, release, 1); !errors.Is(err, boom) {
+	if _, err := BuildPrep(meta, Stream(src, 1), release); !errors.Is(err, boom) {
 		t.Errorf("BuildPrep returned %v, want the source error", err)
 	}
 	waitGoroutines(t, before)
-	if err := Run(src, prep, []Analyzer{NewAggregate(meta)}, nil, 1); !errors.Is(err, boom) {
+	if err := Run(Stream(src, 1), prep, []Analyzer{NewAggregate(meta)}, nil); !errors.Is(err, boom) {
 		t.Errorf("Run returned %v, want the source error", err)
 	}
 	waitGoroutines(t, before)
@@ -92,7 +92,7 @@ func TestDriverPrepErrorStopsDecoder(t *testing.T) {
 	}
 	var emitted atomic.Int64
 	before := runtime.NumGoroutine()
-	_, err := BuildPrep(meta, countingSource(SliceSource(bad), &emitted), release, 1)
+	_, err := BuildPrep(meta, Stream(countingSource(SliceSource(bad), &emitted), 1), release)
 	if err == nil || !strings.Contains(err.Error(), "outside campaign window") {
 		t.Fatalf("BuildPrep returned %v, want the out-of-window error", err)
 	}
@@ -208,7 +208,7 @@ func TestStreamingDriverBoundedMemory(t *testing.T) {
 		var base runtime.MemStats
 		runtime.ReadMemStats(&base)
 		stop := heapWatch()
-		err = Run(watched, nil, []Analyzer{&c}, nil, 1)
+		err = Run(Stream(watched, 1), nil, []Analyzer{&c}, nil)
 		peak := stop()
 		if err != nil {
 			t.Fatal(err)

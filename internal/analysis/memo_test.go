@@ -35,16 +35,16 @@ func TestMemosIgnoreDeviceOrder(t *testing.T) {
 	}
 	src, isrc := SliceSource(samples), SliceSource(interleaved)
 
-	want, err := BuildPrep(meta, src, release, 1)
+	want, err := BuildPrep(meta, Stream(src, 1), release)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantExact := batteryResults(t, meta, want, release, func(cleaned, raw []Analyzer) error {
-		return Run(src, want, cleaned, raw, 1)
+		return Run(Stream(src, 1), want, cleaned, raw)
 	})
 	sketchResults := func(prep *Prep, src Source, workers int) map[string]any {
 		b, cleaned, raw := newSketchEquivalenceBattery(meta, prep)
-		if err := Run(src, prep, cleaned, raw, workers); err != nil {
+		if err := Run(Stream(src, workers), prep, cleaned, raw); err != nil {
 			t.Fatal(err)
 		}
 		return map[string]any{
@@ -58,7 +58,7 @@ func TestMemosIgnoreDeviceOrder(t *testing.T) {
 	wantSketch := sketchResults(want, src, 1)
 
 	for _, workers := range workerCounts() {
-		got, err := BuildPrep(meta, isrc, release, workers)
+		got, err := BuildPrep(meta, Stream(isrc, workers), release)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestMemosIgnoreDeviceOrder(t *testing.T) {
 			t.Errorf("workers=%d: interleaved prepass differs from the device-major one", workers)
 		}
 		gotExact := batteryResults(t, meta, got, release, func(cleaned, raw []Analyzer) error {
-			return Run(isrc, got, cleaned, raw, workers)
+			return Run(Stream(isrc, workers), got, cleaned, raw)
 		})
 		for name, w := range wantExact {
 			if !reflect.DeepEqual(w, gotExact[name]) {

@@ -2,8 +2,8 @@ package analysis
 
 // Stage tracing hooks. The tracer is injected through a package-global
 // rather than threaded through every exported signature: the pipeline entry
-// points (Run, RunShards, BuildPrep, ...) are called from many layers and
-// benchmarks, and tracing is a cross-cutting, optional concern. The pointer
+// points (BuildPrep, Run) are called from many layers and benchmarks, and
+// tracing is a cross-cutting, optional concern. The pointer
 // is atomic so a tracer can be installed while analyses run elsewhere, and
 // every hook is nil-safe (a nil tracer starts nil spans, which no-op), so
 // the instrumented paths cost one atomic load when tracing is off.

@@ -180,6 +180,22 @@ func workerCounts() []int {
 	return counts
 }
 
+// partition decodes src once into an n-way in-memory device partition.
+func partition(t testing.TB, src Source, n int) *Shards {
+	t.Helper()
+	sh := NewShards(n)
+	if err := src(sh.Add); err != nil {
+		t.Fatal(err)
+	}
+	return sh
+}
+
+// inputForms returns src as both forms of pass input at n workers: streamed,
+// and decoded once into an n-way in-memory partition.
+func inputForms(t testing.TB, src Source, n int) []Input {
+	return []Input{Stream(src, n), partition(t, src, n)}
+}
+
 // inlinePrep and inlineRun are the equivalence oracles: each pass applied
 // sample by sample on the calling goroutine, with no fan-out, no batch copy
 // and no shards.
@@ -211,23 +227,14 @@ func TestBuildPrepParallelEquivalence(t *testing.T) {
 			len(want.Devices), len(want.APs), len(want.UpdateDay))
 	}
 	for _, workers := range workerCounts() {
-		got, err := BuildPrep(meta, src, release, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("BuildPrep(workers=%d) differs from the inline oracle", workers)
-		}
-		sh, err := ShardSamples(src, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = BuildPrepShards(meta, sh, release)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("BuildPrepShards(n=%d) differs from the inline oracle", workers)
+		for _, in := range inputForms(t, src, workers) {
+			got, err := BuildPrep(meta, in, release)
+			if err != nil {
+				t.Fatalf("%T, workers=%d: %v", in, workers, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("BuildPrep(%T, workers=%d) differs from the inline oracle", in, workers)
+			}
 		}
 	}
 }
@@ -278,24 +285,14 @@ func TestRunParallelEquivalence(t *testing.T) {
 		return inlineRun(src, prep, cleaned, raw)
 	})
 	for _, workers := range workerCounts() {
-		got := batteryResults(t, meta, prep, release, func(cleaned, raw []Analyzer) error {
-			return Run(src, prep, cleaned, raw, workers)
-		})
-		for name, w := range want {
-			if !reflect.DeepEqual(w, got[name]) {
-				t.Errorf("Run(workers=%d): %s differs from the inline oracle", workers, name)
-			}
-		}
-		sh, err := ShardSamples(src, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = batteryResults(t, meta, prep, release, func(cleaned, raw []Analyzer) error {
-			return RunShards(sh, prep, cleaned, raw)
-		})
-		for name, w := range want {
-			if !reflect.DeepEqual(w, got[name]) {
-				t.Errorf("RunShards(n=%d): %s differs from the inline oracle", workers, name)
+		for _, in := range inputForms(t, src, workers) {
+			got := batteryResults(t, meta, prep, release, func(cleaned, raw []Analyzer) error {
+				return Run(in, prep, cleaned, raw)
+			})
+			for name, w := range want {
+				if !reflect.DeepEqual(w, got[name]) {
+					t.Errorf("Run(%T, workers=%d): %s differs from the inline oracle", in, workers, name)
+				}
 			}
 		}
 	}
@@ -317,15 +314,12 @@ func TestShardCountSweep(t *testing.T) {
 	}
 	want := base.Result()
 	for n := 1; n <= 9; n++ {
-		sh, err := ShardSamples(src, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sh := partition(t, src, n)
 		if sh.Len() != len(samples) {
 			t.Fatalf("n=%d: %d of %d samples routed", n, sh.Len(), len(samples))
 		}
 		agg := NewAggregate(meta)
-		if err := RunShards(sh, prep, []Analyzer{agg}, nil); err != nil {
+		if err := Run(sh, prep, []Analyzer{agg}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := agg.Result(); !reflect.DeepEqual(want, got) {
@@ -339,13 +333,10 @@ func TestShardCountSweep(t *testing.T) {
 // stream order there.
 func TestShardsPartitioning(t *testing.T) {
 	_, samples, _ := equivalenceFixture(t)
-	sh, err := ShardSamples(SliceSource(samples), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := partition(t, SliceSource(samples), 5)
 	devShard := make(map[trace.DeviceID]int)
 	lastTime := make(map[trace.DeviceID]int64)
-	for w := 0; w < sh.NumShards(); w++ {
+	for w := range sh.parts {
 		for i := range sh.parts[w].samples {
 			s := &sh.parts[w].samples[i]
 			if prev, ok := devShard[s.Device]; ok && prev != w {
@@ -379,17 +370,18 @@ func TestFanOutPropagatesSourceError(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := BuildPrep(meta, src, release, 4); err == nil {
+	if _, err := BuildPrep(meta, Stream(src, 4), release); err == nil {
 		t.Fatal("source error swallowed")
 	}
 	agg := NewAggregate(meta)
-	if err := Run(src, nil, []Analyzer{agg}, nil, 4); err == nil {
+	if err := Run(Stream(src, 4), nil, []Analyzer{agg}, nil); err == nil {
 		t.Fatal("source error swallowed by Run")
 	}
 }
 
 // TestRunParallelFallsBackOnUnshardable checks that a battery containing a
-// plain Analyzer still runs (on one worker) rather than failing.
+// plain Analyzer still runs (on one worker) rather than failing, over either
+// input form: a 4-shard partition is then read part by part on one goroutine.
 func TestRunParallelFallsBackOnUnshardable(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
@@ -397,11 +389,17 @@ func TestRunParallelFallsBackOnUnshardable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c counter
-	if err := Run(src, prep, []Analyzer{&c}, nil, 4); err != nil {
+	var want counter
+	if err := inlineRun(src, prep, []Analyzer{&want}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.n == 0 {
-		t.Fatal("plain analyzer saw no samples")
+	for _, in := range inputForms(t, src, 4) {
+		var c counter
+		if err := Run(in, prep, []Analyzer{&c}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if c.n == 0 || c.n != want.n {
+			t.Fatalf("%T: plain analyzer saw %d samples, the inline oracle %d", in, c.n, want.n)
+		}
 	}
 }

@@ -60,7 +60,7 @@ func (b *tb) src() Source { return SliceSource(b.samples) }
 
 func (b *tb) prep(t *testing.T, release *time.Time) *Prep {
 	t.Helper()
-	p, err := BuildPrep(b.meta, b.src(), release, 1)
+	p, err := BuildPrep(b.meta, Stream(b.src(), 1), release)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSampleOutsideWindowRejected(t *testing.T) {
 		if err := newPrepShard(meta, nil).add(&s); err == nil || !strings.Contains(err.Error(), "outside campaign window") {
 			t.Errorf("prepShard.add at %v: %v, want the out-of-window error", at, err)
 		}
-		if _, err := BuildPrep(meta, SliceSource([]trace.Sample{s}), nil, 1); err == nil {
+		if _, err := BuildPrep(meta, Stream(SliceSource([]trace.Sample{s}), 1), nil); err == nil {
 			t.Errorf("BuildPrep accepted a sample at %v", at)
 		}
 	}
@@ -372,7 +372,7 @@ func TestRunCleaning(t *testing.T) {
 
 	p := b.prep(t, &release)
 	var clean, raw counter
-	if err := Run(b.src(), p, []Analyzer{&clean}, []Analyzer{&raw}, 1); err != nil {
+	if err := Run(Stream(b.src(), 1), p, []Analyzer{&clean}, []Analyzer{&raw}); err != nil {
 		t.Fatal(err)
 	}
 	if raw.n != len(b.samples) {

@@ -3,13 +3,13 @@ package analysis
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"smartusage/internal/mempool"
+	"smartusage/internal/obs"
 	"smartusage/internal/trace"
 )
 
@@ -55,11 +55,11 @@ func shardOf(dev trace.DeviceID, n int) int {
 	return int(x % uint64(n))
 }
 
-// Pools shared by every campaign analysis in the process. The shard engine
-// copies the whole campaign into memory (sample slabs plus arena chunks for
-// the per-sample Apps/APs slices); recycling those buffers across campaign
-// years and repeated runs is what keeps the parallel path's steady-state
-// allocation near the streaming path's, instead of 11x over it.
+// Pools shared by every campaign analysis in the process. Every slab — a
+// Shards part or a fan-out batch — holds deep-copied samples in these pools'
+// buffers (sample slabs plus arena chunks for the per-sample Apps/APs
+// slices); recycling them across passes, campaign years and repeated runs is
+// what keeps steady-state allocation per pass instead of per sample.
 var (
 	samplePool = mempool.NewSlicePool[trace.Sample](64)
 	apObsPool  = mempool.NewSlicePool[trace.APObs](256)
@@ -67,16 +67,23 @@ var (
 	floatPool  = mempool.NewSlicePool[float64](64)
 )
 
-// shardPart is one device-partition of a campaign held in pooled memory:
-// the sample slab plus the arenas backing every sample's Apps/APs slices.
-type shardPart struct {
+// slab is a run of deep-copied samples held in pooled memory: the sample
+// buffer plus the arenas backing every sample's Apps/APs slices. It serves
+// as one device partition of a Shards and as one fan-out batch.
+type slab struct {
 	samples []trace.Sample
 	aps     mempool.Arena[trace.APObs]
 	apps    mempool.Arena[trace.AppTraffic]
 }
 
-// add deep-copies s into the part, growing the slab through the pool.
-func (p *shardPart) add(s *trace.Sample) {
+// newSlab returns an empty slab over the sample buffer samples; a nil buffer
+// is taken from the pool by the first add.
+func newSlab(samples []trace.Sample) slab {
+	return slab{samples: samples, aps: mempool.NewArena(apObsPool), apps: mempool.NewArena(appPool)}
+}
+
+// add deep-copies s into the slab, growing the buffer through the pool.
+func (p *slab) add(s *trace.Sample) {
 	if len(p.samples) == cap(p.samples) {
 		n := 2 * cap(p.samples)
 		if n < 1024 {
@@ -90,20 +97,62 @@ func (p *shardPart) add(s *trace.Sample) {
 	ns.APs = p.aps.Append(s.APs)
 }
 
-// release returns every buffer to the pools; the part is empty afterwards.
-func (p *shardPart) release() {
-	samplePool.Put(p.samples)
-	p.samples = nil
+// each calls work(w, s) for every sample of the slab in order, stopping at
+// the first error.
+func (p *slab) each(w int, work func(int, *trace.Sample) error) error {
+	for i := range p.samples {
+		if err := work(w, &p.samples[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// reset empties the slab for reuse; it keeps its sample buffer.
+func (p *slab) reset() {
+	p.samples = p.samples[:0]
 	p.aps.Release()
 	p.apps.Release()
 }
 
-// Shards holds a campaign's samples decoded once and partitioned by device,
-// so both pipeline passes can stream from memory without touching the codec
-// again. Its memory comes from process-wide pools: call Release when the
-// analyses are done so the next campaign reuses the slabs.
+// release returns every buffer to the pools; the slab is empty afterwards.
+func (p *slab) release() {
+	p.reset()
+	samplePool.Put(p.samples)
+	p.samples = nil
+}
+
+// Input is what a pass reads, in one of two forms: a Source decoded once per
+// pass (Stream), or a campaign held in memory as a device partition
+// (*Shards). Its methods are unexported, so those are its only forms. Either
+// way a pass sees the samples partitioned by device, each shard's in stream
+// order on one goroutine, so BuildPrep and Run are each written once.
+type Input interface {
+	// width is the number of device shards the input offers a pass.
+	width() int
+	// span starts the span of pass p over the input at n shards.
+	span(p pass, n int) *obs.Span
+	// each calls work(w, s) for every sample s, w being the shard of s's
+	// device among n, which is width() or 1. It returns the first error.
+	each(p pass, n int, work func(w int, s *trace.Sample) error) error
+}
+
+// pass names one pass's spans for each input form: the whole pass over a
+// Stream, the whole pass over *Shards, and one shard of the latter.
+// pipebench's per-layer metrics classify the passes by these names.
+type pass struct{ stream, shards, shard string }
+
+var (
+	prepPass = pass{stream: "analysis:prep", shards: "analysis:prep-shards", shard: "analysis:prep-shard"}
+	runPass  = pass{stream: "analysis:run", shards: "analysis:run-shards", shard: "analysis:shard"}
+)
+
+// Shards holds a campaign's samples partitioned by device in memory, so both
+// passes read them in place without touching the codec again. Its memory
+// comes from process-wide pools: call Release when the analyses are done so
+// the next campaign reuses the slabs.
 type Shards struct {
-	parts []shardPart
+	parts []slab
 }
 
 // NewShards returns an empty n-way partition (n < 1 is treated as 1).
@@ -111,10 +160,9 @@ func NewShards(n int) *Shards {
 	if n < 1 {
 		n = 1
 	}
-	sh := &Shards{parts: make([]shardPart, n)}
+	sh := &Shards{parts: make([]slab, n)}
 	for w := range sh.parts {
-		sh.parts[w].aps = mempool.NewArena(apObsPool)
-		sh.parts[w].apps = mempool.NewArena(appPool)
+		sh.parts[w] = newSlab(nil)
 	}
 	return sh
 }
@@ -126,9 +174,6 @@ func (sh *Shards) Add(s *trace.Sample) error {
 	sh.parts[shardOf(s.Device, len(sh.parts))].add(s)
 	return nil
 }
-
-// NumShards returns the partition width.
-func (sh *Shards) NumShards() int { return len(sh.parts) }
 
 // Len returns the total number of samples held.
 func (sh *Shards) Len() int {
@@ -150,13 +195,69 @@ func (sh *Shards) Release() {
 	}
 }
 
-// ShardSamples decodes src exactly once into an n-way device partition.
-func ShardSamples(src Source, n int) (*Shards, error) {
-	sh := NewShards(n)
-	if err := src(sh.Add); err != nil {
-		return nil, err
+func (sh *Shards) width() int { return len(sh.parts) }
+
+func (sh *Shards) span(p pass, n int) *obs.Span {
+	return traceStart(p.shards).Arg("shards", strconv.Itoa(n))
+}
+
+// each reads the parts in place, with no decode and no copy. With n == 1 —
+// a one-part partition, or a battery that cannot shard — it reads every part
+// in order on the calling goroutine; otherwise each part gets a goroutine and
+// a trace track of its own.
+func (sh *Shards) each(p pass, n int, work func(int, *trace.Sample) error) error {
+	if n == 1 {
+		for w := range sh.parts {
+			if err := sh.parts[w].each(0, work); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return sh, nil
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for w := range sh.parts {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sp := traceStart(p.shard).OnTID(w + 1)
+			errs[w] = sh.parts[w].each(w, work)
+			sp.End()
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Stream returns src as a pass input on workers goroutines (workers < 1 is
+// treated as 1, as NewShards does). Each pass decodes src once through
+// fanOut, so memory stays bounded by the in-flight batches whatever the
+// trace length.
+func Stream(src Source, workers int) Input {
+	if workers < 1 {
+		workers = 1
+	}
+	return stream{src: src, workers: workers}
+}
+
+type stream struct {
+	src     Source
+	workers int
+}
+
+func (st stream) width() int { return st.workers }
+
+func (st stream) span(p pass, n int) *obs.Span {
+	return traceStart(p.stream).Arg("workers", strconv.Itoa(n))
+}
+
+func (st stream) each(_ pass, n int, work func(int, *trace.Sample) error) error {
+	return fanOut(st.src, n, work)
 }
 
 // Fan-out tuning: workers receive samples in batches to amortize channel
@@ -173,50 +274,16 @@ const (
 // errFanOutStopped aborts the source pass after a worker failure.
 var errFanOutStopped = errors.New("analysis: fan-out stopped")
 
-// sampleBatch is one unit of fan-out transfer: a pooled slab of deep-copied
-// samples whose Apps/APs live in the batch's own arenas. Batches cycle
-// decoder → worker → decoder within a pass; the worker resets the batch once
-// every sample in it has been fed to work, which is why analyzers must not
-// retain sample slices past Add.
-type sampleBatch struct {
-	samples []trace.Sample
-	aps     mempool.Arena[trace.APObs]
-	apps    mempool.Arena[trace.AppTraffic]
-}
-
-// newBatch returns an empty batch; its slab comes from the sample pool, which
-// (unlike a sync.Pool) survives garbage collections, so repeated passes reuse
-// slabs and their allocation stays deterministic.
-func newBatch() *sampleBatch {
-	return &sampleBatch{
-		samples: samplePool.Get(fanOutBatch),
-		aps:     mempool.NewArena(apObsPool),
-		apps:    mempool.NewArena(appPool),
-	}
-}
-
-// add deep-copies s into the batch.
-func (b *sampleBatch) add(s *trace.Sample) {
-	b.samples = append(b.samples, *s)
-	ns := &b.samples[len(b.samples)-1]
-	ns.Apps = b.apps.Append(s.Apps)
-	ns.APs = b.aps.Append(s.APs)
-}
-
-// reset empties the batch for reuse.
-func (b *sampleBatch) reset() {
-	b.samples = b.samples[:0]
-	b.aps.Release()
-	b.apps.Release()
-}
-
 // fanOut is the one streaming pass driver: it runs src once on the calling
 // goroutine and calls work for every sample, with shard = the sample's
 // device hash modulo n. Each shard's samples reach work in stream order.
 //
-// The decoder deep-copies samples into batches handed to one worker
-// goroutine per shard, so decoding batch k+1 overlaps work on batch k — even
-// with n == 1.
+// The decoder deep-copies samples into batches — slabs whose buffers come
+// from the sample pool, which (unlike a sync.Pool) survives garbage
+// collections — handed to one worker goroutine per shard, so decoding batch
+// k+1 overlaps work on batch k, even with n == 1. A worker resets each batch
+// once every sample in it has been fed to work, which is why analyzers must
+// not retain sample slices past Add.
 //
 // A work error stops the decode at the next sample. The source error takes
 // precedence; otherwise the lowest-shard work error is returned.
@@ -225,26 +292,23 @@ func fanOut(src Source, n int, work func(shard int, s *trace.Sample) error) erro
 	// Filled batches travel decoder → worker over full[w] and come back
 	// empty over free[w], which starts with all fanOutBacklog+2 of the
 	// worker's batches.
-	full := make([]chan *sampleBatch, n)
-	free := make([]chan *sampleBatch, n)
+	full := make([]chan *slab, n)
+	free := make([]chan *slab, n)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := range full {
-		full[w] = make(chan *sampleBatch, fanOutBacklog)
-		free[w] = make(chan *sampleBatch, fanOutBacklog+2)
+		full[w] = make(chan *slab, fanOutBacklog)
+		free[w] = make(chan *slab, fanOutBacklog+2)
 		for i := 0; i < cap(free[w]); i++ {
-			free[w] <- newBatch()
+			b := newSlab(samplePool.Get(fanOutBatch))
+			free[w] <- &b
 		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for b := range full[w] {
-				for i := range b.samples {
-					if errs[w] != nil {
-						break
-					}
-					if err := work(w, &b.samples[i]); err != nil {
-						errs[w] = err
+				if errs[w] == nil {
+					if errs[w] = b.each(w, work); errs[w] != nil {
 						stop.Store(true)
 					}
 				}
@@ -254,7 +318,7 @@ func fanOut(src Source, n int, work func(shard int, s *trace.Sample) error) erro
 		}(w)
 	}
 
-	filling := make([]*sampleBatch, n)
+	filling := make([]*slab, n)
 	srcErr := src(func(s *trace.Sample) error {
 		if stop.Load() {
 			return errFanOutStopped
@@ -287,7 +351,7 @@ func fanOut(src Source, n int, work func(shard int, s *trace.Sample) error) erro
 	for w := range free {
 		close(free[w])
 		for b := range free[w] {
-			samplePool.Put(b.samples)
+			b.release()
 		}
 	}
 	if srcErr != nil && !errors.Is(srcErr, errFanOutStopped) {
@@ -304,7 +368,7 @@ func fanOut(src Source, n int, work func(shard int, s *trace.Sample) error) erro
 // shardBattery prepares the analyzer sets for an n-way pass: per-shard clones
 // made with NewShard, and n itself. With one shard, or when any analyzer is
 // not a ShardedAnalyzer, it returns the base sets as the single shard and 1:
-// the one-worker pass feeds the base analyzers directly and merges nothing.
+// the one-shard pass feeds the base analyzers directly and merges nothing.
 func shardBattery(cleaned, raw []Analyzer, n int) (perCleaned, perRaw [][]Analyzer, shards int) {
 	if n > 1 {
 		c, okC := shardAnalyzers(cleaned, n)
@@ -348,29 +412,19 @@ func mergeShards(base []Analyzer, perShard [][]Analyzer) {
 	}
 }
 
-// resolveWorkers maps a workers argument to a concrete count: <= 0 selects
-// GOMAXPROCS.
-func resolveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
-// Run performs the second pass over src on workers goroutines (<= 0 selects
-// GOMAXPROCS): raw analyzers see every sample; cleaned analyzers see samples
-// that survive the paper's cleaning rules, evaluated against prep (tethered
-// intervals removed; for updated devices, the update day and the following
-// day removed, §2). Samples stream once through fanOut; with several workers
+// Run performs the second pass over in: raw analyzers see every sample;
+// cleaned analyzers see samples that survive the paper's cleaning rules,
+// evaluated against prep (tethered intervals removed; for updated devices,
+// the update day and the following day removed, §2). With several shards
 // each feeds its own analyzer shards, merged back into cleaned and raw in
-// shard order. One worker, or any analyzer that is not shardable, feeds the
+// shard order. One shard, or any analyzer that is not shardable, feeds the
 // base analyzers directly.
-func Run(src Source, prep *Prep, cleaned []Analyzer, raw []Analyzer, workers int) error {
-	perCleaned, perRaw, n := shardBattery(cleaned, raw, resolveWorkers(workers))
-	sp := traceStart("analysis:run").Arg("workers", strconv.Itoa(n))
+func Run(in Input, prep *Prep, cleaned []Analyzer, raw []Analyzer) error {
+	perCleaned, perRaw, n := shardBattery(cleaned, raw, in.width())
+	sp := in.span(runPass, n)
 	defer sp.End()
 	upd := make([]updateMemo, n)
-	err := fanOut(src, n, func(w int, s *trace.Sample) error {
+	err := in.each(runPass, n, func(w int, s *trace.Sample) error {
 		dispatch(s, prep, perCleaned[w], perRaw[w], &upd[w])
 		return nil
 	})
@@ -382,98 +436,21 @@ func Run(src Source, prep *Prep, cleaned []Analyzer, raw []Analyzer, workers int
 	return nil
 }
 
-// BuildPrep runs the first pass over src on workers goroutines (<= 0 selects
-// GOMAXPROCS) and derives all shared context: each worker accumulates its
-// device partition's prepass state, and the partitions are folded and
-// finalized in shard order. updateRelease, when non-nil, enables iOS-update
-// detection from that instant (2015 campaign).
-func BuildPrep(meta Meta, src Source, updateRelease *time.Time, workers int) (*Prep, error) {
-	workers = resolveWorkers(workers)
-	sp := traceStart("analysis:prep").Arg("workers", strconv.Itoa(workers))
-	defer sp.End()
-	shards := make([]*prepShard, workers)
+// BuildPrep runs the first pass over in and derives all shared context: each
+// shard accumulates its device partition's prepass state, and the partitions
+// are folded and finalized in shard order. updateRelease, when non-nil,
+// enables iOS-update detection from that instant (2015 campaign).
+func BuildPrep(meta Meta, in Input, updateRelease *time.Time) (*Prep, error) {
+	shards := make([]*prepShard, in.width())
 	for w := range shards {
 		shards[w] = newPrepShard(meta, updateRelease)
 	}
-	if err := fanOut(src, workers, func(w int, s *trace.Sample) error {
+	sp := in.span(prepPass, len(shards))
+	defer sp.End()
+	if err := in.each(prepPass, len(shards), func(w int, s *trace.Sample) error {
 		return shards[w].add(s)
 	}); err != nil {
 		return nil, err
-	}
-	return finishPrep(meta, updateRelease, shards), nil
-}
-
-// RunShards is the second pass over a pre-partitioned in-memory campaign:
-// one goroutine per shard, no decoding and no copying, merged in shard
-// order. A single-shard partition, or a battery with an unshardable
-// analyzer, is replayed in shard order on the calling goroutine instead.
-func RunShards(sh *Shards, prep *Prep, cleaned []Analyzer, raw []Analyzer) error {
-	perCleaned, perRaw, n := shardBattery(cleaned, raw, sh.NumShards())
-	sp := traceStart("analysis:run-shards").Arg("shards", strconv.Itoa(n))
-	defer sp.End()
-	if n == 1 {
-		var upd updateMemo
-		for w := range sh.parts {
-			part := sh.parts[w].samples
-			for i := range part {
-				dispatch(&part[i], prep, cleaned, raw, &upd)
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ssp := traceStart("analysis:shard").OnTID(w + 1)
-			var upd updateMemo
-			part := sh.parts[w].samples
-			for i := range part {
-				dispatch(&part[i], prep, perCleaned[w], perRaw[w], &upd)
-			}
-			ssp.End()
-		}(w)
-	}
-	wg.Wait()
-	mergeShards(cleaned, perCleaned)
-	mergeShards(raw, perRaw)
-	return nil
-}
-
-// BuildPrepShards is the first pass over a pre-partitioned campaign: each
-// shard accumulates its own prepass state concurrently, then the shards are
-// folded and finalized exactly like BuildPrep.
-func BuildPrepShards(meta Meta, sh *Shards, updateRelease *time.Time) (*Prep, error) {
-	n := sh.NumShards()
-	sp := traceStart("analysis:prep-shards").Arg("shards", strconv.Itoa(n))
-	defer sp.End()
-	shards := make([]*prepShard, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			psp := traceStart("analysis:prep-shard").OnTID(w + 1)
-			ps := newPrepShard(meta, updateRelease)
-			part := sh.parts[w].samples
-			for i := range part {
-				if err := ps.add(&part[i]); err != nil {
-					errs[w] = err
-					psp.End()
-					return
-				}
-			}
-			shards[w] = ps
-			psp.End()
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	fsp := traceStart("analysis:prep-finish")
 	defer fsp.End()

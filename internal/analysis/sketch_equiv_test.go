@@ -151,7 +151,7 @@ func (a *apSetsOracle) Result() APsPerDayResult {
 func TestSketchEquivalence(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
-	prep, err := BuildPrep(meta, src, release, 1)
+	prep, err := BuildPrep(meta, Stream(src, 1), release)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestSketchEquivalence(t *testing.T) {
 	wantDV, wantVS := prep.Volumes(false)
 
 	b, cleaned, raw := newSketchEquivalenceBattery(meta, prep)
-	if err := Run(src, prep, cleaned, raw, 1); err != nil {
+	if err := Run(Stream(src, 1), prep, cleaned, raw); err != nil {
 		t.Fatal(err)
 	}
 
@@ -292,9 +292,10 @@ func TestSketchEquivalence(t *testing.T) {
 }
 
 // TestSketchShardEquivalence pins bit-identical determinism across the
-// production shard engine: for every worker count, RunShards over the sketch
-// battery must DeepEqual the inline oracle — the same guarantee the exact
-// battery has, made possible by the sketches' integer-only merge state.
+// production shard engine: for every worker count and either input form, Run
+// over the sketch battery must DeepEqual the inline oracle — the same
+// guarantee the exact battery has, made possible by the sketches'
+// integer-only merge state.
 func TestSketchShardEquivalence(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
@@ -317,24 +318,14 @@ func TestSketchShardEquivalence(t *testing.T) {
 		return inlineRun(src, prep, cleaned, raw)
 	})
 	for _, workers := range workerCounts() {
-		got := results(func(cleaned, raw []Analyzer) error {
-			return Run(src, prep, cleaned, raw, workers)
-		})
-		for name, w := range want {
-			if !reflect.DeepEqual(w, got[name]) {
-				t.Errorf("Run(workers=%d): sketch %s differs from the inline oracle", workers, name)
-			}
-		}
-		sh, err := ShardSamples(src, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = results(func(cleaned, raw []Analyzer) error {
-			return RunShards(sh, prep, cleaned, raw)
-		})
-		for name, w := range want {
-			if !reflect.DeepEqual(w, got[name]) {
-				t.Errorf("RunShards(n=%d): sketch %s differs from the inline oracle", workers, name)
+		for _, in := range inputForms(t, src, workers) {
+			got := results(func(cleaned, raw []Analyzer) error {
+				return Run(in, prep, cleaned, raw)
+			})
+			for name, w := range want {
+				if !reflect.DeepEqual(w, got[name]) {
+					t.Errorf("Run(%T, workers=%d): sketch %s differs from the inline oracle", in, workers, name)
+				}
 			}
 		}
 	}

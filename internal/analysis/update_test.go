@@ -50,7 +50,7 @@ func TestUpdateTimingFull(t *testing.T) {
 
 	ut := NewUpdateTiming(b.meta, p, release)
 	// Raw pass: the analyzer must see update-day samples.
-	if err := Run(b.src(), p, nil, []Analyzer{ut}, 1); err != nil {
+	if err := Run(Stream(b.src(), 1), p, nil, []Analyzer{ut}); err != nil {
 		t.Fatal(err)
 	}
 	r := ut.Result()

@@ -31,6 +31,18 @@ func benchCampaign(b testing.TB) (config.Campaign, analysis.Source, int) {
 	return cfg, src, n
 }
 
+// analyzeDecodedOnce decodes src exactly once into an n-way in-memory device
+// partition and analyzes the campaign there: AnalyzeCampaign at one decode
+// per sample instead of two, with memory that grows with the trace.
+func analyzeDecodedOnce(cfg config.Campaign, src analysis.Source, n int, opts core.Options) (*core.CampaignRun, error) {
+	sh := analysis.NewShards(n)
+	if err := src(sh.Add); err != nil {
+		sh.Release()
+		return nil, err
+	}
+	return core.AnalyzeCampaignShards(cfg, nil, sh, opts)
+}
+
 // BenchmarkAnalyzeCampaignSequential is the baseline: the one-worker
 // streaming driver's two passes over the trace file, each decoding every
 // sample while the worker analyzes the batch before.
@@ -76,25 +88,26 @@ func BenchmarkAnalyzeCampaignSketch(b *testing.B) {
 	b.ReportMetric(perRun, "decodes/sample")
 }
 
-// BenchmarkAnalyzeCampaignParallel shards both passes across at least four
-// workers (more when GOMAXPROCS exceeds that) and verifies the single-decode
-// guarantee: exactly one decode per sample per run, against the streaming
-// path's two. A warmup run primes the process-wide shard pools, so the
-// committed one-iteration manifest records the steady state the pools are
-// designed for rather than the first campaign's slab faults.
+// BenchmarkAnalyzeCampaignParallel decodes the trace once into at least four
+// in-memory shards (more when GOMAXPROCS exceeds that), analyzes both passes
+// there, and verifies the single-decode guarantee: exactly one decode per
+// sample per run, against the streaming path's two. A warmup run primes the
+// process-wide shard pools, so the committed one-iteration manifest records
+// the steady state the pools are designed for rather than the first
+// campaign's slab faults.
 func BenchmarkAnalyzeCampaignParallel(b *testing.B) {
 	cfg, src, n := benchCampaign(b)
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
 	}
-	if _, err := core.AnalyzeCampaignParallel(cfg, nil, src, core.Options{AnalysisWorkers: workers}); err != nil { // warm pools
+	if _, err := analyzeDecodedOnce(cfg, src, workers, core.Options{}); err != nil { // warm pools
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	start := trace.DecodeCount()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.AnalyzeCampaignParallel(cfg, nil, src, core.Options{AnalysisWorkers: workers}); err != nil {
+		if _, err := analyzeDecodedOnce(cfg, src, workers, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

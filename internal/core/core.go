@@ -81,13 +81,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// analysisWorkers resolves AnalysisWorkers to a concrete shard count.
+// analysisWorkers resolves AnalysisWorkers to a shard count; zero passes
+// through, and analysis.Stream and analysis.NewShards read it as one.
 func (o Options) analysisWorkers() int {
-	switch {
-	case o.AnalysisWorkers < 0:
+	if o.AnalysisWorkers < 0 {
 		return runtime.GOMAXPROCS(0)
-	case o.AnalysisWorkers == 0:
-		return 1
 	}
 	return o.AnalysisWorkers
 }
@@ -331,36 +329,7 @@ func updateRelease(cfg config.Campaign) *time.Time {
 // skipped in that case). Of opts, only the analysis options
 // (AnalysisWorkers, SketchMode, Tracer) apply.
 func AnalyzeCampaign(cfg config.Campaign, sm *sim.Simulator, src analysis.Source, opts Options) (*CampaignRun, error) {
-	workers := opts.analysisWorkers()
-	meta := analysis.MetaFor(cfg)
-	release := updateRelease(cfg)
-	prep, err := analysis.BuildPrep(meta, src, release, workers)
-	if err != nil {
-		return nil, fmt.Errorf("core: prepass %d: %w", cfg.Year, err)
-	}
-	set := newAnalyzerSet(meta, prep, release, opts.SketchMode)
-	if err := analysis.Run(src, prep, set.cleaned, set.raw, workers); err != nil {
-		return nil, fmt.Errorf("core: analysis pass %d: %w", cfg.Year, err)
-	}
-	return assembleRun(cfg, sm, prep, set)
-}
-
-// AnalyzeCampaignParallel is AnalyzeCampaign with the source decoded exactly
-// once — into device-partitioned in-memory shards, one per
-// opts.AnalysisWorkers (negative selects GOMAXPROCS), that both passes then
-// read. It trades AnalyzeCampaign's bounded memory for the saved decode; with
-// one worker there is nothing to shard and it is AnalyzeCampaign. Results are
-// identical either way.
-func AnalyzeCampaignParallel(cfg config.Campaign, sm *sim.Simulator, src analysis.Source, opts Options) (*CampaignRun, error) {
-	workers := opts.analysisWorkers()
-	if workers == 1 {
-		return AnalyzeCampaign(cfg, sm, src, opts)
-	}
-	sh, err := analysis.ShardSamples(src, workers)
-	if err != nil {
-		return nil, fmt.Errorf("core: shard %d: %w", cfg.Year, err)
-	}
-	return AnalyzeCampaignShards(cfg, sm, sh, opts)
+	return analyze(cfg, sm, analysis.Stream(src, opts.analysisWorkers()), opts)
 }
 
 // AnalyzeCampaignShards runs the two-pass pipeline over pre-partitioned
@@ -369,14 +338,20 @@ func AnalyzeCampaignParallel(cfg config.Campaign, sm *sim.Simulator, src analysi
 // caller must not touch sh afterwards.
 func AnalyzeCampaignShards(cfg config.Campaign, sm *sim.Simulator, sh *analysis.Shards, opts Options) (*CampaignRun, error) {
 	defer sh.Release()
+	return analyze(cfg, sm, sh, opts)
+}
+
+// analyze is the two-pass pipeline over either input form: the prepass, the
+// campaign's analyzer battery over the second pass, and the assembled run.
+func analyze(cfg config.Campaign, sm *sim.Simulator, in analysis.Input, opts Options) (*CampaignRun, error) {
 	meta := analysis.MetaFor(cfg)
 	release := updateRelease(cfg)
-	prep, err := analysis.BuildPrepShards(meta, sh, release)
+	prep, err := analysis.BuildPrep(meta, in, release)
 	if err != nil {
 		return nil, fmt.Errorf("core: prepass %d: %w", cfg.Year, err)
 	}
 	set := newAnalyzerSet(meta, prep, release, opts.SketchMode)
-	if err := analysis.RunShards(sh, prep, set.cleaned, set.raw); err != nil {
+	if err := analysis.Run(in, prep, set.cleaned, set.raw); err != nil {
 		return nil, fmt.Errorf("core: analysis pass %d: %w", cfg.Year, err)
 	}
 	return assembleRun(cfg, sm, prep, set)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -510,11 +511,7 @@ func compareRuns(t *testing.T, label string, want, got *core.CampaignRun) {
 // the calling goroutine, with no fan-out, batch copy or decode-ahead.
 func inlineAnalyze(t *testing.T, cfg config.Campaign, src analysis.Source, opts core.Options) *core.CampaignRun {
 	t.Helper()
-	sh, err := analysis.ShardSamples(src, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := core.AnalyzeCampaignShards(cfg, nil, sh, opts)
+	run, err := analyzeDecodedOnce(cfg, src, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,6 +542,40 @@ func TestAnalyzeCampaignMatchesInlineOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareRuns(t, fmt.Sprintf("sketch=%v", sketch), want, got)
+	}
+}
+
+// TestShardsPrepError sends a prepass error through the in-memory input: a
+// sample outside the campaign window in a 1-shard and a 4-shard partition
+// must fail analysis.BuildPrep and core.AnalyzeCampaignShards alike, with
+// every shard goroutine gone afterwards.
+func TestShardsPrepError(t *testing.T) {
+	cfg, err := config.ForYear(2013, 0.05, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := analysis.MetaFor(cfg)
+	outside := func(err error) bool { return err != nil && strings.Contains(err.Error(), "outside campaign window") }
+	for _, n := range []int{1, 4} {
+		sh := analysis.NewShards(n)
+		for dev := trace.DeviceID(1); dev <= 32; dev++ {
+			s := trace.Sample{Device: dev, Time: cfg.Start.Add(time.Duration(dev) * time.Hour).Unix()}
+			sh.Add(&s)
+		}
+		bad := trace.Sample{Device: 7, Time: cfg.Start.AddDate(0, 0, -2).Unix()}
+		sh.Add(&bad)
+		before := runtime.NumGoroutine()
+		if _, err := analysis.BuildPrep(meta, sh, nil); !outside(err) {
+			t.Errorf("%d shards: BuildPrep returned %v, want the out-of-window error", n, err)
+		}
+		if _, err := core.AnalyzeCampaignShards(cfg, nil, sh, core.Options{}); !outside(err) {
+			t.Errorf("%d shards: AnalyzeCampaignShards returned %v, want the out-of-window error", n, err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d shards: %d goroutines after the passes, %d before", n, runtime.NumGoroutine(), before)
+			}
+		}
 	}
 }
 

@@ -10,17 +10,17 @@ import (
 	"smartusage/internal/core"
 )
 
-// TestMultiCoreSpeedup times the sharded analysis compute — BuildPrepShards
-// plus RunShards over a campaign already decoded into memory — at N shards
+// TestMultiCoreSpeedup times the sharded analysis compute — BuildPrep plus
+// Run over a campaign already decoded into in-memory Shards — at N shards
 // against the same code at one shard. On a machine with at least four cores
 // the N-shard run must win by >= 2x — the whole point of sharding — and a
 // regression that quietly serializes it (a stray lock on the hot path, a
 // worker pool collapsing to one goroutine) fails here before it ships. The
-// ShardSamples decode is excluded from both timings: the one-worker streaming
+// decode into Shards is excluded from both timings: the one-worker streaming
 // driver already overlaps decode with analysis, so timing decode here would
 // measure that overlap rather than the sharding. The end-to-end ratio of the
-// streaming one-worker AnalyzeCampaign to the N-worker AnalyzeCampaignParallel
-// is logged alongside. On smaller machines both ratios are only logged:
+// streaming one-worker AnalyzeCampaign to an N-shard decode-once analysis is
+// logged alongside. On smaller machines both ratios are only logged:
 // timing a 1-2 core box proves nothing about the sharding, and the
 // result-equality check still runs everywhere.
 func TestMultiCoreSpeedup(t *testing.T) {
@@ -38,7 +38,7 @@ func TestMultiCoreSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := core.AnalyzeCampaignParallel(cfg, nil, src, core.Options{AnalysisWorkers: workers})
+	parRes, err := analyzeDecodedOnce(cfg, src, workers, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,17 +63,17 @@ func TestMultiCoreSpeedup(t *testing.T) {
 	meta := analysis.MetaFor(cfg) // benchCampaign is 2013: no update release
 	shardCompute := func(n int) func() (time.Duration, error) {
 		return func() (time.Duration, error) {
-			sh, err := analysis.ShardSamples(src, n)
-			if err != nil {
-				return 0, err
-			}
+			sh := analysis.NewShards(n)
 			defer sh.Release()
+			if err := src(sh.Add); err != nil {
+				return 0, err
+			}
 			t0 := time.Now()
-			prep, err := analysis.BuildPrepShards(meta, sh, nil)
+			prep, err := analysis.BuildPrep(meta, sh, nil)
 			if err != nil {
 				return 0, err
 			}
-			if err := analysis.RunShards(sh, prep, battery(meta, prep), nil); err != nil {
+			if err := analysis.Run(sh, prep, battery(meta, prep), nil); err != nil {
 				return 0, err
 			}
 			return time.Since(t0), nil
@@ -93,7 +93,7 @@ func TestMultiCoreSpeedup(t *testing.T) {
 		return err
 	}))
 	par := best(timed(func() error {
-		_, err := core.AnalyzeCampaignParallel(cfg, nil, src, core.Options{AnalysisWorkers: workers})
+		_, err := analyzeDecodedOnce(cfg, src, workers, core.Options{})
 		return err
 	}))
 

@@ -30,8 +30,8 @@ func internSample() *Sample {
 // TestDecodeSampleInternedSteadyStateAllocs pins the decode hot path's
 // allocation contract: with a warm interner and a reused Sample, decoding
 // allocates nothing — repeat ESSIDs reuse interned strings and the slices
-// reuse their capacity. This is the per-sample cost BuildPrep, Run and
-// ShardSamples pay once per trace decode.
+// reuse their capacity. This is the per-sample cost a streamed pass, or a
+// decode into in-memory shards, pays once per trace decode.
 func TestDecodeSampleInternedSteadyStateAllocs(t *testing.T) {
 	enc := AppendSample(nil, internSample())
 	var out Sample

@@ -413,7 +413,11 @@ func readRecord(br *bufio.Reader, buf *[]byte) (typ byte, payload []byte, used i
 	return tb, payload, 1 + int64(sn) + int64(need), nil
 }
 
-// readUvarint is binary.ReadUvarint plus a count of bytes consumed.
+// readUvarint reads a varint as binary.ReadUvarint does, overflow check
+// included, and also returns the count of bytes consumed. It accepts only the
+// minimal encoding binary.AppendUvarint writes: a zero final byte after the
+// first is ErrCorrupt, where binary.ReadUvarint would accept it, so a record
+// it reads always re-frames to the bytes it used.
 func readUvarint(br *bufio.Reader) (uint64, int, error) {
 	var v uint64
 	var s uint
@@ -422,10 +426,13 @@ func readUvarint(br *bufio.Reader) (uint64, int, error) {
 		if err != nil {
 			return 0, i, err
 		}
-		if i == binary.MaxVarintLen64 {
-			return 0, i, fmt.Errorf("%w: varint overflow", ErrCorrupt)
+		if i == binary.MaxVarintLen64-1 && b > 1 {
+			return 0, i + 1, fmt.Errorf("%w: varint overflow", ErrCorrupt)
 		}
 		if b < 0x80 {
+			if b == 0 && i > 0 {
+				return 0, i + 1, fmt.Errorf("%w: non-minimal varint", ErrCorrupt)
+			}
 			return v | uint64(b)<<s, i + 1, nil
 		}
 		v |= uint64(b&0x7f) << s

@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -251,6 +254,36 @@ func TestSegmentEdgeCases(t *testing.T) {
 				t.Fatalf("replayed %d records after append, want %d", got, want+1)
 			}
 		})
+	}
+}
+
+// TestReadUvarintMinimal pins record lengths to the minimal varints
+// binary.AppendUvarint writes. A non-minimal length, or a 10th byte whose
+// bits fall past bit 63, is ErrCorrupt: a record framed with one and a
+// matching CRC would otherwise read back and re-frame to fewer bytes than it
+// used.
+func TestReadUvarintMinimal(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want uint64
+		ok   bool
+	}{
+		{"\x00", 0, true},
+		{"\x7f", 127, true},
+		{"\x80\x01", 128, true},
+		{strings.Repeat("\xff", 9) + "\x01", math.MaxUint64, true},
+		{"\x80\x00", 0, false},                          // 0 in two bytes
+		{"\xff\x80\x00", 0, false},                      // 127 in three bytes
+		{strings.Repeat("\x80", 9) + "\x02", 0, false},  // 1<<64, read as 0
+		{strings.Repeat("\xff", 10) + "\x01", 0, false}, // 11 bytes
+	} {
+		v, n, err := readUvarint(bufio.NewReader(strings.NewReader(tc.in)))
+		switch {
+		case tc.ok && (err != nil || v != tc.want || n != len(tc.in)):
+			t.Errorf("%q: got %d in %d bytes, err %v; want %d in %d", tc.in, v, n, err, tc.want, len(tc.in))
+		case !tc.ok && !errors.Is(err, ErrCorrupt):
+			t.Errorf("%q: got %d, err %v; want ErrCorrupt", tc.in, v, err)
+		}
 	}
 }
 
