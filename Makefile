@@ -9,8 +9,10 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# pipebench is its own module, so the root `go vet ./...` does not reach it.
 vet:
 	$(GO) vet ./...
+	cd pipebench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -180,11 +182,11 @@ experiments:
 	$(GO) run ./cmd/report -scale 1.0 -seed 1 -tracedir $${TMPDIR:-/tmp}/smartusage-traces -o EXPERIMENTS.md
 
 # Removes run artifacts from the repo root (collectd spool/WAL dirs as named
-# in the docs, report/agentsim outputs, loadgen manifests), loadgen scratch
-# kept via -scratch, pipebench's build cache, binary and scratch
-# (.bench_build/), and soak scratch left in TMPDIR by killed test runs (a
-# completed run cleans its own t.TempDir; loadgen deletes its own temp dir
-# unless killed mid-run).
+# in the docs, report/agentsim outputs, tiermerge's default output, loadgen
+# manifests), loadgen scratch kept via -scratch, pipebench's build cache,
+# binary and scratch (.bench_build/), and soak scratch left in TMPDIR by
+# killed test runs (a completed run cleans its own t.TempDir; loadgen
+# deletes its own temp dir unless killed mid-run).
 clean:
-	rm -f campaign-*.trace campaign-*.jsonl collected.trace bench-current.json ingest-current.json
-	rm -rf spool wal loadgen-scratch .bench_build $${TMPDIR:-/tmp}/TestChaosSoak* $${TMPDIR:-/tmp}/TestCrashRestartSoak* $${TMPDIR:-/tmp}/loadgen-*
+	rm -f campaign-*.trace campaign-*.jsonl collected.trace merged.trace bench-current.json ingest-current.json
+	rm -rf spool wal loadgen-scratch .bench_build $${TMPDIR:-/tmp}/TestChaosSoak* $${TMPDIR:-/tmp}/TestCrashRestartSoak* $${TMPDIR:-/tmp}/TestTierFailoverSoak* $${TMPDIR:-/tmp}/loadgen-*

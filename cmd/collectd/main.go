@@ -3,16 +3,17 @@
 // trace file. Stop it with SIGINT/SIGTERM for a graceful shutdown — the
 // server drains in-flight connections (bounded by -drain-timeout), flushes
 // the spool, cuts a final WAL checkpoint, and logs a stats summary. If the
-// drain deadline expires with connections still active, collectd exits
-// non-zero.
+// drain fails — its deadline expires with connections still active, or the
+// listener, the final checkpoint or a close fails — collectd exits non-zero.
 //
-// With -wal-dir set, collection is crash-safe: every accepted batch is
-// written (and fsynced per -fsync) to a write-ahead log before it is sinked
-// or acked, periodic checkpoints bound the log, and a restart replays the
-// log — rebuilding per-device dedup state and any samples the spool had not
-// yet made durable — so `kill -9` loses nothing that was acked and
-// double-sinks nothing on agent retry. WAL mode requires the rotating
-// -spool-dir sink (checkpoints align with sealed spool segments).
+// With -spool-dir, collectd runs one collector.Replica. With -wal-dir set
+// too, collection is crash-safe: every accepted batch is written (and
+// fsynced per -fsync) to a write-ahead log before it is sinked or acked,
+// periodic checkpoints bound the log, and a restart replays the log —
+// rebuilding per-device dedup state and any samples the spool had not yet
+// made durable — so `kill -9` loses nothing that was acked and double-sinks
+// nothing on agent retry. WAL mode requires the rotating -spool-dir sink
+// (checkpoints align with sealed spool segments).
 //
 // Usage:
 //
@@ -30,7 +31,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -81,90 +84,60 @@ func main() {
 		log.Printf("metrics on http://%s/metrics", *metricsAddr)
 	}
 
-	var (
-		sink     collector.Sink
-		finish   func() error
-		rotating *collector.RotatingSpool
-	)
-	if *spoolDir != "" {
-		sp, err := collector.NewRotatingSpool(*spoolDir, *maxSeg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rotating = sp
-		sink = sp.Sink()
-		finish = sp.Close
-	} else {
-		if *walDir != "" {
-			log.Fatal("-wal-dir requires -spool-dir (recovery rewinds the spool to sealed segments)")
-		}
-		f, err := os.Create(*spool)
-		if err != nil {
-			log.Fatal(err)
-		}
-		w := trace.NewWriter(f)
-		sink = w.Write
-		finish = func() error {
-			if err := w.Flush(); err != nil {
-				return err
-			}
-			return f.Close()
-		}
-	}
-
-	var walLog *wal.Log
-	if *walDir != "" {
-		// The recovery window starts before the WAL is even opened (opening
-		// repairs a torn tail) and ends only after Recover: /healthz must
-		// answer 503 throughout, or a failover client probing mid-replay
-		// would route traffic to a replica with stale dedup state.
-		health.SetRecovering(true)
-		policy, err := wal.ParsePolicy(*fsync)
-		if err != nil {
-			log.Fatal(err)
-		}
-		walLog, err = wal.Open(*walDir, wal.Options{
-			SegmentBytes: *walSeg,
-			Policy:       policy,
-			Interval:     *fsyncEvery,
-			Metrics:      reg,
-			MetricsName:  "collector",
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	srv, err := collector.New(collector.Config{
+	cfg := collector.Config{
 		Addr:          *addr,
 		Token:         *token,
-		Sink:          sink,
 		ReadTimeout:   *readTimeout,
 		WriteTimeout:  *writeTimeout,
 		MaxFrameBytes: *maxFrame,
 		MaxConns:      *maxConns,
 		ReplicaID:     *replicaID,
 		TierReplicas:  *replicas,
-		WAL:           walLog,
 		Metrics:       reg,
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
-	if walLog != nil {
-		rec, err := srv.Recover(rotating.Restore)
+	var (
+		srv    *collector.Server
+		done   <-chan struct{}
+		drain  func(context.Context) error
+		walLog *wal.Log
+		dest   = *spool
+	)
+	if *spoolDir != "" {
+		rcfg := collector.ReplicaConfig{
+			Server:          cfg,
+			SpoolDir:        *spoolDir,
+			SpoolBytes:      *maxSeg,
+			WALDir:          *walDir,
+			CheckpointEvery: *ckptEvery,
+			Health:          health,
+		}
+		if *walDir != "" {
+			policy, err := wal.ParsePolicy(*fsync)
+			if err != nil {
+				log.Fatal(err)
+			}
+			rcfg.WAL = wal.Options{
+				SegmentBytes: *walSeg,
+				Policy:       policy,
+				Interval:     *fsyncEvery,
+				Metrics:      reg,
+				MetricsName:  "collector",
+			}
+		}
+		rep, err := collector.StartReplica(rcfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		health.SetRecovering(false)
-		log.Printf("recovered: %s", rec)
-	}
-	if err := srv.Listen(); err != nil {
-		log.Fatal(err)
-	}
-	dest := *spool
-	if *spoolDir != "" {
+		if rec := rep.Recovery(); rec != nil {
+			log.Printf("recovered: %s", rec)
+		}
+		srv, done, drain, walLog = rep.Server(), rep.Done(), rep.Drain, rep.WAL()
 		dest = *spoolDir + string(os.PathSeparator) + "spool-*.trace"
+	} else {
+		if *walDir != "" {
+			log.Fatal("-wal-dir requires -spool-dir (recovery rewinds the spool to sealed segments)")
+		}
+		srv, done, drain = serveFile(cfg, *spool, health)
 	}
 	if *replicas > 0 {
 		log.Printf("listening on %s as tier replica %d of %d, spooling to %s", srv.Addr(), *replicaID, *replicas, dest)
@@ -174,67 +147,15 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	checkpoint := func() error { return srv.Checkpoint(rotating.Seal) }
-	if walLog != nil {
-		go func() {
-			t := time.NewTicker(*ckptEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := checkpoint(); err != nil {
-						log.Printf("checkpoint: %v", err)
-					}
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx) }()
-
-	drained := true
 	select {
-	case err := <-served:
-		// The listener died on its own (not a signal).
-		if err != nil {
-			log.Print(err)
-		}
 	case <-ctx.Done():
-		// Graceful drain begins: flip /healthz to 503 so load balancers stop
-		// routing new agents here while in-flight connections finish.
-		health.SetDraining()
-		select {
-		case err := <-served:
-			if err != nil {
-				log.Print(err)
-			}
-		case <-time.After(*drainTimeout):
-			drained = false
-			log.Printf("drain deadline (%s) expired with %d connections still active",
-				*drainTimeout, srv.Stats().ActiveConns.Load())
-		}
+	case <-done: // the listener died on its own (not a signal)
 	}
-
-	// Final checkpoint before the spool closes: the drained spool is
-	// durable, so the WAL shrinks to a snapshot and the next start replays
-	// only the tail. After an expired drain the checkpoint is skipped —
-	// the WAL still holds everything, and the next start recovers it.
-	if walLog != nil && drained {
-		if err := checkpoint(); err != nil {
-			log.Printf("final checkpoint: %v", err)
-		}
-	}
-	if err := finish(); err != nil {
-		log.Fatal(err)
-	}
-	if walLog != nil {
-		if err := walLog.Close(); err != nil {
-			log.Printf("wal close: %v", err)
-		}
+	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	err := drain(dctx)
+	cancel()
+	if err != nil {
+		log.Print(err)
 	}
 
 	st := srv.Stats()
@@ -245,7 +166,45 @@ func main() {
 	log.Printf("done: %d conns (%d active), %d devices, %d batches (%d dup), %d samples, %d auth failures, %d sink errors, %d errors, wal %d segments / %d bytes",
 		st.Conns.Load(), st.ActiveConns.Load(), st.Devices.Load(), st.Batches.Load(), st.DupBatches.Load(),
 		st.Samples.Load(), st.AuthFails.Load(), st.SinkErrs.Load(), st.Errors.Load(), walSegs, walBytes)
-	if !drained {
+	if err != nil {
 		os.Exit(1)
+	}
+}
+
+// serveFile runs a server that spools to one trace file, without a WAL. The
+// returned drain stops serving, gives in-flight connections until its ctx
+// ends, then flushes and closes the file.
+func serveFile(cfg collector.Config, path string, health *obs.Health) (*collector.Server, <-chan struct{}, func(context.Context) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	w := trace.NewWriter(f)
+	cfg.Sink = w.Write
+	srv, err := collector.New(cfg)
+	if err == nil {
+		err = srv.Listen()
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	var serveErr error
+	go func() {
+		defer close(done)
+		serveErr = srv.Serve(ctx)
+	}()
+	return srv, done, func(dctx context.Context) error {
+		health.SetDraining()
+		stop()
+		var err error
+		select {
+		case <-done:
+			err = serveErr
+		case <-dctx.Done():
+			err = fmt.Errorf("drain: %w with %d connections still active", dctx.Err(), srv.Stats().ActiveConns.Load())
+		}
+		return errors.Join(err, w.Flush(), f.Close())
 	}
 }

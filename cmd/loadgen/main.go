@@ -4,8 +4,9 @@
 // agent batching/retry/spool machinery and the real wire protocol.
 //
 // It reports client-side ack latency percentiles (p50/p95/p99/max, measured
-// per batch flush), sustained samples/sec, and server-side counters scraped
-// from the obs /metrics endpoint, then cross-checks exactly-once
+// per batch flush), sustained samples/sec, and server-side counters — read
+// from the in-process collector's obs registry, or scraped from each -metrics
+// endpoint of a remote one — then cross-checks exactly-once
 // conservation: every sample the fleet reports uploaded must be accepted by
 // the collector exactly once (frames == accepted + duplicates, accepted
 // samples == fleet uploads, sink receipt == acceptance). Any imbalance
@@ -25,11 +26,12 @@
 //	loadgen -addrs host:7020,host:7021,host:7022 \
 //	        -metrics http://host:9090,http://host:9091,http://host:9092
 //
-// In-process mode spins up the collector with a rotating spool (and, with
-// -wal, a write-ahead log whose "batch" fsync policy exercises group commit
-// under concurrent connections) in a scratch directory that also holds the
-// -agent-spool journals. It is deleted when the run ends, pass or fail,
-// unless -scratch names a path to keep.
+// In-process mode runs the collector as a collector.Replica — a rotating
+// spool and, with -wal, a write-ahead log whose "batch" fsync policy
+// exercises group commit under concurrent connections — in a scratch
+// directory that also holds the -agent-spool journals. It is deleted when the
+// run ends, pass or fail, unless -scratch names a path to keep; a re-run on a
+// kept -scratch recovers the previous run's WAL before it serves.
 package main
 
 import (
@@ -41,14 +43,13 @@ import (
 	"io"
 	"log"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"smartusage/internal/agent"
@@ -115,7 +116,7 @@ func main() {
 // run executes one load test and writes the manifest to stdout. It fails on
 // bad options, setup errors, the -timeout deadline, any conservation error,
 // or a rate under -min-rate.
-func run(o options, stdout io.Writer) error {
+func run(o options, stdout io.Writer) (err error) {
 	if o.agents <= 0 || o.batches <= 0 || o.batch <= 0 {
 		return errors.New("-agents, -batches, and -batch must be positive")
 	}
@@ -133,132 +134,74 @@ func run(o options, stdout io.Writer) error {
 
 	// --- target: in-process collector, or a remote one (or a remote tier) --
 	scrapeURLs := splitList(o.metrics)
+	snapshot := func() ([]*obs.Snapshot, error) { return scrapeAll(scrapeURLs) }
 	tier := splitList(o.addrs)
 	target := o.addr
 	if len(tier) > 0 {
 		target = tier[0] // agents dial by cfg.Servers; target is informational
 	}
+	// The deadline also bounds the replica's drain: after a timeout the
+	// fleet may still hold connections, and the drain does not wait on them.
+	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
+	defer cancel()
 	var (
-		sunk     atomic.Int64
-		walLog   *wal.Log
-		inProcSt func() *collector.Stats
-		// abandon is set when the fleet overruns -timeout: agents may still
-		// hold connections, so the in-process collector is left running
-		// instead of drained, and only the scratch removal happens.
-		abandon bool
+		rep           *collector.Replica
+		spooledBefore int64 // samples the replica's recovery re-sank
 	)
 	if target == "" {
 		reg := obs.NewRegistry()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		msrv := &http.Server{Handler: obs.Handler(reg, nil)}
-		go msrv.Serve(ln)
-		defer msrv.Close()
 		if len(scrapeURLs) == 0 {
-			scrapeURLs = []string{"http://" + ln.Addr().String()}
+			snapshot = func() ([]*obs.Snapshot, error) { return []*obs.Snapshot{reg.Snapshot()}, nil }
 		}
-
-		sp, err := collector.NewRotatingSpool(filepath.Join(scratch, "spool"), 256<<20)
-		if err != nil {
-			return err
+		rcfg := collector.ReplicaConfig{
+			Server: collector.Config{
+				Addr:        "127.0.0.1:0",
+				Token:       o.token,
+				ReadTimeout: o.readTimeout,
+				MaxConns:    o.agents + 16,
+				Metrics:     reg,
+				Logf:        func(string, ...any) {},
+			},
+			SpoolDir:   filepath.Join(scratch, "spool"),
+			SpoolBytes: 256 << 20,
+			WrapSink:   o.wrapSink,
 		}
-		defer func() {
-			if abandon {
-				return
-			}
-			if err := sp.Close(); err != nil {
-				log.Printf("spool close: %v", err)
-			}
-		}()
 		if o.useWAL {
 			policy, err := wal.ParsePolicy(o.fsync)
 			if err != nil {
 				return err
 			}
-			opts := wal.Options{
-				Policy:      policy,
-				Metrics:     reg,
-				MetricsName: "collector",
-			}
+			rcfg.WALDir = filepath.Join(scratch, "wal")
+			rcfg.WAL = wal.Options{Policy: policy, Metrics: reg, MetricsName: "collector"}
 			if d := o.fsyncLag; d > 0 {
 				// On fast local disks fsync returns in microseconds, so
 				// group-commit rounds rarely overlap and the fsyncs/appends
 				// ratio stays near 1. This hook stretches each fsync to a
 				// realistic spinning-disk latency so coalescing is visible
 				// in the manifest.
-				opts.Hook = func(point string) error {
+				rcfg.WAL.Hook = func(point string) error {
 					if point == "group-fsync" {
 						time.Sleep(d)
 					}
 					return nil
 				}
 			}
-			walLog, err = wal.Open(filepath.Join(scratch, "wal"), opts)
-			if err != nil {
-				return err
-			}
-			defer func() {
-				if abandon {
-					return
-				}
-				if err := walLog.Close(); err != nil {
-					log.Printf("wal close: %v", err)
-				}
-			}()
 		}
-		spSink := sp.Sink()
-		sink := collector.Sink(func(s *trace.Sample) error {
-			sunk.Add(1)
-			return spSink(s)
-		})
-		if o.wrapSink != nil {
-			sink = o.wrapSink(sink)
-		}
-		srv, err := collector.New(collector.Config{
-			Addr:        "127.0.0.1:0",
-			Token:       o.token,
-			Sink:        sink,
-			ReadTimeout: o.readTimeout,
-			MaxConns:    o.agents + 16,
-			WAL:         walLog,
-			Metrics:     reg,
-			Logf:        func(string, ...any) {},
-		})
-		if err != nil {
+		if rep, err = collector.StartReplica(rcfg); err != nil {
 			return err
 		}
-		if err := srv.Listen(); err != nil {
-			return err
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		served := make(chan struct{})
-		go func() {
-			defer close(served)
-			srv.Serve(ctx)
-		}()
-		// Deferred calls run last-in first-out: the collector stops before
-		// the WAL and spool it writes to are closed.
-		defer func() {
-			cancel()
-			if !abandon {
-				<-served
-			}
-		}()
-		target = srv.Addr().String()
-		inProcSt = srv.Stats
-		log.Printf("in-process collector on %s (scratch %s, wal=%v fsync=%s), metrics %s",
-			target, scratch, o.useWAL, o.fsync, scrapeURLs[0])
+		defer func() { err = errors.Join(err, rep.Drain(ctx)) }()
+		spooledBefore = rep.Spool().Samples()
+		target = rep.Server().Addr().String()
+		log.Printf("in-process collector on %s (scratch %s, wal=%v fsync=%s)", target, scratch, o.useWAL, o.fsync)
 	}
 
-	before, err := scrapeAll(scrapeURLs)
+	before, err := snapshot()
 	if err != nil {
 		return err
 	}
 
 	// --- drive the fleet ---------------------------------------------------
-	deadline := time.After(o.timeout)
 	fleetDone := make(chan fleetResult, 1)
 	go func() {
 		fleetDone <- runFleet(target, tier, o.token, o.agents, o.batches, o.batch, o.aps, o.essids, o.seed, o.spool, scratch)
@@ -266,30 +209,31 @@ func run(o options, stdout io.Writer) error {
 	var fleet fleetResult
 	select {
 	case fleet = <-fleetDone:
-	case <-deadline:
-		abandon = true
+	case <-ctx.Done():
 		return fmt.Errorf("run exceeded -timeout %s", o.timeout)
 	}
 
-	after, err := scrapeAll(scrapeURLs)
+	after, err := snapshot()
 	if err != nil {
 		return err
 	}
 
 	// --- reconcile ---------------------------------------------------------
 	man := buildManifest(fleet, before, after, o.agents, o.batches, o.batch)
-	if inProcSt != nil {
-		st := inProcSt()
-		man.Server.SinkSamples = sunk.Load()
-		if sunk.Load() != fleet.uploaded {
-			man.conservation("sink received %d samples, fleet uploaded %d", sunk.Load(), fleet.uploaded)
+	if rep != nil {
+		// Count only this run's samples: a kept -scratch spool also holds
+		// the previous run's, and recovery re-sinks its WAL tail.
+		spooled := rep.Spool().Samples() - spooledBefore
+		man.Server.SinkSamples = spooled
+		if spooled != fleet.uploaded {
+			man.conservation("sink received %d samples, fleet uploaded %d", spooled, fleet.uploaded)
 		}
-		if st.SinkErrs.Load() != 0 {
-			man.conservation("%d sink errors", st.SinkErrs.Load())
+		if n := rep.Server().Stats().SinkErrs.Load(); n != 0 {
+			man.conservation("%d sink errors", n)
 		}
-	}
-	if walLog != nil {
-		man.WAL = &walManifest{Fsync: o.fsync, Appends: diffCounter(before, after, "wal_appends_total"), Fsyncs: diffCounter(before, after, "wal_fsyncs_total")}
+		if o.useWAL {
+			man.WAL = &walManifest{Fsync: o.fsync, Appends: diffCounter(before, after, "wal_appends_total"), Fsyncs: diffCounter(before, after, "wal_fsyncs_total")}
+		}
 	}
 
 	data, err := json.MarshalIndent(map[string]*manifest{"loadgen": man}, "", "  ")
@@ -487,7 +431,17 @@ type walManifest struct {
 	Fsyncs  int64  `json:"fsyncs"`
 }
 
+// machineManifest records where the run was measured.
+type machineManifest struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GoVersion  string `json:"go_version"`
+}
+
 type manifest struct {
+	Machine            machineManifest `json:"machine"`
 	Agents             int             `json:"agents"`
 	BatchesPerAgent    int             `json:"batches_per_agent"`
 	SamplesPerBatch    int             `json:"samples_per_batch"`
@@ -510,6 +464,13 @@ func (m *manifest) conservation(format string, args ...any) {
 // share-nothing replicas reconciles as one logical collector.
 func buildManifest(fleet fleetResult, before, after []*obs.Snapshot, agents, batches, batchSz int) *manifest {
 	m := &manifest{
+		Machine: machineManifest{
+			NumCPU:     runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GOOS:       runtime.GOOS,
+			GOARCH:     runtime.GOARCH,
+			GoVersion:  runtime.Version(),
+		},
 		Agents:             agents,
 		BatchesPerAgent:    batches,
 		SamplesPerBatch:    batchSz,

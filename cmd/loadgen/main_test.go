@@ -53,6 +53,36 @@ func TestScratchRemovedAfterConservationFailure(t *testing.T) {
 	}
 }
 
+// TestTimeoutReturnsWithLiveConnections stalls the in-process collector's
+// sink, so the agents hold their connections waiting for acks. The run must
+// still fail on -timeout promptly: its drain does not wait on them.
+func TestTimeoutReturnsWithLiveConnections(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	release := make(chan struct{})
+	defer close(release)
+	o := options{
+		agents: 2, batches: 1, batch: 4, aps: 1, essids: 8,
+		useWAL: true, fsync: "batch",
+		timeout: 200 * time.Millisecond, readTimeout: time.Minute,
+		wrapSink: func(next collector.Sink) collector.Sink {
+			return func(s *trace.Sample) error {
+				<-release
+				return next(s)
+			}
+		},
+	}
+	done := make(chan error, 1)
+	go func() { done <- run(o, io.Discard) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "-timeout") {
+			t.Fatalf("run returned %v, want a -timeout failure", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run waited on the stalled connections past its -timeout")
+	}
+}
+
 // TestScrapeTimesOut checks that a metrics endpoint that never answers fails
 // the scrape instead of hanging it.
 func TestScrapeTimesOut(t *testing.T) {

@@ -11,6 +11,7 @@
 package agent
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -498,7 +499,7 @@ func (a *Agent) ensureConn() error {
 		}
 		if a.inflight == nil && a.batchID < a.tierLast {
 			a.batchID = a.tierLast
-			a.journal(spoolSeq, appendUvarint(a.spoolBuf[:0], a.batchID))
+			a.journal(spoolSeq, binary.AppendUvarint(a.spoolBuf[:0], a.batchID))
 		}
 	case proto.FrameError:
 		var ef proto.ErrorFrame

@@ -13,8 +13,10 @@ package agent
 // to roughly the live queue.
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"smartusage/internal/proto"
 	"smartusage/internal/trace"
 	"smartusage/internal/wal"
 )
@@ -60,6 +62,7 @@ func (a *Agent) openSpool() error {
 func (a *Agent) replaySpool() error {
 	var sample trace.Sample
 	return a.spool.Replay(func(lsn wal.LSN, typ byte, payload []byte) error {
+		d := proto.NewFieldReader(payload)
 		switch typ {
 		case spoolSample:
 			used, err := trace.DecodeSample(payload, &sample)
@@ -71,9 +74,8 @@ func (a *Agent) replaySpool() error {
 			}
 			a.pending = append(a.pending, *sample.Clone())
 		case spoolFreeze:
-			d := spoolReader{buf: payload}
-			id, count := d.uvarint(), int(d.uvarint())
-			if err := d.finish("freeze"); err != nil {
+			id, count := d.Uvarint(), int(d.Uvarint())
+			if err := d.Finish("agent: spool freeze"); err != nil {
 				return err
 			}
 			switch {
@@ -95,9 +97,8 @@ func (a *Agent) replaySpool() error {
 				a.batchID = id
 			}
 		case spoolAck:
-			d := spoolReader{buf: payload}
-			id := d.uvarint()
-			if err := d.finish("ack"); err != nil {
+			id := d.Uvarint()
+			if err := d.Finish("agent: spool ack"); err != nil {
 				return err
 			}
 			if a.inflight == nil || id != a.inflightID {
@@ -105,9 +106,8 @@ func (a *Agent) replaySpool() error {
 			}
 			a.inflight = nil
 		case spoolDrop:
-			d := spoolReader{buf: payload}
-			n := int(d.uvarint())
-			if err := d.finish("drop"); err != nil {
+			n := int(d.Uvarint())
+			if err := d.Finish("agent: spool drop"); err != nil {
 				return err
 			}
 			if n > len(a.pending) {
@@ -115,9 +115,8 @@ func (a *Agent) replaySpool() error {
 			}
 			a.pending = a.pending[n:]
 		case spoolSeq:
-			d := spoolReader{buf: payload}
-			id := d.uvarint()
-			if err := d.finish("seq"); err != nil {
+			id := d.Uvarint()
+			if err := d.Finish("agent: spool seq"); err != nil {
 				return err
 			}
 			if id > a.batchID {
@@ -149,8 +148,8 @@ func (a *Agent) compactSpool() error {
 	}
 	if a.inflight != nil {
 		buf = buf[:0]
-		buf = appendUvarint(buf, a.inflightID)
-		buf = appendUvarint(buf, uint64(len(a.inflight)))
+		buf = binary.AppendUvarint(buf, a.inflightID)
+		buf = binary.AppendUvarint(buf, uint64(len(a.inflight)))
 		if _, err := a.spool.Append(spoolFreeze, buf); err != nil {
 			return err
 		}
@@ -161,7 +160,7 @@ func (a *Agent) compactSpool() error {
 		}
 	}
 	if a.batchID > 0 {
-		if _, err := a.spool.Append(spoolSeq, appendUvarint(buf[:0], a.batchID)); err != nil {
+		if _, err := a.spool.Append(spoolSeq, binary.AppendUvarint(buf[:0], a.batchID)); err != nil {
 			return err
 		}
 	}
@@ -195,8 +194,8 @@ func (a *Agent) journalFreeze(id uint64, count int) {
 	if a.spool == nil {
 		return
 	}
-	a.spoolBuf = appendUvarint(a.spoolBuf[:0], id)
-	a.spoolBuf = appendUvarint(a.spoolBuf, uint64(count))
+	a.spoolBuf = binary.AppendUvarint(a.spoolBuf[:0], id)
+	a.spoolBuf = binary.AppendUvarint(a.spoolBuf, uint64(count))
 	a.journal(spoolFreeze, a.spoolBuf)
 }
 
@@ -204,7 +203,7 @@ func (a *Agent) journalAck(id uint64) {
 	if a.spool == nil {
 		return
 	}
-	a.journal(spoolAck, appendUvarint(a.spoolBuf[:0], id))
+	a.journal(spoolAck, binary.AppendUvarint(a.spoolBuf[:0], id))
 	// Everything acked: truncate the journal down to a sequence mark so
 	// the spool never grows past one drain cycle.
 	if a.Pending() == 0 {
@@ -213,7 +212,7 @@ func (a *Agent) journalAck(id uint64) {
 			a.m.spoolErrs.Inc()
 			return
 		}
-		a.journal(spoolSeq, appendUvarint(a.spoolBuf[:0], a.batchID))
+		a.journal(spoolSeq, binary.AppendUvarint(a.spoolBuf[:0], a.batchID))
 	}
 }
 
@@ -221,51 +220,5 @@ func (a *Agent) journalDrop(n int) {
 	if a.spool == nil {
 		return
 	}
-	a.journal(spoolDrop, appendUvarint(a.spoolBuf[:0], uint64(n)))
-}
-
-// appendUvarint is binary.AppendUvarint without the import noise at call
-// sites that also build samples.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
-// spoolReader is the minimal journal-payload decoder.
-type spoolReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *spoolReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	var v uint64
-	var s uint
-	for i := d.off; i < len(d.buf); i++ {
-		b := d.buf[i]
-		if b < 0x80 {
-			d.off = i + 1
-			return v | uint64(b)<<s
-		}
-		v |= uint64(b&0x7f) << s
-		s += 7
-	}
-	d.err = fmt.Errorf("agent: spool: truncated varint")
-	return 0
-}
-
-func (d *spoolReader) finish(what string) error {
-	if d.err != nil {
-		return fmt.Errorf("agent: spool %s: %w", what, d.err)
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("agent: spool %s: %d trailing bytes", what, len(d.buf)-d.off)
-	}
-	return nil
+	a.journal(spoolDrop, binary.AppendUvarint(a.spoolBuf[:0], uint64(n)))
 }

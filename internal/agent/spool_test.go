@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"smartusage/internal/trace"
+	"smartusage/internal/wal"
 )
 
 // TestAgentRestartMidCampaign kills an agent (drops the object without
@@ -176,6 +177,32 @@ func TestCloseAbandonedError(t *testing.T) {
 			}
 			a2.resetConn()
 			a2.spool.Close()
+		}
+	}
+}
+
+// A journal record whose uvarint overflows 64 bits is corrupt: New must
+// refuse the spool rather than resume under a truncated batch ID.
+func TestSpoolRejectsOverflowingVarint(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		"eleven bytes":       {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		"tenth byte above 1": {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+	} {
+		dir := t.TempDir()
+		log, err := wal.Open(dir, wal.Options{Policy: wal.FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.Append(spoolSeq, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		a, err := New(Config{Server: "127.0.0.1:1", Device: 14, OS: trace.Android, SpoolDir: dir})
+		if err == nil {
+			a.spool.Close()
+			t.Errorf("%s: New accepted a spool whose seq record overflows (batch ID %d)", name, a.batchID)
 		}
 	}
 }

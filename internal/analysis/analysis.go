@@ -159,18 +159,6 @@ func FileSource(path string) Source {
 	}
 }
 
-// JSONLFileSource streams a JSON Lines trace file.
-func JSONLFileSource(path string) Source {
-	return func(fn func(*trace.Sample) error) error {
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("analysis: open trace: %w", err)
-		}
-		defer f.Close()
-		return trace.NewJSONLReader(f).ReadAll(fn)
-	}
-}
-
 // SliceSource streams an in-memory sample slice.
 func SliceSource(samples []trace.Sample) Source {
 	return func(fn func(*trace.Sample) error) error {

@@ -45,36 +45,20 @@ func TestChurnKeepsFDsAndWALSegmentsBounded(t *testing.T) {
 
 	var baselineFDs int
 	for round := 0; round < rounds; round++ {
-		w, err := wal.Open(walDir, wal.Options{SegmentBytes: 1 << 10, Policy: wal.FsyncRecord})
-		if err != nil {
-			t.Fatalf("round %d: open wal: %v", round, err)
-		}
-		sp, err := NewRotatingSpool(spoolDir, 1<<10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := New(Config{
-			Addr: "127.0.0.1:0", ReadTimeout: time.Second, WriteTimeout: time.Second,
-			Sink: sp.Sink(), WAL: w, Logf: func(string, ...any) {},
+		rep, err := StartReplica(ReplicaConfig{
+			Server: Config{
+				Addr: "127.0.0.1:0", ReadTimeout: time.Second, WriteTimeout: time.Second,
+				Logf: func(string, ...any) {},
+			},
+			SpoolDir: spoolDir, SpoolBytes: 1 << 10,
+			WALDir: walDir, WAL: wal.Options{SegmentBytes: 1 << 10, Policy: wal.FsyncRecord},
 		})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("round %d: start replica: %v", round, err)
 		}
-		if _, err := srv.Recover(sp.Restore); err != nil {
-			t.Fatalf("round %d: recover: %v", round, err)
-		}
-		if err := srv.Listen(); err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		served := make(chan struct{})
-		go func() {
-			defer close(served)
-			srv.Serve(ctx)
-		}()
 
 		a, err := agent.New(agent.Config{
-			Server: srv.Addr().String(), Device: dev, OS: trace.Android,
+			Server: rep.Server().Addr().String(), Device: dev, OS: trace.Android,
 			BatchSize: batchSize, MaxAttempts: 3,
 			Backoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond,
 		})
@@ -89,22 +73,14 @@ func TestChurnKeepsFDsAndWALSegmentsBounded(t *testing.T) {
 			t.Fatalf("round %d: drain: %v", round, err)
 		}
 
-		// Checkpoint so the WAL can reclaim everything the spool now holds
-		// durably; the segment count must then stay flat across rounds.
-		if err := srv.Checkpoint(sp.Seal); err != nil {
-			t.Fatalf("round %d: checkpoint: %v", round, err)
+		// The drain's final checkpoint lets the WAL reclaim everything the
+		// spool now holds durably; the segment count must then stay flat
+		// across rounds.
+		if err := rep.Drain(context.Background()); err != nil {
+			t.Fatalf("round %d: drain replica: %v", round, err)
 		}
-		if segs := w.Segments(); segs > 3 {
+		if segs := rep.WAL().Segments(); segs > 3 {
 			t.Fatalf("round %d: %d live WAL segments after checkpoint, want <= 3 (retention not reclaiming)", round, segs)
-		}
-
-		cancel()
-		<-served
-		if err := sp.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
 		}
 
 		// Measure the descriptor baseline after the first full round so

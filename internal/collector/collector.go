@@ -63,8 +63,9 @@ type Config struct {
 	MaxConns int
 	// WAL, when non-nil, makes accepted batches durable: each is appended
 	// (and fsynced per the log's policy) before it is sinked or acked, and
-	// Recover rebuilds dedup state and un-checkpointed sink contents from
-	// it after a crash. Nil keeps the in-memory-only behaviour.
+	// recovery rebuilds dedup state and un-checkpointed sink contents from
+	// it after a crash (a Replica does both). Nil keeps the in-memory-only
+	// behaviour.
 	WAL *wal.Log
 	// Hook, when non-nil, is consulted at crash points ("pre-sink",
 	// "pre-ack") for fault injection; a non-nil return aborts the
@@ -494,7 +495,7 @@ func (s *Server) deviceLocked(dev trace.DeviceID) *deviceState {
 	}
 	if s.m.perDevice && st.m.frames == nil {
 		// Lazily attach the labeled series; recovery-restored states arrive
-		// without them (see Recover), so this also covers those on first use.
+		// without them (see recoverWAL), so this also covers those on first use.
 		l := obs.L("device", dev.String())
 		st.m = deviceMetrics{
 			frames: s.cfg.Metrics.Counter("collector_device_batch_frames_total", l),

@@ -85,7 +85,7 @@ func TestRecoverColdStartTornTail(t *testing.T) {
 	store2 := &sampleStore{}
 	srv2, w2 := newWALServer(t, walDir, store2.add)
 	defer w2.Close()
-	rec, err := srv2.Recover(nil)
+	rec, err := srv2.recoverWAL(func([]byte) error { return nil })
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestCheckpointSpoolRestore(t *testing.T) {
 		}
 	}
 	segsBefore := w1.Segments()
-	if err := srv1.Checkpoint(sp1.Seal); err != nil {
+	if err := srv1.checkpoint(sp1.Seal); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	if w1.Segments() >= segsBefore && segsBefore > 1 {
@@ -246,7 +246,7 @@ func TestCheckpointSpoolRestore(t *testing.T) {
 	}
 	srv2, w2 := newWALServer(t, walDir, sp2.Sink())
 	defer w2.Close()
-	rec, err := srv2.Recover(sp2.Restore)
+	rec, err := srv2.recoverWAL(sp2.Restore)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

@@ -135,7 +135,7 @@ func (sp *RotatingSpool) Seal() ([]byte, error) {
 // at or past the sealed count are deleted (they hold post-checkpoint
 // samples the WAL replay is about to re-deliver, possibly torn). A nil
 // state restores the empty spool. Call it before any new sample is sinked —
-// collector.Recover's restore callback is the intended site.
+// Replica passes it to recovery as the restore callback.
 func (sp *RotatingSpool) Restore(state []byte) error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()

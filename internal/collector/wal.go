@@ -12,9 +12,7 @@ package collector
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"smartusage/internal/proto"
@@ -51,20 +49,20 @@ type batchRec struct {
 
 // decodeBatchRec decodes a recBatch payload, reusing r.samples.
 func decodeBatchRec(buf []byte, r *batchRec) error {
-	d := walReader{buf: buf}
-	r.dev = trace.DeviceID(d.uvarint())
-	r.batchID = d.uvarint()
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(buf)) {
+	d := proto.NewFieldReader(buf)
+	r.dev = trace.DeviceID(d.Uvarint())
+	r.batchID = d.Uvarint()
+	n := d.Uvarint()
+	if d.Err() == nil && n > uint64(len(buf)) {
 		return fmt.Errorf("collector: wal batch: corrupt sample count %d", n)
 	}
 	if cap(r.samples) < int(n) {
 		r.samples = make([]trace.Sample, n)
 	}
 	r.samples = r.samples[:n]
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		raw := d.bytes()
-		if d.err != nil {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		raw := d.Bytes()
+		if d.Err() != nil {
 			break
 		}
 		used, err := trace.DecodeSample(raw, &r.samples[i])
@@ -75,7 +73,7 @@ func decodeBatchRec(buf []byte, r *batchRec) error {
 			return fmt.Errorf("collector: wal batch sample %d: trailing bytes", i)
 		}
 	}
-	return d.finish("wal batch")
+	return d.Finish("collector: decode wal batch")
 }
 
 // appendCheckpoint encodes the device map and sink state as a recCheckpoint
@@ -111,26 +109,26 @@ func appendCheckpoint(dst []byte, devices map[trace.DeviceID]*deviceState, sinkS
 
 // decodeCheckpoint decodes a recCheckpoint payload.
 func decodeCheckpoint(buf []byte) (sinkState []byte, devices map[trace.DeviceID]*deviceState, err error) {
-	d := walReader{buf: buf}
-	sinkState = append([]byte(nil), d.bytes()...)
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(buf)) {
+	d := proto.NewFieldReader(buf)
+	sinkState = append([]byte(nil), d.Bytes()...)
+	n := d.Uvarint()
+	if d.Err() == nil && n > uint64(len(buf)) {
 		return nil, nil, fmt.Errorf("collector: wal checkpoint: corrupt device count %d", n)
 	}
 	devices = make(map[trace.DeviceID]*deviceState, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		dev := trace.DeviceID(d.uvarint())
-		flags := d.byte()
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		dev := trace.DeviceID(d.Uvarint())
+		flags := d.Byte()
 		st := &deviceState{
 			haveLast:    flags&1 != 0,
-			lastBatch:   d.uvarint(),
-			partialID:   d.uvarint(),
-			partialNext: int(d.uvarint()),
-			samples:     int64(d.uvarint()),
+			lastBatch:   d.Uvarint(),
+			partialID:   d.Uvarint(),
+			partialNext: int(d.Uvarint()),
+			samples:     int64(d.Uvarint()),
 		}
 		devices[dev] = st
 	}
-	if err := d.finish("wal checkpoint"); err != nil {
+	if err := d.Finish("collector: decode wal checkpoint"); err != nil {
 		return nil, nil, err
 	}
 	return sinkState, devices, nil
@@ -140,9 +138,6 @@ func decodeCheckpoint(buf []byte) (sinkState []byte, devices map[trace.DeviceID]
 type Recovery struct {
 	// Checkpoint is true when a checkpoint record anchored the replay.
 	Checkpoint bool
-	// SinkState is the opaque blob stored by the last Checkpoint call
-	// (nil without one); it was handed to the restore callback.
-	SinkState []byte
 	// Batches counts batch records applied past the checkpoint.
 	Batches int64
 	// Resinked counts samples re-delivered to the sink during replay.
@@ -160,18 +155,16 @@ func (r *Recovery) String() string {
 		r.Checkpoint, r.Devices, r.Batches, r.Resinked, r.TornBytes)
 }
 
-// Recover rebuilds server state from the configured WAL. Call it after New
-// and before Serve, on a server that has handled no connections. The
-// restore callback (optional) receives the sink state saved by the last
-// checkpoint — nil if there was none — and must reset the sink to exactly
-// that state (discarding anything the sink holds past it) before Recover
-// re-sinks the post-checkpoint samples; skipping that step double-sinks
-// whatever the sink had already absorbed after the checkpoint.
-func (s *Server) Recover(restore func(sinkState []byte) error) (*Recovery, error) {
+// recoverWAL rebuilds server state from the configured WAL. Call it after
+// New and before Serve, on a server that has handled no connections. The
+// restore callback receives the sink state saved by the last checkpoint —
+// nil if there was none — and must reset the sink to exactly that state
+// (discarding anything the sink holds past it) before recoverWAL re-sinks
+// the post-checkpoint samples; skipping that step double-sinks whatever the
+// sink had already absorbed after the checkpoint. Replica pairs it with
+// RotatingSpool.Restore.
+func (s *Server) recoverWAL(restore func(sinkState []byte) error) (*Recovery, error) {
 	w := s.cfg.WAL
-	if w == nil {
-		return nil, errors.New("collector: Recover requires a WAL")
-	}
 
 	// Pass 1: locate the last checkpoint. The snapshot supersedes every
 	// record before it, so only its position and payload matter.
@@ -194,22 +187,20 @@ func (s *Server) Recover(restore func(sinkState []byte) error) (*Recovery, error
 	rec := &Recovery{Checkpoint: found, TornBytes: w.Torn()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var state []byte
 	if found {
-		state, devices, err := decodeCheckpoint(ckPayload)
-		if err != nil {
+		var devices map[trace.DeviceID]*deviceState
+		if state, devices, err = decodeCheckpoint(ckPayload); err != nil {
 			return nil, err
 		}
-		rec.SinkState = state
 		for dev, st := range devices {
 			s.devices[dev] = st
 			s.stats.Devices.Add(1)
 			s.m.devices.Add(1)
 		}
 	}
-	if restore != nil {
-		if err := restore(rec.SinkState); err != nil {
-			return nil, fmt.Errorf("collector: restore sink: %w", err)
-		}
+	if err := restore(state); err != nil {
+		return nil, fmt.Errorf("collector: restore sink: %w", err)
 	}
 
 	// Pass 2: apply and re-sink everything past the checkpoint, in log
@@ -259,26 +250,20 @@ func (s *Server) Recover(restore func(sinkState []byte) error) (*Recovery, error
 	return rec, nil
 }
 
-// Checkpoint snapshots the per-device state plus the sink state returned by
+// checkpoint snapshots the per-device state plus the sink state returned by
 // sinkState (called under the server lock, so no sample lands in the sink
 // between the blob and the snapshot), appends it to the WAL, syncs, and
 // drops sealed WAL segments the checkpoint has made obsolete. The sink
 // owner must make the sink durable up to this instant before returning the
-// blob — for a RotatingSpool that means sealing the active segment.
-func (s *Server) Checkpoint(sinkState func() ([]byte, error)) error {
+// blob — for a RotatingSpool that means sealing the active segment, which
+// Replica does through RotatingSpool.Seal.
+func (s *Server) checkpoint(sinkState func() ([]byte, error)) error {
 	w := s.cfg.WAL
-	if w == nil {
-		return errors.New("collector: Checkpoint requires a WAL")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var state []byte
-	if sinkState != nil {
-		st, err := sinkState()
-		if err != nil {
-			return fmt.Errorf("collector: checkpoint sink: %w", err)
-		}
-		state = st
+	state, err := sinkState()
+	if err != nil {
+		return fmt.Errorf("collector: checkpoint sink: %w", err)
 	}
 	//smuvet:allow lockorder -- a checkpoint is a deliberate stop-the-world snapshot: the device map, sink state, and WAL record must be one atomic cut, so the fsync stays under the lock
 	lsn, err := w.Append(recCheckpoint, appendCheckpoint(nil, s.devices, state))
@@ -295,62 +280,5 @@ func (s *Server) Checkpoint(sinkState func() ([]byte, error)) error {
 		return err
 	}
 	s.m.checkpoints.Inc()
-	return nil
-}
-
-// walReader mirrors proto's fieldReader for WAL payloads.
-type walReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *walReader) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-func (d *walReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *walReader) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	out := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	return out
-}
-
-func (d *walReader) finish(what string) error {
-	if d.err != nil {
-		return fmt.Errorf("collector: decode %s: %w", what, d.err)
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("collector: decode %s: %d trailing bytes", what, len(d.buf)-d.off)
-	}
 	return nil
 }

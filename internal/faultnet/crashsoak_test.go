@@ -13,6 +13,7 @@ package faultnet_test
 import (
 	"context"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -61,98 +62,46 @@ func TestCrashRestartSoak(t *testing.T) {
 	}
 }
 
-// crashCollector is one collector incarnation over a shared WAL + spool
-// directory pair.
-type crashCollector struct {
-	srv   *collector.Server
-	spool *collector.RotatingSpool
-	wal   *wal.Log
-	rec   *collector.Recovery
-	stop  func()
-}
-
-// startCrashCollector cold-starts a collector incarnation: open the WAL
-// (repairing any torn tail), recover dedup + sink state, listen on addr
-// (":0" picks a port; a fixed addr is retried while the previous
-// incarnation's socket drains), serve, and checkpoint periodically. hook is
-// the crash plan for this incarnation — nil for one that must survive.
-func startCrashCollector(t *testing.T, addr, walDir, spoolDir string, hook func(string) error, reg *obs.Registry) *crashCollector {
+// startReplica cold-starts one collector incarnation on dir's spool and
+// WAL: open the WAL (repairing any torn tail), recover dedup and sink
+// state, serve, and checkpoint every 10ms. srv places the incarnation: its
+// token, tier position, and a Listener to adopt or else an Addr to bind
+// (":0" picks a port; a fixed one is retried while a killed predecessor's
+// socket drains). hook is the crash plan for this incarnation — nil for
+// one that must survive.
+func startReplica(t *testing.T, dir string, srv collector.Config, hook func(string) error, reg *obs.Registry) *collector.Replica {
 	t.Helper()
-	w, err := wal.Open(walDir, wal.Options{
-		SegmentBytes: 4 << 10,
-		Policy:       wal.FsyncRecord,
-		Hook:         hook,
-		Metrics:      reg,
-	})
-	if err != nil {
-		t.Fatalf("open wal: %v", err)
-	}
-	sp, err := collector.NewRotatingSpool(spoolDir, 2<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := collector.New(collector.Config{
-		Addr:         addr,
-		Token:        "crash",
-		Sink:         sp.Sink(),
-		ReadTimeout:  200 * time.Millisecond,
-		WriteTimeout: 200 * time.Millisecond,
-		WAL:          w,
-		Hook:         hook,
-		Logf:         func(string, ...any) {},
-		Metrics:      reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := srv.Recover(sp.Restore)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	var lerr error
-	for i := 0; i < 100; i++ {
-		if lerr = srv.Listen(); lerr == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if lerr != nil {
-		t.Fatalf("listen %s: %v", addr, lerr)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		srv.Serve(ctx)
-	}()
-	go func() {
-		tick := time.NewTicker(10 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				// Checkpoint failures after the crash fired are the dead
-				// process refusing work; before it, they would surface in
-				// the final conservation check anyway.
-				_ = srv.Checkpoint(sp.Seal)
-			case <-ctx.Done():
-				return
+	if srv.Listener == nil {
+		var err error
+		for i := 0; i < 100; i++ {
+			if srv.Listener, err = net.Listen("tcp", srv.Addr); err == nil {
+				break
 			}
+			time.Sleep(10 * time.Millisecond)
 		}
-	}()
-	return &crashCollector{
-		srv: srv, spool: sp, wal: w, rec: rec,
-		stop: func() {
-			cancel()
-			<-served
-		},
+		if err != nil {
+			t.Fatalf("listen %s: %v", srv.Addr, err)
+		}
 	}
+	srv.ReadTimeout, srv.WriteTimeout = 200*time.Millisecond, 200*time.Millisecond
+	srv.Hook, srv.Metrics = hook, reg
+	srv.Logf = func(string, ...any) {}
+	rep, err := collector.StartReplica(collector.ReplicaConfig{
+		Server:          srv,
+		SpoolDir:        filepath.Join(dir, "spool"),
+		SpoolBytes:      2 << 10,
+		WALDir:          filepath.Join(dir, "wal"),
+		WAL:             wal.Options{SegmentBytes: 4 << 10, Policy: wal.FsyncRecord, Hook: hook, Metrics: reg},
+		CheckpointEvery: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("start replica: %v", err)
+	}
+	return rep
 }
 
 func runCrashSoak(t *testing.T, point string, seed int64) {
 	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
-	spoolDir := filepath.Join(dir, "spool")
 
 	// One registry spans every incarnation, like a metrics backend outliving
 	// the scraped processes: recovery counters accumulate across cold starts
@@ -164,8 +113,9 @@ func runCrashSoak(t *testing.T, point string, seed int64) {
 	if serverCrash {
 		hook = plan.Check
 	}
-	inc1 := startCrashCollector(t, "127.0.0.1:0", walDir, spoolDir, hook, reg)
-	addr := inc1.srv.Addr().String()
+	srv := collector.Config{Addr: "127.0.0.1:0", Token: "crash"}
+	inc1 := startReplica(t, dir, srv, hook, reg)
+	addr := inc1.Server().Addr().String()
 
 	type result struct {
 		dev trace.DeviceID
@@ -180,19 +130,20 @@ func runCrashSoak(t *testing.T, point string, seed int64) {
 	}
 
 	// For server-crash points: wait for the kill, tear the incarnation down
-	// (its WAL and spool objects are abandoned as a dead process would leave
-	// them — no Close, no flush), and cold-start a successor on the same
-	// address. The agents retry through the outage.
-	var inc2 *crashCollector
+	// (Kill abandons its WAL and spool as a dead process would leave them —
+	// no Close, no flush), and cold-start a successor on the same address.
+	// The agents retry through the outage.
+	var inc2 *collector.Replica
 	if serverCrash {
 		select {
 		case <-plan.Fired():
 		case <-time.After(20 * time.Second):
 			t.Fatal("crash point never fired; the soak exercised nothing")
 		}
-		inc1.stop()
-		inc2 = startCrashCollector(t, addr, walDir, spoolDir, nil, reg)
-		if point == faultnet.CrashWALAppend && inc2.rec.TornBytes == 0 {
+		inc1.Kill()
+		srv.Addr = addr
+		inc2 = startReplica(t, dir, srv, nil, reg)
+		if point == faultnet.CrashWALAppend && inc2.Recovery().TornBytes == 0 {
 			t.Error("wal-append crash left no torn tail record to repair")
 		}
 	}
@@ -207,11 +158,7 @@ func runCrashSoak(t *testing.T, point string, seed int64) {
 	if final == nil {
 		final = inc1
 	}
-	final.stop()
-	if err := final.spool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := final.wal.Close(); err != nil {
+	if err := final.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -219,7 +166,7 @@ func runCrashSoak(t *testing.T, point string, seed int64) {
 	// segment and check each device's time series is precisely what its
 	// agent recorded — no loss, no duplicate, no reorder, across the kill.
 	byDev := make(map[trace.DeviceID][]int64)
-	segs, err := filepath.Glob(filepath.Join(spoolDir, "spool-*.trace"))
+	segs, err := filepath.Glob(filepath.Join(dir, "spool", "spool-*.trace"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,9 +204,9 @@ func runCrashSoak(t *testing.T, point string, seed int64) {
 	// reports, and the torn-tail byte counter must match what the WAL
 	// repaired. On the agent side, Record is called exactly crashSamples
 	// times per device no matter where the kill landed.
-	recs := []*collector.Recovery{inc1.rec}
+	recs := []*collector.Recovery{inc1.Recovery()}
 	if inc2 != nil {
-		recs = append(recs, inc2.rec)
+		recs = append(recs, inc2.Recovery())
 	}
 	var wantBatches, wantResinked, wantTorn int64
 	for _, r := range recs {

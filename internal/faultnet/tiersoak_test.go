@@ -27,7 +27,6 @@ import (
 	"smartusage/internal/obs"
 	"smartusage/internal/tiermerge"
 	"smartusage/internal/trace"
-	"smartusage/internal/wal"
 )
 
 const (
@@ -60,84 +59,6 @@ func TestTierFailoverSoak(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// startTierReplica cold-starts one collector incarnation of a tier: open its
-// WAL (repairing any torn tail), recover dedup + sink state from it, listen
-// (adopting lis when non-nil, else binding addr with retries while the dead
-// incarnation's socket drains), serve, and checkpoint periodically. hook is
-// this incarnation's tier crash hook — nil for one that must survive.
-func startTierReplica(t *testing.T, addr string, lis net.Listener, walDir, spoolDir string, replica, tier int, hook func(string) error, reg *obs.Registry) *crashCollector {
-	t.Helper()
-	w, err := wal.Open(walDir, wal.Options{
-		SegmentBytes: 4 << 10,
-		Policy:       wal.FsyncRecord,
-		Hook:         hook,
-		Metrics:      reg,
-	})
-	if err != nil {
-		t.Fatalf("open wal: %v", err)
-	}
-	sp, err := collector.NewRotatingSpool(spoolDir, 2<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := collector.New(collector.Config{
-		Addr:         addr,
-		Listener:     lis,
-		Token:        "tier",
-		Sink:         sp.Sink(),
-		ReadTimeout:  200 * time.Millisecond,
-		WriteTimeout: 200 * time.Millisecond,
-		ReplicaID:    replica,
-		TierReplicas: tier,
-		WAL:          w,
-		Hook:         hook,
-		Logf:         func(string, ...any) {},
-		Metrics:      reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := srv.Recover(sp.Restore)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	var lerr error
-	for i := 0; i < 100; i++ {
-		if lerr = srv.Listen(); lerr == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if lerr != nil {
-		t.Fatalf("listen %s: %v", addr, lerr)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		srv.Serve(ctx)
-	}()
-	go func() {
-		tick := time.NewTicker(10 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				_ = srv.Checkpoint(sp.Seal)
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return &crashCollector{
-		srv: srv, spool: sp, wal: w, rec: rec,
-		stop: func() {
-			cancel()
-			<-served
-		},
 	}
 }
 
@@ -211,13 +132,17 @@ func runTierSoak(t *testing.T, point string, seed int64) {
 		faultnet.TierKill{Replica: kill2, Point: point, Hit: 1},
 	)
 
-	walDir := func(r int) string { return filepath.Join(dir, fmt.Sprintf("wal%d", r)) }
-	spoolDir := func(r int) string { return filepath.Join(dir, fmt.Sprintf("spool%d", r)) }
-	incs := make([]*crashCollector, tierReplicas)
+	replicaDir := func(r int) string { return filepath.Join(dir, fmt.Sprintf("replica%d", r)) }
+	place := func(r int) collector.Config {
+		return collector.Config{Addr: addrs[r], Token: "tier", ReplicaID: r, TierReplicas: tierReplicas}
+	}
+	incs := make([]*collector.Replica, tierReplicas)
 	recs := make([]*collector.Recovery, 0, tierReplicas+2)
 	for r := range incs {
-		incs[r] = startTierReplica(t, "", liss[r], walDir(r), spoolDir(r), r, tierReplicas, plan.Hook(r), reg)
-		recs = append(recs, incs[r].rec)
+		srv := place(r)
+		srv.Listener = liss[r]
+		incs[r] = startReplica(t, replicaDir(r), srv, plan.Hook(r), reg)
+		recs = append(recs, incs[r].Recovery())
 	}
 
 	type result struct {
@@ -235,15 +160,15 @@ func runTierSoak(t *testing.T, point string, seed int64) {
 	// Kill one: device 0's primary dies mid-pipeline; cold-restart it on the
 	// same address while the agents fail over.
 	waitTierKill(t, plan, 0)
-	incs[kill1].stop()
-	incs[kill1] = startTierReplica(t, addrs[kill1], nil, walDir(kill1), spoolDir(kill1), kill1, tierReplicas, plan.Hook(kill1), reg)
-	recs = append(recs, incs[kill1].rec)
+	incs[kill1].Kill()
+	incs[kill1] = startReplica(t, replicaDir(kill1), place(kill1), plan.Hook(kill1), reg)
+	recs = append(recs, incs[kill1].Recovery())
 
 	// Kill two: the replica the traffic failed over to dies as well.
 	waitTierKill(t, plan, 1)
-	incs[kill2].stop()
-	incs[kill2] = startTierReplica(t, addrs[kill2], nil, walDir(kill2), spoolDir(kill2), kill2, tierReplicas, plan.Hook(kill2), reg)
-	recs = append(recs, incs[kill2].rec)
+	incs[kill2].Kill()
+	incs[kill2] = startReplica(t, replicaDir(kill2), place(kill2), plan.Hook(kill2), reg)
+	recs = append(recs, incs[kill2].Recovery())
 
 	for i := 0; i < tierAgents; i++ {
 		if r := <-results; r.err != nil {
@@ -252,14 +177,10 @@ func runTierSoak(t *testing.T, point string, seed int64) {
 	}
 	tierDirs := make([]string, tierReplicas)
 	for r, inc := range incs {
-		inc.stop()
-		if err := inc.spool.Close(); err != nil {
+		if err := inc.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if err := inc.wal.Close(); err != nil {
-			t.Fatal(err)
-		}
-		tierDirs[r] = spoolDir(r)
+		tierDirs[r] = filepath.Join(replicaDir(r), "spool")
 	}
 
 	// Exactly-once conservation across the tier: the merged union holds each
@@ -339,8 +260,8 @@ func runTierSoak(t *testing.T, point string, seed int64) {
 func runBaselineCampaign(t *testing.T, dir string, devs []trace.DeviceID) []trace.Sample {
 	t.Helper()
 	reg := obs.NewRegistry()
-	base := startTierReplica(t, "127.0.0.1:0", nil, filepath.Join(dir, "wal"), filepath.Join(dir, "spool"), 0, 1, nil, reg)
-	addr := base.srv.Addr().String()
+	base := startReplica(t, dir, collector.Config{Addr: "127.0.0.1:0", Token: "tier", TierReplicas: 1}, nil, reg)
+	addr := base.Server().Addr().String()
 	errs := make(chan error, len(devs))
 	for _, dev := range devs {
 		dev := dev
@@ -353,11 +274,7 @@ func runBaselineCampaign(t *testing.T, dir string, devs []trace.DeviceID) []trac
 			t.Fatalf("baseline agent: %v", err)
 		}
 	}
-	base.stop()
-	if err := base.spool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := base.wal.Close(); err != nil {
+	if err := base.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	merged, _ := mergeSpools(t, []string{filepath.Join(dir, "spool")})

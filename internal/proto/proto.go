@@ -256,14 +256,14 @@ func AppendHello(dst []byte, h *Hello) []byte {
 
 // DecodeHello decodes h from buf.
 func DecodeHello(buf []byte, h *Hello) error {
-	d := newFieldReader(buf)
-	h.Version = uint32(d.uvarint())
-	h.Device = trace.DeviceID(d.uvarint())
-	h.OS = trace.OS(d.byte())
-	h.Token = d.string()
-	h.Tier = uint32(d.uvarint())
-	h.Replica = uint32(d.uvarint())
-	return d.finish("hello")
+	d := NewFieldReader(buf)
+	h.Version = uint32(d.Uvarint())
+	h.Device = trace.DeviceID(d.Uvarint())
+	h.OS = trace.OS(d.Byte())
+	h.Token = string(d.Bytes())
+	h.Tier = uint32(d.Uvarint())
+	h.Replica = uint32(d.Uvarint())
+	return d.Finish("proto: decode hello")
 }
 
 // AppendHelloAck encodes a.
@@ -275,10 +275,10 @@ func AppendHelloAck(dst []byte, a *HelloAck) []byte {
 
 // DecodeHelloAck decodes a from buf.
 func DecodeHelloAck(buf []byte, a *HelloAck) error {
-	d := newFieldReader(buf)
-	a.SessionID = d.uvarint()
-	a.LastBatch = d.uvarint()
-	return d.finish("hello-ack")
+	d := NewFieldReader(buf)
+	a.SessionID = d.Uvarint()
+	a.LastBatch = d.Uvarint()
+	return d.Finish("proto: decode hello-ack")
 }
 
 // sampleScratch recycles AppendBatch's per-sample encode buffer across
@@ -318,19 +318,19 @@ func DecodeBatchAlias(buf []byte, b *Batch) error {
 }
 
 func decodeBatch(buf []byte, b *Batch, alias bool) error {
-	d := newFieldReader(buf)
-	b.BatchID = d.uvarint()
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(buf)) {
+	d := NewFieldReader(buf)
+	b.BatchID = d.Uvarint()
+	n := d.Uvarint()
+	if d.Err() == nil && n > uint64(len(buf)) {
 		return fmt.Errorf("proto: batch: corrupt sample count %d", n)
 	}
 	if cap(b.Samples) < int(n) {
 		b.Samples = make([]trace.Sample, n)
 	}
 	b.Samples = b.Samples[:n]
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		raw := d.bytes()
-		if d.err != nil {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		raw := d.Bytes()
+		if d.Err() != nil {
 			break
 		}
 		var used int
@@ -349,7 +349,7 @@ func decodeBatch(buf []byte, b *Batch, alias bool) error {
 			return fmt.Errorf("proto: batch sample %d: trailing %d bytes", i, len(raw)-used)
 		}
 	}
-	return d.finish("batch")
+	return d.Finish("proto: decode batch")
 }
 
 // AppendBatchAck encodes a.
@@ -361,10 +361,10 @@ func AppendBatchAck(dst []byte, a *BatchAck) []byte {
 
 // DecodeBatchAck decodes a from buf.
 func DecodeBatchAck(buf []byte, a *BatchAck) error {
-	d := newFieldReader(buf)
-	a.BatchID = d.uvarint()
-	a.Accepted = uint32(d.uvarint())
-	return d.finish("batch-ack")
+	d := NewFieldReader(buf)
+	a.BatchID = d.Uvarint()
+	a.Accepted = uint32(d.Uvarint())
+	return d.Finish("proto: decode batch-ack")
 }
 
 // AppendErrorFrame encodes e.
@@ -376,21 +376,26 @@ func AppendErrorFrame(dst []byte, e *ErrorFrame) []byte {
 
 // DecodeErrorFrame decodes e from buf.
 func DecodeErrorFrame(buf []byte, e *ErrorFrame) error {
-	d := newFieldReader(buf)
-	e.Message = d.string()
-	return d.finish("error")
+	d := NewFieldReader(buf)
+	e.Message = string(d.Bytes())
+	return d.Finish("proto: decode error")
 }
 
-// fieldReader mirrors trace's internal decoder for proto payloads.
-type fieldReader struct {
+// FieldReader decodes the uvarint-framed fields of a binary payload: the
+// wire frames here, and the WAL and journal records the collector and agent
+// build the same way. The first failure sticks — later reads return zero
+// values — so a decoder reads every field and checks once, at Finish.
+type FieldReader struct {
 	buf []byte
 	off int
 	err error
 }
 
-func newFieldReader(buf []byte) *fieldReader { return &fieldReader{buf: buf} }
+// NewFieldReader returns a reader positioned at the start of buf.
+func NewFieldReader(buf []byte) FieldReader { return FieldReader{buf: buf} }
 
-func (d *fieldReader) byte() byte {
+// Byte reads one byte.
+func (d *FieldReader) Byte() byte {
 	if d.err != nil {
 		return 0
 	}
@@ -403,7 +408,9 @@ func (d *fieldReader) byte() byte {
 	return b
 }
 
-func (d *fieldReader) uvarint() uint64 {
+// Uvarint reads one uvarint; a truncated or overflowing one fails the
+// reader.
+func (d *FieldReader) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -416,8 +423,9 @@ func (d *fieldReader) uvarint() uint64 {
 	return v
 }
 
-func (d *fieldReader) bytes() []byte {
-	n := d.uvarint()
+// Bytes reads a uvarint length and that many bytes, aliasing the payload.
+func (d *FieldReader) Bytes() []byte {
+	n := d.Uvarint()
 	if d.err != nil {
 		return nil
 	}
@@ -430,14 +438,17 @@ func (d *fieldReader) bytes() []byte {
 	return out
 }
 
-func (d *fieldReader) string() string { return string(d.bytes()) }
+// Err returns the reader's first failure, if any.
+func (d *FieldReader) Err() error { return d.err }
 
-func (d *fieldReader) finish(what string) error {
+// Finish reports the first failure, or bytes left unread, as an error
+// under the caller's prefix.
+func (d *FieldReader) Finish(prefix string) error {
 	if d.err != nil {
-		return fmt.Errorf("proto: decode %s: %w", what, d.err)
+		return fmt.Errorf("%s: %w", prefix, d.err)
 	}
 	if d.off != len(d.buf) {
-		return fmt.Errorf("proto: decode %s: %d trailing bytes", what, len(d.buf)-d.off)
+		return fmt.Errorf("%s: %d trailing bytes", prefix, len(d.buf)-d.off)
 	}
 	return nil
 }
