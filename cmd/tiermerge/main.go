@@ -10,6 +10,11 @@
 // by (device, time), so any enumeration order of the spool directories
 // produces the identical file. Feed it to cmd/analyze like any single
 // collector's campaign trace.
+//
+// The merge is an external sort: it holds one 8 MiB chunk of records in
+// memory and spills sorted runs into a scratch directory under TMPDIR, which
+// needs free space of about twice the replica spools' combined size. The
+// summary line reports the runs and the bytes spilled.
 package main
 
 import (
@@ -57,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if !*quiet {
-		log.Printf("%d replicas, %d segments: %d samples read, %d unique written to %s (%d failover duplicates absorbed)",
-			st.Replicas, st.Segments, st.Read, st.Unique, *out, st.FailoverDups)
+		log.Printf("%d replicas, %d segments: %d samples read, %d unique written to %s (%d failover duplicates absorbed; %d sorted runs, %d bytes spilled)",
+			st.Replicas, st.Segments, st.Read, st.Unique, *out, st.FailoverDups, st.Runs, st.SpillBytes)
 	}
 }

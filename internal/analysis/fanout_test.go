@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"smartusage/internal/mempool"
 	"smartusage/internal/trace"
 )
 
@@ -238,6 +239,64 @@ func TestStreamingDriverBoundedMemory(t *testing.T) {
 	// would cost more than the slack allows.
 	if held := uint64(samples) * uint64(sampleSize); held <= short+streamHeapSlack {
 		t.Fatalf("long trace (%d bytes of samples) too short to tell streaming from buffering", held)
+	}
+}
+
+// poolsHeld is the bytes the process-wide analysis pools keep between uses.
+func poolsHeld() int {
+	return samplePool.Held() + apObsPool.Held() + appPool.Held() + floatPool.Held()
+}
+
+// TestShardsReleaseReturnsHeap fills an in-memory campaign partition far
+// larger than the pools may keep and releases it. After a GC the heap must
+// be back within the pools' byte bounds of its baseline: a finished campaign
+// no longer pins its slabs in the process.
+func TestShardsReleaseReturnsHeap(t *testing.T) {
+	const pools = 4 // samplePool, apObsPool, appPool, floatPool
+	bound := uint64(pools * mempool.RetainBytes)
+	runtime.GC()
+	var base, filled, after runtime.MemStats
+	runtime.ReadMemStats(&base)
+	held0 := poolsHeld()
+
+	sh := NewShards(2)
+	s := trace.Sample{
+		OS:   trace.Android,
+		Apps: make([]trace.AppTraffic, 2),
+		APs:  make([]trace.APObs, 4),
+	}
+	for i := 0; i < 200_000; i++ {
+		s.Device, s.Time = trace.DeviceID(i%1000), int64(i/1000)*600
+		if err := sh.Add(&s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&filled)
+	sh.Release()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	if held := filled.HeapAlloc - base.HeapAlloc; held <= bound+streamHeapSlack {
+		t.Fatalf("partition holds %.1f MiB, too little to exceed the pools' %.1f MiB bound",
+			float64(held)/(1<<20), float64(bound)/(1<<20))
+	}
+	for name, held := range map[string]int{
+		"sample": samplePool.Held(), "apObs": apObsPool.Held(), "app": appPool.Held(), "float": floatPool.Held(),
+	} {
+		if held > mempool.RetainBytes {
+			t.Errorf("%s pool holds %d bytes, over RetainBytes %d", name, held, mempool.RetainBytes)
+		}
+	}
+	var growth uint64
+	if after.HeapAlloc > base.HeapAlloc {
+		growth = after.HeapAlloc - base.HeapAlloc
+	}
+	t.Logf("partition +%.1f MiB; after Release and GC +%.1f MiB, pools hold %.1f MiB (%.1f MiB before)",
+		float64(filled.HeapAlloc-base.HeapAlloc)/(1<<20), float64(growth)/(1<<20),
+		float64(poolsHeld())/(1<<20), float64(held0)/(1<<20))
+	if growth > bound-uint64(held0)+streamHeapSlack {
+		t.Errorf("heap stayed %.1f MiB above its baseline after Release, over the pools' %.1f MiB bound",
+			float64(growth)/(1<<20), float64(bound-uint64(held0))/(1<<20))
 	}
 }
 

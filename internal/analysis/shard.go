@@ -59,7 +59,10 @@ func shardOf(dev trace.DeviceID, n int) int {
 // Shards part or a fan-out batch — holds deep-copied samples in these pools'
 // buffers (sample slabs plus arena chunks for the per-sample Apps/APs
 // slices); recycling them across passes, campaign years and repeated runs is
-// what keeps steady-state allocation per pass instead of per sample.
+// what keeps steady-state allocation per pass instead of per sample. Each
+// pool keeps at most mempool.RetainBytes between uses: enough for the
+// fan-out's batches, while a released Shards' campaign-sized slabs go to the
+// GC.
 var (
 	samplePool = mempool.NewSlicePool[trace.Sample](64)
 	apObsPool  = mempool.NewSlicePool[trace.APObs](256)
@@ -149,8 +152,9 @@ var (
 
 // Shards holds a campaign's samples partitioned by device in memory, so both
 // passes read them in place without touching the codec again. Its memory
-// comes from process-wide pools: call Release when the analyses are done so
-// the next campaign reuses the slabs.
+// comes from process-wide pools: call Release when the analyses are done.
+// The pools keep what fits under mempool.RetainBytes for later passes, and
+// hand the rest — most of a campaign — to the GC.
 type Shards struct {
 	parts []slab
 }
@@ -184,11 +188,12 @@ func (sh *Shards) Len() int {
 	return n
 }
 
-// Release returns the partition's buffers to the process-wide pools. The
-// Shards (and every sample ever streamed from it) is invalid afterwards;
-// callers release only after all results are assembled. Analyzers honor this
-// by never retaining a sample's slices past Add — the merge contract's
-// retention rule (see DESIGN.md "Memory & pooling").
+// Release returns the partition's buffers to the process-wide pools, which
+// keep them only up to their byte bound. The Shards (and every sample ever
+// streamed from it) is invalid afterwards; callers release only after all
+// results are assembled. Analyzers honor this by never retaining a sample's
+// slices past Add — the merge contract's retention rule (see DESIGN.md
+// "Memory & pooling").
 func (sh *Shards) Release() {
 	for w := range sh.parts {
 		sh.parts[w].release()

@@ -48,6 +48,45 @@ func TestSlicePoolEvictsSmallestWhenFull(t *testing.T) {
 	}
 }
 
+// TestSlicePoolByteBound puts more than RetainBytes into a pool with room
+// by count: the pool keeps what fits under the byte bound and hands the rest
+// to the GC, and Gets give the held bytes back.
+func TestSlicePoolByteBound(t *testing.T) {
+	p := NewSlicePool[int64](64)
+	slab := RetainBytes / 8 / 5 // elements in a fifth of the bound
+	for i := 0; i < 12; i++ {
+		p.Put(make([]int64, 0, slab))
+		if p.Held() > RetainBytes {
+			t.Fatalf("after %d Puts of %d bytes the pool holds %d bytes, over RetainBytes %d",
+				i+1, slab*8, p.Held(), RetainBytes)
+		}
+	}
+	if want := 5 * slab * 8; p.Held() != want {
+		t.Fatalf("pool holds %d bytes, want the %d of the five slabs that fit", p.Held(), want)
+	}
+	// A buffer larger than the whole bound is never kept.
+	p2 := NewSlicePool[byte](4)
+	p2.Put(make([]byte, 0, RetainBytes+1))
+	if p2.Held() != 0 {
+		t.Fatalf("pool kept an oversized buffer: %d bytes", p2.Held())
+	}
+	// Eviction at the count limit respects the bound too: swapping the
+	// smallest slab for a larger one must still fit.
+	p3 := NewSlicePool[byte](2)
+	p3.Put(make([]byte, 0, 1<<20))
+	p3.Put(make([]byte, 0, RetainBytes-(1<<20)))
+	p3.Put(make([]byte, 0, 2<<20)) // would evict the 1 MiB slab and overflow
+	if p3.Held() != RetainBytes {
+		t.Fatalf("count-limit eviction broke the byte bound: %d bytes held", p3.Held())
+	}
+	for p.Held() > 0 {
+		p.Get(1)
+	}
+	if _, misses := p.Stats(); misses != 0 {
+		t.Fatalf("draining the held slabs missed %d times", misses)
+	}
+}
+
 func TestSlicePoolGrowKeepsContents(t *testing.T) {
 	p := NewSlicePool[int](4)
 	b := p.Get(4)

@@ -2,6 +2,8 @@ package proto
 
 import (
 	"bytes"
+	"io"
+	"runtime"
 	"testing"
 
 	"smartusage/internal/trace"
@@ -118,5 +120,39 @@ func TestFrameRoundTripZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, roundTrip)
 	if allocs != 0 {
 		t.Fatalf("warm frame round trip allocates %.1f times per frame, want 0", allocs)
+	}
+}
+
+// TestConnSetupBytes pins what a connection costs in memory: NewConn plus
+// one 1 KiB frame each way allocates under 32 KiB. Every agent session and
+// every collector connection pays it, so buffers sized for the largest frame
+// (64 KiB per direction) would cost a 1,000-agent fleet about 250 MiB.
+func TestConnSetupBytes(t *testing.T) {
+	payload := bytes.Repeat([]byte("smartusage"), 103) // 1,030 bytes
+	var wire bytes.Buffer
+	if err := NewConn(&wire).WriteFrame(FrameBatch, payload); err != nil {
+		t.Fatal(err)
+	}
+	frame := wire.Bytes()
+	const conns = 64
+	rd := bytes.NewReader(nil)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < conns; i++ {
+		rd.Reset(frame)
+		c := NewConn(&readWriter{Reader: rd, Writer: io.Discard})
+		if err := c.WriteFrame(FrameBatch, payload); err != nil {
+			t.Fatal(err)
+		}
+		if ft, got, err := c.ReadFrame(); err != nil || ft != FrameBatch || !bytes.Equal(got, payload) {
+			t.Fatalf("frame read back as %s, %d bytes, %v", ft, len(got), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perConn := (after.TotalAlloc - before.TotalAlloc) / conns; perConn >= 32<<10 {
+		t.Fatalf("NewConn plus one 1 KiB frame each way allocates %d bytes, want < 32 KiB", perConn)
+	} else {
+		t.Logf("%d bytes per connection", perConn)
 	}
 }

@@ -144,21 +144,26 @@ type ErrorFrame struct {
 // Conn wraps a stream with framed encode/decode. It is not safe for
 // concurrent use; the agent and collector each drive one side of the
 // conversation sequentially.
+//
+// A Conn costs little more than its largest frame each way: an outgoing
+// frame is assembled in out and sent with one Write, and an incoming one is
+// read through a small buffer into scratch. Every agent session and every
+// collector connection holds one.
 type Conn struct {
+	w       io.Writer
 	br      *bufio.Reader
-	bw      *bufio.Writer
-	scratch []byte
-	limit   int // per-frame read cap; 0 means MaxFrameSize
-	// hdr holds an outgoing frame's type and length, then its checksum.
-	hdr [1 + binary.MaxVarintLen64]byte
+	out     []byte // the frame being written: type, length, payload, checksum
+	scratch []byte // the payload and checksum of the frame last read
+	limit   int    // per-frame read cap; 0 means MaxFrameSize
 }
+
+// connReadBuf is a Conn's read buffer: enough for a frame's header and a
+// small frame whole; a larger payload is read straight into scratch.
+const connReadBuf = 4 << 10
 
 // NewConn wraps rw (typically a *net.TCPConn).
 func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{
-		br: bufio.NewReaderSize(rw, 64<<10),
-		bw: bufio.NewWriterSize(rw, 64<<10),
-	}
+	return &Conn{w: rw, br: bufio.NewReaderSize(rw, connReadBuf)}
 }
 
 // SetReadLimit caps the payload size ReadFrame accepts, below the
@@ -185,25 +190,17 @@ func frameCRC(t FrameType, payload []byte) uint32 {
 	return crc32.Update(typeCRC[t], crcTable, payload)
 }
 
-// WriteFrame sends one frame and flushes it.
+// WriteFrame sends one frame with a single Write.
 func (c *Conn) WriteFrame(t FrameType, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	c.hdr[0] = byte(t)
-	n := binary.PutUvarint(c.hdr[1:], uint64(len(payload)))
-	if _, err := c.bw.Write(c.hdr[:1+n]); err != nil {
-		return fmt.Errorf("proto: write header: %w", err)
-	}
-	if _, err := c.bw.Write(payload); err != nil {
-		return fmt.Errorf("proto: write payload: %w", err)
-	}
-	binary.BigEndian.PutUint32(c.hdr[:4], frameCRC(t, payload))
-	if _, err := c.bw.Write(c.hdr[:4]); err != nil {
-		return fmt.Errorf("proto: write checksum: %w", err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("proto: flush: %w", err)
+	c.out = append(c.out[:0], byte(t))
+	c.out = binary.AppendUvarint(c.out, uint64(len(payload)))
+	c.out = append(c.out, payload...)
+	c.out = binary.BigEndian.AppendUint32(c.out, frameCRC(t, payload))
+	if _, err := c.w.Write(c.out); err != nil {
+		return fmt.Errorf("proto: write frame: %w", err)
 	}
 	return nil
 }

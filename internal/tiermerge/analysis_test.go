@@ -80,7 +80,12 @@ func TestAnalysisBitIdenticalToSingleCollector(t *testing.T) {
 		t.Fatal("campaign trace is empty")
 	}
 
-	merged, err := core.AnalyzeCampaign(cfg, nil, tiermerge.Source(dirs), core.Options{})
+	m, err := tiermerge.Open(dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	merged, err := core.AnalyzeCampaign(cfg, nil, m.Source(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

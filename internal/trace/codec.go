@@ -388,13 +388,27 @@ func NewWriter(w io.Writer) *Writer {
 
 // Write encodes and appends one sample.
 func (w *Writer) Write(s *Sample) error {
+	w.scratch = AppendSample(w.scratch[:lenRoom], s)
+	return w.writeRecord()
+}
+
+// WriteEncoded appends one sample that AppendSample already encoded, framed
+// exactly as Write frames it, so a caller holding encoded samples writes a
+// trace without decoding them. rec must be a whole AppendSample encoding.
+func (w *Writer) WriteEncoded(rec []byte) error {
+	w.scratch = append(w.scratch[:lenRoom], rec...)
+	return w.writeRecord()
+}
+
+// writeRecord writes the record body in scratch[lenRoom:] behind its length
+// prefix, emitting the header first if this is the stream's first record.
+func (w *Writer) writeRecord() error {
 	if !w.started {
 		if _, err := w.bw.Write(fileMagic); err != nil {
 			return fmt.Errorf("trace: write header: %w", err)
 		}
 		w.started = true
 	}
-	w.scratch = AppendSample(w.scratch[:lenRoom], s)
 	var lenBuf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(len(w.scratch)-lenRoom))
 	start := lenRoom - n

@@ -156,8 +156,10 @@ func TestWriterReaderStream(t *testing.T) {
 }
 
 // The Writer's framing is the magic, then per record the uvarint body
-// length and the AppendSample body. Records here span one- to three-byte
-// length prefixes, and the last one outgrows the Writer's 64 KiB buffer.
+// length and the AppendSample body, whether the Writer encodes the sample
+// (Write) or is handed the body (WriteEncoded). Records here span one- to
+// three-byte length prefixes, and the last one outgrows the Writer's 64 KiB
+// buffer.
 func TestWriterFraming(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var in []Sample
@@ -171,8 +173,8 @@ func TestWriterFraming(t *testing.T) {
 	in = append(in, Sample{}, big)
 
 	want := append([]byte(nil), fileMagic...)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var buf, encBuf bytes.Buffer
+	w, enc := NewWriter(&buf), NewWriter(&encBuf)
 	for i := range in {
 		body := AppendSample(nil, &in[i])
 		want = binary.AppendUvarint(want, uint64(len(body)))
@@ -180,12 +182,21 @@ func TestWriterFraming(t *testing.T) {
 		if err := w.Write(&in[i]); err != nil {
 			t.Fatal(err)
 		}
+		if err := enc.WriteEncoded(body); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("writer emitted %d bytes that differ from the %d-byte reference framing", buf.Len(), len(want))
+	}
+	if !bytes.Equal(encBuf.Bytes(), want) {
+		t.Fatalf("WriteEncoded emitted %d bytes that differ from the %d-byte reference framing", encBuf.Len(), len(want))
 	}
 }
 
