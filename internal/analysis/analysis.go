@@ -145,6 +145,12 @@ func (m Meta) HourOfWeekOccurrences() [168]int {
 // Source is a restartable stream of samples: calling it runs one full pass,
 // invoking fn for every sample. The *trace.Sample passed to fn is reused;
 // fn must copy retained data.
+//
+// Each device's samples must come in time order, though devices may
+// interleave: BuildPrep, APsPerDay and AssocDuration close a device's day
+// when its stream moves on, and BuildPrep rejects a sample for a day already
+// closed with ErrClosedDay. Trace files, tiermerge output and the simulator
+// deliver that order.
 type Source func(fn func(*trace.Sample) error) error
 
 // FileSource streams a binary trace file.

@@ -244,7 +244,7 @@ func TestStreamingDriverBoundedMemory(t *testing.T) {
 
 // poolsHeld is the bytes the process-wide analysis pools keep between uses.
 func poolsHeld() int {
-	return samplePool.Held() + apObsPool.Held() + appPool.Held() + floatPool.Held()
+	return samplePool.Held() + apObsPool.Held() + appPool.Held()
 }
 
 // TestShardsReleaseReturnsHeap fills an in-memory campaign partition far
@@ -252,7 +252,7 @@ func poolsHeld() int {
 // be back within the pools' byte bounds of its baseline: a finished campaign
 // no longer pins its slabs in the process.
 func TestShardsReleaseReturnsHeap(t *testing.T) {
-	const pools = 4 // samplePool, apObsPool, appPool, floatPool
+	const pools = 3 // samplePool, apObsPool, appPool
 	bound := uint64(pools * mempool.RetainBytes)
 	runtime.GC()
 	var base, filled, after runtime.MemStats
@@ -281,7 +281,7 @@ func TestShardsReleaseReturnsHeap(t *testing.T) {
 			float64(held)/(1<<20), float64(bound)/(1<<20))
 	}
 	for name, held := range map[string]int{
-		"sample": samplePool.Held(), "apObs": apObsPool.Held(), "app": appPool.Held(), "float": floatPool.Held(),
+		"sample": samplePool.Held(), "apObs": apObsPool.Held(), "app": appPool.Held(),
 	} {
 		if held > mempool.RetainBytes {
 			t.Errorf("%s pool holds %d bytes, over RetainBytes %d", name, held, mempool.RetainBytes)

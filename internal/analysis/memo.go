@@ -11,7 +11,7 @@ package analysis
 // A memo is only a cache: a miss recomputes, so no result depends on device
 // contiguity (TestMemosIgnoreDeviceOrder interleaves devices to pin this).
 // The owner must reset it wherever the map it shadows changes other than
-// through the memo's own put — in Merge, Result and Release. Each goroutine
+// through the memo's own put — in Merge and Result. Each goroutine
 // keeps its own memos.
 type memo[K comparable, V any] struct {
 	key K

@@ -204,7 +204,7 @@ func inlinePrep(meta Meta, src Source, release *time.Time) (*Prep, error) {
 	if err := src(ps.add); err != nil {
 		return nil, err
 	}
-	return finishPrep(meta, release, []*prepShard{ps}), nil
+	return finishPrep(meta, []*prepShard{ps}), nil
 }
 
 func inlineRun(src Source, prep *Prep, cleaned, raw []Analyzer) error {

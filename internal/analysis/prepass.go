@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -89,9 +90,9 @@ type APStat struct {
 type Cardinality struct {
 	// Samples is the total number of samples in the stream.
 	Samples int
-	// AvailIntervals counts Android, non-tethered, WiFi-available samples —
-	// an upper bound (exact but for update-day excision) on the number of
-	// appends PublicAvailability performs.
+	// AvailIntervals counts Android, non-tethered, WiFi-available samples:
+	// Fig. 17's intervals before update-day excision. SketchCardinality
+	// counts the same in the second pass.
 	AvailIntervals int
 }
 
@@ -99,8 +100,7 @@ type Cardinality struct {
 type Prep struct {
 	Meta Meta
 
-	// Card holds the stream cardinalities used to preallocate second-pass
-	// analyzer state.
+	// Card holds the stream cardinalities the prepass counts.
 	Card Cardinality
 
 	// Devices maps every seen device to its OS.
@@ -130,15 +130,68 @@ type Prep struct {
 	AssocPairs map[trace.DeviceID]map[APKey]bool
 }
 
-// nightAgg accumulates one device-day's night-time association evidence.
-type nightAgg struct {
-	pairBins map[APKey]int
-	cellBins map[geo.Cell]int
-	// maxWiFiBin tracks the interval with the largest WiFi download, for
-	// update-time detection.
+// nightState is one device's evidence for the night-time home rule (§3.4.1)
+// and for update detection (§3.7). The open day's counts fold into the
+// device's totals when its stream reaches a later day, so the prepass holds
+// this per device, not per device-day.
+type nightState struct {
+	// The open day: each pair's night-associated bins, and the largest
+	// post-release WiFi interval with its time.
+	day          int
+	pairBins     tally[APKey]
 	maxWiFiBytes uint64
 	maxWiFiTime  int64
+
+	// Folded from closed days: each pair's qualifying-day count, and the
+	// first day whose largest interval reached updateDetectBytes (updated
+	// false until one does). cellBins counts every night bin so far: the
+	// home cell rule sums over days, so it needs no fold.
+	qualify    tally[APKey]
+	cellBins   tally[geo.Cell]
+	updated    bool
+	updateDay  int
+	updateTime int64
 }
+
+// closeDay folds the open day into the device's totals and empties it.
+func (nt *nightState) closeDay() {
+	for _, pb := range nt.pairBins {
+		if float64(pb.n) >= homeNightFrac*nightBins {
+			nt.qualify.add(pb.key)
+		}
+	}
+	nt.pairBins = nt.pairBins[:0]
+	if !nt.updated && nt.maxWiFiBytes >= updateDetectBytes {
+		nt.updated, nt.updateDay, nt.updateTime = true, nt.day, nt.maxWiFiTime
+	}
+	nt.maxWiFiBytes, nt.maxWiFiTime = 0, 0
+}
+
+// tally counts keys in a linear-scanned slice: a device has a few night
+// pairs and cells, so a scan beats a map, as in apDayState.
+type tally[K comparable] []tallyEntry[K]
+
+type tallyEntry[K comparable] struct {
+	key K
+	n   int
+}
+
+// add counts one k.
+func (t *tally[K]) add(k K) {
+	for i := range *t {
+		if (*t)[i].key == k {
+			(*t)[i].n++
+			return
+		}
+	}
+	*t = append(*t, tallyEntry[K]{key: k, n: 1})
+}
+
+// ErrClosedDay is returned, wrapped with the device and both days, by a
+// prepass that reads a sample for a day its device's stream has already
+// left: the prepass folds a device's day when its stream moves on, so it
+// needs each device's samples in time order.
+var ErrClosedDay = errors.New("analysis: sample for a day its device has already closed")
 
 // Home-inference constants (§3.4.1): the night window is 22:00-06:00 (48
 // ten-minute bins); a pair qualifies as a home candidate when associated at
@@ -167,28 +220,22 @@ type prepShard struct {
 	devices    map[trace.DeviceID]trace.OS
 	aps        map[APKey]*APStat
 	userDays   map[UserDayKey]*UserDay
-	nights     map[UserDayKey]*nightAgg
+	nights     map[trace.DeviceID]*nightState
 	assocPairs map[trace.DeviceID]map[APKey]bool
 
-	// Memos of the current device run and device-day run.
+	// Memos of the current device run and of the current device-day run's
+	// userDays entry (nil until its first untethered sample).
 	dev memo[trace.DeviceID, prepDevice]
-	day memo[UserDayKey, prepDay]
+	day memo[UserDayKey, *UserDay]
 }
 
 // prepDevice is what prepShard.add resolves once per device run: the OS
-// last written to devices and the device's assocPairs set (nil until its
-// first association).
+// last written to devices, the device's assocPairs set (nil until its
+// first association) and its night state.
 type prepDevice struct {
 	os    trace.OS
 	pairs map[APKey]bool
-}
-
-// prepDay is what prepShard.add resolves once per device-day run: the
-// day's userDays entry (nil until its first untethered sample) and its
-// nights entry.
-type prepDay struct {
-	ud *UserDay
-	na *nightAgg
+	night *nightState
 }
 
 // newPrepShard returns an empty first-pass accumulator.
@@ -198,7 +245,7 @@ func newPrepShard(meta Meta, updateRelease *time.Time) *prepShard {
 		devices:    make(map[trace.DeviceID]trace.OS),
 		aps:        make(map[APKey]*APStat),
 		userDays:   make(map[UserDayKey]*UserDay),
-		nights:     make(map[UserDayKey]*nightAgg),
+		nights:     make(map[trace.DeviceID]*nightState),
 		assocPairs: make(map[trace.DeviceID]map[APKey]bool),
 	}
 	if updateRelease != nil {
@@ -208,44 +255,47 @@ func newPrepShard(meta Meta, updateRelease *time.Time) *prepShard {
 	return ps
 }
 
-// add observes one sample.
+// add observes one sample. Samples of one device must arrive in time order:
+// a sample for a day before the device's latest returns ErrClosedDay.
 func (ps *prepShard) add(s *trace.Sample) error {
 	meta := ps.meta
 	ps.card.Samples++
 	if !s.Tethered && s.OS == trace.Android && s.WiFiState == trace.WiFiOn {
-		// Upper bound on PublicAvailability's appends: update-day excision
-		// is not known yet, so the second pass may append slightly fewer.
 		ps.card.AvailIntervals++
-	}
-	dev, ok := ps.dev.get(s.Device)
-	if !ok || dev.os != s.OS {
-		ps.devices[s.Device] = s.OS
-		dev = prepDevice{os: s.OS, pairs: ps.assocPairs[s.Device]}
-		ps.dev.put(s.Device, dev)
 	}
 	day := meta.Day(s.Time)
 	if day < 0 || day >= meta.Days {
 		return fmt.Errorf("analysis: sample at %d outside campaign window", s.Time)
 	}
-	key := UserDayKey{Device: s.Device, Day: day}
-	ctx, ok := ps.day.get(key)
-	if !ok {
-		ctx = prepDay{ud: ps.userDays[key], na: ps.nights[key]}
-		if ctx.na == nil {
-			ctx.na = &nightAgg{pairBins: make(map[APKey]int), cellBins: make(map[geo.Cell]int)}
-			ps.nights[key] = ctx.na
+	dev, ok := ps.dev.get(s.Device)
+	if !ok || dev.os != s.OS {
+		ps.devices[s.Device] = s.OS
+		dev = prepDevice{os: s.OS, pairs: ps.assocPairs[s.Device], night: ps.nights[s.Device]}
+		if dev.night == nil {
+			dev.night = &nightState{day: day}
+			ps.nights[s.Device] = dev.night
 		}
-		ps.day.put(key, ctx)
+		ps.dev.put(s.Device, dev)
+	}
+	na := dev.night
+	if day != na.day {
+		if day < na.day {
+			return fmt.Errorf("%w: device %d sent day %d after day %d", ErrClosedDay, s.Device, day, na.day)
+		}
+		na.closeDay()
+		na.day = day
 	}
 
 	// Volumes (tethered intervals are excluded everywhere, §2).
 	if !s.Tethered {
-		ud := ctx.ud
-		if ud == nil {
-			ud = &UserDay{Device: s.Device, OS: s.OS, Day: day}
-			ps.userDays[key] = ud
-			ctx.ud = ud
-			ps.day.put(key, ctx)
+		key := UserDayKey{Device: s.Device, Day: day}
+		ud, ok := ps.day.get(key)
+		if !ok {
+			if ud = ps.userDays[key]; ud == nil {
+				ud = &UserDay{Device: s.Device, OS: s.OS, Day: day}
+				ps.userDays[key] = ud
+			}
+			ps.day.put(key, ud)
 		}
 		ud.CellRX += s.CellRX
 		ud.CellTX += s.CellTX
@@ -261,9 +311,8 @@ func (ps *prepShard) add(s *trace.Sample) error {
 	weekday := meta.Weekday(s.Time)
 	business := weekday && hour >= 10 && hour < 18
 
-	na := ctx.na
 	if night {
-		na.cellBins[geo.Cell{CX: int(s.GeoCX), CY: int(s.GeoCY)}]++
+		na.cellBins.add(geo.Cell{CX: int(s.GeoCX), CY: int(s.GeoCY)})
 	}
 	if ps.detect && s.OS == trace.IOS && s.Time >= ps.releaseUnix &&
 		s.WiFiRX > na.maxWiFiBytes {
@@ -314,7 +363,7 @@ func (ps *prepShard) add(s *trace.Sample) error {
 				st.MaxAssocRSSI = obs.RSSI
 			}
 			if night {
-				na.pairBins[k]++
+				na.pairBins.add(k)
 			}
 		}
 	}
@@ -346,8 +395,9 @@ func mergeAPStat(dst map[APKey]*APStat, k APKey, src *APStat) {
 
 // finishPrep folds device-disjoint shards into one Prep and runs the
 // finalizers. Every map except aps is keyed by device, so the fold is a
-// disjoint union; aps entries for the same pair are merged field-wise.
-func finishPrep(meta Meta, updateRelease *time.Time, shards []*prepShard) *Prep {
+// disjoint union; aps entries for the same pair are merged field-wise. Each
+// device's open day closes here.
+func finishPrep(meta Meta, shards []*prepShard) *Prep {
 	p := &Prep{
 		Meta:       meta,
 		Devices:    make(map[trace.DeviceID]trace.OS),
@@ -359,7 +409,7 @@ func finishPrep(meta Meta, updateRelease *time.Time, shards []*prepShard) *Prep 
 		UpdateTime: make(map[trace.DeviceID]int64),
 		AssocPairs: make(map[trace.DeviceID]map[APKey]bool),
 	}
-	nights := make(map[UserDayKey]*nightAgg)
+	nights := make(map[trace.DeviceID]*nightState)
 	for _, ps := range shards {
 		p.Card.Samples += ps.card.Samples
 		p.Card.AvailIntervals += ps.card.AvailIntervals
@@ -372,8 +422,9 @@ func finishPrep(meta Meta, updateRelease *time.Time, shards []*prepShard) *Prep 
 		for key, ud := range ps.userDays {
 			p.UserDays[key] = ud
 		}
-		for key, na := range ps.nights {
-			nights[key] = na
+		for dev, na := range ps.nights {
+			na.closeDay()
+			nights[dev] = na
 		}
 		for dev, pairs := range ps.assocPairs {
 			p.AssocPairs[dev] = pairs
@@ -381,57 +432,36 @@ func finishPrep(meta Meta, updateRelease *time.Time, shards []*prepShard) *Prep 
 	}
 	p.inferHomes(nights)
 	p.classifyAPs()
-	if updateRelease != nil {
-		p.detectUpdates(nights, *updateRelease)
-	}
+	p.detectUpdates(nights)
 	p.rankDays()
 	return p
 }
 
-// inferHomes applies the night-time rule per device-day and picks each
-// device's modal qualifying pair and modal night cell.
-func (p *Prep) inferHomes(nights map[UserDayKey]*nightAgg) {
-	qualify := make(map[trace.DeviceID]map[APKey]int)
-	cells := make(map[trace.DeviceID]map[geo.Cell]int)
-	for key, na := range nights {
-		for pair, bins := range na.pairBins {
-			if float64(bins) >= homeNightFrac*nightBins {
-				m := qualify[key.Device]
-				if m == nil {
-					m = make(map[APKey]int)
-					qualify[key.Device] = m
+// inferHomes picks each device's modal qualifying pair (the night-time rule
+// held on the most days) and its modal night cell.
+func (p *Prep) inferHomes(nights map[trace.DeviceID]*nightState) {
+	for dev, na := range nights {
+		if len(na.qualify) > 0 {
+			var best APKey
+			bestN := 0
+			for _, q := range na.qualify {
+				if q.n > bestN || (q.n == bestN && pairLess(q.key, best)) {
+					best, bestN = q.key, q.n
 				}
-				m[pair]++
 			}
+			p.HomeAPOf[dev] = best
 		}
-		for cell, n := range na.cellBins {
-			m := cells[key.Device]
-			if m == nil {
-				m = make(map[geo.Cell]int)
-				cells[key.Device] = m
+		if len(na.cellBins) > 0 {
+			var best geo.Cell
+			bestN := 0
+			for _, c := range na.cellBins {
+				cell := c.key
+				if c.n > bestN || (c.n == bestN && (cell.CX < best.CX || (cell.CX == best.CX && cell.CY < best.CY))) {
+					best, bestN = cell, c.n
+				}
 			}
-			m[cell] += n
+			p.HomeCell[dev] = best
 		}
-	}
-	for dev, m := range qualify {
-		var best APKey
-		bestN := 0
-		for pair, n := range m {
-			if n > bestN || (n == bestN && pairLess(pair, best)) {
-				best, bestN = pair, n
-			}
-		}
-		p.HomeAPOf[dev] = best
-	}
-	for dev, m := range cells {
-		var best geo.Cell
-		bestN := 0
-		for cell, n := range m {
-			if n > bestN || (n == bestN && (cell.CX < best.CX || (cell.CX == best.CX && cell.CY < best.CY))) {
-				best, bestN = cell, n
-			}
-		}
-		p.HomeCell[dev] = best
 	}
 }
 
@@ -471,28 +501,18 @@ func (p *Prep) classifyAPs() {
 	}
 }
 
-// detectUpdates finds, per iOS device, the first day at or after the
-// release whose WiFi download exceeds the detection threshold, and marks
-// the day and its follower excluded from cleaned analyses.
-func (p *Prep) detectUpdates(nights map[UserDayKey]*nightAgg, release time.Time) {
-	releaseDay := p.Meta.Day(release.Unix())
-	for dev, os := range p.Devices {
-		if os != trace.IOS {
+// detectUpdates takes, per iOS device, the first day at or after the
+// release whose WiFi download reached the detection threshold, and marks
+// the day and its follower excluded from cleaned analyses. Without a
+// release no sample feeds the evidence, so no device is marked.
+func (p *Prep) detectUpdates(nights map[trace.DeviceID]*nightState) {
+	for dev, na := range nights {
+		if !na.updated || p.Devices[dev] != trace.IOS {
 			continue
 		}
-		for d := releaseDay; d < p.Meta.Days; d++ {
-			key := UserDayKey{Device: dev, Day: d}
-			na := nights[key]
-			if na == nil || na.maxWiFiBytes < updateDetectBytes {
-				continue
-			}
-			p.UpdateDay[dev] = d
-			p.UpdateTime[dev] = na.maxWiFiTime
-			break
-		}
-	}
-	for dev, d := range p.UpdateDay {
-		for _, day := range []int{d, d + 1} {
+		p.UpdateDay[dev] = na.updateDay
+		p.UpdateTime[dev] = na.updateTime
+		for _, day := range []int{na.updateDay, na.updateDay + 1} {
 			if ud := p.UserDays[UserDayKey{Device: dev, Day: day}]; ud != nil {
 				ud.Excluded = true
 			}

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"errors"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -58,9 +60,19 @@ func (b *tb) assoc(dev trace.DeviceID, os trace.OS, day, hour, min int, bssid tr
 
 func (b *tb) src() Source { return SliceSource(b.samples) }
 
+// prep runs the prepass over the samples in (device, time) order, the order
+// BuildPrep requires of each device. It sorts a copy: tests keep pointers
+// into b.samples.
 func (b *tb) prep(t *testing.T, release *time.Time) *Prep {
 	t.Helper()
-	p, err := BuildPrep(b.meta, Stream(b.src(), 1), release)
+	ordered := append([]trace.Sample(nil), b.samples...)
+	sort.SliceStable(ordered, func(i, j int) bool {
+		if ordered[i].Device != ordered[j].Device {
+			return ordered[i].Device < ordered[j].Device
+		}
+		return ordered[i].Time < ordered[j].Time
+	})
+	p, err := BuildPrep(b.meta, Stream(SliceSource(ordered), 1), release)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +215,26 @@ func TestSampleOutsideWindowRejected(t *testing.T) {
 		}
 		if _, err := BuildPrep(meta, Stream(SliceSource([]trace.Sample{s}), 1), nil); err == nil {
 			t.Errorf("BuildPrep accepted a sample at %v", at)
+		}
+	}
+}
+
+// TestPrepRejectsClosedDay pins the prepass's order requirement: once a
+// device's stream reaches a day, an earlier day of that device is an error
+// naming the device and both days, not a silent misattribution.
+func TestPrepRejectsClosedDay(t *testing.T) {
+	b := &tb{meta: testMeta(3)}
+	b.add(13, trace.Android, 2, 10, 0)
+	b.add(13, trace.Android, 1, 10, 0)
+	for _, workers := range []int{1, 2} {
+		_, err := BuildPrep(b.meta, Stream(b.src(), workers), nil)
+		if !errors.Is(err, ErrClosedDay) {
+			t.Fatalf("workers=%d: BuildPrep returned %v, want ErrClosedDay", workers, err)
+		}
+		for _, part := range []string{"device 13", "day 1", "day 2"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("workers=%d: error %q does not name %s", workers, err, part)
+			}
 		}
 	}
 }

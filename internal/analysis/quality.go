@@ -121,8 +121,12 @@ func (p *Prep) Channels() ChannelsResult {
 type PublicAvailability struct {
 	prep *Prep
 
-	// Per-available-interval public AP counts.
-	n24All, n24Strong, n5All, n5Strong []float64
+	// hist counts the available intervals by the public APs they saw, one
+	// histogram per band and strength (the avail* indexes); intervals is
+	// their total. Every Fig. 17 statistic is a CCDF or a threshold count
+	// of these small integers, so the counts are all it needs.
+	hist      [numAvailHists]countHist
+	intervals uint64
 
 	// Per-device offloading accounting: devs indexes dev, and last
 	// memoizes devs for the current device run.
@@ -130,6 +134,20 @@ type PublicAvailability struct {
 	dev  []availDevice
 	last memo[trace.DeviceID, int]
 }
+
+// The histograms of PublicAvailability.hist.
+const (
+	avail24All = iota
+	avail24Strong
+	avail5All
+	avail5Strong
+	numAvailHists
+)
+
+// availBins is the number of public-AP counts each histogram holds from the
+// start, counts 0 to 63. A histogram grows only for a count past that; the
+// simulator hears at most 64 public APs in one scan.
+const availBins = 64
 
 // availDevice is one Android device's offloading accounting.
 type availDevice struct {
@@ -145,64 +163,20 @@ type availDevice struct {
 	any5, strong5 bool
 }
 
-// NewPublicAvailability returns an empty Fig. 17 accumulator. Its
-// per-interval slices are preallocated from the prepass cardinality (when
-// known) and drawn from a shared pool; call Release once the result has been
-// extracted to recycle them.
+// NewPublicAvailability returns an empty Fig. 17 accumulator. Its four
+// histograms share one backing array of availBins counts each.
 func NewPublicAvailability(prep *Prep) *PublicAvailability {
-	pa := newPublicAvailability(prep)
-	if n := prep.Card.AvailIntervals; n > 0 {
-		pa.n24All = floatPool.Get(n)
-		pa.n24Strong = floatPool.Get(n)
-		pa.n5All = floatPool.Get(n)
-		pa.n5Strong = floatPool.Get(n)
-	}
-	return pa
-}
-
-// newPublicAvailability builds the accumulator without preallocating the
-// interval slices: shard accumulators see only a fraction of the stream, so
-// they start empty and grow through the pool instead of each claiming a
-// full-cardinality slab.
-func newPublicAvailability(prep *Prep) *PublicAvailability {
 	hint := len(prep.Devices)
-	return &PublicAvailability{
+	pa := &PublicAvailability{
 		prep: prep,
 		devs: make(map[trace.DeviceID]int, hint),
 		dev:  make([]availDevice, 0, hint),
 	}
-}
-
-// appendPooled is append with pool-backed growth: outgrown slabs return to
-// floatPool instead of becoming garbage.
-func appendPooled(b []float64, v float64) []float64 {
-	if len(b) == cap(b) {
-		n := 2 * cap(b)
-		if n < 1024 {
-			n = 1024
-		}
-		b = floatPool.Grow(b, n)
+	bins := make(countHist, numAvailHists*availBins)
+	for h := range pa.hist {
+		pa.hist[h] = bins[h*availBins : (h+1)*availBins : (h+1)*availBins]
 	}
-	return append(b, v)
-}
-
-// putFloats recycles one slab and returns nil for the field it replaces.
-func putFloats(b []float64) []float64 {
-	if cap(b) > 0 {
-		floatPool.Put(b)
-	}
-	return nil
-}
-
-// Release returns the accumulator's pooled slabs for reuse. Call it only
-// after Result (which copies everything it keeps); the receiver must not be
-// used afterwards.
-func (pa *PublicAvailability) Release() {
-	pa.n24All = putFloats(pa.n24All)
-	pa.n24Strong = putFloats(pa.n24Strong)
-	pa.n5All = putFloats(pa.n5All)
-	pa.n5Strong = putFloats(pa.n5Strong)
-	pa.last.reset()
+	return pa
 }
 
 // Add implements Analyzer.
@@ -244,10 +218,11 @@ func (pa *PublicAvailability) Add(s *trace.Sample) {
 			}
 		}
 	}
-	pa.n24All = appendPooled(pa.n24All, float64(c24))
-	pa.n24Strong = appendPooled(pa.n24Strong, float64(c24s))
-	pa.n5All = appendPooled(pa.n5All, float64(c5))
-	pa.n5Strong = appendPooled(pa.n5Strong, float64(c5s))
+	pa.intervals++
+	pa.hist[avail24All].add(c24)
+	pa.hist[avail24Strong].add(c24s)
+	pa.hist[avail5All].add(c5)
+	pa.hist[avail5Strong].add(c5s)
 	dev.any5 = dev.any5 || c5 > 0
 	dev.strong5 = dev.strong5 || c5s > 0
 	if c24s+c5s > 0 {
@@ -256,30 +231,17 @@ func (pa *PublicAvailability) Add(s *trace.Sample) {
 	}
 }
 
-// NewShard implements ShardedAnalyzer. Shard accumulators grow their slices
-// through the pool on demand rather than preallocating the full cardinality.
-func (pa *PublicAvailability) NewShard() Analyzer { return newPublicAvailability(pa.prep) }
+// NewShard implements ShardedAnalyzer.
+func (pa *PublicAvailability) NewShard() Analyzer { return NewPublicAvailability(pa.prep) }
 
-// appendAllPooled concatenates src onto b, growing through the pool.
-func appendAllPooled(b, src []float64) []float64 {
-	if need := len(b) + len(src); need > cap(b) {
-		b = floatPool.Grow(b, need)
-	}
-	return append(b, src...)
-}
-
-// Merge implements ShardedAnalyzer. The per-interval slices concatenate in
-// shard order; every consumer of them (CCDFs, threshold counts) is
-// order-independent, so the result matches the sequential pass. Merge is
-// destructive: the shard's slabs are recycled into the pool, so the shard
-// must not be used afterwards.
+// Merge implements ShardedAnalyzer. The histograms add count by count, so
+// the result matches the sequential pass in any merge order.
 func (pa *PublicAvailability) Merge(shard Analyzer) {
 	o := shard.(*PublicAvailability)
-	pa.n24All = appendAllPooled(pa.n24All, o.n24All)
-	pa.n24Strong = appendAllPooled(pa.n24Strong, o.n24Strong)
-	pa.n5All = appendAllPooled(pa.n5All, o.n5All)
-	pa.n5Strong = appendAllPooled(pa.n5Strong, o.n5Strong)
-	o.Release()
+	for h := range pa.hist {
+		pa.hist[h].merge(o.hist[h])
+	}
+	pa.intervals += o.intervals
 	for j := range o.dev {
 		od := &o.dev[j]
 		i, ok := pa.devs[od.id]
@@ -297,6 +259,66 @@ func (pa *PublicAvailability) Merge(shard Analyzer) {
 		dev.strong5 = dev.strong5 || od.strong5
 	}
 	pa.last.reset()
+}
+
+// countHist counts intervals by a small integer: h[c] is the number of
+// intervals whose count was c.
+type countHist []uint64
+
+// grow extends h to at least n bins.
+func (h *countHist) grow(n int) {
+	if n > len(*h) {
+		*h = append(*h, make(countHist, n-len(*h))...)
+	}
+}
+
+// add counts one interval of count c.
+func (h *countHist) add(c int) {
+	h.grow(c + 1)
+	(*h)[c]++
+}
+
+// merge adds o into h bin by bin.
+func (h *countHist) merge(o countHist) {
+	h.grow(len(o))
+	for c, v := range o {
+		(*h)[c] += v
+	}
+}
+
+// ccdf is stats.CCDF of the n counts h holds: one point per non-empty bin
+// in ascending order, at the share of counts above it. stats.CDF gives each
+// run of equal values the cumulative share at the run's last index,
+// float64(cum)/float64(n), so the points are bit-identical to it.
+func (h countHist) ccdf(n uint64) stats.Distribution {
+	k := 0
+	for _, v := range h {
+		if v > 0 {
+			k++
+		}
+	}
+	if k == 0 {
+		return stats.Distribution{}
+	}
+	pts := make([]stats.Point, 0, k)
+	var cum uint64
+	for c, v := range h {
+		if v == 0 {
+			continue
+		}
+		cum += v
+		pts = append(pts, stats.Point{X: float64(c), Y: 1 - float64(cum)/float64(n)})
+	}
+	return stats.Distribution{Points: pts}
+}
+
+// below returns how many counts h holds under c.
+func (h countHist) below(c int) uint64 {
+	var n uint64
+	for _, v := range h[:min(c, len(h))] {
+		n += v
+	}
+	return n
 }
 
 // PublicAvailabilityResult holds the Fig. 17 CCDFs and §3.5 estimates.
@@ -334,28 +356,17 @@ const minAvailBins = 36 // >= 6 hours over the campaign
 
 // Result finalizes the accumulator.
 func (pa *PublicAvailability) Result() PublicAvailabilityResult {
+	n := pa.intervals
 	r := PublicAvailabilityResult{
-		CCDF24All:    stats.CCDF(pa.n24All),
-		CCDF24Strong: stats.CCDF(pa.n24Strong),
-		CCDF5All:     stats.CCDF(pa.n5All),
-		CCDF5Strong:  stats.CCDF(pa.n5Strong),
+		CCDF24All:    pa.hist[avail24All].ccdf(n),
+		CCDF24Strong: pa.hist[avail24Strong].ccdf(n),
+		CCDF5All:     pa.hist[avail5All].ccdf(n),
+		CCDF5Strong:  pa.hist[avail5Strong].ccdf(n),
 	}
-	if n := len(pa.n24All); n > 0 {
-		var u10, any5, strong5 int
-		for i := range pa.n24All {
-			if pa.n24All[i] < 10 {
-				u10++
-			}
-			if pa.n5All[i] > 0 {
-				any5++
-			}
-			if pa.n5Strong[i] > 0 {
-				strong5++
-			}
-		}
-		r.Frac24Under10 = float64(u10) / float64(n)
-		r.Frac5Any = float64(any5) / float64(n)
-		r.Frac5Strong = float64(strong5) / float64(n)
+	if n > 0 {
+		r.Frac24Under10 = float64(pa.hist[avail24All].below(10)) / float64(n)
+		r.Frac5Any = float64(n-pa.hist[avail5All].below(1)) / float64(n)
+		r.Frac5Strong = float64(n-pa.hist[avail5Strong].below(1)) / float64(n)
 	}
 	var off, tot uint64
 	var devices, withStrong, with5, with5s int

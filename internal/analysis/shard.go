@@ -67,7 +67,6 @@ var (
 	samplePool = mempool.NewSlicePool[trace.Sample](64)
 	apObsPool  = mempool.NewSlicePool[trace.APObs](256)
 	appPool    = mempool.NewSlicePool[trace.AppTraffic](256)
-	floatPool  = mempool.NewSlicePool[float64](64)
 )
 
 // slab is a run of deep-copied samples held in pooled memory: the sample
@@ -445,6 +444,12 @@ func Run(in Input, prep *Prep, cleaned []Analyzer, raw []Analyzer) error {
 // shard accumulates its device partition's prepass state, and the partitions
 // are folded and finalized in shard order. updateRelease, when non-nil,
 // enables iOS-update detection from that instant (2015 campaign).
+//
+// Each device's samples must arrive in time order; devices may interleave.
+// The pass folds a device's night-time and update evidence into per-device
+// state when its stream reaches a later day, so that state is O(devices),
+// and a sample for a day its device has already left fails the pass with
+// an error wrapping ErrClosedDay that names the device and both days.
 func BuildPrep(meta Meta, in Input, updateRelease *time.Time) (*Prep, error) {
 	shards := make([]*prepShard, in.width())
 	for w := range shards {
@@ -459,5 +464,5 @@ func BuildPrep(meta Meta, in Input, updateRelease *time.Time) (*Prep, error) {
 	}
 	fsp := traceStart("analysis:prep-finish")
 	defer fsp.End()
-	return finishPrep(meta, updateRelease, shards), nil
+	return finishPrep(meta, shards), nil
 }

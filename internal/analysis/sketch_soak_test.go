@@ -6,8 +6,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,55 +71,19 @@ func TestSketchSoak(t *testing.T) {
 	b, cleaned, raw := newSketchEquivalenceBattery(meta, prep)
 
 	runtime.GC()
-	var base runtime.MemStats
-	runtime.ReadMemStats(&base)
-
-	// Watchdog: track the peak heap concurrently with the run, so transient
-	// spikes between explicit measurement points still count.
-	var peak atomic.Uint64
-	peak.Store(base.HeapAlloc)
-	sample := func() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		for {
-			cur := peak.Load()
-			if ms.HeapAlloc <= cur || peak.CompareAndSwap(cur, ms.HeapAlloc) {
-				return
-			}
-		}
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(50 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				sample()
-			}
-		}
-	}()
-
+	stop := heapWatch()
 	start := time.Now()
 	var upd updateMemo
 	samples := soakStream(meta, devices, func(s *trace.Sample) {
 		dispatch(s, prep, cleaned, raw, &upd)
 	})
-	close(stop)
-	wg.Wait()
-	sample()
 	elapsed := time.Since(start)
 
 	// Finalize under the same budget: Result flushes the per-device state.
 	durRes := b.durations.Result()
 	apdRes := b.apsPerDay.Result()
 	cardRes := b.card.Result()
-	sample()
+	peakHeap := stop()
 
 	var runs uint64
 	for c := range durRes.Hours {
@@ -129,7 +91,6 @@ func TestSketchSoak(t *testing.T) {
 	}
 	wifiDays := b.apsPerDay.totals[0] // flushed WiFi-using user-days
 	ceiling := soakHeapCeiling(devices)
-	peakHeap := peak.Load()
 	exactLB := runs*exactBytesPerRun + wifiDays*exactBytesPerWiFiDay
 
 	t.Logf("devices=%d samples=%d elapsed=%s", devices, samples, elapsed.Round(time.Millisecond))
@@ -181,6 +142,51 @@ func TestSketchSoak(t *testing.T) {
 			t.Fatalf("write %s: %v", out, err)
 		}
 		t.Logf("memstats artifact written to %s", out)
+	}
+}
+
+// prepBytesPerDeviceDay bounds how much the prepass's peak heap may grow
+// per device-day: the UserDays entry and its map slot, with the GC's
+// headroom. Night evidence is per device and must not add to it.
+const prepBytesPerDeviceDay = 400
+
+// TestPrepHeapPerDeviceDay runs BuildPrep over the soak's generator at
+// 20,000 devices for 7 and for 28 days under the watchdog, and bounds the
+// peak heap's growth per added device-day. Only UserDays may grow with the
+// days; state kept per device-day beyond it (a struct and two maps of night
+// counts cost about 800 B) fails the bound.
+func TestPrepHeapPerDeviceDay(t *testing.T) {
+	const devices = 20_000
+	peak := func(days int) uint64 {
+		meta := testMeta(days)
+		src := func(fn func(*trace.Sample) error) error {
+			var err error
+			soakStream(meta, devices, func(s *trace.Sample) {
+				if err == nil {
+					err = fn(s)
+				}
+			})
+			return err
+		}
+		runtime.GC()
+		stop := heapWatch()
+		prep, err := BuildPrep(meta, Stream(src, 1), nil)
+		peak := stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prep.UserDays) != devices*days {
+			t.Fatalf("%d days: prepass holds %d user-days, want %d", days, len(prep.UserDays), devices*days)
+		}
+		return peak
+	}
+	short, long := peak(7), peak(28)
+	added := devices * (28 - 7)
+	perDay := (float64(long) - float64(short)) / float64(added)
+	t.Logf("peak heap %.1f MiB at 7 days, %.1f MiB at 28 days: %.0f B per added device-day (bound %d)",
+		float64(short)/(1<<20), float64(long)/(1<<20), perDay, prepBytesPerDeviceDay)
+	if perDay > prepBytesPerDeviceDay {
+		t.Errorf("prepass peak heap grows %.0f B per device-day, over the %d B bound", perDay, prepBytesPerDeviceDay)
 	}
 }
 

@@ -227,14 +227,6 @@ type analyzerSet struct {
 	raw     []analysis.Analyzer
 }
 
-// release recycles pooled analyzer accumulators once their results have been
-// extracted. Only analyzers whose Result deep-copies are releasable;
-// AssocDuration, for instance, aliases its accumulator into its result and
-// is deliberately absent.
-func (set *analyzerSet) release() {
-	set.publicAvail.Release()
-}
-
 func newAnalyzerSet(meta analysis.Meta, prep *analysis.Prep, release *time.Time, sketch bool) *analyzerSet {
 	set := &analyzerSet{
 		sketch:      sketch,
@@ -308,7 +300,6 @@ func assembleRun(cfg config.Campaign, sm *sim.Simulator, prep *analysis.Prep, se
 		}
 		run.Survey = sv
 	}
-	set.release()
 	return run, nil
 }
 

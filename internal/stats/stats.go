@@ -141,7 +141,8 @@ type Distribution struct {
 
 // CDF builds the empirical CDF of xs. Ties are collapsed to a single point at
 // the highest cumulative probability. It returns an empty Distribution for an
-// empty input.
+// empty input. The points are sized to the distinct values, so a result that
+// keeps the distribution keeps one point per distinct value, not per sample.
 func CDF(xs []float64) Distribution {
 	n := len(xs)
 	if n == 0 {
@@ -150,7 +151,13 @@ func CDF(xs []float64) Distribution {
 	sorted := make([]float64, n)
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	pts := make([]Point, 0, n)
+	distinct := 0
+	for i, v := range sorted {
+		if i == 0 || v != sorted[i-1] {
+			distinct++
+		}
+	}
+	pts := make([]Point, 0, distinct)
 	for i, v := range sorted {
 		p := float64(i+1) / float64(n)
 		if len(pts) > 0 && pts[len(pts)-1].X == v {

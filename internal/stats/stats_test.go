@@ -113,6 +113,24 @@ func TestCDFBasics(t *testing.T) {
 	}
 }
 
+// TestCDFCapacityFollowsDistinctValues pins the size of what a kept
+// distribution holds: one point per distinct value, whatever the sample
+// count.
+func TestCDFCapacityFollowsDistinctValues(t *testing.T) {
+	xs := make([]float64, 10_000)
+	for i := range xs {
+		xs[i] = float64(i % 5)
+	}
+	d := CDF(xs)
+	if len(d.Points) != 5 || cap(d.Points) != 5 {
+		t.Fatalf("CDF of 10000 samples over 5 values: %d points, capacity %d, want 5 and 5",
+			len(d.Points), cap(d.Points))
+	}
+	if c := CCDF(xs); cap(c.Points) != 5 {
+		t.Fatalf("CCDF capacity %d, want 5", cap(c.Points))
+	}
+}
+
 // Property: a CDF is nondecreasing in both X and Y and ends at 1.
 func TestCDFMonotone(t *testing.T) {
 	f := func(raw []float64) bool {
