@@ -98,8 +98,8 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/sketch || exit 1; \
 	done
 
-# The repo's own multichecker, eight analyzers: aliasret, closeerr,
-# commitpair, determinism, guardedby, lockorder, poollife, shardmerge. See
+# The repo's own multichecker, seven analyzers: aliasret, closeerr,
+# commitpair, determinism, guardedby, lockorder, shardmerge. See
 # DESIGN.md "Static analysis" for what each analyzer enforces and the
 # //smuvet:allow suppression syntax (including the stale-allow sweep).
 smuvet:

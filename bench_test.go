@@ -192,8 +192,8 @@ func BenchmarkProtoBatchRoundTrip(b *testing.B) {
 	batch := proto.Batch{BatchID: 1, Samples: f.samples[:64]}
 	var out proto.Batch
 	var payload []byte
-	// One warm round trip primes the scratch pool, the decode target's
-	// slices, and the ESSID interner, so the one-iteration manifest records
+	// One warm round trip sizes the payload and the decode target's slices
+	// and fills the ESSID interner, so the one-iteration manifest records
 	// the steady state.
 	payload = proto.AppendBatch(payload[:0], &batch)
 	if err := proto.DecodeBatch(payload, &out); err != nil {
@@ -501,16 +501,14 @@ func BenchmarkImplications(b *testing.B) {
 
 // BenchmarkFullCampaign measures the complete simulate-and-analyze path at
 // a small scale — the end-to-end cost of regenerating one campaign's
-// worth of results. A warm-up campaign first fills the process-wide
-// analysis pools, so B/op counts one campaign, not whatever the benchmarks
-// run before this one left in the pools.
+// worth of results.
 func BenchmarkFullCampaign(b *testing.B) {
 	campaign := func(seed int64) {
 		if _, err := core.RunCampaign(2013, core.Options{Scale: 0.02, Seed: seed}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	campaign(1)
+	campaign(1) // an untimed first campaign takes the page faults
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		campaign(int64(i + 1))

@@ -1,7 +1,7 @@
 // Command smuvet is the repo's domain-specific multichecker: it loads the
-// packages named by its arguments (default ./...) and runs the eight
+// packages named by its arguments (default ./...) and runs the seven
 // invariant analyzers — aliasret, closeerr, commitpair, determinism,
-// guardedby, lockorder, poollife, shardmerge — over them, printing vet-style
+// guardedby, lockorder, shardmerge — over them, printing vet-style
 // file:line:col diagnostics.
 //
 // Usage:

@@ -24,10 +24,10 @@ func (a *Aggregate) Add(s *trace.Sample) {
 	a.wifiTX[h] += float64(s.WiFiTX)
 }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (a *Aggregate) NewShard() Analyzer { return NewAggregate(a.meta) }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements Analyzer.
 func (a *Aggregate) Merge(shard Analyzer) {
 	o := shard.(*Aggregate)
 	for h := 0; h < 168; h++ {

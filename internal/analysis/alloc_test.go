@@ -9,11 +9,11 @@ import (
 	"smartusage/internal/trace"
 )
 
-// These tests pin the allocation contract of the pooled shard engine: once
-// the process-wide pools are warm, partitioning a campaign allocates a small
-// constant amount of bookkeeping — never per sample. The ceilings are far
-// below the fixture's sample count, so any per-sample allocation sneaking
-// back into the hot path fails loudly.
+// These tests pin the allocation contract of the shard engine: a slab
+// allocates per chunk, never per sample, so partitioning a campaign or
+// streaming it through the fan-out allocates a few dozen chunks plus
+// bookkeeping. The ceilings are far below the fixture's sample count, so any
+// per-sample allocation sneaking back into the hot path fails loudly.
 
 func TestShardSamplesSteadyStateAllocs(t *testing.T) {
 	meta, samples, _ := equivalenceFixture(t)
@@ -32,20 +32,14 @@ func TestShardSamplesSteadyStateAllocs(t *testing.T) {
 			sh.Release()
 		}
 	}
-	// Two warm cycles grow the pools to the campaign's high-water marks.
-	cycle()
-	cycle()
-	if err != nil {
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(5, cycle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shards header, parts slice, and a few arena chunk-list appends; the
-	// ~17k deep-copied samples must come from the pools.
+	// Shards header, parts slice, and per part a few chunks and chunk-list
+	// appends; the ~17k deep-copied samples must not allocate one by one.
 	if allocs > 64 {
-		t.Fatalf("warm NewShards+Add+Release allocates %.0f times per cycle over %d samples, want <= 64", allocs, len(samples))
+		t.Fatalf("NewShards+Add+Release allocates %.0f times per cycle over %d samples, want <= 64", allocs, len(samples))
 	}
 }
 
@@ -75,9 +69,10 @@ func TestFanOutSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Channels, goroutines, and pooled-batch cycling; not per sample.
+	// Channels, goroutines, and the chunks of each worker's batches; not
+	// per sample.
 	if allocs > 256 {
-		t.Fatalf("warm fanOut allocates %.0f times per pass over %d samples, want <= 256", allocs, len(samples))
+		t.Fatalf("fanOut allocates %.0f times per pass over %d samples, want <= 256", allocs, len(samples))
 	}
 }
 
@@ -151,9 +146,9 @@ func TestSketchFootprintNoGrowth(t *testing.T) {
 	}
 }
 
-// TestShardPoolConcurrentSoak hammers the process-wide pools from
-// concurrent campaign partitions — the RunStudy shape — and verifies the
-// pooled copies stay intact. Run under -race this is the engine's pool soak.
+// TestShardPoolConcurrentSoak builds and reads concurrent campaign
+// partitions — the RunStudy shape — and verifies each one's deep copies stay
+// intact. Run under -race it checks that no two partitions share memory.
 func TestShardPoolConcurrentSoak(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
 	src := SliceSource(samples)
@@ -178,7 +173,7 @@ func TestShardPoolConcurrentSoak(t *testing.T) {
 					return
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("goroutine %d iter %d: pooled shards corrupted the prepass", g, i)
+					t.Errorf("goroutine %d iter %d: shards corrupted the prepass", g, i)
 					return
 				}
 				sh.Release()

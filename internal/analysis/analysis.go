@@ -216,10 +216,18 @@ func (c APClass) String() string {
 
 // Analyzer is one streaming experiment: it observes samples (optionally
 // augmented with prepass context) and exposes its result through its own
-// typed accessor.
+// typed accessor. A pass over several device shards feeds each shard its own
+// NewShard clone and folds the clones back with Merge.
 type Analyzer interface {
 	// Add observes one (cleaned) sample.
 	Add(s *trace.Sample)
+	// NewShard returns a fresh, empty analyzer of the same kind and
+	// configuration, safe to feed from another goroutine.
+	NewShard() Analyzer
+	// Merge folds a shard previously returned by NewShard into the
+	// receiver. Callers guarantee no two merged shards saw the same
+	// device, and always merge in fixed shard order.
+	Merge(shard Analyzer)
 }
 
 // updateDay is one device's Prep.UpdateDay entry, present or not.

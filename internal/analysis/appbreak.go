@@ -93,10 +93,10 @@ func (ab *AppBreakdown) Add(s *trace.Sample) {
 	}
 }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (ab *AppBreakdown) NewShard() Analyzer { return NewAppBreakdown(ab.meta, ab.prep) }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements Analyzer.
 func (ab *AppBreakdown) Merge(shard Analyzer) {
 	o := shard.(*AppBreakdown)
 	for sc := AppScene(0); sc < NumAppScenes; sc++ {

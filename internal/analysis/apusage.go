@@ -237,10 +237,10 @@ func (a *APsPerDay) flush(dev trace.DeviceID, st *apDayState) {
 	}
 }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (a *APsPerDay) NewShard() Analyzer { return NewAPsPerDay(a.meta, a.prep) }
 
-// Merge implements ShardedAnalyzer. Shards are device-disjoint, so open
+// Merge implements Analyzer. Shards are device-disjoint, so open
 // days transfer without clashing.
 func (a *APsPerDay) Merge(shard Analyzer) {
 	o := shard.(*APsPerDay)

@@ -41,10 +41,10 @@ func (ba *Battery) Add(s *trace.Sample) {
 	}
 }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (ba *Battery) NewShard() Analyzer { return NewBattery(ba.meta) }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements Analyzer.
 func (ba *Battery) Merge(shard Analyzer) {
 	o := shard.(*Battery)
 	for h := 0; h < 24; h++ {

@@ -25,10 +25,10 @@ func (cr *CarrierRatios) Add(s *trace.Sample) {
 	}
 }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (cr *CarrierRatios) NewShard() Analyzer { return NewCarrierRatios() }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements Analyzer.
 func (cr *CarrierRatios) Merge(shard Analyzer) {
 	o := shard.(*CarrierRatios)
 	for os := 0; os < 2; os++ {

@@ -81,10 +81,10 @@ func (a *AssocDuration) close(run *assocRun) {
 	a.hours[a.prep.ClassOf(run.key)].Add(hours)
 }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (a *AssocDuration) NewShard() Analyzer { return NewAssocDuration(a.meta, a.prep, a.sketchMode) }
 
-// Merge implements ShardedAnalyzer. Shards are device-disjoint, so open
+// Merge implements Analyzer. Shards are device-disjoint, so open
 // runs transfer without clashing.
 func (a *AssocDuration) Merge(shard Analyzer) {
 	o := shard.(*AssocDuration)

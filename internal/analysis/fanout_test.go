@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"smartusage/internal/mempool"
 	"smartusage/internal/trace"
 )
 
@@ -117,6 +116,9 @@ func (c *consumed) Add(*trace.Sample) {
 		time.Sleep(c.pause)
 	}
 }
+
+func (c *consumed) NewShard() Analyzer   { return &consumed{pause: c.pause} }
+func (c *consumed) Merge(shard Analyzer) { c.n.Add(shard.(*consumed).n.Load()) }
 
 // heapWatch samples HeapAlloc until stopped and reports the peak.
 func heapWatch() (stop func() uint64) {
@@ -242,22 +244,15 @@ func TestStreamingDriverBoundedMemory(t *testing.T) {
 	}
 }
 
-// poolsHeld is the bytes the process-wide analysis pools keep between uses.
-func poolsHeld() int {
-	return samplePool.Held() + apObsPool.Held() + appPool.Held()
-}
-
 // TestShardsReleaseReturnsHeap fills an in-memory campaign partition far
-// larger than the pools may keep and releases it. After a GC the heap must
-// be back within the pools' byte bounds of its baseline: a finished campaign
-// no longer pins its slabs in the process.
+// larger than streamHeapSlack and releases it, keeping the Shards. After a
+// GC the heap must be back within streamHeapSlack of its baseline: a
+// finished campaign pins none of its slabs, not even through the Shards
+// its caller keeps.
 func TestShardsReleaseReturnsHeap(t *testing.T) {
-	const pools = 3 // samplePool, apObsPool, appPool
-	bound := uint64(pools * mempool.RetainBytes)
 	runtime.GC()
 	var base, filled, after runtime.MemStats
 	runtime.ReadMemStats(&base)
-	held0 := poolsHeld()
 
 	sh := NewShards(2)
 	s := trace.Sample{
@@ -276,27 +271,22 @@ func TestShardsReleaseReturnsHeap(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 
-	if held := filled.HeapAlloc - base.HeapAlloc; held <= bound+streamHeapSlack {
-		t.Fatalf("partition holds %.1f MiB, too little to exceed the pools' %.1f MiB bound",
-			float64(held)/(1<<20), float64(bound)/(1<<20))
-	}
-	for name, held := range map[string]int{
-		"sample": samplePool.Held(), "apObs": apObsPool.Held(), "app": appPool.Held(),
-	} {
-		if held > mempool.RetainBytes {
-			t.Errorf("%s pool holds %d bytes, over RetainBytes %d", name, held, mempool.RetainBytes)
-		}
+	if held := filled.HeapAlloc - base.HeapAlloc; held <= 4*streamHeapSlack {
+		t.Fatalf("partition holds %.1f MiB, too little to tell a released partition from a kept one",
+			float64(held)/(1<<20))
 	}
 	var growth uint64
 	if after.HeapAlloc > base.HeapAlloc {
 		growth = after.HeapAlloc - base.HeapAlloc
 	}
-	t.Logf("partition +%.1f MiB; after Release and GC +%.1f MiB, pools hold %.1f MiB (%.1f MiB before)",
-		float64(filled.HeapAlloc-base.HeapAlloc)/(1<<20), float64(growth)/(1<<20),
-		float64(poolsHeld())/(1<<20), float64(held0)/(1<<20))
-	if growth > bound-uint64(held0)+streamHeapSlack {
-		t.Errorf("heap stayed %.1f MiB above its baseline after Release, over the pools' %.1f MiB bound",
-			float64(growth)/(1<<20), float64(bound-uint64(held0))/(1<<20))
+	t.Logf("partition +%.1f MiB; after Release and GC +%.1f MiB",
+		float64(filled.HeapAlloc-base.HeapAlloc)/(1<<20), float64(growth)/(1<<20))
+	if growth > streamHeapSlack {
+		t.Errorf("heap stayed %.1f MiB above its baseline after Release, over the %.1f MiB slack",
+			float64(growth)/(1<<20), float64(streamHeapSlack)/(1<<20))
+	}
+	if n := sh.Len(); n != 0 {
+		t.Errorf("released partition still holds %d samples", n)
 	}
 }
 

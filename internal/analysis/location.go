@@ -35,10 +35,10 @@ func (l *LocationTraffic) Add(s *trace.Sample) {
 	l.tot[class] += float64(s.WiFiRX + s.WiFiTX)
 }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (l *LocationTraffic) NewShard() Analyzer { return NewLocationTraffic(l.meta, l.prep) }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements Analyzer.
 func (l *LocationTraffic) Merge(shard Analyzer) {
 	o := shard.(*LocationTraffic)
 	for c := APClass(0); c < NumAPClasses; c++ {

@@ -337,8 +337,7 @@ func TestShardsPartitioning(t *testing.T) {
 	devShard := make(map[trace.DeviceID]int)
 	lastTime := make(map[trace.DeviceID]int64)
 	for w := range sh.parts {
-		for i := range sh.parts[w].samples {
-			s := &sh.parts[w].samples[i]
+		sh.parts[w].each(w, func(w int, s *trace.Sample) error {
 			if prev, ok := devShard[s.Device]; ok && prev != w {
 				t.Fatalf("device %d in shards %d and %d", s.Device, prev, w)
 			}
@@ -347,7 +346,8 @@ func TestShardsPartitioning(t *testing.T) {
 				t.Fatalf("device %d out of order in shard %d", s.Device, w)
 			}
 			lastTime[s.Device] = s.Time
-		}
+			return nil
+		})
 	}
 	if len(devShard) != 40 {
 		t.Fatalf("saw %d devices, want 40", len(devShard))
@@ -376,30 +376,5 @@ func TestFanOutPropagatesSourceError(t *testing.T) {
 	agg := NewAggregate(meta)
 	if err := Run(Stream(src, 4), nil, []Analyzer{agg}, nil); err == nil {
 		t.Fatal("source error swallowed by Run")
-	}
-}
-
-// TestRunParallelFallsBackOnUnshardable checks that a battery containing a
-// plain Analyzer still runs (on one worker) rather than failing, over either
-// input form: a 4-shard partition is then read part by part on one goroutine.
-func TestRunParallelFallsBackOnUnshardable(t *testing.T) {
-	meta, samples, release := equivalenceFixture(t)
-	src := SliceSource(samples)
-	prep, err := inlinePrep(meta, src, release)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want counter
-	if err := inlineRun(src, prep, []Analyzer{&want}, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range inputForms(t, src, 4) {
-		var c counter
-		if err := Run(in, prep, []Analyzer{&c}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if c.n == 0 || c.n != want.n {
-			t.Fatalf("%T: plain analyzer saw %d samples, the inline oracle %d", in, c.n, want.n)
-		}
 	}
 }

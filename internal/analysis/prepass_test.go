@@ -419,4 +419,6 @@ func TestRunCleaning(t *testing.T) {
 
 type counter struct{ n int }
 
-func (c *counter) Add(*trace.Sample) { c.n++ }
+func (c *counter) Add(*trace.Sample)    { c.n++ }
+func (c *counter) NewShard() Analyzer   { return &counter{} }
+func (c *counter) Merge(shard Analyzer) { c.n += shard.(*counter).n }

@@ -231,10 +231,10 @@ func (pa *PublicAvailability) Add(s *trace.Sample) {
 	}
 }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (pa *PublicAvailability) NewShard() Analyzer { return NewPublicAvailability(pa.prep) }
 
-// Merge implements ShardedAnalyzer. The histograms add count by count, so
+// Merge implements Analyzer. The histograms add count by count, so
 // the result matches the sequential pass in any merge order.
 func (pa *PublicAvailability) Merge(shard Analyzer) {
 	o := shard.(*PublicAvailability)

@@ -68,6 +68,19 @@ func (o *availOracle) Add(s *trace.Sample) {
 	}
 }
 
+func (o *availOracle) NewShard() Analyzer { return newAvailOracle(o.prep) }
+
+func (o *availOracle) Merge(shard Analyzer) {
+	sh := shard.(*availOracle)
+	o.n24All = append(o.n24All, sh.n24All...)
+	o.n24Strong = append(o.n24Strong, sh.n24Strong...)
+	o.n5All = append(o.n5All, sh.n5All...)
+	o.n5Strong = append(o.n5Strong, sh.n5Strong...)
+	for id, dev := range sh.devs {
+		o.devs[id] = dev
+	}
+}
+
 func (o *availOracle) result() PublicAvailabilityResult {
 	r := PublicAvailabilityResult{
 		CCDF24All:    stats.CCDF(o.n24All),

@@ -49,10 +49,10 @@ func (w *WiFiRatios) Add(s *trace.Sample) {
 	}
 }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (w *WiFiRatios) NewShard() Analyzer { return NewWiFiRatios(w.meta, w.prep) }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements Analyzer.
 func (w *WiFiRatios) Merge(shard Analyzer) {
 	o := shard.(*WiFiRatios)
 	for b := 0; b < 3; b++ {
@@ -151,10 +151,10 @@ func (is *InterfaceState) Add(s *trace.Sample) {
 	}
 }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (is *InterfaceState) NewShard() Analyzer { return NewInterfaceState(is.meta) }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements Analyzer.
 func (is *InterfaceState) Merge(shard Analyzer) {
 	o := shard.(*InterfaceState)
 	for h := 0; h < 168; h++ {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"smartusage/internal/mempool"
 	"smartusage/internal/obs"
 	"smartusage/internal/trace"
 )
@@ -29,19 +28,6 @@ import (
 // snapshots, raw duration slices) use explicit deterministic rules instead
 // of arrival order.
 
-// ShardedAnalyzer is an Analyzer that can fan out over device-partitioned
-// shards and fold the shards back together.
-type ShardedAnalyzer interface {
-	Analyzer
-	// NewShard returns a fresh, empty analyzer of the same kind and
-	// configuration, safe to feed from another goroutine.
-	NewShard() Analyzer
-	// Merge folds a shard previously returned by NewShard into the
-	// receiver. Callers guarantee no two merged shards saw the same
-	// device, and always merge in fixed shard order.
-	Merge(shard Analyzer)
-}
-
 // shardOf maps a device to one of n shards. The device bits go through a
 // splitmix64-style finalizer first so that sequentially assigned IDs spread
 // evenly for every shard count.
@@ -55,73 +41,111 @@ func shardOf(dev trace.DeviceID, n int) int {
 	return int(x % uint64(n))
 }
 
-// Pools shared by every campaign analysis in the process. Every slab — a
-// Shards part or a fan-out batch — holds deep-copied samples in these pools'
-// buffers (sample slabs plus arena chunks for the per-sample Apps/APs
-// slices); recycling them across passes, campaign years and repeated runs is
-// what keeps steady-state allocation per pass instead of per sample. Each
-// pool keeps at most mempool.RetainBytes between uses: enough for the
-// fan-out's batches, while a released Shards' campaign-sized slabs go to the
-// GC.
-var (
-	samplePool = mempool.NewSlicePool[trace.Sample](64)
-	apObsPool  = mempool.NewSlicePool[trace.APObs](256)
-	appPool    = mempool.NewSlicePool[trace.AppTraffic](256)
+// Chunk sizes, in elements: a chunk list starts at minChunk and each new
+// chunk doubles the last up to maxChunk, so a part the size of a campaign
+// wastes at most one chunk. minChunk is one fan-out batch, whose samples
+// thus fill exactly one chunk.
+const (
+	minChunk = fanOutBatch
+	maxChunk = 64 << 10
 )
 
-// slab is a run of deep-copied samples held in pooled memory: the sample
-// buffer plus the arenas backing every sample's Apps/APs slices. It serves
-// as one device partition of a Shards and as one fan-out batch.
-type slab struct {
-	samples []trace.Sample
-	aps     mempool.Arena[trace.APObs]
-	apps    mempool.Arena[trace.AppTraffic]
+// chunks holds elements of T in a list of fixed-capacity chunks. A chunk is
+// never moved or regrown, so a slice handed out by alloc stays valid until
+// reset, and growth allocates a new chunk instead of copying what is held.
+type chunks[T any] struct {
+	// list[:cur+1] hold the elements in order; the chunks after cur are
+	// empty ones that reset kept for reuse.
+	list [][]T
+	cur  int
 }
 
-// newSlab returns an empty slab over the sample buffer samples; a nil buffer
-// is taken from the pool by the first add.
-func newSlab(samples []trace.Sample) slab {
-	return slab{samples: samples, aps: mempool.NewArena(apObsPool), apps: mempool.NewArena(appPool)}
-}
-
-// add deep-copies s into the slab, growing the buffer through the pool.
-func (p *slab) add(s *trace.Sample) {
-	if len(p.samples) == cap(p.samples) {
-		n := 2 * cap(p.samples)
-		if n < 1024 {
-			n = 1024
+// alloc returns room for n elements, contiguous and capacity-clamped so an
+// append on it cannot spill into its neighbours.
+func (c *chunks[T]) alloc(n int) []T {
+	if len(c.list) > 0 {
+		k := c.list[c.cur]
+		if start := len(k); cap(k)-start >= n {
+			c.list[c.cur] = k[:start+n]
+			return k[start : start+n : start+n]
 		}
-		p.samples = samplePool.Grow(p.samples, n)
+		c.cur++
 	}
-	p.samples = append(p.samples, *s)
-	ns := &p.samples[len(p.samples)-1]
-	ns.Apps = p.apps.Append(s.Apps)
-	ns.APs = p.aps.Append(s.APs)
+	if c.cur == len(c.list) {
+		size := minChunk
+		if c.cur > 0 {
+			size = min(2*cap(c.list[c.cur-1]), maxChunk)
+		} else {
+			c.list = make([][]T, 0, 8) // room for the chunks up to maxChunk
+		}
+		c.list = append(c.list, make([]T, 0, max(n, size)))
+	} else if cap(c.list[c.cur]) < n {
+		c.list[c.cur] = make([]T, 0, n)
+	}
+	k := c.list[c.cur][:n]
+	c.list[c.cur] = k
+	return k[:n:n]
+}
+
+// copyOf copies src into the list. Empty input returns nil, matching what a
+// deep clone of a nil slice yields.
+func (c *chunks[T]) copyOf(src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	dst := c.alloc(len(src))
+	copy(dst, src)
+	return dst
+}
+
+// reset empties every chunk and keeps them for reuse; every slice alloc
+// handed out is invalid afterwards.
+func (c *chunks[T]) reset() {
+	for i := range c.list {
+		c.list[i] = c.list[i][:0]
+	}
+	c.cur = 0
+}
+
+// slab is a run of deep-copied samples that owns its memory: the samples
+// plus the AP observations and app records their slices point into, each in
+// a chunk list of its own. It serves as one device partition of a Shards and
+// as one fan-out batch.
+type slab struct {
+	samples chunks[trace.Sample]
+	aps     chunks[trace.APObs]
+	apps    chunks[trace.AppTraffic]
+	n       int // samples held
+}
+
+// add deep-copies s into the slab.
+func (p *slab) add(s *trace.Sample) {
+	ns := &p.samples.alloc(1)[0]
+	*ns = *s
+	ns.Apps = p.apps.copyOf(s.Apps)
+	ns.APs = p.aps.copyOf(s.APs)
+	p.n++
 }
 
 // each calls work(w, s) for every sample of the slab in order, stopping at
 // the first error.
 func (p *slab) each(w int, work func(int, *trace.Sample) error) error {
-	for i := range p.samples {
-		if err := work(w, &p.samples[i]); err != nil {
-			return err
+	for _, k := range p.samples.list {
+		for i := range k {
+			if err := work(w, &k[i]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// reset empties the slab for reuse; it keeps its sample buffer.
+// reset empties the slab for reuse; it keeps its chunks.
 func (p *slab) reset() {
-	p.samples = p.samples[:0]
-	p.aps.Release()
-	p.apps.Release()
-}
-
-// release returns every buffer to the pools; the slab is empty afterwards.
-func (p *slab) release() {
-	p.reset()
-	samplePool.Put(p.samples)
-	p.samples = nil
+	p.samples.reset()
+	p.aps.reset()
+	p.apps.reset()
+	p.n = 0
 }
 
 // Input is what a pass reads, in one of two forms: a Source decoded once per
@@ -132,11 +156,11 @@ func (p *slab) release() {
 type Input interface {
 	// width is the number of device shards the input offers a pass.
 	width() int
-	// span starts the span of pass p over the input at n shards.
-	span(p pass, n int) *obs.Span
+	// span starts the span of pass p over the input.
+	span(p pass) *obs.Span
 	// each calls work(w, s) for every sample s, w being the shard of s's
-	// device among n, which is width() or 1. It returns the first error.
-	each(p pass, n int, work func(w int, s *trace.Sample) error) error
+	// device among width(). It returns the first error.
+	each(p pass, work func(w int, s *trace.Sample) error) error
 }
 
 // pass names one pass's spans for each input form: the whole pass over a
@@ -150,24 +174,15 @@ var (
 )
 
 // Shards holds a campaign's samples partitioned by device in memory, so both
-// passes read them in place without touching the codec again. Its memory
-// comes from process-wide pools: call Release when the analyses are done.
-// The pools keep what fits under mempool.RetainBytes for later passes, and
-// hand the rest — most of a campaign — to the GC.
+// passes read them in place without touching the codec again. Each part is a
+// slab that owns its chunks, so a part costs what it holds.
 type Shards struct {
 	parts []slab
 }
 
 // NewShards returns an empty n-way partition (n < 1 is treated as 1).
 func NewShards(n int) *Shards {
-	if n < 1 {
-		n = 1
-	}
-	sh := &Shards{parts: make([]slab, n)}
-	for w := range sh.parts {
-		sh.parts[w] = newSlab(nil)
-	}
-	return sh
+	return &Shards{parts: make([]slab, max(n, 1))}
 }
 
 // Add routes one sample to its device's shard. The sample is deep-copied,
@@ -182,43 +197,33 @@ func (sh *Shards) Add(s *trace.Sample) error {
 func (sh *Shards) Len() int {
 	n := 0
 	for i := range sh.parts {
-		n += len(sh.parts[i].samples)
+		n += sh.parts[i].n
 	}
 	return n
 }
 
-// Release returns the partition's buffers to the process-wide pools, which
-// keep them only up to their byte bound. The Shards (and every sample ever
-// streamed from it) is invalid afterwards; callers release only after all
-// results are assembled. Analyzers honor this by never retaining a sample's
-// slices past Add — the merge contract's retention rule (see DESIGN.md
-// "Memory & pooling").
+// Release drops the parts, leaving an empty partition of the same width, so
+// a caller that keeps the Shards does not keep the campaign. Analyzers never
+// retain a sample's slices past Add (see DESIGN.md "Memory"), so results
+// assembled before Release stay valid.
 func (sh *Shards) Release() {
-	for w := range sh.parts {
-		sh.parts[w].release()
-	}
+	clear(sh.parts)
 }
 
 func (sh *Shards) width() int { return len(sh.parts) }
 
-func (sh *Shards) span(p pass, n int) *obs.Span {
-	return traceStart(p.shards).Arg("shards", strconv.Itoa(n))
+func (sh *Shards) span(p pass) *obs.Span {
+	return traceStart(p.shards).Arg("shards", strconv.Itoa(len(sh.parts)))
 }
 
-// each reads the parts in place, with no decode and no copy. With n == 1 —
-// a one-part partition, or a battery that cannot shard — it reads every part
-// in order on the calling goroutine; otherwise each part gets a goroutine and
-// a trace track of its own.
-func (sh *Shards) each(p pass, n int, work func(int, *trace.Sample) error) error {
-	if n == 1 {
-		for w := range sh.parts {
-			if err := sh.parts[w].each(0, work); err != nil {
-				return err
-			}
-		}
-		return nil
+// each reads the parts in place, with no decode and no copy. A one-part
+// partition is read on the calling goroutine; otherwise each part gets a
+// goroutine and a trace track of its own.
+func (sh *Shards) each(p pass, work func(int, *trace.Sample) error) error {
+	if len(sh.parts) == 1 {
+		return sh.parts[0].each(0, work)
 	}
-	errs := make([]error, n)
+	errs := make([]error, len(sh.parts))
 	var wg sync.WaitGroup
 	for w := range sh.parts {
 		wg.Add(1)
@@ -256,12 +261,12 @@ type stream struct {
 
 func (st stream) width() int { return st.workers }
 
-func (st stream) span(p pass, n int) *obs.Span {
-	return traceStart(p.stream).Arg("workers", strconv.Itoa(n))
+func (st stream) span(p pass) *obs.Span {
+	return traceStart(p.stream).Arg("workers", strconv.Itoa(st.workers))
 }
 
-func (st stream) each(_ pass, n int, work func(int, *trace.Sample) error) error {
-	return fanOut(st.src, n, work)
+func (st stream) each(_ pass, work func(int, *trace.Sample) error) error {
+	return fanOut(st.src, st.workers, work)
 }
 
 // Fan-out tuning: workers receive samples in batches to amortize channel
@@ -282,12 +287,12 @@ var errFanOutStopped = errors.New("analysis: fan-out stopped")
 // goroutine and calls work for every sample, with shard = the sample's
 // device hash modulo n. Each shard's samples reach work in stream order.
 //
-// The decoder deep-copies samples into batches — slabs whose buffers come
-// from the sample pool, which (unlike a sync.Pool) survives garbage
-// collections — handed to one worker goroutine per shard, so decoding batch
-// k+1 overlaps work on batch k, even with n == 1. A worker resets each batch
-// once every sample in it has been fed to work, which is why analyzers must
-// not retain sample slices past Add.
+// The decoder deep-copies samples into batches — slabs, which keep their
+// chunks across resets, so a pass allocates each worker's batches once —
+// handed to one worker goroutine per shard, so decoding batch k+1 overlaps
+// work on batch k, even with n == 1. A worker resets each batch once every
+// sample in it has been fed to work, which is why analyzers must not retain
+// sample slices past Add.
 //
 // A work error stops the decode at the next sample. The source error takes
 // precedence; otherwise the lowest-shard work error is returned.
@@ -304,8 +309,7 @@ func fanOut(src Source, n int, work func(shard int, s *trace.Sample) error) erro
 		full[w] = make(chan *slab, fanOutBacklog)
 		free[w] = make(chan *slab, fanOutBacklog+2)
 		for i := 0; i < cap(free[w]); i++ {
-			b := newSlab(samplePool.Get(fanOutBatch))
-			free[w] <- &b
+			free[w] <- new(slab)
 		}
 		wg.Add(1)
 		go func(w int) {
@@ -334,30 +338,19 @@ func fanOut(src Source, n int, work func(shard int, s *trace.Sample) error) erro
 			filling[w] = b
 		}
 		b.add(s)
-		if len(b.samples) >= fanOutBatch {
+		if b.n >= fanOutBatch {
 			full[w] <- b
 			filling[w] = nil
 		}
 		return nil
 	})
 	for w := range full {
-		if b := filling[w]; b != nil {
-			if srcErr == nil {
-				full[w] <- b
-			} else {
-				b.reset()
-				free[w] <- b
-			}
+		if b := filling[w]; b != nil && srcErr == nil {
+			full[w] <- b
 		}
 		close(full[w])
 	}
 	wg.Wait()
-	for w := range free {
-		close(free[w])
-		for b := range free[w] {
-			b.release()
-		}
-	}
 	if srcErr != nil && !errors.Is(srcErr, errFanOutStopped) {
 		return srcErr
 	}
@@ -369,38 +362,21 @@ func fanOut(src Source, n int, work func(shard int, s *trace.Sample) error) erro
 	return nil
 }
 
-// shardBattery prepares the analyzer sets for an n-way pass: per-shard clones
-// made with NewShard, and n itself. With one shard, or when any analyzer is
-// not a ShardedAnalyzer, it returns the base sets as the single shard and 1:
-// the one-shard pass feeds the base analyzers directly and merges nothing.
-func shardBattery(cleaned, raw []Analyzer, n int) (perCleaned, perRaw [][]Analyzer, shards int) {
-	if n > 1 {
-		c, okC := shardAnalyzers(cleaned, n)
-		r, okR := shardAnalyzers(raw, n)
-		if okC && okR {
-			return c, r, n
-		}
+// shardAnalyzers prepares an analyzer set for an n-way pass: with one shard
+// the base set itself, fed directly with nothing to merge; otherwise n
+// clones of it made with NewShard.
+func shardAnalyzers(base []Analyzer, n int) [][]Analyzer {
+	if n == 1 {
+		return [][]Analyzer{base}
 	}
-	return [][]Analyzer{cleaned}, [][]Analyzer{raw}, 1
-}
-
-// shardAnalyzers clones every base analyzer n times via NewShard. ok is false
-// when any analyzer does not implement ShardedAnalyzer.
-func shardAnalyzers(base []Analyzer, n int) (perShard [][]Analyzer, ok bool) {
-	perShard = make([][]Analyzer, n)
+	perShard := make([][]Analyzer, n)
 	for w := range perShard {
 		perShard[w] = make([]Analyzer, len(base))
-	}
-	for i, a := range base {
-		sa, isSharded := a.(ShardedAnalyzer)
-		if !isSharded {
-			return nil, false
-		}
-		for w := 0; w < n; w++ {
-			perShard[w][i] = sa.NewShard()
+		for i, a := range base {
+			perShard[w][i] = a.NewShard()
 		}
 	}
-	return perShard, true
+	return perShard
 }
 
 // mergeShards folds per-shard analyzers back into the base set, always in
@@ -408,9 +384,8 @@ func shardAnalyzers(base []Analyzer, n int) (perShard [][]Analyzer, ok bool) {
 func mergeShards(base []Analyzer, perShard [][]Analyzer) {
 	for i, a := range base {
 		sp := traceStart("analysis:merge").Arg("analyzer", fmt.Sprintf("%T", a))
-		sa := a.(ShardedAnalyzer)
 		for w := range perShard {
-			sa.Merge(perShard[w][i])
+			a.Merge(perShard[w][i])
 		}
 		sp.End()
 	}
@@ -421,14 +396,14 @@ func mergeShards(base []Analyzer, perShard [][]Analyzer) {
 // evaluated against prep (tethered intervals removed; for updated devices,
 // the update day and the following day removed, §2). With several shards
 // each feeds its own analyzer shards, merged back into cleaned and raw in
-// shard order. One shard, or any analyzer that is not shardable, feeds the
-// base analyzers directly.
+// shard order. One shard feeds the base analyzers directly.
 func Run(in Input, prep *Prep, cleaned []Analyzer, raw []Analyzer) error {
-	perCleaned, perRaw, n := shardBattery(cleaned, raw, in.width())
-	sp := in.span(runPass, n)
+	n := in.width()
+	perCleaned, perRaw := shardAnalyzers(cleaned, n), shardAnalyzers(raw, n)
+	sp := in.span(runPass)
 	defer sp.End()
 	upd := make([]updateMemo, n)
-	err := in.each(runPass, n, func(w int, s *trace.Sample) error {
+	err := in.each(runPass, func(w int, s *trace.Sample) error {
 		dispatch(s, prep, perCleaned[w], perRaw[w], &upd[w])
 		return nil
 	})
@@ -455,9 +430,9 @@ func BuildPrep(meta Meta, in Input, updateRelease *time.Time) (*Prep, error) {
 	for w := range shards {
 		shards[w] = newPrepShard(meta, updateRelease)
 	}
-	sp := in.span(prepPass, len(shards))
+	sp := in.span(prepPass)
 	defer sp.End()
-	if err := in.each(prepPass, len(shards), func(w int, s *trace.Sample) error {
+	if err := in.each(prepPass, func(w int, s *trace.Sample) error {
 		return shards[w].add(s)
 	}); err != nil {
 		return nil, err

@@ -45,10 +45,10 @@ func (c *SketchCardinality) Add(s *trace.Sample) {
 	}
 }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (c *SketchCardinality) NewShard() Analyzer { return NewSketchCardinality() }
 
-// Merge implements ShardedAnalyzer. HLL merges are idempotent, so the AP
+// Merge implements Analyzer. HLL merges are idempotent, so the AP
 // union absorbs pairs observed from devices in different shards.
 func (c *SketchCardinality) Merge(shard Analyzer) {
 	o := shard.(*SketchCardinality)

@@ -82,6 +82,16 @@ func (a *apSetsOracle) Add(s *trace.Sample) {
 	set[APKey{BSSID: ap.BSSID, ESSID: ap.ESSID}] = true
 }
 
+func (a *apSetsOracle) NewShard() Analyzer {
+	return &apSetsOracle{meta: a.meta, prep: a.prep, sets: make(map[UserDayKey]map[APKey]bool)}
+}
+
+func (a *apSetsOracle) Merge(shard Analyzer) {
+	for key, set := range shard.(*apSetsOracle).sets {
+		a.sets[key] = set
+	}
+}
+
 func (a *apSetsOracle) Result() APsPerDayResult {
 	r := APsPerDayResult{Breakdown: make(map[HPO]float64)}
 	var totals [3]int

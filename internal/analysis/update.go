@@ -49,10 +49,10 @@ func (u *UpdateTiming) Add(s *trace.Sample) {
 	}
 }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (u *UpdateTiming) NewShard() Analyzer { return NewUpdateTiming(u.meta, u.prep, u.release) }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements Analyzer.
 func (u *UpdateTiming) Merge(shard Analyzer) {
 	o := shard.(*UpdateTiming)
 	for c := range u.viaClass {

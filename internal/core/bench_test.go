@@ -48,7 +48,8 @@ func analyzeDecodedOnce(cfg config.Campaign, src analysis.Source, n int, opts co
 // sample while the worker analyzes the batch before.
 func BenchmarkAnalyzeCampaignSequential(b *testing.B) {
 	cfg, src, n := benchCampaign(b)
-	if _, err := core.AnalyzeCampaign(cfg, nil, src, core.Options{}); err != nil { // warm analyzer pools
+	// An untimed first run takes the page faults.
+	if _, err := core.AnalyzeCampaign(cfg, nil, src, core.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -69,7 +70,8 @@ func BenchmarkAnalyzeCampaignSequential(b *testing.B) {
 func BenchmarkAnalyzeCampaignSketch(b *testing.B) {
 	cfg, src, n := benchCampaign(b)
 	opts := core.Options{SketchMode: true}
-	if _, err := core.AnalyzeCampaign(cfg, nil, src, opts); err != nil { // warm analyzer pools
+	// An untimed first run takes the page faults.
+	if _, err := core.AnalyzeCampaign(cfg, nil, src, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -91,17 +93,15 @@ func BenchmarkAnalyzeCampaignSketch(b *testing.B) {
 // BenchmarkAnalyzeCampaignParallel decodes the trace once into at least four
 // in-memory shards (more when GOMAXPROCS exceeds that), analyzes both passes
 // there, and verifies the single-decode guarantee: exactly one decode per
-// sample per run, against the streaming path's two. A warmup run primes the
-// process-wide shard pools, so the committed one-iteration manifest records
-// the steady state the pools are designed for rather than the first
-// campaign's slab faults.
+// sample per run, against the streaming path's two.
 func BenchmarkAnalyzeCampaignParallel(b *testing.B) {
 	cfg, src, n := benchCampaign(b)
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
 	}
-	if _, err := analyzeDecodedOnce(cfg, src, workers, core.Options{}); err != nil { // warm pools
+	// An untimed first run takes the page faults.
+	if _, err := analyzeDecodedOnce(cfg, src, workers, core.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -324,9 +324,9 @@ func AnalyzeCampaign(cfg config.Campaign, sm *sim.Simulator, src analysis.Source
 }
 
 // AnalyzeCampaignShards runs the two-pass pipeline over pre-partitioned
-// in-memory shards, one goroutine per shard. The shards are consumed: their
-// pooled storage is recycled before returning (successfully or not), so the
-// caller must not touch sh afterwards.
+// in-memory shards, one goroutine per shard. It releases sh before returning,
+// successfully or not, so a caller that keeps sh does not keep the campaign;
+// sh then holds no samples.
 func AnalyzeCampaignShards(cfg config.Campaign, sm *sim.Simulator, sh *analysis.Shards, opts Options) (*CampaignRun, error) {
 	defer sh.Release()
 	return analyze(cfg, sm, sh, opts)

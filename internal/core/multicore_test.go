@@ -33,7 +33,7 @@ func TestMultiCoreSpeedup(t *testing.T) {
 		workers = 4
 	}
 
-	// Warm both paths first so pool growth and page faults don't count.
+	// Warm both paths first so page faults don't count.
 	seqRes, err := core.AnalyzeCampaign(cfg, nil, src, core.Options{})
 	if err != nil {
 		t.Fatal(err)

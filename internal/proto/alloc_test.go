@@ -11,10 +11,10 @@ import (
 
 // TestBatchRoundTripSteadyStateAllocs pins the wire hot path's allocation
 // contract: a warm encode+decode round trip of a reused Batch allocates
-// nothing — the encode scratch comes from its pool, the decode target reuses
-// its sample slab and per-sample slices, and repeat ESSIDs hit the batch's
-// interner. This is the per-batch cost the agent and collector pay for every
-// upload.
+// nothing — the encode writes straight into the reused payload, the decode
+// target reuses its sample slab and per-sample slices, and repeat ESSIDs hit
+// the batch's interner. This is the per-batch cost the agent and collector
+// pay for every upload.
 func TestBatchRoundTripSteadyStateAllocs(t *testing.T) {
 	in := Batch{BatchID: 7}
 	for i := 0; i < 64; i++ {
@@ -43,7 +43,7 @@ func TestBatchRoundTripSteadyStateAllocs(t *testing.T) {
 			panic(err)
 		}
 	}
-	roundTrip() // warm: scratch pool, decode slab, interner
+	roundTrip() // warm: payload, decode slab, interner
 	allocs := testing.AllocsPerRun(100, roundTrip)
 	if allocs != 0 {
 		t.Fatalf("warm batch round trip allocates %.1f times per batch, want 0", allocs)

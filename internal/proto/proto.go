@@ -29,7 +29,6 @@ import (
 	"hash/crc32"
 	"io"
 
-	"smartusage/internal/mempool"
 	"smartusage/internal/trace"
 )
 
@@ -278,21 +277,22 @@ func DecodeHelloAck(buf []byte, a *HelloAck) error {
 	return d.Finish("proto: decode hello-ack")
 }
 
-// sampleScratch recycles AppendBatch's per-sample encode buffer across
-// calls (and across the agent's batches).
-var sampleScratch = mempool.NewSlicePool[byte](8)
-
-// AppendBatch encodes b.
+// AppendBatch encodes b: its ID, its sample count, then each sample's
+// trace.AppendSample encoding behind a uvarint length. Each sample is encoded
+// straight into dst and then moved up behind its length, so a warm dst
+// makes the call allocation-free.
 func AppendBatch(dst []byte, b *Batch) []byte {
 	dst = binary.AppendUvarint(dst, b.BatchID)
 	dst = binary.AppendUvarint(dst, uint64(len(b.Samples)))
-	sample := sampleScratch.Get(256)
+	var prefix [binary.MaxVarintLen64]byte
 	for i := range b.Samples {
-		sample = trace.AppendSample(sample[:0], &b.Samples[i])
-		dst = binary.AppendUvarint(dst, uint64(len(sample)))
-		dst = append(dst, sample...)
+		start := len(dst)
+		dst = trace.AppendSample(dst, &b.Samples[i])
+		k := binary.PutUvarint(prefix[:], uint64(len(dst)-start))
+		dst = append(dst, prefix[:k]...)
+		copy(dst[start+k:], dst[start:len(dst)-k])
+		copy(dst[start:], prefix[:k])
 	}
-	sampleScratch.Put(sample)
 	return dst
 }
 

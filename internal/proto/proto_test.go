@@ -195,6 +195,40 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// The collector WAL-appends a batch payload as it arrived, so its bytes are
+// a storage format: the batch ID, the sample count, then each sample's
+// trace.AppendSample encoding behind its uvarint length. The samples' length
+// prefixes take 1, 2 and 3 bytes, and the batch is appended after bytes
+// already in dst, which must stay as they were.
+func TestAppendBatchWireBytes(t *testing.T) {
+	sample := func(aps int) trace.Sample {
+		s := trace.Sample{Device: 42, OS: trace.Android, Time: 1_400_000_000, Battery: 80}
+		for i := 0; i < aps; i++ {
+			s.APs = append(s.APs, trace.APObs{
+				BSSID: trace.BSSID(0x10000 + i), ESSID: "FON_FREE_INTERNET_0000", RSSI: -60, Channel: 6, Band: trace.Band24,
+			})
+		}
+		return s
+	}
+	b := Batch{BatchID: 300, Samples: []trace.Sample{sample(0), sample(10), sample(600)}}
+	head := []byte("already here")
+	want := append([]byte(nil), head...)
+	want = binary.AppendUvarint(want, b.BatchID)
+	want = binary.AppendUvarint(want, uint64(len(b.Samples)))
+	for i, wantPrefix := range []int{1, 2, 3} {
+		enc := trace.AppendSample(nil, &b.Samples[i])
+		if n := len(binary.AppendUvarint(nil, uint64(len(enc)))); n != wantPrefix {
+			t.Fatalf("sample %d encodes to %d bytes: a %d-byte length prefix, want %d", i, len(enc), n, wantPrefix)
+		}
+		want = binary.AppendUvarint(want, uint64(len(enc)))
+		want = append(want, enc...)
+	}
+	dst := append(make([]byte, 0, 8), head...)
+	if got := AppendBatch(dst, &b); !bytes.Equal(got, want) {
+		t.Fatalf("AppendBatch wrote %d bytes that differ from the %d-byte reference layout", len(got), len(want))
+	}
+}
+
 func TestDecodeBatchCorruptNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	in := randomBatch(rng)

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// These property tests pin the merge algebra the ShardedAnalyzer contract
+// These property tests pin the merge algebra that analysis.Analyzer's Merge
 // leans on: for any random shard split (1..16 shards) and any merge order,
 // the folded sketch is BIT-IDENTICAL (compared through its deterministic
 // serialization) to a single-shard build over the same observations. That is

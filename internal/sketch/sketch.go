@@ -3,7 +3,7 @@
 // DDSketch-style relative-accuracy histogram) for every CDF figure and an
 // HLL-style distinct counter (Distinct) for AP/device cardinalities.
 //
-// Both sketches are built for the ShardedAnalyzer merge contract and for the
+// Both sketches are built for analysis.Analyzer's merge contract and for the
 // repository's determinism culture:
 //
 //   - Memory is bounded by construction: a Quantile's bin array is fixed by

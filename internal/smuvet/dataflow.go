@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the intraprocedural dataflow engine shared by the ownership
-// and lifetime analyzers (aliasret, poollife, commitpair). The model is
-// deliberately small:
+// and lifetime analyzers (aliasret, commitpair). The model is deliberately
+// small:
 //
 //   - A *source* seeds one or more objects with a taint (aliasret: the decode
 //     target; commitpair: the commit token).

@@ -8,27 +8,28 @@ import (
 	"strings"
 )
 
-// ShardMergeAnalyzer guards the parallel analysis engine's contract (PR 1):
-// every concrete type implementing the package's Analyzer interface must
+// ShardMergeAnalyzer guards the parallel analysis engine's contract. The
+// package's Analyzer interface carries NewShard and Merge, so the compiler
+// already makes every analyzer shardable; what it cannot see is whether the
+// tests exercise the merge. Every concrete type implementing Analyzer must
 //
-//  1. also implement ShardedAnalyzer (NewShard/Merge), so it cannot silently
-//     drop a multi-worker Run, over either input form, to one worker, and
-//  2. appear in a []Analyzer table inside the package's tests — the
+//  1. appear in a []Analyzer table inside the package's tests — the
 //     parallel-equivalence suite — so the sharded == sequential property is
 //     actually exercised for it, and
-//  3. if it is sketch-backed (PR 10: any struct field, directly or through a
+//  2. if it is sketch-backed (any struct field, directly or through a
 //     same-package struct, typed from a package named "sketch"), appear in a
 //     []Analyzer table built inside a test function whose name contains
 //     "Equivalence" — the sketch-vs-exact tolerance suite — so its
 //     approximation error is measured, not assumed.
 //
-// The analyzer activates in any package that declares both interfaces
-// (today: internal/analysis). Types declared in _test.go files are exempt —
-// tests build deliberately unshardable analyzers to cover the fallback path.
+// The analyzer activates in any package that declares an Analyzer interface
+// (today: internal/analysis). Types declared in _test.go files are exempt:
+// test oracles and doubles need no table of their own.
 var ShardMergeAnalyzer = &Analyzer{
 	Name: "shardmerge",
-	Doc: "require every Analyzer implementation to implement ShardedAnalyzer " +
-		"and to appear in the parallel-equivalence test table",
+	Doc: "require every Analyzer implementation to appear in the " +
+		"parallel-equivalence test table, and a sketch-backed one in the " +
+		"sketch equivalence battery",
 	Run: runShardMerge,
 }
 
@@ -37,8 +38,7 @@ func runShardMerge(pass *Pass) error {
 		return nil
 	}
 	analyzerIface := localInterface(pass, "Analyzer")
-	shardedIface := localInterface(pass, "ShardedAnalyzer")
-	if analyzerIface == nil || shardedIface == nil {
+	if analyzerIface == nil {
 		return nil
 	}
 
@@ -78,11 +78,6 @@ func runShardMerge(pass *Pass) error {
 				}
 				if !implements(named, analyzerIface) {
 					continue
-				}
-				if !implements(named, shardedIface) {
-					pass.Reportf(ts.Pos(),
-						"%s implements Analyzer but not ShardedAnalyzer (NewShard/Merge): it silently drops a multi-worker Run to one worker",
-						obj.Name())
 				}
 				impls = append(impls, impl{
 					name: obj.Name(), obj: obj, pos: ts,

@@ -16,13 +16,12 @@
 //     accessed where the mutex is visibly held.
 //   - lockorder: no mutex acquisition cycles, no lock held across an
 //     fsync-waiting call.
-//   - poollife: pooled slices (mempool, analysis.Shards) must not be used
-//     after Put/Release.
-//   - shardmerge: every Analyzer implementation must be a ShardedAnalyzer
-//     and appear in the parallel-equivalence test table.
+//   - shardmerge: every Analyzer implementation must appear in the
+//     parallel-equivalence test table, and a sketch-backed one in the
+//     sketch equivalence battery.
 //
-// The ownership/lifetime analyzers (aliasret, poollife, commitpair) share
-// the intraprocedural dataflow engine in dataflow.go.
+// The ownership/lifetime analyzers (aliasret, commitpair) share the
+// intraprocedural dataflow engine in dataflow.go.
 //
 // A finding can be suppressed at a specific site with
 //
@@ -102,7 +101,6 @@ func All() []*Analyzer {
 		DeterminismAnalyzer,
 		GuardedByAnalyzer,
 		LockOrderAnalyzer,
-		PoolLifeAnalyzer,
 		ShardMergeAnalyzer,
 	}
 }

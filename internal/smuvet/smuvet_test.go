@@ -37,10 +37,6 @@ func TestAliasRet(t *testing.T) {
 	smuvettest.Run(t, ".", []*smuvet.Analyzer{smuvet.AliasRetAnalyzer}, "./testdata/src/zerocopy")
 }
 
-func TestPoolLife(t *testing.T) {
-	smuvettest.Run(t, ".", []*smuvet.Analyzer{smuvet.PoolLifeAnalyzer}, "./testdata/src/pooled")
-}
-
 func TestCommitPair(t *testing.T) {
 	smuvettest.Run(t, ".", []*smuvet.Analyzer{smuvet.CommitPairAnalyzer}, "./testdata/src/commit")
 }
@@ -67,7 +63,6 @@ func TestAllAnalyzers(t *testing.T) {
 		"./testdata/src/guarded",
 		"./testdata/src/wal",
 		"./testdata/src/zerocopy",
-		"./testdata/src/pooled",
 		"./testdata/src/commit",
 		"./testdata/src/collector",
 		"./testdata/src/macro",

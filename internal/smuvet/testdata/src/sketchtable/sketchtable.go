@@ -10,11 +10,6 @@ import "smartusage/internal/sketch"
 // Analyzer mirrors the real analysis-package interface.
 type Analyzer interface {
 	Add(v int)
-}
-
-// ShardedAnalyzer is the parallel-merge contract.
-type ShardedAnalyzer interface {
-	Analyzer
 	NewShard() Analyzer
 	Merge(shard Analyzer)
 }
@@ -25,10 +20,10 @@ type Plain struct{ n int }
 // Add implements Analyzer.
 func (p *Plain) Add(v int) { p.n += v }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (p *Plain) NewShard() Analyzer { return &Plain{} }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements Analyzer.
 func (p *Plain) Merge(shard Analyzer) { p.n += shard.(*Plain).n }
 
 // SketchGood holds a quantile sketch and appears in the equivalence battery.
@@ -37,12 +32,12 @@ type SketchGood struct{ q *sketch.Quantile }
 // Add implements Analyzer.
 func (g *SketchGood) Add(v int) { g.q.Add(float64(v)) }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (g *SketchGood) NewShard() Analyzer {
 	return &SketchGood{q: sketch.NewQuantile(sketch.DefaultQuantileConfig())}
 }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements Analyzer.
 func (g *SketchGood) Merge(shard Analyzer) { _ = g.q.Merge(shard.(*SketchGood).q) }
 
 // SketchStray holds a sketch but only ever appears in plain tables, so its
@@ -52,10 +47,10 @@ type SketchStray struct{ d *sketch.Distinct } // want `SketchStray is sketch-bac
 // Add implements Analyzer.
 func (s *SketchStray) Add(v int) { s.d.AddUint64(uint64(v)) }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (s *SketchStray) NewShard() Analyzer { return &SketchStray{d: sketch.NewDistinct()} }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements Analyzer.
 func (s *SketchStray) Merge(shard Analyzer) { s.d.Merge(shard.(*SketchStray).d) }
 
 // bundle hides a sketch one struct hop away; the rule must see through it.
@@ -70,12 +65,12 @@ type SketchWrapped struct{ b bundle } // want `SketchWrapped is sketch-backed bu
 // Add implements Analyzer.
 func (w *SketchWrapped) Add(v int) { w.b.devices[0].AddUint64(uint64(v)) }
 
-// NewShard implements ShardedAnalyzer.
+// NewShard implements Analyzer.
 func (w *SketchWrapped) NewShard() Analyzer {
 	return &SketchWrapped{b: bundle{devices: [2]*sketch.Distinct{sketch.NewDistinct(), sketch.NewDistinct()}}}
 }
 
-// Merge implements ShardedAnalyzer.
+// Merge implements Analyzer.
 func (w *SketchWrapped) Merge(shard Analyzer) {
 	o := shard.(*SketchWrapped)
 	for i, d := range w.b.devices {

@@ -16,7 +16,6 @@ DIRS="./internal/smuvet/testdata/src/sim \
 ./internal/smuvet/testdata/src/guarded \
 ./internal/smuvet/testdata/src/wal \
 ./internal/smuvet/testdata/src/zerocopy \
-./internal/smuvet/testdata/src/pooled \
 ./internal/smuvet/testdata/src/commit \
 ./internal/smuvet/testdata/src/collector \
 ./internal/smuvet/testdata/src/macro"
