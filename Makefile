@@ -94,9 +94,6 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/proto || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWALRecord$$' -fuzztime $(FUZZTIME) ./internal/wal || exit 1
-	for t in FuzzSketchDecode FuzzHLLDecode; do \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/sketch || exit 1; \
-	done
 
 # The repo's own multichecker, seven analyzers: aliasret, closeerr,
 # commitpair, determinism, guardedby, lockorder, shardmerge. See

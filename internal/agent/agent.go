@@ -70,9 +70,6 @@ type Config struct {
 	// and nothing is double-delivered. Empty keeps the queue in memory
 	// only, as the seed behaviour.
 	SpoolDir string
-	// SpoolSegmentBytes overrides the spool's segment rotation size, for
-	// tests (default 8 MiB).
-	SpoolSegmentBytes int64
 
 	// Dial overrides the dialer, for tests and fault injection; nil uses
 	// net.DialTimeout.

@@ -30,17 +30,16 @@ const (
 	spoolSeq    byte = 5 // batch-ID high-water mark: uvarint batchID
 )
 
+// spoolSegmentBytes is the journal's segment rotation size.
+const spoolSegmentBytes = 8 << 20
+
 // openSpool opens (or creates) the journal and replays it into the agent's
 // queue state. Called from New before any recording happens.
 func (a *Agent) openSpool() error {
-	segBytes := a.cfg.SpoolSegmentBytes
-	if segBytes <= 0 {
-		segBytes = 8 << 20
-	}
 	// Process-death durability is the goal for a handset-side spool; the
 	// OS writes back on its own schedule, no fsync per sample.
 	log, err := wal.Open(a.cfg.SpoolDir, wal.Options{
-		SegmentBytes: segBytes,
+		SegmentBytes: spoolSegmentBytes,
 		Policy:       wal.FsyncOff,
 		Metrics:      a.cfg.Metrics,
 		MetricsName:  "agent_spool",

@@ -32,11 +32,10 @@ type Dist struct {
 }
 
 // NewDist returns an empty distribution in the sketch store when sketchMode
-// is set, else in the exact store. Every sketch shares
-// sketch.DefaultQuantileConfig, so shard merges never mismatch.
+// is set, else in the exact store.
 func NewDist(sketchMode bool) Dist {
 	if sketchMode {
-		return Dist{q: sketch.NewQuantile(sketch.DefaultQuantileConfig())}
+		return Dist{q: sketch.NewQuantile()}
 	}
 	return Dist{}
 }
@@ -56,9 +55,7 @@ func (d *Dist) Merge(o *Dist) {
 		d.xs = append(d.xs, o.xs...)
 		return
 	}
-	if err := d.q.Merge(o.q); err != nil {
-		panic(err) // every Dist sketch shares one config
-	}
+	d.q.Merge(o.q)
 }
 
 // finish makes d final: it sorts the exact store. Observations arrive in

@@ -78,11 +78,6 @@ type Config struct {
 	// counters mirroring Stats, a sink latency histogram, and recovery
 	// counters. Nil keeps every instrumented site a no-op.
 	Metrics *obs.Registry
-	// PerDeviceMetrics additionally registers device="..."-labeled series
-	// (batch frames, frame bytes, dup batches, acks per device). One series
-	// set per device is high-cardinality — meant for tests and small fleets,
-	// not a million-device ingest tier.
-	PerDeviceMetrics bool
 }
 
 // Stats are the server's atomic counters.
@@ -117,7 +112,6 @@ type DeviceStats struct {
 // what lets the soak tests reconcile the two exactly.
 type serverMetrics struct {
 	timed       bool // sink histogram installed: worth reading the clock
-	perDevice   bool
 	conns       *obs.Counter
 	activeConns *obs.Gauge
 	frames      *obs.Counter
@@ -139,7 +133,7 @@ type serverMetrics struct {
 	failoverIn  *obs.Counter
 }
 
-func newServerMetrics(reg *obs.Registry, perDevice bool) serverMetrics {
+func newServerMetrics(reg *obs.Registry) serverMetrics {
 	reg.SetHelp("collector_batch_frames_total", "Batch frames received, duplicates included.")
 	reg.SetHelp("collector_dup_batches_total", "Batch frames absorbed by dedup.")
 	reg.SetHelp("collector_accepted_batches_total", "Batches committed (WAL + sink + dedup state).")
@@ -150,7 +144,6 @@ func newServerMetrics(reg *obs.Registry, perDevice bool) serverMetrics {
 	reg.SetHelp("collector_failover_sessions_total", "Hellos from agents failed over from another replica.")
 	return serverMetrics{
 		timed:       reg != nil,
-		perDevice:   reg != nil && perDevice,
 		conns:       reg.Counter("collector_conns_total"),
 		activeConns: reg.Gauge("collector_active_conns"),
 		frames:      reg.Counter("collector_batch_frames_total"),
@@ -173,15 +166,6 @@ func newServerMetrics(reg *obs.Registry, perDevice bool) serverMetrics {
 	}
 }
 
-// deviceMetrics are the optional device="..."-labeled series; all nil unless
-// Config.PerDeviceMetrics is set.
-type deviceMetrics struct {
-	frames *obs.Counter
-	bytes  *obs.Counter
-	dups   *obs.Counter
-	acks   *obs.Counter
-}
-
 // deviceState tracks one device under Server.mu. partialID/partialNext
 // record a batch whose sink failed midway, so an agent retry resumes at the
 // first unsinked sample instead of re-sinking the prefix: together with
@@ -194,7 +178,6 @@ type deviceState struct {
 	sessions    int64
 	partialID   uint64
 	partialNext int
-	m           deviceMetrics
 }
 
 // Server is the collection server. Create with New, start with Serve.
@@ -244,7 +227,7 @@ func New(cfg Config) (*Server, error) {
 	if logf == nil {
 		logf = log.Printf
 	}
-	m := newServerMetrics(cfg.Metrics, cfg.PerDeviceMetrics)
+	m := newServerMetrics(cfg.Metrics)
 	m.replicaID.Set(int64(cfg.ReplicaID))
 	return &Server{
 		cfg:     cfg,
@@ -400,7 +383,7 @@ func (s *Server) handle(ctx context.Context, nc net.Conn) error {
 		s.stats.FailoverSessions.Add(1)
 		s.m.failoverIn.Inc()
 	}
-	lastBatch, dm := s.beginSession(hello.Device)
+	lastBatch := s.beginSession(hello.Device)
 	ack := proto.HelloAck{SessionID: s.sessionID.Add(1), LastBatch: lastBatch}
 	wdeadline()
 	if err := c.WriteFrame(proto.FrameHelloAck, proto.AppendHelloAck(nil, &ack)); err != nil {
@@ -430,7 +413,6 @@ func (s *Server) handle(ctx context.Context, nc net.Conn) error {
 				return s.fail(nc, c, "bad batch: %v", err)
 			}
 			s.m.bytes.Add(int64(len(payload)))
-			dm.bytes.Add(int64(len(payload)))
 			accepted, commitSeq, err := s.accept(hello.Device, &batch)
 			if err != nil {
 				if errors.Is(err, errBadBatch) {
@@ -462,7 +444,6 @@ func (s *Server) handle(ctx context.Context, nc net.Conn) error {
 				return err
 			}
 			s.m.acks.Inc()
-			dm.acks.Inc()
 		default:
 			return s.fail(nc, c, "unexpected frame %s", ft)
 		}
@@ -471,17 +452,16 @@ func (s *Server) handle(ctx context.Context, nc net.Conn) error {
 
 // beginSession records a completed hello in the device bookkeeping and
 // returns the device's last fully-acked batch ID (0 if none) for the
-// HelloAck session-resume field, plus the device's instruments so the
-// connection handler can count frames without re-taking the lock.
-func (s *Server) beginSession(dev trace.DeviceID) (uint64, deviceMetrics) {
+// HelloAck session-resume field.
+func (s *Server) beginSession(dev trace.DeviceID) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.deviceLocked(dev)
 	st.sessions++
 	if !st.haveLast {
-		return 0, st.m
+		return 0
 	}
-	return st.lastBatch, st.m
+	return st.lastBatch
 }
 
 // deviceLocked returns the state for dev, creating it. Callers hold s.mu.
@@ -492,17 +472,6 @@ func (s *Server) deviceLocked(dev trace.DeviceID) *deviceState {
 		s.devices[dev] = st
 		s.stats.Devices.Add(1)
 		s.m.devices.Add(1)
-	}
-	if s.m.perDevice && st.m.frames == nil {
-		// Lazily attach the labeled series; recovery-restored states arrive
-		// without them (see recoverWAL), so this also covers those on first use.
-		l := obs.L("device", dev.String())
-		st.m = deviceMetrics{
-			frames: s.cfg.Metrics.Counter("collector_device_batch_frames_total", l),
-			bytes:  s.cfg.Metrics.Counter("collector_device_batch_bytes_total", l),
-			dups:   s.cfg.Metrics.Counter("collector_device_dup_batches_total", l),
-			acks:   s.cfg.Metrics.Counter("collector_device_acks_total", l),
-		}
 	}
 	return st
 }
@@ -542,13 +511,11 @@ func (s *Server) accept(dev trace.DeviceID, b *proto.Batch) (uint32, int64, erro
 	s.m.frames.Inc()
 	st := s.deviceLocked(dev)
 	st.batches++
-	st.m.frames.Inc()
 	if st.haveLast && b.BatchID <= st.lastBatch {
 		// A dup was acked before, and acks only follow a commit, so its WAL
 		// record is already durable: no commit token needed.
 		s.stats.DupBatches.Add(1)
 		s.m.dups.Inc()
-		st.m.dups.Inc()
 		return 0, 0, nil
 	}
 	start := 0

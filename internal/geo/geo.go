@@ -114,23 +114,3 @@ var Anchors = []Anchor{
 	{Name: "Yokosuka", Pos: Point{X: -8, Y: -42}, Weight: 0.04},
 	{Name: "Odawara", Pos: Point{X: -52, Y: -48}, Weight: 0.04},
 }
-
-// AnchorByName returns the named anchor, or false when unknown.
-func AnchorByName(name string) (Anchor, bool) {
-	for _, a := range Anchors {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return Anchor{}, false
-}
-
-// TotalAnchorWeight is the sum of Anchors weights; exposed so samplers can
-// normalise without recomputing.
-func TotalAnchorWeight() float64 {
-	var w float64
-	for _, a := range Anchors {
-		w += a.Weight
-	}
-	return w
-}

@@ -77,18 +77,11 @@ func TestAnchorsInRegion(t *testing.T) {
 	}
 }
 
-func TestAnchorByName(t *testing.T) {
-	a, ok := AnchorByName("Yokohama")
-	if !ok || a.Name != "Yokohama" {
-		t.Fatal("Yokohama not found")
-	}
-	if _, ok := AnchorByName("Osaka"); ok {
-		t.Fatal("Osaka should not exist")
-	}
-}
-
 func TestTotalAnchorWeight(t *testing.T) {
-	got := TotalAnchorWeight()
+	var got float64
+	for _, a := range Anchors {
+		got += a.Weight
+	}
 	if math.Abs(got-1.0) > 0.01 {
 		t.Fatalf("anchor weights sum to %g, want ~1", got)
 	}

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync/atomic"
+	"time"
 )
 
 // Health is the liveness state behind /healthz. The zero value is healthy;
@@ -96,11 +97,17 @@ func Handler(reg *Registry, health *Health) http.Handler {
 	return mux
 }
 
+// headerTimeout bounds how long Serve waits for a request's headers, so a
+// client that stalls mid-request cannot hold a goroutine and a descriptor
+// forever. There is deliberately no write timeout: /debug/pprof/profile
+// streams for 30 s by default.
+const headerTimeout = 5 * time.Second
+
 // Serve starts the endpoint server on addr in a background goroutine and
 // returns it; shut it down with (*http.Server).Close. Listen errors after
 // startup are reported through errf (nil discards them).
 func Serve(addr string, reg *Registry, health *Health, errf func(format string, args ...any)) *http.Server {
-	srv := &http.Server{Addr: addr, Handler: Handler(reg, health)}
+	srv := &http.Server{Addr: addr, Handler: Handler(reg, health), ReadHeaderTimeout: headerTimeout}
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed && errf != nil {
 			errf("obs: metrics server: %v", err)

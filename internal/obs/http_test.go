@@ -1,11 +1,15 @@
 package obs
 
 import (
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 // get fetches path from the test server and returns status and body.
@@ -98,5 +102,38 @@ func TestServe(t *testing.T) {
 	srv.Handler.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "up 1") {
 		t.Errorf("Serve handler = %d %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestServeClosesStalledRequest sends a request line and then stalls: the
+// server must close the connection once headerTimeout passes, or every such
+// client holds one of the daemon's goroutines and descriptors forever.
+func TestServeClosesStalledRequest(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	srv := Serve(addr, nil, nil, t.Logf)
+	defer srv.Close()
+	// Serve binds in the background; poll until the listener is up.
+	var c net.Conn
+	for start := time.Now(); ; time.Sleep(10 * time.Millisecond) {
+		if c, err = net.Dial("tcp", addr); err == nil {
+			break
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("metrics listener never came up: %v", err)
+		}
+	}
+	defer c.Close()
+	if _, err := io.WriteString(c, "GET /metrics HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	c.SetReadDeadline(start.Add(headerTimeout + 5*time.Second))
+	if _, err := io.Copy(io.Discard, c); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled request still open after %v", time.Since(start).Round(time.Second))
 	}
 }

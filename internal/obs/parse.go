@@ -65,14 +65,3 @@ func (s *Snapshot) CounterTotal(name string) int64 {
 	}
 	return total
 }
-
-// GaugeTotal sums every gauge series with the given name across label sets.
-func (s *Snapshot) GaugeTotal(name string) int64 {
-	var total int64
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			total += g.Value
-		}
-	}
-	return total
-}

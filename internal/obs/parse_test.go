@@ -48,22 +48,17 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCounterAndGaugeTotals(t *testing.T) {
+func TestCounterTotal(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("requests_total", L("code", "200")).Add(17)
 	reg.Counter("requests_total", L("code", "500")).Add(3)
 	reg.Counter("other_total").Add(100)
-	reg.Gauge("inflight", L("pool", "a")).Set(4)
-	reg.Gauge("inflight", L("pool", "b")).Set(6)
 	snap := reg.Snapshot()
 	if got := snap.CounterTotal("requests_total"); got != 20 {
 		t.Fatalf("CounterTotal(requests_total) = %d, want 20", got)
 	}
 	if got := snap.CounterTotal("absent_total"); got != 0 {
 		t.Fatalf("CounterTotal(absent_total) = %d, want 0", got)
-	}
-	if got := snap.GaugeTotal("inflight"); got != 10 {
-		t.Fatalf("GaugeTotal(inflight) = %d, want 10", got)
 	}
 }
 

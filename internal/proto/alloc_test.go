@@ -11,10 +11,10 @@ import (
 
 // TestBatchRoundTripSteadyStateAllocs pins the wire hot path's allocation
 // contract: a warm encode+decode round trip of a reused Batch allocates
-// nothing — the encode writes straight into the reused payload, the decode
-// target reuses its sample slab and per-sample slices, and repeat ESSIDs hit
-// the batch's interner. This is the per-batch cost the agent and collector
-// pay for every upload.
+// nothing — the encode writes straight into the reused payload, and the
+// decode target reuses its sample slab and per-sample slices while its
+// ESSIDs alias the payload. This is the per-batch cost the agent and
+// collector pay for every upload.
 func TestBatchRoundTripSteadyStateAllocs(t *testing.T) {
 	in := Batch{BatchID: 7}
 	for i := 0; i < 64; i++ {
@@ -39,11 +39,11 @@ func TestBatchRoundTripSteadyStateAllocs(t *testing.T) {
 	var payload []byte
 	roundTrip := func() {
 		payload = AppendBatch(payload[:0], &in)
-		if err := DecodeBatch(payload, &out); err != nil {
+		if err := DecodeBatchAlias(payload, &out); err != nil {
 			panic(err)
 		}
 	}
-	roundTrip() // warm: payload, decode slab, interner
+	roundTrip() // warm: payload, decode slab
 	allocs := testing.AllocsPerRun(100, roundTrip)
 	if allocs != 0 {
 		t.Fatalf("warm batch round trip allocates %.1f times per batch, want 0", allocs)
@@ -55,9 +55,8 @@ func TestBatchRoundTripSteadyStateAllocs(t *testing.T) {
 
 // TestDecodeBatchAliasZeroAlloc pins the collector's zero-copy frame decode:
 // a warm DecodeBatchAlias into a reused Batch allocates nothing even when
-// every ESSID in the frame is one it has never seen — there is no interner
-// and no string copy on this path, samples alias the frame buffer. (The
-// interned path needs repeat ESSIDs to stay at zero; this one doesn't.)
+// every ESSID in the frame is one it has never seen — there is no string
+// copy on this path, samples alias the frame buffer.
 func TestDecodeBatchAliasZeroAlloc(t *testing.T) {
 	in := Batch{BatchID: 9}
 	for i := 0; i < 64; i++ {

@@ -49,12 +49,12 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b Batch
-		if err := DecodeBatch(data, &b); err != nil {
+		if err := DecodeBatchAlias(data, &b); err != nil {
 			return
 		}
 		enc := AppendBatch(nil, &b)
 		var b2 Batch
-		if err := DecodeBatch(enc, &b2); err != nil {
+		if err := DecodeBatchAlias(enc, &b2); err != nil {
 			t.Fatalf("canonical re-encode failed to decode: %v", err)
 		}
 		if enc2 := AppendBatch(nil, &b2); !bytes.Equal(enc, enc2) {

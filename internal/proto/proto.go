@@ -117,16 +117,11 @@ type HelloAck struct {
 }
 
 // Batch carries samples. BatchID must increase per device; the server
-// acknowledges and deduplicates by it.
-//
-// A Batch that is reused across DecodeBatch calls (the collector keeps one
-// per session) also carries its string interner, so repeat ESSIDs across a
-// session's batches share one allocation.
+// acknowledges and deduplicates by it. A decoded Batch's sample strings alias
+// the frame they were decoded from (see DecodeBatchAlias).
 type Batch struct {
 	BatchID uint64
 	Samples []trace.Sample
-
-	it trace.Interner
 }
 
 // BatchAck acknowledges a batch.
@@ -296,25 +291,15 @@ func AppendBatch(dst []byte, b *Batch) []byte {
 	return dst
 }
 
-// DecodeBatch decodes b from buf, reusing b.Samples. Decoded strings are
-// copies (interned per batch), so the samples outlive buf.
-func DecodeBatch(buf []byte, b *Batch) error {
-	return decodeBatch(buf, b, false)
-}
-
-// DecodeBatchAlias is DecodeBatch in zero-copy mode: sample string fields
-// (ESSIDs) alias buf instead of being copied, so a warm decode into a reused
-// Batch allocates nothing. The samples are valid only while buf is — a
-// caller reading frames into a reused buffer (Conn.ReadFrame does) must
-// fully consume the batch (sink it, or copy what it retains) before the next
-// frame overwrites the buffer. The collector's per-connection loop has
-// exactly that shape: decode, WAL-append the still-encoded payload, sink,
-// ack, and only then read the next frame.
+// DecodeBatchAlias decodes b from buf, reusing b.Samples. It is zero-copy:
+// sample string fields (ESSIDs) alias buf instead of being copied, so a warm
+// decode into a reused Batch allocates nothing. The samples are valid only
+// while buf is — a caller reading frames into a reused buffer
+// (Conn.ReadFrame does) must fully consume the batch (sink it, or copy what
+// it retains) before the next frame overwrites the buffer. The collector's
+// per-connection loop has exactly that shape: decode, WAL-append the
+// still-encoded payload, sink, ack, and only then read the next frame.
 func DecodeBatchAlias(buf []byte, b *Batch) error {
-	return decodeBatch(buf, b, true)
-}
-
-func decodeBatch(buf []byte, b *Batch, alias bool) error {
 	d := NewFieldReader(buf)
 	b.BatchID = d.Uvarint()
 	n := d.Uvarint()
@@ -330,15 +315,7 @@ func decodeBatch(buf []byte, b *Batch, alias bool) error {
 		if d.Err() != nil {
 			break
 		}
-		var used int
-		var err error
-		if alias {
-			// Aliased strings must not reach the interner: its table would
-			// pin buf and serve mutated strings once the buffer is reused.
-			used, err = trace.DecodeSampleAlias(raw, &b.Samples[i])
-		} else {
-			used, err = trace.DecodeSampleInterned(raw, &b.Samples[i], &b.it)
-		}
+		used, err := trace.DecodeSampleAlias(raw, &b.Samples[i])
 		if err != nil {
 			return fmt.Errorf("proto: batch sample %d: %w", i, err)
 		}

@@ -163,7 +163,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomBatch(rng)
 		var out Batch
-		if err := DecodeBatch(AppendBatch(nil, &in), &out); err != nil {
+		if err := DecodeBatchAlias(AppendBatch(nil, &in), &out); err != nil {
 			t.Logf("decode: %v", err)
 			return false
 		}
@@ -243,7 +243,7 @@ func TestDecodeBatchCorruptNeverPanics(t *testing.T) {
 					t.Fatalf("panic at byte %d: %v", i, r)
 				}
 			}()
-			DecodeBatch(mutated, &out)
+			DecodeBatchAlias(mutated, &out)
 		}()
 	}
 }

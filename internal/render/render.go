@@ -211,17 +211,3 @@ func Quantiles(w io.Writer, label string, d *analysis.Dist, unit string) error {
 
 // Pct formats a fraction as a percentage with one decimal.
 func Pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
-
-// MBf formats megabytes with one decimal.
-func MBf(mb float64) string { return fmt.Sprintf("%.1f", mb) }
-
-// CurveTSV writes an (x, y) curve as tab-separated values for external
-// plotting.
-func CurveTSV(w io.Writer, pts []stats.Point) error {
-	for _, p := range pts {
-		if _, err := fmt.Fprintf(w, "%g\t%g\n", p.X, p.Y); err != nil {
-			return err
-		}
-	}
-	return nil
-}

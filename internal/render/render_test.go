@@ -135,22 +135,9 @@ func TestQuantiles(t *testing.T) {
 	}
 }
 
-func TestPctAndMBf(t *testing.T) {
+func TestPct(t *testing.T) {
 	if Pct(0.123) != "12.3%" {
 		t.Fatalf("Pct %q", Pct(0.123))
-	}
-	if MBf(3.14159) != "3.1" {
-		t.Fatalf("MBf %q", MBf(3.14159))
-	}
-}
-
-func TestCurveTSV(t *testing.T) {
-	var b strings.Builder
-	if err := CurveTSV(&b, []stats.Point{{X: 1, Y: 2}, {X: 3, Y: 4}}); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != "1\t2\n3\t4\n" {
-		t.Fatalf("tsv %q", b.String())
 	}
 }
 

@@ -8,7 +8,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"smartusage/internal/analysis"
 	"smartusage/internal/core"
@@ -84,11 +83,10 @@ func (r *reporter) years() []int {
 	return ys
 }
 
-func pct(f float64) string  { return fmt.Sprintf("%.1f%%", f*100) }
-func f1(f float64) string   { return fmt.Sprintf("%.1f", f) }
-func f2(f float64) string   { return fmt.Sprintf("%.2f", f) }
-func itoa(i int) string     { return fmt.Sprintf("%d", i) }
-func f1mb(f float64) string { return fmt.Sprintf("%.1f MB", f) }
+func pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
+func f1(f float64) string  { return fmt.Sprintf("%.1f", f) }
+func f2(f float64) string  { return fmt.Sprintf("%.2f", f) }
+func itoa(i int) string    { return fmt.Sprintf("%d", i) }
 
 func (r *reporter) header() {
 	r.pf("# EXPERIMENTS — paper vs. measured\n\n")
@@ -666,14 +664,4 @@ func (r *reporter) extensions() {
 	r.table([]string{"year", "iOS docomo", "iOS au", "iOS softbank", "max spread"}, rows)
 	r.pf("Paper: \"no difference in the WiFi-user ratios among three cellular carriers\n")
 	r.pf("providing iPhones\" — the spread should stay within sampling noise.\n\n")
-}
-
-// SortedYears is exported for callers assembling custom reports.
-func SortedYears(st *core.Study) []int {
-	var ys []int
-	for y := range st.Runs {
-		ys = append(ys, y)
-	}
-	sort.Ints(ys)
-	return ys
 }

@@ -108,7 +108,4 @@ func TestWritePartialStudy(t *testing.T) {
 	if !strings.Contains(b.String(), "needs the 2015 campaign") {
 		t.Error("partial study should note the missing implications input")
 	}
-	if got := report.SortedYears(st); len(got) != 1 || got[0] != 2014 {
-		t.Fatalf("SortedYears %v", got)
-	}
 }

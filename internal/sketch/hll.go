@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -17,9 +16,6 @@ const (
 	// precision bits leave 52 suffix bits, so ranks run 1..53.
 	hllMaxRank = 64 - hllPrecision + 1
 )
-
-// fnvOffset is the FNV-1a 64-bit offset basis.
-const fnvOffset = 0xcbf29ce484222325
 
 // Distinct is a HyperLogLog distinct counter with fixed precision 12. Its
 // state is a register-wise maximum, so Merge is exactly commutative,
@@ -40,8 +36,8 @@ func NewDistinct() *Distinct { return &Distinct{} }
 func (d *Distinct) Footprint() int { return hllRegisters + 16 }
 
 // AddHash records one element given an already well-mixed 64-bit hash.
-// Callers with raw integers or strings should use AddUint64/AddString,
-// which apply the package's mixers first.
+// Callers with raw integers or (integer, string) keys should use
+// AddUint64/AddKey, which apply the package's mixers first.
 func (d *Distinct) AddHash(h uint64) {
 	idx := h >> (64 - hllPrecision)
 	rank := uint8(bits.LeadingZeros64(h<<hllPrecision)) + 1
@@ -56,9 +52,6 @@ func (d *Distinct) AddHash(h uint64) {
 // AddUint64 records an integer element (e.g. a device ID), mixed through the
 // splitmix64 finalizer so sequential IDs spread across registers.
 func (d *Distinct) AddUint64(v uint64) { d.AddHash(mix64(v)) }
-
-// AddString records a string element via FNV-1a plus a final mix.
-func (d *Distinct) AddString(s string) { d.AddHash(mix64(fnv1a64(fnvOffset, s))) }
 
 // AddKey records a composite (integer, string) element — the shape of an
 // AP's (BSSID, ESSID) pair — hashing both parts into one identity.
@@ -101,50 +94,4 @@ func (d *Distinct) Merge(o *Distinct) {
 			d.regs[i] = r
 		}
 	}
-}
-
-// Clone returns an independent copy.
-func (d *Distinct) Clone() *Distinct {
-	c := *d
-	return &c
-}
-
-// skhMagic identifies a Distinct encoding (version 1).
-const skhMagic = "SKH1"
-
-// MarshalBinary encodes the counter deterministically: magic, the precision
-// byte, then the raw register file.
-func (d *Distinct) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, len(skhMagic)+1+hllRegisters)
-	b = append(b, skhMagic...)
-	b = append(b, hllPrecision)
-	b = append(b, d.regs[:]...)
-	return b, nil
-}
-
-// DecodeDistinct reconstructs a counter from MarshalBinary output. Corrupt
-// or torn input yields an error wrapping ErrCorrupt; it never panics.
-func DecodeDistinct(b []byte) (*Distinct, error) {
-	if len(b) < len(skhMagic) || string(b[:len(skhMagic)]) != skhMagic {
-		return nil, corruptf("hll magic missing")
-	}
-	b = b[len(skhMagic):]
-	if len(b) < 1 {
-		return nil, corruptf("hll precision missing")
-	}
-	if p := b[0]; p != hllPrecision {
-		return nil, fmt.Errorf("%w: hll precision %d, want %d", ErrCorrupt, p, hllPrecision)
-	}
-	b = b[1:]
-	if len(b) != hllRegisters {
-		return nil, corruptf("hll register file %d bytes, want %d", len(b), hllRegisters)
-	}
-	d := NewDistinct()
-	for i, r := range b {
-		if r > hllMaxRank {
-			return nil, corruptf("hll register %d holds rank %d, max %d", i, r, hllMaxRank)
-		}
-		d.regs[i] = r
-	}
-	return d, nil
 }

@@ -1,8 +1,6 @@
 package sketch
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -27,7 +25,7 @@ func TestDistinctStringsAndKeys(t *testing.T) {
 	d := NewDistinct()
 	const n = 20000
 	for i := 0; i < n; i++ {
-		d.AddString(fmt.Sprintf("essid-%d", i))
+		d.AddKey(0, fmt.Sprintf("essid-%d", i))
 	}
 	if got := d.Estimate(); math.Abs(got-n)/n > 0.08 {
 		t.Errorf("string estimate %.0f for %d", got, n)
@@ -48,7 +46,7 @@ func TestDistinctDuplicatesDoNotGrow(t *testing.T) {
 	d := NewDistinct()
 	for i := 0; i < 100; i++ {
 		d.AddUint64(42)
-		d.AddString("same")
+		d.AddKey(0, "same")
 	}
 	if got := d.Count(); got != 2 {
 		t.Fatalf("100 duplicate adds of 2 elements estimated %d", got)
@@ -60,58 +58,10 @@ func TestDistinctMergeIdempotent(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		d.AddUint64(uint64(i * 7))
 	}
-	want, _ := d.MarshalBinary()
-	d.Merge(d.Clone())
-	got, _ := d.MarshalBinary()
-	if !bytes.Equal(want, got) {
+	want := *d
+	d.Merge(&want)
+	if *d != want {
 		t.Fatal("self-merge changed register state")
-	}
-}
-
-func TestDistinctRoundTrip(t *testing.T) {
-	d := NewDistinct()
-	for i := 0; i < 5000; i++ {
-		d.AddUint64(uint64(i))
-	}
-	b, err := d.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeDistinct(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, _ := got.MarshalBinary()
-	if !bytes.Equal(b, b2) {
-		t.Fatal("decode/re-encode changed bytes")
-	}
-	if got.Estimate() != d.Estimate() {
-		t.Fatal("round trip changed the estimate")
-	}
-}
-
-func TestDistinctDecodeRejectsCorrupt(t *testing.T) {
-	d := NewDistinct()
-	d.AddUint64(1)
-	valid, _ := d.MarshalBinary()
-	overRank := append([]byte{}, valid...)
-	overRank[len(overRank)-1] = hllMaxRank + 1
-	badPrec := append([]byte{}, valid...)
-	badPrec[4] = 9
-	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": []byte("NOPE"),
-		"truncated": valid[:100],
-		"trailing":  append(append([]byte{}, valid...), 0),
-		"bad rank":  overRank,
-		"bad prec":  badPrec,
-	}
-	for name, b := range cases {
-		if _, err := DecodeDistinct(b); err == nil {
-			t.Errorf("%s: decode accepted corrupt input", name)
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: error %v does not wrap ErrCorrupt", name, err)
-		}
 	}
 }
 

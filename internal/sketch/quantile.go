@@ -1,114 +1,62 @@
 package sketch
 
-import (
-	"fmt"
-	"math"
+import "math"
+
+// The one configuration every Quantile shares: 1% relative accuracy over
+// [quantileMin, quantileMax], which spans 0.001 MB (1 KB) user-days up to
+// terabyte outliers and sub-minute association runs up to centuries, in
+// ~1.7k bins (~14 KB). Values below quantileMin (including zero and
+// negatives) are counted in a dedicated below-resolution bucket and reported
+// as 0, an absolute error floor of quantileMin; values above quantileMax
+// clamp into the top bin. Like the HLL precision it is fixed, so every
+// Quantile merges with every other.
+const (
+	relAcc      = 0.01
+	quantileMin = 1e-3
+	quantileMax = 1e12
 )
 
-// QuantileConfig fixes a Quantile's value domain and accuracy. Two sketches
-// merge only when their configs are bitwise identical.
-type QuantileConfig struct {
-	// RelAcc is the target relative accuracy on the value axis: any
-	// reported quantile lies within a factor (1 ± ~RelAcc) of the true
-	// one. Must be in (0, 1).
-	RelAcc float64
-	// [Min, Max] is the representable value range. Values below Min
-	// (including zero and negatives) are counted in a dedicated
-	// below-resolution bucket and reported as 0 — an absolute error floor
-	// of Min. Values above Max clamp into the top bin.
-	Min, Max float64
-}
+// logGamma is ln γ for the log-bin base γ = (1+relAcc)/(1-relAcc):
+// consecutive bin boundaries differ by a factor γ, so the geometric bin
+// midpoint is within ~relAcc of every value in the bin. invLogGamma is the
+// indexing constant and numBins the dense bin count covering [quantileMin,
+// quantileMax].
+var logGamma, invLogGamma, numBins = deriveBins()
 
-// DefaultQuantileConfig covers every figure in this repository: 1% relative
-// accuracy over [1e-3, 1e12], which spans 0.001 MB (1 KB) user-days up to
-// terabyte outliers and sub-minute association runs up to centuries, in
-// ~1.7k bins (~14 KB).
-func DefaultQuantileConfig() QuantileConfig {
-	return QuantileConfig{RelAcc: 0.01, Min: 1e-3, Max: 1e12}
-}
-
-// maxQuantileBins caps the bin count a config (or a decoded encoding) may
-// demand, against hostile or corrupt inputs.
-const maxQuantileBins = 1 << 20
-
-// gamma returns the log-bin base (1+a)/(1-a): consecutive bin boundaries
-// differ by a factor gamma, so the geometric bin midpoint is within ~RelAcc
-// of every value in the bin.
-func (c QuantileConfig) gamma() float64 { return (1 + c.RelAcc) / (1 - c.RelAcc) }
-
-// bins returns the dense bin count covering [Min, Max].
-func (c QuantileConfig) bins() int {
-	return int(math.Log(c.Max/c.Min)/math.Log(c.gamma())) + 1
-}
-
-// validate rejects configs that are non-finite, out of range, or demand an
-// unbounded bin array.
-func (c QuantileConfig) validate() error {
-	if !(c.RelAcc > 0 && c.RelAcc < 1) {
-		return fmt.Errorf("sketch: RelAcc %g outside (0, 1)", c.RelAcc)
-	}
-	if !(c.Min > 0 && c.Max > c.Min) || math.IsInf(c.Max, 0) {
-		return fmt.Errorf("sketch: value range [%g, %g] invalid", c.Min, c.Max)
-	}
-	// Bin-count sanity must stay in floats: a denormal RelAcc rounds gamma
-	// to exactly 1, Log(gamma) to 0, and the bin count to +Inf, which an int
-	// conversion wraps to garbage before any integer comparison could fire.
-	logG := math.Log(c.gamma())
-	if !(logG > 0) {
-		return fmt.Errorf("sketch: RelAcc %g below float resolution", c.RelAcc)
-	}
-	if n := math.Log(c.Max/c.Min)/logG + 1; !(n <= maxQuantileBins) {
-		return fmt.Errorf("sketch: config demands %.0f bins, cap %d", n, maxQuantileBins)
-	}
-	return nil
+// deriveBins computes the bin geometry in float64 arithmetic at run time. As
+// constant expressions Go would evaluate them exactly and could round γ, and
+// so every bin boundary, to a different float64.
+func deriveBins() (logG, invLogG float64, bins int) {
+	a, lo, hi := float64(relAcc), float64(quantileMin), float64(quantileMax)
+	logG = math.Log((1 + a) / (1 - a))
+	return logG, 1 / logG, int(math.Log(hi/lo)/logG) + 1
 }
 
 // Quantile is a DDSketch-style log-binned quantile sketch: a dense array of
-// integer counts over geometrically spaced bins. Memory is fixed by the
-// config; Add is O(1); Merge is bin-wise addition and therefore exactly
-// commutative and associative. All derived statistics (quantiles, Sum, Mean)
-// are pure functions of the integer state, computed in fixed bin order, so
-// they are bit-identical across any merge order or shard split.
+// integer counts over geometrically spaced bins. Memory is fixed; Add is
+// O(1); Merge is bin-wise addition and therefore exactly commutative and
+// associative. All derived statistics (quantiles, Sum, Mean) are pure
+// functions of the integer state, computed in fixed bin order, so they are
+// bit-identical across any merge order or shard split.
 //
 // Not safe for concurrent use.
 type Quantile struct {
-	cfg     QuantileConfig
-	invLogG float64 // 1 / ln(gamma), the indexing constant
-	logG    float64 // ln(gamma)
-
 	bins  []uint64
-	low   uint64 // observations below cfg.Min (reported as value 0)
+	low   uint64 // observations below quantileMin (reported as value 0)
 	count uint64 // total observations, including low
 }
 
-// NewQuantile returns an empty sketch. It panics on an invalid config —
-// configs are compile-time constants, so a bad one is programmer error
-// (DecodeQuantile, which faces untrusted bytes, returns errors instead).
-func NewQuantile(cfg QuantileConfig) *Quantile {
-	if err := cfg.validate(); err != nil {
-		panic(err)
-	}
-	logG := math.Log(cfg.gamma())
-	return &Quantile{
-		cfg:     cfg,
-		invLogG: 1 / logG,
-		logG:    logG,
-		bins:    make([]uint64, cfg.bins()),
-	}
+// NewQuantile returns an empty sketch.
+func NewQuantile() *Quantile {
+	return &Quantile{bins: make([]uint64, numBins)}
 }
-
-// Config returns the sketch's configuration.
-func (q *Quantile) Config() QuantileConfig { return q.cfg }
 
 // Count returns the number of observations, including below-resolution ones.
 func (q *Quantile) Count() uint64 { return q.count }
 
-// LowCount returns the number of below-resolution observations (< Min).
-func (q *Quantile) LowCount() uint64 { return q.low }
-
 // Footprint returns the sketch's approximate in-memory size in bytes. It is
-// a function of the config alone — observing more samples never grows it.
-func (q *Quantile) Footprint() int { return len(q.bins)*8 + 96 }
+// the same for every sketch: observing more samples never grows it.
+func (q *Quantile) Footprint() int { return len(q.bins)*8 + 40 }
 
 // Add records one observation.
 func (q *Quantile) Add(v float64) { q.AddN(v, 1) }
@@ -120,18 +68,18 @@ func (q *Quantile) AddN(v float64, n uint64) {
 	}
 	q.count += n
 	// The negated comparison also routes NaN to the low bucket.
-	if !(v >= q.cfg.Min) {
+	if !(v >= quantileMin) {
 		q.low += n
 		return
 	}
-	// +Inf is a value above Max and must clamp into the top bin; the log
-	// indexing below would instead convert int(+Inf) to the minimum int64
+	// +Inf is a value above quantileMax and must clamp into the top bin; the
+	// log indexing below would instead convert int(+Inf) to the minimum int64
 	// and mis-route it to bin 0 via the i < 0 clamp.
 	if math.IsInf(v, 1) {
 		q.bins[len(q.bins)-1] += n
 		return
 	}
-	i := int(math.Log(v/q.cfg.Min) * q.invLogG)
+	i := int(math.Log(v/quantileMin) * invLogGamma)
 	if i >= len(q.bins) {
 		i = len(q.bins) - 1
 	}
@@ -144,7 +92,7 @@ func (q *Quantile) AddN(v float64, n uint64) {
 // binValue returns the geometric midpoint of bin i, the value every
 // observation in the bin is reported as.
 func (q *Quantile) binValue(i int) float64 {
-	return q.cfg.Min * math.Exp((float64(i)+0.5)*q.logG)
+	return quantileMin * math.Exp((float64(i)+0.5)*logGamma)
 }
 
 // valueAtRank returns the reported value of the r-th smallest observation
@@ -173,8 +121,8 @@ func (q *Quantile) valueAtRank(r uint64) float64 {
 // Quantile returns the p-th quantile (0 <= p <= 1) under the same
 // linear-interpolation-between-closest-ranks convention as stats.Quantile,
 // with every observation reported at its bin midpoint. The result is within
-// a relative factor ~RelAcc of the exact sample quantile (absolute error at
-// most Min below resolution). An empty sketch reports 0.
+// a relative factor ~relAcc of the exact sample quantile (absolute error at
+// most quantileMin below resolution). An empty sketch reports 0.
 func (q *Quantile) Quantile(p float64) float64 {
 	if q.count == 0 {
 		return 0
@@ -198,7 +146,7 @@ func (q *Quantile) Quantile(p float64) float64 {
 
 // Sum returns the approximate sum of all observations: bin counts times bin
 // midpoints, accumulated in fixed bin order (low-bucket observations
-// contribute 0). Relative error is bounded by ~RelAcc plus Min per
+// contribute 0). Relative error is bounded by ~relAcc plus quantileMin per
 // below-resolution observation.
 func (q *Quantile) Sum() float64 {
 	var sum float64
@@ -233,133 +181,11 @@ func (q *Quantile) Each(fn func(value float64, n uint64)) {
 }
 
 // Merge folds o into q: bin-wise integer addition, exactly commutative and
-// associative. It fails with ErrConfigMismatch when the configs differ; o is
-// unchanged either way.
-func (q *Quantile) Merge(o *Quantile) error {
-	if q.cfg != o.cfg || len(q.bins) != len(o.bins) {
-		return ErrConfigMismatch
-	}
+// associative. o is unchanged.
+func (q *Quantile) Merge(o *Quantile) {
 	q.low += o.low
 	q.count += o.count
 	for i, n := range o.bins {
 		q.bins[i] += n
 	}
-	return nil
-}
-
-// Clone returns an independent deep copy.
-func (q *Quantile) Clone() *Quantile {
-	c := *q
-	c.bins = make([]uint64, len(q.bins))
-	copy(c.bins, q.bins)
-	return &c
-}
-
-// skqMagic identifies a Quantile encoding (version 1).
-const skqMagic = "SKQ1"
-
-// MarshalBinary encodes the sketch deterministically: magic, the three
-// config floats, the low count, then the non-empty bins as
-// (index-delta, count) varint runs. Identical state yields identical bytes.
-func (q *Quantile) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, 64)
-	b = append(b, skqMagic...)
-	b = appendFloat(b, q.cfg.RelAcc)
-	b = appendFloat(b, q.cfg.Min)
-	b = appendFloat(b, q.cfg.Max)
-	b = appendUvarint(b, q.low)
-	var runs uint64
-	for _, n := range q.bins {
-		if n > 0 {
-			runs++
-		}
-	}
-	b = appendUvarint(b, runs)
-	prev := 0
-	first := true
-	for i, n := range q.bins {
-		if n == 0 {
-			continue
-		}
-		delta := uint64(i - prev)
-		if first {
-			delta = uint64(i)
-			first = false
-		}
-		b = appendUvarint(b, delta)
-		b = appendUvarint(b, n)
-		prev = i
-	}
-	return b, nil
-}
-
-// DecodeQuantile reconstructs a sketch from MarshalBinary output. Corrupt or
-// torn input yields an error wrapping ErrCorrupt; it never panics.
-func DecodeQuantile(b []byte) (*Quantile, error) {
-	if len(b) < len(skqMagic) || string(b[:len(skqMagic)]) != skqMagic {
-		return nil, corruptf("quantile magic missing")
-	}
-	b = b[len(skqMagic):]
-	var cfg QuantileConfig
-	var err error
-	if cfg.RelAcc, b, err = readFloat(b); err != nil {
-		return nil, err
-	}
-	if cfg.Min, b, err = readFloat(b); err != nil {
-		return nil, err
-	}
-	if cfg.Max, b, err = readFloat(b); err != nil {
-		return nil, err
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	q := NewQuantile(cfg)
-	var low, runs uint64
-	if low, b, err = readUvarint(b); err != nil {
-		return nil, err
-	}
-	if runs, b, err = readUvarint(b); err != nil {
-		return nil, err
-	}
-	if runs > uint64(len(q.bins)) {
-		return nil, corruptf("%d bin runs exceed %d bins", runs, len(q.bins))
-	}
-	q.low = low
-	q.count = low
-	idx := -1
-	for r := uint64(0); r < runs; r++ {
-		var delta, n uint64
-		if delta, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if n, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, corruptf("empty bin run")
-		}
-		if r > 0 && delta == 0 {
-			return nil, corruptf("non-increasing bin index")
-		}
-		// Bound the delta before any signed conversion: a varint >= 2^63
-		// would wrap int64(delta) negative and index bins below zero.
-		if delta >= uint64(len(q.bins)) {
-			return nil, corruptf("bin index delta %d exceeds %d bins", delta, len(q.bins))
-		}
-		next := int64(idx) + int64(delta)
-		if r == 0 {
-			next = int64(delta)
-		}
-		if next >= int64(len(q.bins)) {
-			return nil, corruptf("bin index %d exceeds %d bins", next, len(q.bins))
-		}
-		idx = int(next)
-		q.bins[idx] = n
-		q.count += n
-	}
-	if len(b) != 0 {
-		return nil, corruptf("%d trailing bytes", len(b))
-	}
-	return q, nil
 }

@@ -1,8 +1,6 @@
 package sketch
 
 import (
-	"bytes"
-	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -42,7 +40,6 @@ func relErr(got, want float64) float64 {
 }
 
 func TestQuantileAccuracy(t *testing.T) {
-	cfg := DefaultQuantileConfig()
 	for _, dist := range []struct {
 		name string
 		gen  func(r *rand.Rand) float64
@@ -53,7 +50,7 @@ func TestQuantileAccuracy(t *testing.T) {
 	} {
 		t.Run(dist.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(7))
-			q := NewQuantile(cfg)
+			q := NewQuantile()
 			xs := make([]float64, 20000)
 			for i := range xs {
 				xs[i] = dist.gen(r)
@@ -62,10 +59,10 @@ func TestQuantileAccuracy(t *testing.T) {
 			sort.Float64s(xs)
 			// The documented bound is ~RelAcc on the value axis; allow a
 			// little interpolation slack on top.
-			bound := 2*cfg.RelAcc + 1e-9
+			bound := 2*relAcc + 1e-9
 			for _, p := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
 				got, want := q.Quantile(p), exactQuantile(xs, p)
-				if e := relErr(got, want); e > bound && math.Abs(got-want) > cfg.Min {
+				if e := relErr(got, want); e > bound && math.Abs(got-want) > quantileMin {
 					t.Errorf("q(%g) = %g, exact %g, rel err %.4f > %.4f", p, got, want, e, bound)
 				}
 			}
@@ -84,12 +81,12 @@ func TestQuantileAccuracy(t *testing.T) {
 }
 
 func TestQuantileLowAndClamp(t *testing.T) {
-	q := NewQuantile(DefaultQuantileConfig())
+	q := NewQuantile()
 	for _, v := range []float64{0, -5, 1e-9, math.NaN(), math.Inf(-1)} {
 		q.Add(v)
 	}
-	if q.LowCount() != 5 || q.Count() != 5 {
-		t.Fatalf("low %d count %d, want 5/5", q.LowCount(), q.Count())
+	if q.low != 5 || q.Count() != 5 {
+		t.Fatalf("low %d count %d, want 5/5", q.low, q.Count())
 	}
 	if got := q.Quantile(0.5); got != 0 {
 		t.Fatalf("median of below-resolution values = %g, want 0", got)
@@ -106,7 +103,7 @@ func TestQuantileLowAndClamp(t *testing.T) {
 }
 
 func TestQuantileEmpty(t *testing.T) {
-	q := NewQuantile(DefaultQuantileConfig())
+	q := NewQuantile()
 	if q.Quantile(0.5) != 0 || q.Sum() != 0 || q.Mean() != 0 || q.Count() != 0 {
 		t.Fatal("empty sketch must report zeros")
 	}
@@ -115,7 +112,7 @@ func TestQuantileEmpty(t *testing.T) {
 
 func TestQuantileEachCoversCount(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	q := NewQuantile(DefaultQuantileConfig())
+	q := NewQuantile()
 	for i := 0; i < 5000; i++ {
 		q.Add(r.ExpFloat64() * 10)
 	}
@@ -134,114 +131,37 @@ func TestQuantileEachCoversCount(t *testing.T) {
 	}
 }
 
-func TestQuantileRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	q := NewQuantile(DefaultQuantileConfig())
-	for i := 0; i < 10000; i++ {
-		q.Add(math.Exp(r.NormFloat64() * 3))
-	}
-	q.AddN(0, 3)
-	b, err := q.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeQuantile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := got.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b, b2) {
-		t.Fatal("decode/re-encode changed bytes")
-	}
-	if got.Count() != q.Count() || got.Quantile(0.9) != q.Quantile(0.9) {
-		t.Fatal("round trip changed state")
-	}
-	// Determinism: identical state must serialize identically.
-	b3, _ := q.Clone().MarshalBinary()
-	if !bytes.Equal(b, b3) {
-		t.Fatal("clone serialized differently")
-	}
-}
-
-func TestQuantileDecodeRejectsCorrupt(t *testing.T) {
-	q := NewQuantile(DefaultQuantileConfig())
-	q.Add(5)
-	valid, _ := q.MarshalBinary()
-	cases := map[string][]byte{
-		"empty":      {},
-		"bad magic":  []byte("NOPE"),
-		"truncated":  valid[:len(valid)-1],
-		"trailing":   append(append([]byte{}, valid...), 0),
-		"cfg nan":    append([]byte(skqMagic), bytes.Repeat([]byte{0xff}, 24)...),
-		"torn float": []byte(skqMagic + "\x00\x01"),
-	}
-	for name, b := range cases {
-		if _, err := DecodeQuantile(b); err == nil {
-			t.Errorf("%s: decode accepted corrupt input", name)
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: error %v does not wrap ErrCorrupt", name, err)
-		}
-	}
-}
-
-// TestQuantileDecodeRejectsOverflowDelta pins the never-panic contract
-// against bin-delta varints >= 2^63, which wrap negative under int64
-// conversion and once indexed bins[] below zero — both on the first run
-// (absolute index) and on later runs (cumulative index).
-func TestQuantileDecodeRejectsOverflowDelta(t *testing.T) {
-	cfg := DefaultQuantileConfig()
-	header := []byte(skqMagic)
-	header = appendFloat(header, cfg.RelAcc)
-	header = appendFloat(header, cfg.Min)
-	header = appendFloat(header, cfg.Max)
-	header = appendUvarint(header, 0) // low
-
-	firstRun := appendUvarint(append([]byte{}, header...), 1)
-	firstRun = appendUvarint(firstRun, 1<<63) // delta wraps int64 negative
-	firstRun = appendUvarint(firstRun, 1)
-
-	laterRun := appendUvarint(append([]byte{}, header...), 2)
-	laterRun = appendUvarint(laterRun, 1) // valid first run at bin 1
-	laterRun = appendUvarint(laterRun, 1)
-	laterRun = appendUvarint(laterRun, math.MaxUint64) // second delta overflows
-	laterRun = appendUvarint(laterRun, 1)
-
-	for name, b := range map[string][]byte{"first run": firstRun, "later run": laterRun} {
-		if _, err := DecodeQuantile(b); err == nil {
-			t.Errorf("%s: decode accepted overflowing bin delta", name)
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: error %v does not wrap ErrCorrupt", name, err)
-		}
-	}
-}
-
 // TestQuantileAddInfTopBin pins the documented above-Max behavior for +Inf
 // alone: the log-bin index computation would convert int(+Inf) to the
 // minimum int64 and once mis-reported an infinite observation as ~Min.
 func TestQuantileAddInfTopBin(t *testing.T) {
-	q := NewQuantile(DefaultQuantileConfig())
+	q := NewQuantile()
 	q.Add(math.Inf(1))
-	if q.LowCount() != 0 {
-		t.Fatalf("+Inf landed in the low bucket (low=%d)", q.LowCount())
+	if q.low != 0 {
+		t.Fatalf("+Inf landed in the low bucket (low=%d)", q.low)
 	}
 	if got := q.Quantile(0.5); got < 0.97e12 {
 		t.Fatalf("median of a lone +Inf = %g, want ~Max (top bin)", got)
 	}
 }
 
-func TestQuantileMergeConfigMismatch(t *testing.T) {
-	a := NewQuantile(DefaultQuantileConfig())
-	b := NewQuantile(QuantileConfig{RelAcc: 0.05, Min: 1e-3, Max: 1e12})
-	if err := a.Merge(b); !errors.Is(err, ErrConfigMismatch) {
-		t.Fatalf("merge across configs: err %v, want ErrConfigMismatch", err)
+// TestQuantileBinGeometryPinned pins the bin geometry to the values the
+// sketch has always derived in float64 arithmetic: one more bin, or ln γ off
+// by one ulp, moves bin boundaries and with them every sketch-mode figure.
+func TestQuantileBinGeometryPinned(t *testing.T) {
+	if got := len(NewQuantile().bins); got != 1727 {
+		t.Errorf("%d bins, want 1727", got)
+	}
+	if got := math.Float64bits(logGamma); got != 0x3f947b0e059d057d {
+		t.Errorf("ln γ bits %#x, want 0x3f947b0e059d057d", got)
+	}
+	if got := math.Float64bits(invLogGamma); got != 0x4048ffc9629d2370 {
+		t.Errorf("1/ln γ bits %#x, want 0x4048ffc9629d2370", got)
 	}
 }
 
 func TestQuantileFootprintFixed(t *testing.T) {
-	q := NewQuantile(DefaultQuantileConfig())
+	q := NewQuantile()
 	before := q.Footprint()
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 100000; i++ {
@@ -251,12 +171,12 @@ func TestQuantileFootprintFixed(t *testing.T) {
 		t.Fatalf("footprint grew %d -> %d under load", before, q.Footprint())
 	}
 	if before > 32<<10 {
-		t.Fatalf("default config footprint %d bytes, want under 32 KiB", before)
+		t.Fatalf("footprint %d bytes, want under 32 KiB", before)
 	}
 }
 
 func BenchmarkQuantileAdd(b *testing.B) {
-	q := NewQuantile(DefaultQuantileConfig())
+	q := NewQuantile()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.Add(float64(i%100000) + 0.5)
@@ -265,8 +185,8 @@ func BenchmarkQuantileAdd(b *testing.B) {
 
 func BenchmarkQuantileMerge(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	x := NewQuantile(DefaultQuantileConfig())
-	y := NewQuantile(DefaultQuantileConfig())
+	x := NewQuantile()
+	y := NewQuantile()
 	for i := 0; i < 100000; i++ {
 		x.Add(r.ExpFloat64() * 100)
 		y.Add(r.ExpFloat64() * 100)
@@ -274,15 +194,13 @@ func BenchmarkQuantileMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := x.Merge(y); err != nil {
-			b.Fatal(err)
-		}
+		x.Merge(y)
 	}
 }
 
 func BenchmarkQuantileQuery(b *testing.B) {
 	r := rand.New(rand.NewSource(2))
-	q := NewQuantile(DefaultQuantileConfig())
+	q := NewQuantile()
 	for i := 0; i < 100000; i++ {
 		q.Add(r.ExpFloat64() * 100)
 	}

@@ -34,11 +34,11 @@ func (g *SketchGood) Add(v int) { g.q.Add(float64(v)) }
 
 // NewShard implements Analyzer.
 func (g *SketchGood) NewShard() Analyzer {
-	return &SketchGood{q: sketch.NewQuantile(sketch.DefaultQuantileConfig())}
+	return &SketchGood{q: sketch.NewQuantile()}
 }
 
 // Merge implements Analyzer.
-func (g *SketchGood) Merge(shard Analyzer) { _ = g.q.Merge(shard.(*SketchGood).q) }
+func (g *SketchGood) Merge(shard Analyzer) { g.q.Merge(shard.(*SketchGood).q) }
 
 // SketchStray holds a sketch but only ever appears in plain tables, so its
 // approximation error is never measured.

@@ -12,7 +12,7 @@ import (
 func TestParallel(t *testing.T) {
 	table := []Analyzer{
 		&Plain{},
-		&SketchGood{q: sketch.NewQuantile(sketch.DefaultQuantileConfig())},
+		&SketchGood{q: sketch.NewQuantile()},
 		&SketchStray{d: sketch.NewDistinct()},
 		&SketchWrapped{b: bundle{devices: [2]*sketch.Distinct{sketch.NewDistinct(), sketch.NewDistinct()}}},
 	}
@@ -25,7 +25,7 @@ func TestParallel(t *testing.T) {
 // measured against the exact path here, so the stray sketch analyzers are
 // flagged at their declarations.
 func TestSketchEquivalence(t *testing.T) {
-	g := &SketchGood{q: sketch.NewQuantile(sketch.DefaultQuantileConfig())}
+	g := &SketchGood{q: sketch.NewQuantile()}
 	battery := []Analyzer{g, &Plain{}}
 	for _, a := range battery {
 		a.Add(2)

@@ -29,24 +29,6 @@ func (s *Series) Add(i int, v float64) {
 	s.Count[i]++
 }
 
-// Means returns the per-bin arithmetic mean (0 for empty bins).
-func (s *Series) Means() []float64 {
-	out := make([]float64, len(s.Sum))
-	for i, sum := range s.Sum {
-		if s.Count[i] > 0 {
-			out[i] = sum / float64(s.Count[i])
-		}
-	}
-	return out
-}
-
-// Totals returns a copy of the per-bin sums.
-func (s *Series) Totals() []float64 {
-	out := make([]float64, len(s.Sum))
-	copy(out, s.Sum)
-	return out
-}
-
 // Ratio returns the element-wise ratio num/den of two equally-binned series
 // of sums, emitting 0 where the denominator is 0. It returns an error when
 // lengths differ.
@@ -61,25 +43,6 @@ func Ratio(num, den []float64) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// MeanOf returns the mean of xs restricted to bins where include is true; it
-// averages over included bins only. Used for the paper's "mean WiFi-traffic
-// ratio" style summaries. include may be nil to average all bins.
-func MeanOf(xs []float64, include []bool) float64 {
-	var sum float64
-	var n int
-	for i, x := range xs {
-		if include != nil && !include[i] {
-			continue
-		}
-		sum += x
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // Grid is a dense 2-D accumulator used for heat maps: the cellular-vs-WiFi

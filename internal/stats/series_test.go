@@ -13,18 +13,11 @@ func TestSeries(t *testing.T) {
 	s.Add(0, 2)
 	s.Add(0, 4)
 	s.Add(3, 9)
-	means := s.Means()
-	if means[0] != 3 || means[1] != 0 || means[3] != 9 {
-		t.Fatalf("means %v", means)
+	if s.Sum[0] != 6 || s.Sum[1] != 0 || s.Sum[3] != 9 {
+		t.Fatalf("sums %v", s.Sum)
 	}
-	totals := s.Totals()
-	if totals[0] != 6 || totals[3] != 9 {
-		t.Fatalf("totals %v", totals)
-	}
-	// Totals returns a copy.
-	totals[0] = 99
-	if s.Sum[0] != 6 {
-		t.Fatal("Totals aliases internal state")
+	if s.Count[0] != 2 || s.Count[1] != 0 || s.Count[3] != 1 {
+		t.Fatalf("counts %v", s.Count)
 	}
 }
 
@@ -47,19 +40,6 @@ func TestRatio(t *testing.T) {
 	}
 	if _, err := Ratio([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestMeanOf(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := MeanOf(xs, nil); got != 2.5 {
-		t.Fatalf("MeanOf all = %g", got)
-	}
-	if got := MeanOf(xs, []bool{true, false, false, true}); got != 2.5 {
-		t.Fatalf("MeanOf masked = %g", got)
-	}
-	if got := MeanOf(xs, []bool{false, false, false, false}); got != 0 {
-		t.Fatalf("MeanOf empty mask = %g", got)
 	}
 }
 

@@ -20,45 +20,6 @@ import (
 // ErrEmpty is returned by functions that require at least one observation.
 var ErrEmpty = errors.New("stats: empty sample")
 
-// Summary holds the standard five-plus moments of a one-dimensional sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	StdDev float64
-	Sum    float64
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty when xs is empty.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.StdDev = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	s.Median = Quantile(xs, 0.5)
-	return s, nil
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -91,17 +52,6 @@ func Quantile(xs []float64, q float64) float64 {
 	copy(sorted, xs)
 	sort.Float64s(sorted)
 	return QuantileSorted(sorted, q)
-}
-
-// QuantilesSorted returns the quantiles qs of an already-sorted sample. It is
-// the allocation-free fast path for analyzers that compute many quantiles of
-// the same sample.
-func QuantilesSorted(sorted []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = QuantileSorted(sorted, q)
-	}
-	return out
 }
 
 // QuantileSorted is Quantile over an already-sorted sample, without the
@@ -188,21 +138,6 @@ func (d Distribution) At(x float64) float64 {
 	return d.Points[i-1].Y
 }
 
-// InvAt returns the smallest X whose cumulative probability reaches p. For a
-// CCDF (decreasing Y) use Distribution.XAtY instead. It returns the largest X
-// when p exceeds every Y.
-func (d Distribution) InvAt(p float64) float64 {
-	for _, pt := range d.Points {
-		if pt.Y >= p {
-			return pt.X
-		}
-	}
-	if len(d.Points) == 0 {
-		return 0
-	}
-	return d.Points[len(d.Points)-1].X
-}
-
 // Histogram is a fixed-width binned count of a sample. Bin i covers
 // [Lo + i*Width, Lo + (i+1)*Width); the final bin is closed on the right.
 type Histogram struct {
@@ -254,21 +189,6 @@ func (h Histogram) PDF() []Point {
 		pts[i] = Point{
 			X: h.Lo + (float64(i)+0.5)*h.Width,
 			Y: float64(c) / float64(h.Total) / h.Width,
-		}
-	}
-	return pts
-}
-
-// Fractions converts the histogram into bin-mass fractions (summing to 1).
-func (h Histogram) Fractions() []Point {
-	if h.Total == 0 {
-		return nil
-	}
-	pts := make([]Point, len(h.Counts))
-	for i, c := range h.Counts {
-		pts[i] = Point{
-			X: h.Lo + (float64(i)+0.5)*h.Width,
-			Y: float64(c) / float64(h.Total),
 		}
 	}
 	return pts

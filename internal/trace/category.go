@@ -90,12 +90,3 @@ func CategoryByName(name string) (Category, bool) {
 	}
 	return 0, false
 }
-
-// Categories returns all valid categories in declaration order.
-func Categories() []Category {
-	out := make([]Category, NumCategories)
-	for i := range out {
-		out[i] = Category(i)
-	}
-	return out
-}

@@ -8,10 +8,7 @@
 // Samples, the collector spools them, and the analyzers consume them.
 package trace
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // DeviceID is the "unique random device ID" each installation of the
 // measurement software reports (§2).
@@ -221,11 +218,6 @@ func (s *Sample) TotalRX() uint64 { return s.CellRX + s.WiFiRX }
 
 // TotalTX returns cellular plus WiFi upload bytes.
 func (s *Sample) TotalTX() uint64 { return s.CellTX + s.WiFiTX }
-
-// When returns the sample time in the given location.
-func (s *Sample) When(loc *time.Location) time.Time {
-	return time.Unix(s.Time, 0).In(loc)
-}
 
 // Validate checks internal consistency and returns a descriptive error for
 // the first violation found: unknown enum values, multiple associated APs,
