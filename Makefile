@@ -102,8 +102,8 @@ fuzz-smoke:
 smuvet:
 	$(GO) run ./cmd/smuvet ./...
 
-# Byte-stability gate for smuvet's machine-readable output: -json and -sarif
-# must produce identical bytes across runs over an identical tree, so CI
+# Byte-stability gate for smuvet's machine-readable output: -sarif must
+# produce identical bytes across runs over an identical tree, so CI
 # artifacts can be diffed.
 smuvet-determinism:
 	./scripts/smuvet-determinism.sh
@@ -156,11 +156,14 @@ soak-1m:
 external-smoke:
 	./scripts/external-smoke.sh
 
-# The full CI gate: lint (formatting, vet, smuvet), race-enabled tests,
+# The local CI gate: what CI's lint and test jobs run — lint (formatting,
+# vet, smuvet), smuvet output determinism, race-enabled shuffled tests,
 # pipebench self-tests, benchmark smoke, fuzz smoke, chaos + kill-restart +
-# tier-failover soaks, and the in-process + external ingest smokes.
+# tier-failover soaks — plus the in-process and external ingest smokes.
+# CI-only: bench-diff and the 100k-device sketch soak (make soak-1m).
 check: lint
-	$(GO) test -race ./...
+	$(MAKE) smuvet-determinism
+	$(GO) test -race -shuffle=on ./...
 	$(MAKE) pipebench-test
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz-smoke
@@ -173,8 +176,8 @@ check: lint
 # Regenerate EXPERIMENTS.md, the golden that pipebench's
 # TestReportFullReproducesExperiments byte-compares (make pipebench-test):
 # the paper-sized study, scale 1.0 and seed 1, rendered the way that test
-# renders it — each campaign spooled to a trace file and streamed back, with
-# sequential simulation. Needs ~2 GB of temp disk for the traces.
+# renders it — each campaign spooled to a trace file and streamed back. Needs
+# ~2 GB of temp disk for the traces.
 experiments:
 	$(GO) run ./cmd/report -scale 1.0 -seed 1 -tracedir $${TMPDIR:-/tmp}/smartusage-traces -o EXPERIMENTS.md
 

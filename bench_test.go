@@ -252,7 +252,7 @@ func BenchmarkAgentCollector(b *testing.B) {
 
 	dev := f.samples[0].Device
 	a, err := agent.New(agent.Config{
-		Server: srv.Addr().String(), Device: dev, OS: trace.Android,
+		Servers: []string{srv.Addr().String()}, Device: dev, OS: trace.Android,
 		BatchSize: 1 << 30, // flush manually
 	})
 	if err != nil {
@@ -590,27 +590,6 @@ func BenchmarkCarrierRatios(b *testing.B) {
 }
 
 // --- design-choice ablations --------------------------------------------------
-
-// Sequential vs concurrent simulation: the cost of the re-sequencing
-// machinery and the win from parallelism.
-func BenchmarkSimulateConcurrent(b *testing.B) {
-	cfg, err := config.ForYear(2014, 0.02, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.Days = 5
-	cfg.Update = nil
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sm, err := sim.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sm.RunConcurrent(-1, func(*trace.Sample) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // Binary vs JSONL codec: the cost of the human-readable format.
 func BenchmarkJSONLEncode(b *testing.B) {

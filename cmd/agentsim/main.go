@@ -34,33 +34,47 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("agentsim: ")
+	// Every failure returns through run, so the -trace-out file is completed
+	// before the process exits.
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, replays the campaign through the agents and drains
+// them. It fails on setup errors, on abandoned samples, and on a trace file
+// that could not be completed.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("agentsim", flag.ExitOnError)
 	var (
-		server     = flag.String("server", "127.0.0.1:7020", "collector address (single-server mode)")
-		servers    = flag.String("servers", "", "comma-separated collector tier addresses; agents pick a rendezvous primary per device and fail over between them (overrides -server)")
-		year       = flag.Int("year", 2015, "campaign year")
-		scale      = flag.Float64("scale", 0.1, "panel scale")
-		seed       = flag.Int64("seed", 1, "random seed")
-		token      = flag.String("token", "", "auth token")
-		failrate   = flag.Float64("failrate", 0, "probability of injected dial failure (shorthand for -faults dial=P)")
-		faults     = flag.String("faults", "", "fault spec, e.g. dial=0.1,reset=0.05,stall=0.02,ackloss=0.1,corrupt=0.01")
-		attempts   = flag.Int("attempts", 4, "upload attempts per batch within one flush")
-		backoff    = flag.Duration("backoff", 100*time.Millisecond, "initial retry backoff (doubles per attempt, jittered)")
-		maxBackoff = flag.Duration("max-backoff", 2*time.Second, "retry backoff cap")
-		spoolDir   = flag.String("spool-dir", "", "journal each agent's upload queue under this directory (one subdir per device); a re-run resumes abandoned samples")
-		traceOut   = flag.String("trace-out", "", "write stage spans (simulate, drain) as Chrome trace JSONL to this file")
-		metricsOut = flag.String("metrics-out", "", "write a final Prometheus-text metrics snapshot to this file")
+		server     = fs.String("server", "127.0.0.1:7020", "collector address (single-server mode)")
+		servers    = fs.String("servers", "", "comma-separated collector tier addresses; agents pick a rendezvous primary per device and fail over between them (overrides -server)")
+		year       = fs.Int("year", 2015, "campaign year")
+		scale      = fs.Float64("scale", 0.1, "panel scale")
+		seed       = fs.Int64("seed", 1, "random seed")
+		token      = fs.String("token", "", "auth token")
+		failrate   = fs.Float64("failrate", 0, "probability of injected dial failure (shorthand for -faults dial=P)")
+		faults     = fs.String("faults", "", "fault spec, e.g. dial=0.1,reset=0.05,stall=0.02,ackloss=0.1,corrupt=0.01")
+		attempts   = fs.Int("attempts", 4, "upload attempts per batch within one flush")
+		backoff    = fs.Duration("backoff", 100*time.Millisecond, "initial retry backoff (doubles per attempt, jittered)")
+		maxBackoff = fs.Duration("max-backoff", 2*time.Second, "retry backoff cap")
+		spoolDir   = fs.String("spool-dir", "", "journal each agent's upload queue under this directory (one subdir per device); a re-run resumes abandoned samples")
+		traceOut   = fs.String("trace-out", "", "write stage spans (simulate, drain) as Chrome trace JSONL to this file")
+		metricsOut = fs.String("metrics-out", "", "write a final Prometheus-text metrics snapshot to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var tracer *obs.Tracer
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tracer = obs.NewTracer(f)
-		defer tracer.Close()
 	}
+	defer func() { err = errors.Join(err, tracer.Close()) }() // nil-safe
 	var reg *obs.Registry
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
@@ -68,16 +82,16 @@ func main() {
 
 	cfg, err := config.ForYear(*year, *scale, *seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sm, err := sim.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	fcfg, err := faultnet.ParseSpec(*faults)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *failrate > 0 {
 		fcfg.DialRefuse = *failrate
@@ -95,6 +109,10 @@ func main() {
 			}
 		}
 	}
+	addrs := tier
+	if len(addrs) == 0 {
+		addrs = []string{*server}
+	}
 
 	agents := make(map[trace.DeviceID]*agent.Agent)
 	var recorded, flushErrs int
@@ -104,8 +122,7 @@ func main() {
 		if a == nil {
 			var err error
 			acfg := agent.Config{
-				Server:      *server,
-				Servers:     tier,
+				Servers:     addrs,
 				Device:      s.Device,
 				OS:          s.OS,
 				Token:       *token,
@@ -130,7 +147,7 @@ func main() {
 	})
 	simSpan.End()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	drainSpan := tracer.Start("agentsim:drain")
@@ -160,19 +177,17 @@ func main() {
 	log.Printf("faults: %s", inj.Stats())
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, reg); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if abandoned > 0 {
-		// os.Exit skips defers; finish the trace file first.
-		tracer.Close()
 		fate := "lost"
 		if *spoolDir != "" {
 			fate = fmt.Sprintf("retained under %s; re-run to resume", *spoolDir)
 		}
-		log.Printf("exit 1: %d samples abandoned (%s)", abandoned, fate)
-		os.Exit(1)
+		return fmt.Errorf("%d samples abandoned (%s)", abandoned, fate)
 	}
+	return nil
 }
 
 // writeMetrics renders a final Prometheus-text snapshot of the registry.

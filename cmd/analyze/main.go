@@ -277,7 +277,6 @@ func main() {
 		scale      = flag.Float64("scale", 0.25, "panel scale (for fresh simulation or count rescaling)")
 		seed       = flag.Int64("seed", 1, "random seed (fresh simulation)")
 		exp        = flag.String("exp", "", "experiment id (or 'list')")
-		workers    = flag.Int("workers", 0, "simulation workers (0 = sequential, -1 = all cores)")
 		anaWorkers = flag.Int("analysis-workers", 0, "analysis workers (0 = one, -1 = all cores)")
 		sketchMode = flag.Bool("sketch", false, "bounded-memory sketch analyzers (~1% quantile error)")
 	)
@@ -294,8 +293,8 @@ func main() {
 
 	run, err := load(*tracePath, *year, core.Options{
 		Scale: *scale, Seed: *seed,
-		Workers: *workers, AnalysisWorkers: *anaWorkers,
-		SketchMode: *sketchMode,
+		AnalysisWorkers: *anaWorkers,
+		SketchMode:      *sketchMode,
 	})
 	if err != nil {
 		log.Fatal(err)

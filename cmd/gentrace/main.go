@@ -22,12 +22,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gentrace: ")
 	var (
-		year    = flag.Int("year", 2015, "campaign year (2013, 2014, 2015)")
-		scale   = flag.Float64("scale", 0.25, "panel scale (1.0 = paper's ~1700 users)")
-		seed    = flag.Int64("seed", 1, "random seed")
-		out     = flag.String("out", "", "output path (default campaign-<year>.trace)")
-		format  = flag.String("format", "binary", "output format: binary or jsonl")
-		workers = flag.Int("workers", 0, "simulation workers (0 = sequential, -1 = all cores)")
+		year   = flag.Int("year", 2015, "campaign year (2013, 2014, 2015)")
+		scale  = flag.Float64("scale", 0.25, "panel scale (1.0 = paper's ~1700 users)")
+		seed   = flag.Int64("seed", 1, "random seed")
+		out    = flag.String("out", "", "output path (default campaign-<year>.trace)")
+		format = flag.String("format", "binary", "output format: binary or jsonl")
 	)
 	flag.Parse()
 
@@ -65,16 +64,10 @@ func main() {
 	}
 
 	n := 0
-	counted := func(s *trace.Sample) error {
+	if err := sm.Run(func(s *trace.Sample) error {
 		n++
 		return sink(s)
-	}
-	if *workers != 0 {
-		err = sm.RunConcurrent(*workers, counted)
-	} else {
-		err = sm.Run(counted)
-	}
-	if err != nil {
+	}); err != nil {
 		log.Fatal(err)
 	}
 	if err := flush(); err != nil {

@@ -138,7 +138,7 @@ func run(o options, stdout io.Writer) (err error) {
 	tier := splitList(o.addrs)
 	target := o.addr
 	if len(tier) > 0 {
-		target = tier[0] // agents dial by cfg.Servers; target is informational
+		target = tier[0] // agents dial the whole tier; target is informational
 	}
 	// The deadline also bounds the replica's drain: after a timeout the
 	// fleet may still hold connections, and the drain does not wait on them.
@@ -202,9 +202,13 @@ func run(o options, stdout io.Writer) (err error) {
 	}
 
 	// --- drive the fleet ---------------------------------------------------
+	servers := tier
+	if len(servers) == 0 {
+		servers = []string{target}
+	}
 	fleetDone := make(chan fleetResult, 1)
 	go func() {
-		fleetDone <- runFleet(target, tier, o.token, o.agents, o.batches, o.batch, o.aps, o.essids, o.seed, o.spool, scratch)
+		fleetDone <- runFleet(servers, o.token, o.agents, o.batches, o.batch, o.aps, o.essids, o.seed, o.spool, scratch)
 	}()
 	var fleet fleetResult
 	select {
@@ -284,7 +288,7 @@ type fleetResult struct {
 }
 
 // runFleet spawns the agents, runs every upload, and merges their stats.
-func runFleet(target string, tier []string, token string, agents, batches, batchSz, aps, essids int, seed int64, spool bool, scratch string) fleetResult {
+func runFleet(servers []string, token string, agents, batches, batchSz, aps, essids int, seed int64, spool bool, scratch string) fleetResult {
 	var (
 		mu  sync.Mutex
 		res fleetResult
@@ -295,7 +299,7 @@ func runFleet(target string, tier []string, token string, agents, batches, batch
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			lats, st, err := runAgent(target, tier, token, i, batches, batchSz, aps, essids, seed, spool, scratch)
+			lats, st, err := runAgent(servers, token, i, batches, batchSz, aps, essids, seed, spool, scratch)
 			mu.Lock()
 			defer mu.Unlock()
 			res.latencies = append(res.latencies, lats...)
@@ -320,10 +324,9 @@ func runFleet(target string, tier []string, token string, agents, batches, batch
 
 // runAgent is one synthetic handset: batches uploads of batchSz samples
 // each, every flush timed as one ack latency observation.
-func runAgent(target string, tier []string, token string, idx, batches, batchSz, aps, essids int, seed int64, spool bool, scratch string) ([]time.Duration, agent.Stats, error) {
+func runAgent(servers []string, token string, idx, batches, batchSz, aps, essids int, seed int64, spool bool, scratch string) ([]time.Duration, agent.Stats, error) {
 	cfg := agent.Config{
-		Server:    target,
-		Servers:   tier,
+		Servers:   servers,
 		Device:    trace.DeviceID(1 + idx),
 		OS:        trace.Android,
 		Token:     token,

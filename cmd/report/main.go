@@ -9,7 +9,9 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
+	"io"
 	"log"
 	"os"
 
@@ -21,57 +23,65 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("report: ")
+	// Every failure returns through run, so the -trace-out file is completed
+	// before the process exits.
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, executes the study and writes the report. Its error
+// includes the failure to close the report or the trace file, the last
+// chance to learn that either never reached the disk.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	var (
-		scale      = flag.Float64("scale", 0.25, "panel scale (1.0 = paper size)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		out        = flag.String("o", "", "output file (default stdout)")
-		traceDir   = flag.String("tracedir", "", "spool traces to this directory instead of memory")
-		workers    = flag.Int("workers", 0, "simulation workers (0 = sequential, -1 = all cores)")
-		anaWorkers = flag.Int("analysis-workers", 0, "analysis workers (0 = one, -1 = all cores)")
-		sketchMode = flag.Bool("sketch", false, "bounded-memory sketch analyzers (~1% quantile error)")
-		traceOut   = flag.String("trace-out", "", "write per-stage spans (simulate, prepass, shards, merges) as Chrome trace JSONL to this file")
+		scale      = fs.Float64("scale", 0.25, "panel scale (1.0 = paper size)")
+		seed       = fs.Int64("seed", 1, "random seed")
+		out        = fs.String("o", "", "output file (default stdout)")
+		traceDir   = fs.String("tracedir", "", "spool traces to this directory instead of memory")
+		anaWorkers = fs.Int("analysis-workers", 0, "analysis workers (0 = one, -1 = all cores)")
+		sketchMode = fs.Bool("sketch", false, "bounded-memory sketch analyzers (~1% quantile error)")
+		traceOut   = fs.String("trace-out", "", "write per-stage spans (simulate, prepass, shards, merges) as Chrome trace JSONL to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var tracer *obs.Tracer
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tracer = obs.NewTracer(f)
-		defer tracer.Close()
 	}
+	defer func() { err = errors.Join(err, tracer.Close()) }() // nil-safe
 
 	st, err := core.RunStudy(core.Options{
 		Scale: *scale, Seed: *seed, TraceDir: *traceDir,
-		Workers: *workers, AnalysisWorkers: *anaWorkers,
-		SketchMode: *sketchMode,
-		Tracer:     tracer,
+		AnalysisWorkers: *anaWorkers,
+		SketchMode:      *sketchMode,
+		Tracer:          tracer,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	if *out == "" {
+		return writeReport(os.Stdout, st)
+	}
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	return errors.Join(writeReport(f, st), f.Close())
+}
 
-	w := bufio.NewWriter(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			// The close error is the last chance to learn the report never
-			// reached the disk.
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}()
-		w = bufio.NewWriter(f)
+// writeReport renders the study into w through a buffer.
+func writeReport(w io.Writer, st *core.Study) error {
+	bw := bufio.NewWriter(w)
+	if err := report.Write(bw, st); err != nil {
+		return err
 	}
-	if err := report.Write(w, st); err != nil {
-		log.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		log.Fatal(err)
-	}
+	return bw.Flush()
 }

@@ -6,13 +6,12 @@
 //
 // Usage:
 //
-//	smuvet [-json] [-sarif] [-list] [packages...]
+//	smuvet [-sarif] [-list] [packages...]
 //
-// -json emits diagnostics keyed by package and analyzer; the encoding sorts
-// every map, so identical trees produce identical bytes (CI diffs two runs).
-// -sarif emits a SARIF 2.1.0 log for code-scanning upload. Exit status is 0
-// when the tree is clean, 1 when any diagnostic is reported, and 2 when
-// loading or type-checking fails.
+// -sarif emits a SARIF 2.1.0 log for code-scanning upload; its results are
+// sorted, so identical trees produce identical bytes (CI diffs two runs).
+// Exit status is 0 when the tree is clean, 1 when any diagnostic is
+// reported, and 2 when loading or type-checking fails.
 package main
 
 import (
@@ -27,11 +26,10 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON (per package, per analyzer)")
 	sarifOut := flag.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: smuvet [-json] [-sarif] [-list] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: smuvet [-sarif] [-list] [packages...]\n\nAnalyzers:\n")
 		for _, a := range smuvet.All() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -44,35 +42,11 @@ func main() {
 		}
 		return
 	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "smuvet: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
-	mode := modeText
-	if *jsonOut {
-		mode = modeJSON
-	}
-	if *sarifOut {
-		mode = modeSARIF
-	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	os.Exit(run(patterns, mode))
-}
-
-const (
-	modeText = iota
-	modeJSON
-	modeSARIF
-)
-
-// jsonDiag is one diagnostic in -json output, keyed like `go vet -json`:
-// {"pkgpath": {"analyzer": [{posn, message}]}}.
-type jsonDiag struct {
-	Posn    string `json:"posn"`
-	Message string `json:"message"`
+	os.Exit(run(patterns, *sarifOut))
 }
 
 // flatDiag is one diagnostic with its position resolved, for SARIF output.
@@ -84,7 +58,7 @@ type flatDiag struct {
 	message  string
 }
 
-func run(patterns []string, mode int) int {
+func run(patterns []string, sarif bool) int {
 	pkgs, err := smuvet.Load(".", patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -92,7 +66,6 @@ func run(patterns []string, mode int) int {
 	}
 	analyzers := smuvet.All()
 	status := 0
-	byPkg := make(map[string]map[string][]jsonDiag)
 	var flat []flatDiag
 	for _, pkg := range pkgs {
 		if len(pkg.Errors) > 0 {
@@ -112,41 +85,20 @@ func run(patterns []string, mode int) int {
 				status = 1
 			}
 			posn := pkg.Fset.Position(d.Pos)
-			switch mode {
-			case modeJSON:
-				m := byPkg[pkg.PkgPath]
-				if m == nil {
-					m = make(map[string][]jsonDiag)
-					byPkg[pkg.PkgPath] = m
-				}
-				m[d.Analyzer] = append(m[d.Analyzer], jsonDiag{
-					Posn:    posn.String(),
-					Message: d.Message,
-				})
-			case modeSARIF:
-				flat = append(flat, flatDiag{
-					analyzer: d.Analyzer,
-					file:     relPath(posn.Filename),
-					line:     posn.Line,
-					col:      posn.Column,
-					message:  d.Message,
-				})
-			default:
+			if !sarif {
 				fmt.Printf("%s: %s: %s\n", posn, d.Analyzer, d.Message)
+				continue
 			}
+			flat = append(flat, flatDiag{
+				analyzer: d.Analyzer,
+				file:     relPath(posn.Filename),
+				line:     posn.Line,
+				col:      posn.Column,
+				message:  d.Message,
+			})
 		}
 	}
-	switch mode {
-	case modeJSON:
-		// encoding/json sorts map keys, so this output is byte-stable for
-		// identical trees; CI diffs two runs to prove it.
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(byPkg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	case modeSARIF:
+	if sarif {
 		if err := writeSARIF(os.Stdout, flat); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2

@@ -86,7 +86,7 @@ func main() {
 		a := agents[s.Device]
 		if a == nil {
 			a, err = agent.New(agent.Config{
-				Server: addr, Device: s.Device, OS: s.OS,
+				Servers: []string{addr}, Device: s.Device, OS: s.OS,
 				Token: "panel-2015", BatchSize: 36, Dial: dial,
 			})
 			if err != nil {

@@ -26,13 +26,10 @@ import (
 
 // Config configures an Agent.
 type Config struct {
-	// Server is the collector's TCP address. With a multi-collector tier,
-	// set Servers instead; Server is then ignored.
-	Server string
-	// Servers lists the collector tier's replica addresses. The agent orders
-	// them per device by rendezvous hashing (see ReplicaPreference), uploads
-	// to the first, and fails over to the next on dial or ack failure. Empty
-	// means the single-server configuration [Server].
+	// Servers lists the collector addresses, one for a single collector or
+	// one per replica of a tier. The agent orders them per device by
+	// rendezvous hashing (see ReplicaPreference), uploads to the first, and
+	// fails over to the next on dial or ack failure.
 	Servers []string
 	// Device and OS identify this installation.
 	Device trace.DeviceID
@@ -183,15 +180,11 @@ type Agent struct {
 
 // New validates cfg and returns an Agent.
 func New(cfg Config) (*Agent, error) {
-	servers := cfg.Servers
-	if len(servers) == 0 {
-		if cfg.Server == "" {
-			return nil, errors.New("agent: empty server address")
-		}
-		servers = []string{cfg.Server}
+	if len(cfg.Servers) == 0 {
+		return nil, errors.New("agent: empty server address")
 	}
-	seen := make(map[string]bool, len(servers))
-	for _, s := range servers {
+	seen := make(map[string]bool, len(cfg.Servers))
+	for _, s := range cfg.Servers {
 		if s == "" {
 			return nil, errors.New("agent: empty replica address in Servers")
 		}
@@ -235,7 +228,7 @@ func New(cfg Config) (*Agent, error) {
 	a := &Agent{
 		cfg:      cfg,
 		m:        newAgentMetrics(cfg.Metrics),
-		replicas: ReplicaPreference(cfg.Device, servers),
+		replicas: ReplicaPreference(cfg.Device, cfg.Servers),
 		rng:      rand.New(rand.NewSource(int64(cfg.Device) + 1)),
 	}
 	if cfg.SpoolDir != "" {

@@ -16,14 +16,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty server accepted")
 	}
-	if _, err := New(Config{Server: "x:1", OS: 99}); err == nil {
+	if _, err := New(Config{Servers: []string{"x:1"}, OS: 99}); err == nil {
 		t.Fatal("bad OS accepted")
 	}
 }
 
 func TestIOSVisibilityFilter(t *testing.T) {
 	a, err := New(Config{
-		Server: "127.0.0.1:1", Device: 1, OS: trace.IOS, BatchSize: 1000,
+		Servers: []string{"127.0.0.1:1"}, Device: 1, OS: trace.IOS, BatchSize: 1000,
 		Dial: func(string, time.Duration) (net.Conn, error) {
 			return nil, fmt.Errorf("no network in this test")
 		},
@@ -57,7 +57,7 @@ func TestIOSVisibilityFilter(t *testing.T) {
 
 func TestAndroidKeepsEverything(t *testing.T) {
 	a, _ := New(Config{
-		Server: "127.0.0.1:1", Device: 1, OS: trace.Android, BatchSize: 1000,
+		Servers: []string{"127.0.0.1:1"}, Device: 1, OS: trace.Android, BatchSize: 1000,
 		Dial: func(string, time.Duration) (net.Conn, error) {
 			return nil, fmt.Errorf("no network")
 		},
@@ -76,7 +76,7 @@ func TestAndroidKeepsEverything(t *testing.T) {
 
 func TestCacheOverflowDropsOldest(t *testing.T) {
 	a, _ := New(Config{
-		Server: "127.0.0.1:1", Device: 1, OS: trace.Android,
+		Servers: []string{"127.0.0.1:1"}, Device: 1, OS: trace.Android,
 		BatchSize: 1 << 30, MaxCache: 5,
 		Dial: func(string, time.Duration) (net.Conn, error) {
 			return nil, fmt.Errorf("offline")
@@ -100,7 +100,7 @@ func TestCacheOverflowDropsOldest(t *testing.T) {
 func TestFlushErrorKeepsSamples(t *testing.T) {
 	dials := 0
 	a, _ := New(Config{
-		Server: "127.0.0.1:1", Device: 1, OS: trace.Android, BatchSize: 2,
+		Servers: []string{"127.0.0.1:1"}, Device: 1, OS: trace.Android, BatchSize: 2,
 		Dial: func(string, time.Duration) (net.Conn, error) {
 			dials++
 			return nil, fmt.Errorf("offline")
@@ -124,7 +124,7 @@ func TestFlushErrorKeepsSamples(t *testing.T) {
 
 func TestFlushEmptyIsNoop(t *testing.T) {
 	a, _ := New(Config{
-		Server: "127.0.0.1:1", Device: 1, OS: trace.Android,
+		Servers: []string{"127.0.0.1:1"}, Device: 1, OS: trace.Android,
 		Dial: func(string, time.Duration) (net.Conn, error) {
 			panic("must not dial with nothing pending")
 		},
@@ -136,7 +136,7 @@ func TestFlushEmptyIsNoop(t *testing.T) {
 
 func TestRecordCopiesSample(t *testing.T) {
 	a, _ := New(Config{
-		Server: "127.0.0.1:1", Device: 1, OS: trace.Android, BatchSize: 1000,
+		Servers: []string{"127.0.0.1:1"}, Device: 1, OS: trace.Android, BatchSize: 1000,
 		Dial: func(string, time.Duration) (net.Conn, error) {
 			return nil, fmt.Errorf("offline")
 		},
@@ -191,7 +191,7 @@ func liveCollector(t *testing.T, token string) (addr string, count func() int, s
 func TestFlushDrainsMultipleBatches(t *testing.T) {
 	addr, count, stop := liveCollector(t, "")
 	defer stop()
-	a, err := New(Config{Server: addr, Device: 4, OS: trace.Android, BatchSize: 1 << 30})
+	a, err := New(Config{Servers: []string{addr}, Device: 4, OS: trace.Android, BatchSize: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestFlushDrainsMultipleBatches(t *testing.T) {
 func TestCloseFlushesAndSendsBye(t *testing.T) {
 	addr, count, stop := liveCollector(t, "tok")
 	defer stop()
-	a, err := New(Config{Server: addr, Device: 5, OS: trace.IOS, Token: "tok", BatchSize: 1 << 30})
+	a, err := New(Config{Servers: []string{addr}, Device: 5, OS: trace.IOS, Token: "tok", BatchSize: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestCloseFlushesAndSendsBye(t *testing.T) {
 func TestServerErrorSurfacesOnFlush(t *testing.T) {
 	addr, _, stop := liveCollector(t, "right")
 	defer stop()
-	a, err := New(Config{Server: addr, Device: 6, OS: trace.Android, Token: "wrong", BatchSize: 1 << 30})
+	a, err := New(Config{Servers: []string{addr}, Device: 6, OS: trace.Android, Token: "wrong", BatchSize: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestServerErrorSurfacesOnFlush(t *testing.T) {
 func TestConnectionReuseAcrossFlushes(t *testing.T) {
 	addr, _, stop := liveCollector(t, "")
 	defer stop()
-	a, err := New(Config{Server: addr, Device: 7, OS: trace.Android, BatchSize: 2})
+	a, err := New(Config{Servers: []string{addr}, Device: 7, OS: trace.Android, BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

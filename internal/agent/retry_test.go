@@ -60,7 +60,7 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	dials := 0
 	var sleeps []time.Duration
 	a, err := New(Config{
-		Server: "127.0.0.1:1", Device: 1, OS: trace.Android,
+		Servers: []string{"127.0.0.1:1"}, Device: 1, OS: trace.Android,
 		BatchSize: 1 << 30, MaxAttempts: 4,
 		Backoff: 100 * time.Millisecond, MaxBackoff: 250 * time.Millisecond,
 		Dial: func(string, time.Duration) (net.Conn, error) {
@@ -109,7 +109,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	defer stop()
 	dials := 0
 	a, err := New(Config{
-		Server: addr, Device: 2, OS: trace.Android,
+		Servers: []string{addr}, Device: 2, OS: trace.Android,
 		BatchSize: 1 << 30, MaxAttempts: 3,
 		Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
 		Dial: func(address string, timeout time.Duration) (net.Conn, error) {
@@ -168,7 +168,7 @@ func TestPermanentErrorSkipsRetry(t *testing.T) {
 
 	dials := 0
 	a, err := New(Config{
-		Server: srv.Addr().String(), Device: 3, OS: trace.Android, Token: "wrong",
+		Servers: []string{srv.Addr().String()}, Device: 3, OS: trace.Android, Token: "wrong",
 		BatchSize: 1 << 30, MaxAttempts: 5,
 		Dial: func(address string, timeout time.Duration) (net.Conn, error) {
 			dials++
@@ -201,7 +201,7 @@ func TestCacheOverflowWithInflightBatch(t *testing.T) {
 
 	online := false
 	a, err := New(Config{
-		Server: addr, Device: 4, OS: trace.Android,
+		Servers: []string{addr}, Device: 4, OS: trace.Android,
 		BatchSize: 4, MaxCache: 6, MaxAttempts: 1,
 		Dial: func(address string, timeout time.Duration) (net.Conn, error) {
 			if !online {
@@ -287,7 +287,7 @@ func TestIOSFilterEndToEnd(t *testing.T) {
 		<-done
 	}()
 
-	a, err := New(Config{Server: srv.Addr().String(), Device: 5, OS: trace.IOS, BatchSize: 1 << 30})
+	a, err := New(Config{Servers: []string{srv.Addr().String()}, Device: 5, OS: trace.IOS, BatchSize: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestAgentRestartMidCampaign(t *testing.T) {
 
 	online := false
 	cfg := Config{
-		Server: addr, Device: 11, OS: trace.Android,
+		Servers: []string{addr}, Device: 11, OS: trace.Android,
 		BatchSize: 4, MaxAttempts: 1,
 		Dial: func(address string, timeout time.Duration) (net.Conn, error) {
 			if !online {
@@ -94,7 +94,7 @@ func TestAgentSpoolWipeRenumbering(t *testing.T) {
 	defer stop()
 
 	cfg := Config{
-		Server: addr, Device: 12, OS: trace.Android,
+		Servers: []string{addr}, Device: 12, OS: trace.Android,
 		BatchSize: 3, SpoolDir: t.TempDir(),
 	}
 	a1, err := New(cfg)
@@ -143,7 +143,7 @@ func TestCloseAbandonedError(t *testing.T) {
 	}
 	for _, spooled := range []bool{false, true} {
 		cfg := Config{
-			Server: "127.0.0.1:1", Device: 13, OS: trace.Android,
+			Servers: []string{"127.0.0.1:1"}, Device: 13, OS: trace.Android,
 			BatchSize: 1 << 30, MaxAttempts: 1,
 			Dial: offline, Sleep: func(time.Duration) {},
 		}
@@ -199,7 +199,7 @@ func TestSpoolRejectsOverflowingVarint(t *testing.T) {
 		if err := log.Close(); err != nil {
 			t.Fatal(err)
 		}
-		a, err := New(Config{Server: "127.0.0.1:1", Device: 14, OS: trace.Android, SpoolDir: dir})
+		a, err := New(Config{Servers: []string{"127.0.0.1:1"}, Device: 14, OS: trace.Android, SpoolDir: dir})
 		if err == nil {
 			a.spool.Close()
 			t.Errorf("%s: New accepted a spool whose seq record overflows (batch ID %d)", name, a.batchID)

@@ -58,7 +58,7 @@ func TestChurnKeepsFDsAndWALSegmentsBounded(t *testing.T) {
 		}
 
 		a, err := agent.New(agent.Config{
-			Server: rep.Server().Addr().String(), Device: dev, OS: trace.Android,
+			Servers: []string{rep.Server().Addr().String()}, Device: dev, OS: trace.Android,
 			BatchSize: batchSize, MaxAttempts: 3,
 			Backoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond,
 		})

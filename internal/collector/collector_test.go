@@ -79,7 +79,7 @@ func TestAgentUploadsSamples(t *testing.T) {
 	defer stop()
 
 	a, err := agent.New(agent.Config{
-		Server: addr, Device: 42, OS: trace.Android, Token: "tok", BatchSize: 4,
+		Servers: []string{addr}, Device: 42, OS: trace.Android, Token: "tok", BatchSize: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestAuthRejected(t *testing.T) {
 	defer stop()
 
 	a, err := agent.New(agent.Config{
-		Server: addr, Device: 7, OS: trace.IOS, Token: "wrong",
+		Servers: []string{addr}, Device: 7, OS: trace.IOS, Token: "wrong",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestAuthRejected(t *testing.T) {
 func TestNoAuthWhenTokenEmpty(t *testing.T) {
 	_, addr, store, stop := startServer(t, "")
 	defer stop()
-	a, _ := agent.New(agent.Config{Server: addr, Device: 9, OS: trace.Android, Token: "anything"})
+	a, _ := agent.New(agent.Config{Servers: []string{addr}, Device: 9, OS: trace.Android, Token: "anything"})
 	s := mkSample(9, 0)
 	a.Record(&s)
 	if err := a.Close(); err != nil {
@@ -178,7 +178,7 @@ func TestFlakyNetworkExactlyOnce(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(5))
 	a, err := agent.New(agent.Config{
-		Server: addr, Device: 77, OS: trace.Android, BatchSize: 3,
+		Servers: []string{addr}, Device: 77, OS: trace.Android, BatchSize: 3,
 		Dial: func(address string, timeout time.Duration) (net.Conn, error) {
 			if rng.Float64() < 0.3 {
 				return nil, fmt.Errorf("injected dial failure")
@@ -326,7 +326,7 @@ func TestManyConcurrentAgents(t *testing.T) {
 		wg.Add(1)
 		go func(dev trace.DeviceID) {
 			defer wg.Done()
-			a, err := agent.New(agent.Config{Server: addr, Device: dev, OS: trace.Android, BatchSize: 7})
+			a, err := agent.New(agent.Config{Servers: []string{addr}, Device: dev, OS: trace.Android, BatchSize: 7})
 			if err != nil {
 				errs <- err
 				return
@@ -358,7 +358,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestGracefulShutdownFlushesConnections(t *testing.T) {
 	_, addr, store, stop := startServer(t, "")
-	a, _ := agent.New(agent.Config{Server: addr, Device: 3, OS: trace.Android})
+	a, _ := agent.New(agent.Config{Servers: []string{addr}, Device: 3, OS: trace.Android})
 	s := mkSample(3, 0)
 	a.Record(&s)
 	if err := a.Close(); err != nil {
@@ -461,7 +461,7 @@ func TestMaxConnsQueues(t *testing.T) {
 		wg.Add(1)
 		go func(dev trace.DeviceID) {
 			defer wg.Done()
-			a, err := agent.New(agent.Config{Server: srv.Addr().String(), Device: dev, OS: trace.Android, BatchSize: 3})
+			a, err := agent.New(agent.Config{Servers: []string{srv.Addr().String()}, Device: dev, OS: trace.Android, BatchSize: 3})
 			if err != nil {
 				errs <- err
 				return

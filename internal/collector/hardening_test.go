@@ -125,7 +125,7 @@ func TestFlakySinkResumesExactlyOnce(t *testing.T) {
 	}()
 
 	a, err := agent.New(agent.Config{
-		Server: srv.Addr().String(), Device: 11, OS: trace.Android,
+		Servers: []string{srv.Addr().String()}, Device: 11, OS: trace.Android,
 		BatchSize: 1 << 30, MaxAttempts: 3,
 		Backoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond,
 	})

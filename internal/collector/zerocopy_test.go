@@ -21,7 +21,7 @@ func TestZeroCopyRetentionAcrossFrames(t *testing.T) {
 	defer stop()
 
 	a, err := agent.New(agent.Config{
-		Server: addr, Device: 42, OS: trace.Android, BatchSize: 4,
+		Servers: []string{addr}, Device: 42, OS: trace.Android, BatchSize: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -43,10 +43,6 @@ type Options struct {
 	TraceDir string
 	// Years restricts the campaigns to run; nil means all three.
 	Years []int
-	// Workers parallelizes the simulation across that many goroutines
-	// (sim.RunConcurrent, whose output stream equals the sequential run's
-	// at every count); 0 keeps it sequential, negative uses GOMAXPROCS.
-	Workers int
 	// AnalysisWorkers parallelizes the two analysis passes by sharding
 	// samples across goroutines by device (results are identical
 	// regardless); 0 means one worker, negative uses GOMAXPROCS.
@@ -160,9 +156,6 @@ func RunWithConfig(cfg config.Campaign, opts Options) (*CampaignRun, error) {
 	runSim := func(sink sim.Sink) error {
 		ssp := opts.Tracer.Start("core:simulate").Arg("year", year)
 		defer ssp.End()
-		if opts.Workers != 0 {
-			return sm.RunConcurrent(opts.Workers, sink)
-		}
 		return sm.Run(sink)
 	}
 	if opts.TraceDir == "" {

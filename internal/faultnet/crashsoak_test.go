@@ -241,7 +241,7 @@ func runCrashSoak(t *testing.T, point string, seed int64) {
 // rebuilt from its spool directory.
 func runCrashAgent(dir, addr string, dev trace.DeviceID, point string, reg *obs.Registry) error {
 	cfg := agent.Config{
-		Server:      addr,
+		Servers:     []string{addr},
 		Device:      dev,
 		OS:          trace.Android,
 		Token:       "crash",

@@ -129,7 +129,7 @@ func TestIngestSeriesGolden(t *testing.T) {
 	inj := faultnet.New(faultnet.Config{Seed: 1, Metrics: reg})
 	const dev = trace.DeviceID(7)
 	a, err := agent.New(agent.Config{
-		Server:    rep.Server().Addr().String(),
+		Servers:   []string{rep.Server().Addr().String()},
 		Device:    dev,
 		OS:        trace.Android,
 		BatchSize: 4,

@@ -165,7 +165,7 @@ func runSoak(t *testing.T, fcfg faultnet.Config, seed int64, walStall time.Durat
 		dev := trace.DeviceID(1000*seed + int64(d) + 1)
 		go func() {
 			a, err := agent.New(agent.Config{
-				Server:      srv.Addr().String(),
+				Servers:     []string{srv.Addr().String()},
 				Device:      dev,
 				OS:          trace.Android,
 				Token:       "soak",

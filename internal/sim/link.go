@@ -74,7 +74,8 @@ func (s *Simulator) updateLink(u *population.User, st *userState,
 		// rather than a carrier hotspot.
 		if rng.Float64() < 0.025 {
 			if st.openAP == nil {
-				st.openAP = st.newOpenAP(pos)
+				ap := s.Deploy.NewOpenAP(pos)
+				st.openAP = &ap
 			}
 			st.link = newLink(st.openAP, wifi.ClassOpen, 4+rng.Float64()*25, rng)
 			return
@@ -84,64 +85,6 @@ func (s *Simulator) updateLink(u *population.User, st *userState,
 		if u.HasMobileAP && !u.DayOff && rng.Float64() < 0.30 {
 			st.link = newLink(&u.MobileAP, wifi.ClassMobile, 1, rng)
 		}
-	}
-}
-
-// openAPPlaceholder starts the BSSID range of unnamed shop APs. Real
-// BSSIDs are 48-bit MACs, so the range can never meet one.
-const openAPPlaceholder trace.BSSID = 1 << 63
-
-// newOpenAP opens the user's next shop AP under a placeholder identity: a
-// BSSID counting up from openAPPlaceholder, no ESSID and no channel. Naming
-// it draws from the deployment's BSSID counter and random source, which
-// every user shares, so the goroutine that delivers samples in panel order
-// names it (openAPNames) — in Run and RunConcurrent alike, which keeps the
-// stream a function of the seed alone at any worker count. Deferring the
-// name moves no draw of the user's own: a shop AP's band and transmit power
-// are fixed, and it is observed in the very interval that opens it.
-func (st *userState) newOpenAP(pos geo.Point) *wifi.AP {
-	st.openAPs++
-	ap := wifi.OpenAP(pos)
-	ap.BSSID = openAPPlaceholder + trace.BSSID(st.openAPs)
-	return &ap
-}
-
-// openAPNames names placeholder shop APs in the order they first appear in
-// the sample stream, and rewrites every observation of them.
-type openAPNames struct {
-	dep   *wifi.Deployment
-	named map[trace.BSSID]wifi.AP // this user's placeholder BSSID → named AP
-}
-
-func newOpenAPNames(dep *wifi.Deployment) *openAPNames {
-	return &openAPNames{dep: dep, named: make(map[trace.BSSID]wifi.AP)}
-}
-
-// nextUser starts the next user's samples: placeholders count from one per
-// user.
-func (n *openAPNames) nextUser() { clear(n.named) }
-
-// wrap returns a Sink that names a sample's shop APs before passing it on.
-func (n *openAPNames) wrap(sink Sink) Sink {
-	return func(sm *trace.Sample) error {
-		n.resolve(sm)
-		return sink(sm)
-	}
-}
-
-// resolve rewrites the placeholder observations of sm.
-func (n *openAPNames) resolve(sm *trace.Sample) {
-	for i := range sm.APs {
-		ob := &sm.APs[i]
-		if ob.BSSID < openAPPlaceholder {
-			continue
-		}
-		ap, ok := n.named[ob.BSSID]
-		if !ok {
-			n.dep.NameOpenAP(&ap)
-			n.named[ob.BSSID] = ap
-		}
-		ob.BSSID, ob.ESSID, ob.Channel = ap.BSSID, ap.ESSID, ap.Channel
 	}
 }
 

@@ -7,8 +7,9 @@
 //
 // The simulation is deterministic for a given configuration: a master seed
 // drives world generation, and each user owns an independent generator
-// derived from the seed and the device ID, so user streams are reproducible
-// regardless of iteration order.
+// derived from the seed and the device ID. The one state users share is the
+// deployment, which provisions the shop APs they open; Run walks users one at
+// a time in panel order, so one seed yields one trace.
 package sim
 
 import (
@@ -54,14 +55,11 @@ func New(cfg config.Campaign) (*Simulator, error) {
 }
 
 // Run simulates every user over the full campaign, delivering samples to
-// sink. Samples of one device arrive in time order; devices are emitted one
-// after another.
+// sink on the calling goroutine. Samples of one device arrive in time order;
+// devices are emitted one after another, in panel order.
 func (s *Simulator) Run(sink Sink) error {
-	names := newOpenAPNames(s.Deploy)
-	named := names.wrap(sink)
 	for i := range s.Panel.Users {
-		names.nextUser()
-		if err := s.runUser(&s.Panel.Users[i], named); err != nil {
+		if err := s.runUser(&s.Panel.Users[i], sink); err != nil {
 			return fmt.Errorf("sim: user %s: %w", s.Panel.Users[i].ID, err)
 		}
 	}
@@ -117,10 +115,8 @@ type userState struct {
 	homeAssocToday   bool
 	officeAssocToday bool
 
-	// openAP is the ephemeral shop/hotel AP of the current outing, under a
-	// placeholder identity (newOpenAP); openAPs counts those opened so far.
-	openAP  *wifi.AP
-	openAPs uint64
+	// openAP is the ephemeral shop/hotel AP of the current outing.
+	openAP *wifi.AP
 
 	// tethering window for the current day, in bins ([0,0) = none).
 	tetherFrom, tetherTo int

@@ -3,7 +3,9 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"smartusage/internal/config"
@@ -104,8 +106,9 @@ var traceDigests = map[int]struct {
 	2015: {42956, "a87df072a85fb65f7cdc3430df80572b8b80715071d8bc831e75561c4b56cf1d"},
 }
 
-// traceDigest runs the campaign through a trace.Writer into sha256.
-func traceDigest(t *testing.T, cfg config.Campaign) (int, string) {
+// traceDigest runs the campaign through a trace.Writer into sha256, and
+// counts the distinct shop APs the stream observes.
+func traceDigest(t *testing.T, cfg config.Campaign) (samples int, sum string, shops int) {
 	t.Helper()
 	sm, err := New(cfg)
 	if err != nil {
@@ -113,13 +116,32 @@ func traceDigest(t *testing.T, cfg config.Campaign) (int, string) {
 	}
 	h := sha256.New()
 	w := trace.NewWriter(h)
-	if err := sm.Run(w.Write); err != nil {
+	shop := make(map[trace.BSSID]bool)
+	if err := sm.Run(func(s *trace.Sample) error {
+		for _, ap := range s.APs {
+			if isShopESSID(ap.ESSID) {
+				shop[ap.BSSID] = true
+			}
+		}
+		return w.Write(s)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return w.Count(), hex.EncodeToString(h.Sum(nil))
+	return w.Count(), hex.EncodeToString(h.Sum(nil)), len(shop)
+}
+
+// isShopESSID recognises the ESSIDs wifi.Deployment.NewOpenAP gives shop
+// and hotel APs.
+func isShopESSID(essid string) bool {
+	for _, prefix := range []string{"cafe_wifi_", "hotel-guest-", "shop-free-"} {
+		if strings.HasPrefix(essid, prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestDeterminism(t *testing.T) {
@@ -139,10 +161,17 @@ func TestDeterminism(t *testing.T) {
 	}
 	for _, year := range config.Years {
 		want := traceDigests[year]
-		n, sum := traceDigest(t, smallConfig(t, year))
+		n, sum, shops := traceDigest(t, smallConfig(t, year))
 		if n != want.samples || sum != want.sha256 {
 			t.Errorf("%d: %d samples, sha256 %s; want %d samples, sha256 %s",
 				year, n, sum, want.samples, want.sha256)
+		}
+		// Shop APs are provisioned from the deployment users share, in the
+		// order users open them; the digest pins that order only if the
+		// stream holds one.
+		t.Logf("%d: %d shop APs observed", year, shops)
+		if shops == 0 {
+			t.Errorf("%d: no shop AP observed, so the digest does not cover their naming", year)
 		}
 	}
 }
@@ -171,6 +200,20 @@ func TestRunAllocsPerSample(t *testing.T) {
 		if perSample >= 0.1 {
 			t.Errorf("%d: Run allocates %.3f times per sample, want < 0.1", year, perSample)
 		}
+	}
+}
+
+// Run stops at the first sink error and returns it.
+func TestRunPropagatesSinkError(t *testing.T) {
+	sm, err := New(smallConfig(t, 2013))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errStop := errors.New("stop")
+	calls := 0
+	err = sm.Run(func(*trace.Sample) error { calls++; return errStop })
+	if !errors.Is(err, errStop) || calls != 1 {
+		t.Fatalf("Run = %v after %d sink calls, want %v after 1", err, calls, errStop)
 	}
 }
 

@@ -69,16 +69,14 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// An Interner deduplicates the strings a decode stream produces. ESSIDs
+// An interner deduplicates the strings a decode stream produces. ESSIDs
 // repeat enormously — a campaign observes each access point thousands of
 // times — so decoding every observation to a fresh string is the dominant
 // allocation of the trace hot path (two thirds of BuildPrep-from-file's
-// allocations before interning). An Interner hands every repeat observation
-// the same immutable string instead.
-//
-// An Interner is NOT safe for concurrent use; give each decoding goroutine
-// its own (Reader embeds one automatically).
-type Interner struct {
+// allocations before interning). An interner hands every repeat observation
+// the same immutable string instead. Each Reader owns one; an interner is
+// not safe for concurrent use.
+type interner struct {
 	m map[string]string
 	// recent is a direct-mapped cache in front of m for the decoder's AP
 	// loop, one slot per BSSID hash: a device reports the same few APs scan
@@ -92,12 +90,12 @@ type Interner struct {
 // non-interned behaviour after the table resets.
 const maxInternEntries = 1 << 16
 
-// internRecentSlots sizes Interner.recent (a power of two).
+// internRecentSlots sizes interner.recent (a power of two).
 const internRecentSlots = 256
 
-// Intern returns a string equal to b, reusing a previous allocation when b
+// intern returns a string equal to b, reusing a previous allocation when b
 // has been seen before. The fast path (map hit) does not allocate.
-func (it *Interner) Intern(b []byte) string {
+func (it *interner) intern(b []byte) string {
 	if s, ok := it.m[string(b)]; ok { // compiler avoids allocating the key
 		return s
 	}
@@ -109,10 +107,10 @@ func (it *Interner) Intern(b []byte) string {
 	return s
 }
 
-// internESSID is Intern for the ESSID of the AP with the given BSSID,
+// internESSID is intern for the ESSID of the AP with the given BSSID,
 // checking the BSSID's recent slot first. Every slot holds a string some
-// earlier Intern returned, so a hit is as valid as a map hit.
-func (it *Interner) internESSID(bssid BSSID, b []byte) string {
+// earlier intern returned, so a hit is as valid as a map hit.
+func (it *interner) internESSID(bssid BSSID, b []byte) string {
 	if it.recent == nil {
 		it.recent = new([internRecentSlots]string)
 	}
@@ -120,7 +118,7 @@ func (it *Interner) internESSID(bssid BSSID, b []byte) string {
 	if *slot == string(b) {
 		return *slot
 	}
-	s := it.Intern(b)
+	s := it.intern(b)
 	*slot = s
 	return s
 }
@@ -131,25 +129,19 @@ func DecodeSample(buf []byte, s *Sample) (int, error) {
 	return decodeSample(buf, s, nil, false)
 }
 
-// DecodeSampleInterned is DecodeSample with decoded strings deduplicated
-// through it (nil disables interning).
-func DecodeSampleInterned(buf []byte, s *Sample, it *Interner) (int, error) {
-	return decodeSample(buf, s, it, false)
-}
-
 // DecodeSampleAlias is DecodeSample with zero-copy strings: decoded ESSIDs
 // alias buf instead of being copied out, so a warm decode allocates nothing
 // at all. The resulting sample (its string fields, specifically) is valid
 // only while buf is — callers that reuse the buffer, like the collector's
 // per-connection frame loop, must finish consuming the sample (sink it, or
 // Clone-copy what they retain) before the next read overwrites buf. Aliased
-// strings must never be handed to an Interner: the intern table would pin
+// strings must never be handed to an interner: the intern table would pin
 // the entire buffer and serve mutated strings after it is reused.
 func DecodeSampleAlias(buf []byte, s *Sample) (int, error) {
 	return decodeSample(buf, s, nil, true)
 }
 
-func decodeSample(buf []byte, s *Sample, it *Interner, alias bool) (int, error) {
+func decodeSample(buf []byte, s *Sample, it *interner, alias bool) (int, error) {
 	d := decoder{buf: buf, intern: it, alias: alias}
 	s.Device = DeviceID(d.uvarint())
 	s.OS = OS(d.byte())
@@ -238,7 +230,7 @@ type decoder struct {
 	buf    []byte
 	off    int
 	err    error
-	intern *Interner
+	intern *interner
 	// alias makes string fields reference buf directly instead of copying.
 	// Mutually exclusive with intern (an interner must only hold copies).
 	alias bool
@@ -445,7 +437,7 @@ func (w *Writer) Flush() error {
 type Reader struct {
 	br      *bufio.Reader
 	buf     []byte
-	it      Interner
+	it      interner
 	checked bool
 }
 

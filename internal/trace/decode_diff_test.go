@@ -20,23 +20,23 @@ import (
 // through the decoder under test or the reference.
 var decodeModes = []struct {
 	name string
-	got  func(data []byte, s *Sample, it *Interner) (int, error)
-	want func(data []byte, s *Sample, it *Interner) (int, error)
+	got  func(data []byte, s *Sample, it *interner) (int, error)
+	want func(data []byte, s *Sample, it *interner) (int, error)
 }{
 	{
 		"DecodeSample",
-		func(data []byte, s *Sample, _ *Interner) (int, error) { return DecodeSample(data, s) },
-		func(data []byte, s *Sample, _ *Interner) (int, error) { return refDecodeSample(data, s, nil, false) },
+		func(data []byte, s *Sample, _ *interner) (int, error) { return DecodeSample(data, s) },
+		func(data []byte, s *Sample, _ *interner) (int, error) { return refDecodeSample(data, s, nil, false) },
 	},
 	{
-		"DecodeSampleInterned",
-		DecodeSampleInterned,
-		func(data []byte, s *Sample, it *Interner) (int, error) { return refDecodeSample(data, s, it, false) },
+		"interned",
+		func(data []byte, s *Sample, it *interner) (int, error) { return decodeSample(data, s, it, false) },
+		func(data []byte, s *Sample, it *interner) (int, error) { return refDecodeSample(data, s, it, false) },
 	},
 	{
 		"DecodeSampleAlias",
-		func(data []byte, s *Sample, _ *Interner) (int, error) { return DecodeSampleAlias(data, s) },
-		func(data []byte, s *Sample, _ *Interner) (int, error) { return refDecodeSample(data, s, nil, true) },
+		func(data []byte, s *Sample, _ *interner) (int, error) { return DecodeSampleAlias(data, s) },
+		func(data []byte, s *Sample, _ *interner) (int, error) { return refDecodeSample(data, s, nil, true) },
 	},
 }
 
@@ -51,7 +51,7 @@ func errText(err error) string {
 // checkDecodeMatchesReference decodes data in every mode with both decoders
 // and fails on any difference. The interners persist across calls, so the
 // interned mode also sees warm tables and recent-ESSID slots.
-func checkDecodeMatchesReference(t *testing.T, data []byte, its *[2]Interner) {
+func checkDecodeMatchesReference(t *testing.T, data []byte, its *[2]interner) {
 	t.Helper()
 	for _, m := range decodeModes {
 		var got, want Sample
@@ -118,7 +118,7 @@ func FuzzDecodeSampleMatchesReference(f *testing.F) {
 	for _, data := range decodeSeeds() {
 		f.Add(data)
 	}
-	var its [2]Interner
+	var its [2]interner
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeMatchesReference(t, data, &its)
 	})

@@ -35,12 +35,12 @@ func internSample() *Sample {
 func TestDecodeSampleInternedSteadyStateAllocs(t *testing.T) {
 	enc := AppendSample(nil, internSample())
 	var out Sample
-	var it Interner
-	if _, err := DecodeSampleInterned(enc, &out, &it); err != nil {
+	var it interner
+	if _, err := decodeSample(enc, &out, &it, false); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := DecodeSampleInterned(enc, &out, &it); err != nil {
+		if _, err := decodeSample(enc, &out, &it, false); err != nil {
 			panic(err)
 		}
 	})
@@ -53,15 +53,15 @@ func TestDecodeSampleInternedSteadyStateAllocs(t *testing.T) {
 // that the decode path wires the interner through: two observations of the
 // same ESSID in one sample decode to equal strings.
 func TestInternerDeduplicates(t *testing.T) {
-	var it Interner
-	a := it.Intern([]byte("0000docomo"))
-	b := it.Intern([]byte("0000docomo"))
+	var it interner
+	a := it.intern([]byte("0000docomo"))
+	b := it.intern([]byte("0000docomo"))
 	if a != b || a != "0000docomo" {
 		t.Fatalf("intern broke equality: %q vs %q", a, b)
 	}
 	enc := AppendSample(nil, internSample())
 	var out Sample
-	if _, err := DecodeSampleInterned(enc, &out, &it); err != nil {
+	if _, err := decodeSample(enc, &out, &it, false); err != nil {
 		t.Fatal(err)
 	}
 	if out.APs[0].ESSID != "0000docomo" || out.APs[2].ESSID != "0000docomo" {
@@ -73,14 +73,14 @@ func TestInternerDeduplicates(t *testing.T) {
 // it keeps returning correct values (the cap only bounds memory; a hostile
 // stream degrades to non-interned behaviour, never wrong strings).
 func TestInternerTableReset(t *testing.T) {
-	var it Interner
+	var it interner
 	for i := 0; i < maxInternEntries+100; i++ {
 		s := fmt.Sprintf("essid-%d", i)
-		if got := it.Intern([]byte(s)); got != s {
-			t.Fatalf("Intern(%q) = %q after %d inserts", s, got, i)
+		if got := it.intern([]byte(s)); got != s {
+			t.Fatalf("intern(%q) = %q after %d inserts", s, got, i)
 		}
 	}
-	if got := it.Intern([]byte("after-reset")); got != "after-reset" {
+	if got := it.intern([]byte("after-reset")); got != "after-reset" {
 		t.Fatalf("post-reset intern broken: %q", got)
 	}
 }
@@ -90,26 +90,26 @@ func TestInternerTableReset(t *testing.T) {
 // check), the first novel string past the brim lands in a fresh table, and
 // entries from before the reset are gone until re-interned.
 func TestInternerResetBoundaryExact(t *testing.T) {
-	var it Interner
-	keep := it.Intern([]byte("keeper"))
+	var it interner
+	keep := it.intern([]byte("keeper"))
 	for i := 1; i < maxInternEntries; i++ {
-		it.Intern([]byte(fmt.Sprintf("essid-%05x", i)))
+		it.intern([]byte(fmt.Sprintf("essid-%05x", i)))
 	}
 	if len(it.m) != maxInternEntries {
 		t.Fatalf("table holds %d entries after %d distinct interns, want %d", len(it.m), maxInternEntries, maxInternEntries)
 	}
-	got := it.Intern([]byte("keeper"))
+	got := it.intern([]byte("keeper"))
 	if got != keep || unsafe.StringData(got) != unsafe.StringData(keep) {
 		t.Fatal("hit on a full table returned a different allocation")
 	}
 	if len(it.m) != maxInternEntries {
 		t.Fatalf("hit on a full table changed its size to %d", len(it.m))
 	}
-	it.Intern([]byte("overflow"))
+	it.intern([]byte("overflow"))
 	if len(it.m) != 1 {
 		t.Fatalf("first novel string past the cap left %d entries, want a fresh table of 1", len(it.m))
 	}
-	again := it.Intern([]byte("keeper"))
+	again := it.intern([]byte("keeper"))
 	if again != "keeper" {
 		t.Fatalf("re-intern after reset returned %q", again)
 	}
@@ -121,17 +121,17 @@ func TestInternerResetBoundaryExact(t *testing.T) {
 // TestInternerRewarmZeroAlloc: a reset only costs until the working set is
 // re-observed — after one warming decode the hot path is zero-alloc again.
 func TestInternerRewarmZeroAlloc(t *testing.T) {
-	var it Interner
+	var it interner
 	for i := 0; i <= maxInternEntries; i++ { // force a reset
-		it.Intern([]byte(fmt.Sprintf("essid-%05x", i)))
+		it.intern([]byte(fmt.Sprintf("essid-%05x", i)))
 	}
 	enc := AppendSample(nil, internSample())
 	var out Sample
-	if _, err := DecodeSampleInterned(enc, &out, &it); err != nil { // re-warm
+	if _, err := decodeSample(enc, &out, &it, false); err != nil { // re-warm
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := DecodeSampleInterned(enc, &out, &it); err != nil {
+		if _, err := decodeSample(enc, &out, &it, false); err != nil {
 			panic(err)
 		}
 	})
@@ -141,8 +141,8 @@ func TestInternerRewarmZeroAlloc(t *testing.T) {
 }
 
 // TestDecodeSampleInternedConcurrent decodes one shared buffer from many
-// goroutines, each with its own Interner and Sample — the documented
-// concurrency contract (an Interner is single-goroutine; the encoded buffer
+// goroutines, each with its own interner and Sample — the documented
+// concurrency contract (an interner is single-goroutine; the encoded buffer
 // is read-only and shareable). Run under -race this proves the decode path
 // never writes through the shared buffer.
 func TestDecodeSampleInternedConcurrent(t *testing.T) {
@@ -154,10 +154,10 @@ func TestDecodeSampleInternedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var it Interner
+			var it interner
 			var out Sample
 			for i := 0; i < 500; i++ {
-				if _, err := DecodeSampleInterned(enc, &out, &it); err != nil {
+				if _, err := decodeSample(enc, &out, &it, false); err != nil {
 					errs <- err
 					return
 				}

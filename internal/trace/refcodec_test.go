@@ -17,7 +17,7 @@ import (
 // difference is that it leaves the process-wide decode count alone.
 
 // refDecodeSample is the reference decodeSample.
-func refDecodeSample(buf []byte, s *Sample, it *Interner, alias bool) (int, error) {
+func refDecodeSample(buf []byte, s *Sample, it *interner, alias bool) (int, error) {
 	d := refDecoder{buf: buf, intern: it, alias: alias}
 	s.Device = DeviceID(d.uvarint())
 	s.OS = OS(d.byte())
@@ -75,7 +75,7 @@ type refDecoder struct {
 	buf    []byte
 	off    int
 	err    error
-	intern *Interner
+	intern *interner
 	alias  bool
 }
 
@@ -136,7 +136,7 @@ func (d *refDecoder) string() string {
 		return unsafe.String(&raw[0], len(raw))
 	}
 	if d.intern != nil {
-		return d.intern.Intern(raw)
+		return d.intern.intern(raw)
 	}
 	return string(raw)
 }
@@ -146,7 +146,7 @@ func (d *refDecoder) string() string {
 type refReader struct {
 	br      *bufio.Reader
 	buf     []byte
-	it      Interner
+	it      interner
 	checked bool
 }
 

@@ -83,7 +83,8 @@ func DeployParamsForYear(year int, scale float64) (DeployParams, error) {
 
 // Deployment is the generated AP world of one campaign: the fixed public
 // infrastructure plus factories for per-user home, office, and mobile APs.
-// A Deployment is not safe for concurrent mutation; generate it up front.
+// A Deployment is not safe for concurrent use: its factories share one BSSID
+// counter and random source.
 type Deployment struct {
 	Params DeployParams
 
@@ -326,19 +327,19 @@ func (d *Deployment) NewMobileAP() AP {
 	}
 }
 
-// OpenAP returns a shop/hotel open AP near pos before it is named: the
-// fields every open AP shares, none of them random. NameOpenAP draws the
-// rest.
-func OpenAP(pos geo.Point) AP {
-	return AP{Class: ClassOpen, Band: trace.Band24, Pos: pos, TxPowerDBm: 15}
-}
-
-// NameOpenAP gives an open AP its identity: a BSSID from the deployment's
-// counter, and an ESSID and channel from its random source. Identities thus
-// depend on the order in which open APs are named.
-func (d *Deployment) NameOpenAP(ap *AP) {
+// NewOpenAP provisions a shop/hotel open AP near pos. Its BSSID comes from
+// the deployment's counter and its ESSID and channel from the deployment's
+// random source, so identities depend on the order in which open APs are
+// provisioned.
+func (d *Deployment) NewOpenAP(pos geo.Point) AP {
 	names := []string{"cafe_wifi_%03x", "hotel-guest-%03x", "shop-free-%03x"}
-	ap.BSSID = d.allocBSSID(ouiOffice)
-	ap.ESSID = fmt.Sprintf(names[d.rng.Intn(len(names))], d.rng.Intn(1<<12))
-	ap.Channel = uint8(1 + d.rng.Intn(Channels24))
+	return AP{
+		BSSID:      d.allocBSSID(ouiOffice),
+		ESSID:      fmt.Sprintf(names[d.rng.Intn(len(names))], d.rng.Intn(1<<12)),
+		Class:      ClassOpen,
+		Band:       trace.Band24,
+		Channel:    uint8(1 + d.rng.Intn(Channels24)),
+		Pos:        pos,
+		TxPowerDBm: 15,
+	}
 }

@@ -250,8 +250,7 @@ func TestOtherFactories(t *testing.T) {
 	if mob.Class != ClassMobile || mob.Band != trace.Band24 {
 		t.Fatalf("mobile AP %+v", mob)
 	}
-	open := OpenAP(geo.Point{X: 2})
-	d.NameOpenAP(&open)
+	open := d.NewOpenAP(geo.Point{X: 2})
 	if open.Class != ClassOpen || open.BSSID == 0 || open.Channel == 0 || IsPublicESSID(open.ESSID) {
 		t.Fatalf("open AP %+v", open)
 	}
