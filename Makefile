@@ -182,12 +182,13 @@ experiments:
 	$(GO) run ./cmd/report -scale 1.0 -seed 1 -tracedir $${TMPDIR:-/tmp}/smartusage-traces -o EXPERIMENTS.md
 
 # Removes run artifacts from the repo root (collectd spool/WAL dirs as named
-# in the docs, report/agentsim outputs, tiermerge's default output, loadgen
-# manifests), loadgen scratch kept via -scratch, pipebench's build cache,
-# binary and scratch (.bench_build/), and scratch left in TMPDIR by killed
-# runs: soak test dirs (a completed run cleans its own t.TempDir), loadgen's
-# temp dir, and tiermerge's sorted runs (a merge removes its own scratch
-# dir unless killed mid-merge).
+# in the docs, gentrace/traceconv/report/agentsim outputs, tiermerge's
+# output as the docs name it and by default, loadgen manifests), loadgen
+# scratch kept via -scratch, pipebench's build cache, binary and scratch
+# (.bench_build/), and scratch left in TMPDIR by killed runs: soak test dirs
+# (a completed run cleans its own t.TempDir), loadgen's and
+# examples/pipeline's temp dirs, and tiermerge's sorted runs (a merge
+# removes its own scratch dir unless killed mid-merge).
 clean:
 	rm -f campaign-*.trace campaign-*.jsonl collected.trace merged.trace bench-current.json ingest-current.json
-	rm -rf spool wal loadgen-scratch .bench_build $${TMPDIR:-/tmp}/TestChaosSoak* $${TMPDIR:-/tmp}/TestCrashRestartSoak* $${TMPDIR:-/tmp}/TestTierFailoverSoak* $${TMPDIR:-/tmp}/loadgen-* $${TMPDIR:-/tmp}/tiermerge-*
+	rm -rf spool wal loadgen-scratch .bench_build $${TMPDIR:-/tmp}/TestChaosSoak* $${TMPDIR:-/tmp}/TestCrashRestartSoak* $${TMPDIR:-/tmp}/TestTierFailoverSoak* $${TMPDIR:-/tmp}/loadgen-* $${TMPDIR:-/tmp}/pipeline-example-* $${TMPDIR:-/tmp}/tiermerge-*

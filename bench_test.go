@@ -1,11 +1,14 @@
-// Benchmarks: one per table and figure of the paper (the harness that
-// regenerates each artifact), plus the substrate hot paths (simulation,
-// codecs, wire protocol, collection).
+// Benchmarks: one per computation behind the paper's tables and figures (the
+// harness that regenerates each artifact), plus the substrate hot paths
+// (simulation, codecs, wire protocol, collection). Artifacts computed by the
+// same code share its benchmark — Fig. 4 is Fig. 3's, Figs. 7-8 are Fig. 6's,
+// Table 5 is Fig. 12's, Table 7 is Table 6's, Tables 8-9 are Table 2's;
+// DESIGN.md's per-experiment index names each artifact's benchmark.
 //
 // The per-experiment benchmarks measure the cost of computing that
 // experiment's result from an already-simulated campaign: prepass-derived
-// experiments (Tables 1/3/4, Figs. 3-5/10/14-16/19...) re-run their
-// derivation; streaming experiments (Figs. 2/6-9/11-13/17/18, Tables 5-7)
+// experiments (Tables 1/3/4, Figs. 3/5/10/14-16/19...) re-run their
+// derivation; streaming experiments (Figs. 2/6/9/11-13/17/18, Table 6)
 // re-run their analyzer over the campaign held as one in-memory shard, which
 // Run reads inline, so they time the analyzer rather than a decode or batch
 // copy.
@@ -336,8 +339,6 @@ func BenchmarkFig3(b *testing.B) {
 	}
 }
 
-func BenchmarkFig4(b *testing.B) { BenchmarkFig3(b) }
-
 func BenchmarkFig5(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
@@ -366,9 +367,6 @@ func BenchmarkFig6(b *testing.B) {
 		_ = r.Result()
 	}
 }
-
-func BenchmarkFig7(b *testing.B) { BenchmarkFig6(b) }
-func BenchmarkFig8(b *testing.B) { BenchmarkFig6(b) }
 
 func BenchmarkFig9(b *testing.B) {
 	f := getFixture(b)
@@ -415,8 +413,6 @@ func BenchmarkFig12(b *testing.B) {
 		_ = apd.Result()
 	}
 }
-
-func BenchmarkTable5(b *testing.B) { BenchmarkFig12(b) }
 
 func BenchmarkFig13(b *testing.B) {
 	f := getFixture(b)
@@ -472,8 +468,6 @@ func BenchmarkTable6(b *testing.B) {
 	}
 }
 
-func BenchmarkTable7(b *testing.B) { BenchmarkTable6(b) }
-
 func BenchmarkFig18(b *testing.B) {
 	f := getFixture(b)
 	release := f.cfg.Update.Release
@@ -494,9 +488,6 @@ func BenchmarkFig19(b *testing.B) {
 		_ = f.prep.CapEffect()
 	}
 }
-
-func BenchmarkTable8(b *testing.B) { BenchmarkTable2(b) }
-func BenchmarkTable9(b *testing.B) { BenchmarkTable2(b) }
 
 func BenchmarkImplications(b *testing.B) {
 	f := getFixture(b)

@@ -5,7 +5,7 @@
 //
 // Run a collector first (cmd/collectd), then:
 //
-//	agentsim -server 127.0.0.1:7020 -year 2015 -scale 0.1 -faults dial=0.05,corrupt=0.01
+//	agentsim -servers 127.0.0.1:7020 -year 2015 -scale 0.1 -faults dial=0.05,corrupt=0.01
 //
 // -faults injects deterministic network failures (see faultnet.ParseSpec
 // for the spec grammar) to demonstrate the agent's retry/backoff policy and
@@ -47,13 +47,11 @@ func main() {
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("agentsim", flag.ExitOnError)
 	var (
-		server     = fs.String("server", "127.0.0.1:7020", "collector address (single-server mode)")
-		servers    = fs.String("servers", "", "comma-separated collector tier addresses; agents pick a rendezvous primary per device and fail over between them (overrides -server)")
+		servers    = fs.String("servers", "127.0.0.1:7020", "comma-separated collector addresses; agents pick a rendezvous primary per device and fail over between them")
 		year       = fs.Int("year", 2015, "campaign year")
 		scale      = fs.Float64("scale", 0.1, "panel scale")
 		seed       = fs.Int64("seed", 1, "random seed")
 		token      = fs.String("token", "", "auth token")
-		failrate   = fs.Float64("failrate", 0, "probability of injected dial failure (shorthand for -faults dial=P)")
 		faults     = fs.String("faults", "", "fault spec, e.g. dial=0.1,reset=0.05,stall=0.02,ackloss=0.1,corrupt=0.01")
 		attempts   = fs.Int("attempts", 4, "upload attempts per batch within one flush")
 		backoff    = fs.Duration("backoff", 100*time.Millisecond, "initial retry backoff (doubles per attempt, jittered)")
@@ -93,25 +91,16 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	if *failrate > 0 {
-		fcfg.DialRefuse = *failrate
-	}
 	fcfg.Seed = *seed * 31
 	fcfg.Metrics = reg
 	inj := faultnet.New(fcfg)
 	dial := inj.Dial(nil)
 
-	var tier []string
-	if *servers != "" {
-		for _, s := range strings.Split(*servers, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				tier = append(tier, s)
-			}
+	var addrs []string
+	for _, s := range strings.Split(*servers, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			addrs = append(addrs, s)
 		}
-	}
-	addrs := tier
-	if len(addrs) == 0 {
-		addrs = []string{*server}
 	}
 
 	agents := make(map[trace.DeviceID]*agent.Agent)
@@ -171,8 +160,8 @@ func run(args []string) (err error) {
 	drainSpan.End()
 	log.Printf("devices=%d recorded=%d resumed=%d uploaded=%d dropped=%d retries=%d close-errors=%d abandoned=%d",
 		len(agents), recorded, resumed, uploaded, dropped, retries, flushErrs, abandoned)
-	if len(tier) > 0 {
-		log.Printf("tier: %d replicas, failovers=%d tier-exhausted=%d", len(tier), failovers, exhausted)
+	if len(addrs) > 1 {
+		log.Printf("tier: %d replicas, failovers=%d tier-exhausted=%d", len(addrs), failovers, exhausted)
 	}
 	log.Printf("faults: %s", inj.Stats())
 	if *metricsOut != "" {

@@ -1,49 +1,50 @@
 // Command collectd runs the central collection server: it accepts
-// measurement-agent connections and spools accepted samples to a binary
-// trace file. Stop it with SIGINT/SIGTERM for a graceful shutdown — the
-// server drains in-flight connections (bounded by -drain-timeout), flushes
-// the spool, cuts a final WAL checkpoint, and logs a stats summary. If the
-// drain fails — its deadline expires with connections still active, or the
-// listener, the final checkpoint or a close fails — collectd exits non-zero.
+// measurement-agent connections and spools accepted samples into rotating
+// trace segments under -spool-dir, as one collector.Replica. Stop it with
+// SIGINT/SIGTERM for a graceful shutdown — the server drains in-flight
+// connections (bounded by -drain-timeout), flushes the spool, cuts a final
+// WAL checkpoint, and logs a stats summary. If the drain fails — its
+// deadline expires with connections still active, or the listener, the
+// final checkpoint or a close fails — collectd exits non-zero.
 //
-// With -spool-dir, collectd runs one collector.Replica. With -wal-dir set
-// too, collection is crash-safe: every accepted batch is written (and
-// fsynced per -fsync) to a write-ahead log before it is sinked or acked,
-// periodic checkpoints bound the log, and a restart replays the log —
+// With -wal-dir, collection is crash-safe: every accepted batch is written
+// (and fsynced per -fsync) to a write-ahead log before it is sinked or
+// acked, periodic checkpoints bound the log, and a restart replays the log —
 // rebuilding per-device dedup state and any samples the spool had not yet
 // made durable — so `kill -9` loses nothing that was acked and double-sinks
-// nothing on agent retry. WAL mode requires the rotating -spool-dir sink
-// (checkpoints align with sealed spool segments).
+// nothing on agent retry.
 //
 // Usage:
 //
-//	collectd -addr :7020 -spool collected.trace -token s3cret
+//	collectd -addr :7020 -spool-dir spool/ -token s3cret
 //	collectd -addr :7020 -spool-dir spool/ -wal-dir wal/ -fsync batch
 //
 // A horizontal tier runs N of these, each with its own -wal-dir/-spool-dir
 // and a distinct -replica-id (agents take the full address list and fail
 // over between them). While a replica replays its WAL at startup /healthz
-// reports 503 "recovering", so failover clients route around it. Per-replica
-// spools are unioned afterwards with cmd/tiermerge:
+// reports 503 "recovering", so failover clients route around it:
 //
 //	collectd -addr :7020 -replica-id 0 -replicas 3 -spool-dir spool0/ -wal-dir wal0/
+//
+// cmd/tiermerge turns drained spools, one collector's or a tier's, into one
+// trace file:
+//
+//	tiermerge -o collected.trace spool/
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
 	"smartusage/internal/collector"
 	"smartusage/internal/obs"
 	"smartusage/internal/proto"
-	"smartusage/internal/trace"
 	"smartusage/internal/wal"
 )
 
@@ -52,15 +53,14 @@ func main() {
 	log.SetPrefix("collectd: ")
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7020", "TCP listen address")
-		spool        = flag.String("spool", "collected.trace", "output trace file (single-file mode)")
-		spoolDir     = flag.String("spool-dir", "", "rotate trace segments into this directory instead of -spool")
+		spoolDir     = flag.String("spool-dir", "spool", "rotate trace segments into this directory")
 		maxSeg       = flag.Int64("maxseg", 256<<20, "segment size budget for -spool-dir (bytes)")
 		token        = flag.String("token", "", "shared auth token (empty disables auth)")
 		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "per-frame read deadline")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline")
 		maxFrame     = flag.Int("maxframe", proto.MaxFrameSize, "per-frame payload cap (bytes)")
 		maxConns     = flag.Int("maxconns", 256, "concurrent connection cap")
-		walDir       = flag.String("wal-dir", "", "write-ahead log directory (enables crash-safe collection; requires -spool-dir)")
+		walDir       = flag.String("wal-dir", "", "write-ahead log directory (enables crash-safe collection)")
 		fsync        = flag.String("fsync", "batch", "WAL fsync policy: batch (per accepted batch), interval, or off")
 		fsyncEvery   = flag.Duration("fsync-interval", time.Second, "sync period for -fsync interval")
 		walSeg       = flag.Int64("wal-seg", 64<<20, "WAL segment rotation size (bytes)")
@@ -84,61 +84,46 @@ func main() {
 		log.Printf("metrics on http://%s/metrics", *metricsAddr)
 	}
 
-	cfg := collector.Config{
-		Addr:          *addr,
-		Token:         *token,
-		ReadTimeout:   *readTimeout,
-		WriteTimeout:  *writeTimeout,
-		MaxFrameBytes: *maxFrame,
-		MaxConns:      *maxConns,
-		ReplicaID:     *replicaID,
-		TierReplicas:  *replicas,
-		Metrics:       reg,
+	rcfg := collector.ReplicaConfig{
+		Server: collector.Config{
+			Addr:          *addr,
+			Token:         *token,
+			ReadTimeout:   *readTimeout,
+			WriteTimeout:  *writeTimeout,
+			MaxFrameBytes: *maxFrame,
+			MaxConns:      *maxConns,
+			ReplicaID:     *replicaID,
+			TierReplicas:  *replicas,
+			Metrics:       reg,
+		},
+		SpoolDir:        *spoolDir,
+		SpoolBytes:      *maxSeg,
+		WALDir:          *walDir,
+		CheckpointEvery: *ckptEvery,
+		Health:          health,
 	}
-	var (
-		srv    *collector.Server
-		done   <-chan struct{}
-		drain  func(context.Context) error
-		walLog *wal.Log
-		dest   = *spool
-	)
-	if *spoolDir != "" {
-		rcfg := collector.ReplicaConfig{
-			Server:          cfg,
-			SpoolDir:        *spoolDir,
-			SpoolBytes:      *maxSeg,
-			WALDir:          *walDir,
-			CheckpointEvery: *ckptEvery,
-			Health:          health,
-		}
-		if *walDir != "" {
-			policy, err := wal.ParsePolicy(*fsync)
-			if err != nil {
-				log.Fatal(err)
-			}
-			rcfg.WAL = wal.Options{
-				SegmentBytes: *walSeg,
-				Policy:       policy,
-				Interval:     *fsyncEvery,
-				Metrics:      reg,
-				MetricsName:  "collector",
-			}
-		}
-		rep, err := collector.StartReplica(rcfg)
+	if *walDir != "" {
+		policy, err := wal.ParsePolicy(*fsync)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if rec := rep.Recovery(); rec != nil {
-			log.Printf("recovered: %s", rec)
+		rcfg.WAL = wal.Options{
+			SegmentBytes: *walSeg,
+			Policy:       policy,
+			Interval:     *fsyncEvery,
+			Metrics:      reg,
+			MetricsName:  "collector",
 		}
-		srv, done, drain, walLog = rep.Server(), rep.Done(), rep.Drain, rep.WAL()
-		dest = *spoolDir + string(os.PathSeparator) + "spool-*.trace"
-	} else {
-		if *walDir != "" {
-			log.Fatal("-wal-dir requires -spool-dir (recovery rewinds the spool to sealed segments)")
-		}
-		srv, done, drain = serveFile(cfg, *spool, health)
 	}
+	rep, err := collector.StartReplica(rcfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if rec := rep.Recovery(); rec != nil {
+		log.Printf("recovered: %s", rec)
+	}
+	srv := rep.Server()
+	dest := filepath.Join(*spoolDir, "spool-*.trace")
 	if *replicas > 0 {
 		log.Printf("listening on %s as tier replica %d of %d, spooling to %s", srv.Addr(), *replicaID, *replicas, dest)
 	} else {
@@ -149,10 +134,10 @@ func main() {
 	defer stop()
 	select {
 	case <-ctx.Done():
-	case <-done: // the listener died on its own (not a signal)
+	case <-rep.Done(): // the listener died on its own (not a signal)
 	}
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	err := drain(dctx)
+	err = rep.Drain(dctx)
 	cancel()
 	if err != nil {
 		log.Print(err)
@@ -160,7 +145,7 @@ func main() {
 
 	st := srv.Stats()
 	walSegs, walBytes := 0, int64(0)
-	if walLog != nil {
+	if walLog := rep.WAL(); walLog != nil {
 		walSegs, walBytes = walLog.Segments(), walLog.Bytes()
 	}
 	log.Printf("done: %d conns (%d active), %d devices, %d batches (%d dup), %d samples, %d auth failures, %d sink errors, %d errors, wal %d segments / %d bytes",
@@ -168,43 +153,5 @@ func main() {
 		st.Samples.Load(), st.AuthFails.Load(), st.SinkErrs.Load(), st.Errors.Load(), walSegs, walBytes)
 	if err != nil {
 		os.Exit(1)
-	}
-}
-
-// serveFile runs a server that spools to one trace file, without a WAL. The
-// returned drain stops serving, gives in-flight connections until its ctx
-// ends, then flushes and closes the file.
-func serveFile(cfg collector.Config, path string, health *obs.Health) (*collector.Server, <-chan struct{}, func(context.Context) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	w := trace.NewWriter(f)
-	cfg.Sink = w.Write
-	srv, err := collector.New(cfg)
-	if err == nil {
-		err = srv.Listen()
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctx, stop := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	var serveErr error
-	go func() {
-		defer close(done)
-		serveErr = srv.Serve(ctx)
-	}()
-	return srv, done, func(dctx context.Context) error {
-		health.SetDraining()
-		stop()
-		var err error
-		select {
-		case <-done:
-			err = serveErr
-		case <-dctx.Done():
-			err = fmt.Errorf("drain: %w with %d connections still active", dctx.Err(), srv.Stats().ActiveConns.Load())
-		}
-		return errors.Join(err, w.Flush(), f.Close())
 	}
 }

@@ -1,6 +1,6 @@
 // Command loadgen stress-tests the ingest path: it replays many concurrent
 // synthetic agents against a collector — an in-process one by default, or a
-// running collectd over TCP via -addr — driving every upload through the real
+// running collectd over TCP via -addrs — driving every upload through the real
 // agent batching/retry/spool machinery and the real wire protocol.
 //
 // It reports client-side ack latency percentiles (p50/p95/p99/max, measured
@@ -16,7 +16,7 @@
 // next to BENCH_*.json as INGEST_*.json — the ingest performance anchor:
 //
 //	loadgen -agents 1000 -batches 6 -batch 24 -wal -out INGEST.json
-//	loadgen -addr collectd.host:7020 -metrics http://collectd.host:9090 -token s3cret
+//	loadgen -addrs collectd.host:7020 -metrics http://collectd.host:9090 -token s3cret
 //
 // Against a collector tier, pass every replica to -addrs and every metrics
 // endpoint to -metrics; the fleet spreads across replicas by rendezvous
@@ -62,7 +62,7 @@ import (
 // options is one run's configuration: the command-line flags, plus a hook
 // for tests.
 type options struct {
-	addr, addrs, metrics string
+	addrs, metrics       string
 	agents, batches      int
 	batch, aps, essids   int
 	token                string
@@ -84,9 +84,8 @@ func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("loadgen: ")
 	var o options
-	flag.StringVar(&o.addr, "addr", "", "collectd address to load (empty starts an in-process collector)")
-	flag.StringVar(&o.addrs, "addrs", "", "comma-separated collectd tier addresses (overrides -addr; agents pick a rendezvous primary per device and fail over between replicas)")
-	flag.StringVar(&o.metrics, "metrics", "", "comma-separated metrics endpoint base URLs to scrape; counters are summed across endpoints (default: the in-process one; required with -addr/-addrs for server-side counters)")
+	flag.StringVar(&o.addrs, "addrs", "", "comma-separated collectd addresses to load; agents pick a rendezvous primary per device and fail over between them (empty starts an in-process collector)")
+	flag.StringVar(&o.metrics, "metrics", "", "comma-separated metrics endpoint base URLs to scrape; counters are summed across endpoints (default: the in-process one; required with -addrs for server-side counters)")
 	flag.IntVar(&o.agents, "agents", 1000, "concurrent synthetic agents")
 	flag.IntVar(&o.batches, "batches", 6, "batches each agent uploads")
 	flag.IntVar(&o.batch, "batch", 24, "samples per batch")
@@ -135,11 +134,7 @@ func run(o options, stdout io.Writer) (err error) {
 	// --- target: in-process collector, or a remote one (or a remote tier) --
 	scrapeURLs := splitList(o.metrics)
 	snapshot := func() ([]*obs.Snapshot, error) { return scrapeAll(scrapeURLs) }
-	tier := splitList(o.addrs)
-	target := o.addr
-	if len(tier) > 0 {
-		target = tier[0] // agents dial the whole tier; target is informational
-	}
+	servers := splitList(o.addrs)
 	// The deadline also bounds the replica's drain: after a timeout the
 	// fleet may still hold connections, and the drain does not wait on them.
 	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
@@ -148,7 +143,7 @@ func run(o options, stdout io.Writer) (err error) {
 		rep           *collector.Replica
 		spooledBefore int64 // samples the replica's recovery re-sank
 	)
-	if target == "" {
+	if len(servers) == 0 {
 		reg := obs.NewRegistry()
 		if len(scrapeURLs) == 0 {
 			snapshot = func() ([]*obs.Snapshot, error) { return []*obs.Snapshot{reg.Snapshot()}, nil }
@@ -192,8 +187,8 @@ func run(o options, stdout io.Writer) (err error) {
 		}
 		defer func() { err = errors.Join(err, rep.Drain(ctx)) }()
 		spooledBefore = rep.Spool().Samples()
-		target = rep.Server().Addr().String()
-		log.Printf("in-process collector on %s (scratch %s, wal=%v fsync=%s)", target, scratch, o.useWAL, o.fsync)
+		servers = []string{rep.Server().Addr().String()}
+		log.Printf("in-process collector on %s (scratch %s, wal=%v fsync=%s)", servers[0], scratch, o.useWAL, o.fsync)
 	}
 
 	before, err := snapshot()
@@ -202,10 +197,6 @@ func run(o options, stdout io.Writer) (err error) {
 	}
 
 	// --- drive the fleet ---------------------------------------------------
-	servers := tier
-	if len(servers) == 0 {
-		servers = []string{target}
-	}
 	fleetDone := make(chan fleetResult, 1)
 	go func() {
 		fleetDone <- runFleet(servers, o.token, o.agents, o.batches, o.batch, o.aps, o.essids, o.seed, o.spool, scratch)
@@ -258,8 +249,8 @@ func run(o options, stdout io.Writer) (err error) {
 		o.agents, o.batches, o.batch, man.SamplesPerSec,
 		man.AckLatencyMS.P50, man.AckLatencyMS.P95, man.AckLatencyMS.P99, man.AckLatencyMS.Max,
 		man.Client.Retries, len(man.ConservationErrors))
-	if len(tier) > 0 {
-		log.Printf("tier: %d replicas, %d failovers", len(tier), man.Client.Failovers)
+	if len(servers) > 1 {
+		log.Printf("tier: %d replicas, %d failovers", len(servers), man.Client.Failovers)
 	}
 	for _, e := range man.ConservationErrors {
 		log.Printf("CONSERVATION: %s", e)

@@ -1,15 +1,16 @@
 // Command tiermerge unions the per-replica trace spools of a multi-collector
-// tier into one deterministic, exactly-once trace file:
+// tier, or the one spool of a single collectd, into one deterministic,
+// exactly-once trace file:
 //
 //	tiermerge -o merged.trace /var/spool/replica0 /var/spool/replica1 ...
+//	tiermerge -o collected.trace spool
 //
 // Cross-replica duplicates — the batches an agent retried against a failover
 // target after their first replica died — are absorbed; intra-replica
 // duplicates and payload conflicts abort with a non-zero exit, because they
 // mean a replica (or the tier) violated exactly-once. The output is sorted
 // by (device, time), so any enumeration order of the spool directories
-// produces the identical file. Feed it to cmd/analyze like any single
-// collector's campaign trace.
+// produces the identical file. Feed it to cmd/analyze.
 //
 // The merge is an external sort: it holds one 8 MiB chunk of records in
 // memory and spills sorted runs into a scratch directory under TMPDIR, which

@@ -1,13 +1,12 @@
 // Command traceconv converts trace files between the binary and JSON Lines
-// formats, validating every sample on the way through.
+// formats, validating every sample on the way through. The direction
+// follows from the input's first bytes: a binary trace (the SMTR1 magic)
+// becomes JSON Lines, JSON Lines becomes a binary trace.
 //
 // Usage:
 //
 //	traceconv -in campaign.trace -out campaign.jsonl
 //	traceconv -in campaign.jsonl -out campaign.trace
-//
-// The direction is inferred from the input file header (binary traces start
-// with the SMTR1 magic); override with -from binary|jsonl.
 package main
 
 import (
@@ -23,14 +22,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("traceconv: ")
 	var (
-		in       = flag.String("in", "", "input trace file")
-		out      = flag.String("out", "", "output trace file")
-		from     = flag.String("from", "", "input format: binary or jsonl (default: sniff)")
-		validate = flag.Bool("validate", true, "validate every sample")
+		in  = flag.String("in", "", "input trace file")
+		out = flag.String("out", "", "output trace file")
 	)
 	flag.Parse()
 	if *in == "" || *out == "" {
-		log.Fatal("usage: traceconv -in <file> -out <file> [-from binary|jsonl]")
+		log.Fatal("usage: traceconv -in <file> -out <file>")
 	}
 
 	inF, err := os.Open(*in)
@@ -38,34 +35,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer inF.Close()
-
-	format := *from
-	if format == "" {
-		var magic [5]byte
-		if _, err := inF.Read(magic[:]); err != nil {
-			log.Fatalf("sniff input: %v", err)
-		}
-		if string(magic[:]) == "SMTR1" {
-			format = "binary"
-		} else {
-			format = "jsonl"
-		}
-		if _, err := inF.Seek(0, 0); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	var read func(fn func(*trace.Sample) error) error
-	var toBinary bool
-	switch format {
-	case "binary":
-		read = trace.NewReader(inF).ReadAll
-		toBinary = false
-	case "jsonl":
-		read = trace.NewJSONLReader(inF).ReadAll
-		toBinary = true
-	default:
-		log.Fatalf("unknown format %q", format)
+	read, from, err := trace.Sniff(inF)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	outF, err := os.Create(*out)
@@ -74,20 +46,19 @@ func main() {
 	}
 	var write func(*trace.Sample) error
 	var flush func() error
-	if toBinary {
-		w := trace.NewWriter(outF)
-		write, flush = w.Write, w.Flush
-	} else {
+	to := "binary"
+	if from == "binary" {
 		w := trace.NewJSONLWriter(outF)
+		write, flush, to = w.Write, w.Flush, "jsonl"
+	} else {
+		w := trace.NewWriter(outF)
 		write, flush = w.Write, w.Flush
 	}
 
 	n := 0
 	err = read(func(s *trace.Sample) error {
-		if *validate {
-			if verr := s.Validate(); verr != nil {
-				return fmt.Errorf("sample %d: %w", n+1, verr)
-			}
+		if err := s.Validate(); err != nil {
+			return fmt.Errorf("sample %d: %w", n+1, err)
 		}
 		n++
 		return write(s)
@@ -101,9 +72,5 @@ func main() {
 	if err := outF.Close(); err != nil {
 		log.Fatal(err)
 	}
-	toName := "jsonl"
-	if toBinary {
-		toName = "binary"
-	}
-	log.Printf("converted %d samples (%s → %s)", n, format, toName)
+	log.Printf("converted %d samples (%s → %s)", n, from, to)
 }

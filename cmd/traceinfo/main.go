@@ -1,19 +1,17 @@
 // Command traceinfo inspects a trace file: integrity (every record decodes
-// and validates), the device/date inventory, per-OS composition, and
-// volume totals. It reads binary traces by default and JSON Lines with
-// -format jsonl.
+// and validates; it exits non-zero at the first that does not), the
+// device/date inventory, per-OS composition, and volume totals. It reads
+// binary traces and JSON Lines, telling them apart by their first bytes.
 //
 // Usage:
 //
 //	traceinfo campaign-2015.trace
-//	traceinfo -format jsonl campaign-2015.jsonl
+//	traceinfo campaign-2015.jsonl
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"time"
@@ -24,11 +22,9 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("traceinfo: ")
-	format := flag.String("format", "binary", "trace format: binary or jsonl")
-	strict := flag.Bool("strict", true, "validate every sample; exit non-zero on the first violation")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		log.Fatal("usage: traceinfo [-format binary|jsonl] <trace-file>")
+		log.Fatal("usage: traceinfo <trace-file>")
 	}
 	path := flag.Arg(0)
 	f, err := os.Open(path)
@@ -37,14 +33,9 @@ func main() {
 	}
 	defer f.Close()
 
-	var read func(fn func(*trace.Sample) error) error
-	switch *format {
-	case "binary":
-		read = trace.NewReader(f).ReadAll
-	case "jsonl":
-		read = trace.NewJSONLReader(f).ReadAll
-	default:
-		log.Fatalf("unknown format %q", *format)
+	read, format, err := trace.Sniff(f)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	type devInfo struct {
@@ -56,20 +47,15 @@ func main() {
 	}
 	devices := map[trace.DeviceID]*devInfo{}
 	var (
-		samples, tethered, associated, invalid int
-		cellRX, cellTX, wifiRX, wifiTX         uint64
-		minT, maxT                             int64
-		apPairs                                = map[trace.BSSID]bool{}
+		samples, tethered, associated  int
+		cellRX, cellTX, wifiRX, wifiTX uint64
+		minT, maxT                     int64
+		apPairs                        = map[trace.BSSID]bool{}
 	)
 	err = read(func(s *trace.Sample) error {
 		samples++
-		if *strict {
-			if verr := s.Validate(); verr != nil {
-				invalid++
-				return fmt.Errorf("sample %d: %w", samples, verr)
-			}
-		} else if s.Validate() != nil {
-			invalid++
+		if err := s.Validate(); err != nil {
+			return fmt.Errorf("sample %d: %w", samples, err)
 		}
 		d := devices[s.Device]
 		if d == nil {
@@ -104,7 +90,7 @@ func main() {
 		}
 		return nil
 	})
-	if err != nil && !errors.Is(err, io.EOF) {
+	if err != nil {
 		log.Fatalf("integrity failure after %d samples: %v", samples, err)
 	}
 
@@ -118,9 +104,8 @@ func main() {
 		disordered += d.outOfOrd
 	}
 	jst := time.FixedZone("JST", 9*3600)
-	fmt.Printf("file:        %s (%s)\n", path, *format)
-	fmt.Printf("samples:     %d (%d tethered, %d associated, %d invalid)\n",
-		samples, tethered, associated, invalid)
+	fmt.Printf("file:        %s (%s)\n", path, format)
+	fmt.Printf("samples:     %d (%d tethered, %d associated)\n", samples, tethered, associated)
 	fmt.Printf("devices:     %d (%d android, %d ios)\n", len(devices), android, ios)
 	if samples > 0 {
 		fmt.Printf("time range:  %s .. %s\n",
@@ -132,8 +117,5 @@ func main() {
 	fmt.Printf("unique APs:  %d BSSIDs observed\n", len(apPairs))
 	if disordered > 0 {
 		fmt.Printf("WARNING: %d out-of-order samples across devices\n", disordered)
-	}
-	if invalid > 0 {
-		os.Exit(1)
 	}
 }

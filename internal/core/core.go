@@ -59,8 +59,9 @@ type Options struct {
 	SketchMode bool
 	// Tracer, when non-nil, records stage spans (simulation, prepass,
 	// analysis shards, merges) in Chrome trace format; see obs.NewTracer.
-	// It is also installed as the analysis engine's tracer for the life of
-	// the process — the caller owns closing it.
+	// Every entry point that analyzes, AnalyzeCampaign included, also
+	// installs it as the analysis engine's tracer for the life of the
+	// process — the caller owns closing it.
 	Tracer *obs.Tracer
 }
 
@@ -143,9 +144,6 @@ func RunCampaign(year int, opts Options) (*CampaignRun, error) {
 // passes from the file, keeping memory bounded.
 func RunWithConfig(cfg config.Campaign, opts Options) (*CampaignRun, error) {
 	opts = opts.withDefaults()
-	if opts.Tracer != nil {
-		analysis.SetTracer(opts.Tracer)
-	}
 	year := strconv.Itoa(cfg.Year)
 	sp := opts.Tracer.Start("core:campaign").Arg("year", year)
 	defer sp.End()
@@ -328,6 +326,9 @@ func AnalyzeCampaignShards(cfg config.Campaign, sm *sim.Simulator, sh *analysis.
 // analyze is the two-pass pipeline over either input form: the prepass, the
 // campaign's analyzer battery over the second pass, and the assembled run.
 func analyze(cfg config.Campaign, sm *sim.Simulator, in analysis.Input, opts Options) (*CampaignRun, error) {
+	if opts.Tracer != nil {
+		analysis.SetTracer(opts.Tracer)
+	}
 	meta := analysis.MetaFor(cfg)
 	release := updateRelease(cfg)
 	prep, err := analysis.BuildPrep(meta, in, release)

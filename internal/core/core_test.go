@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -15,6 +16,8 @@ import (
 	"smartusage/internal/analysis"
 	"smartusage/internal/config"
 	"smartusage/internal/core"
+	"smartusage/internal/obs"
+	"smartusage/internal/sim"
 	"smartusage/internal/stats"
 	"smartusage/internal/trace"
 )
@@ -384,6 +387,41 @@ func TestAnalyzeCampaignRejectsEarlySample(t *testing.T) {
 	_, err = core.AnalyzeCampaign(cfg, nil, analysis.SliceSource([]trace.Sample{early}), core.Options{})
 	if err == nil || !strings.Contains(err.Error(), "outside campaign window") {
 		t.Fatalf("AnalyzeCampaign: %v, want the out-of-window error", err)
+	}
+}
+
+// TestAnalyzeCampaignInstallsTracer: AnalyzeCampaign installs opts.Tracer
+// itself, so its passes record their spans without a RunWithConfig around
+// it.
+func TestAnalyzeCampaignInstallsTracer(t *testing.T) {
+	cfg, err := config.ForYear(2013, 0.01, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var samples []trace.Sample
+	if err := sm.Run(func(s *trace.Sample) error {
+		samples = append(samples, *s.Clone())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	tracer := obs.NewTracer(&out)
+	t.Cleanup(func() { analysis.SetTracer(nil) })
+	if _, err := core.AnalyzeCampaign(cfg, sm, analysis.SliceSource(samples), core.Options{Tracer: tracer}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"analysis:prep", "analysis:run"} {
+		if !strings.Contains(out.String(), `"name":"`+name+`"`) {
+			t.Errorf("no %s span in the trace:\n%s", name, out.String())
+		}
 	}
 }
 

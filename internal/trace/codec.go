@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -524,6 +525,24 @@ func (r *Reader) ReadAll(fn func(*Sample) error) error {
 			return err
 		}
 	}
+}
+
+// Sniff picks r's decoder from its first bytes. A stream that starts with
+// the binary header, or stops inside it (an empty one included), is read as
+// a binary trace, anything else as JSON Lines. It returns the chosen
+// reader's ReadAll and the format's name, "binary" or "jsonl"; on a stream
+// that stops inside the header, that ReadAll fails with the short-header
+// ErrBadMagic.
+func Sniff(r io.Reader) (readAll func(fn func(*Sample) error) error, format string, err error) {
+	br := bufio.NewReaderSize(r, 1<<16) // NewReader keeps it as its own buffer
+	head, err := br.Peek(len(fileMagic))
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, "", fmt.Errorf("trace: sniff format: %w", err)
+	}
+	if bytes.HasPrefix(fileMagic, head) {
+		return NewReader(br).ReadAll, "binary", nil
+	}
+	return NewJSONLReader(br).ReadAll, "jsonl", nil
 }
 
 // Clone returns a deep copy of s, including its slices and strings. String

@@ -495,3 +495,77 @@ func TestSampleTotals(t *testing.T) {
 		t.Fatalf("totals %d/%d", s.TotalRX(), s.TotalTX())
 	}
 }
+
+// Sniff recognizes a binary trace and its JSON Lines form, and both decode
+// to the samples written; binary → JSONL → binary through the two writers
+// reproduces the binary trace byte for byte.
+func TestSniffPicksFormat(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var in []Sample
+	for i := 0; i < 40; i++ {
+		in = append(in, randomSample(rng))
+	}
+	var bin bytes.Buffer
+	bw := NewWriter(&bin)
+	for i := range in {
+		if err := bw.Write(&in[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// convert sniffs src, checks its format and samples, and writes them
+	// through to (a Writer's or JSONLWriter's Write and Flush).
+	convert := func(src []byte, wantFormat string, write func(*Sample) error, flush func() error) {
+		t.Helper()
+		readAll, format, err := Sniff(bytes.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if format != wantFormat {
+			t.Fatalf("sniffed %q, want %q", format, wantFormat)
+		}
+		n := 0
+		if err := readAll(func(s *Sample) error {
+			if n >= len(in) || !samplesEqual(&in[n], s) {
+				t.Fatalf("%s sample %d differs from the one written", format, n)
+			}
+			n++
+			return write(s)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n != len(in) {
+			t.Fatalf("%s: read %d of %d samples", format, n, len(in))
+		}
+		if err := flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var jsonl, back bytes.Buffer
+	jw := NewJSONLWriter(&jsonl)
+	convert(bin.Bytes(), "binary", jw.Write, jw.Flush)
+	w := NewWriter(&back)
+	convert(jsonl.Bytes(), "jsonl", w.Write, w.Flush)
+	if !bytes.Equal(back.Bytes(), bin.Bytes()) {
+		t.Fatalf("binary → JSONL → binary: %d bytes, want the original %d", back.Len(), bin.Len())
+	}
+}
+
+// An empty stream is read as binary, so it fails as the binary reader does
+// on a short header.
+func TestSniffEmptyInput(t *testing.T) {
+	readAll, format, err := Sniff(strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if format != "binary" {
+		t.Fatalf("sniffed %q, want binary", format)
+	}
+	err = readAll(func(*Sample) error { return nil })
+	if !errors.Is(err, ErrBadMagic) || !strings.Contains(err.Error(), "short header") {
+		t.Fatalf("want the short-header ErrBadMagic, got %v", err)
+	}
+}

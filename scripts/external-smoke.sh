@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # External ingest smoke: a real 3-replica collectd tier as separate OS
-# processes on loopback, driven by loadgen through the wire protocol, then
-# gracefully drained with SIGTERM and unioned with tiermerge.
+# processes on loopback, driven by loadgen and then by agentsim (a tiny
+# simulated campaign) through the wire protocol, then gracefully drained
+# with SIGTERM and unioned with tiermerge.
 #
 # This is the one test layer the in-process suites cannot cover: the actual
 # built binaries, flag parsing, signal handling, process-exit codes, and the
 # /healthz + /metrics HTTP surface, all talking over real sockets. It fails
-# on any loadgen conservation error, a non-zero collectd exit, a tiermerge
-# merge error, or a merged sample count that disagrees with what the fleet
-# uploaded.
+# on any loadgen conservation error, a non-zero agentsim or collectd exit, a
+# tiermerge merge error, or a merged sample count that disagrees with what
+# loadgen's fleet and agentsim's agents uploaded.
 #
 # Fixed loopback ports (17020-17022 data, 19090-19092 metrics) keep the run
 # reproducible; override with SMOKE_PORT_BASE / SMOKE_METRICS_BASE if they
@@ -42,7 +43,7 @@ cleanup() {
 trap cleanup EXIT
 
 echo "building binaries..."
-go build -o "$scratch/bin/" ./cmd/collectd ./cmd/loadgen ./cmd/tiermerge
+go build -o "$scratch/bin/" ./cmd/collectd ./cmd/loadgen ./cmd/agentsim ./cmd/tiermerge
 
 # http_status <host:port> <path> — status line of a GET, via /dev/tcp so the
 # script has no curl/wget dependency.
@@ -89,6 +90,21 @@ echo "tier up: $addrs"
     -addrs "$addrs" -metrics "$metrics" \
     -agents "$AGENTS" -batches "$BATCHES" -batch "$BATCH" \
     -out "$scratch/ingest.json"
+loadgen_uploaded=$((AGENTS * BATCHES * BATCH))
+
+# A simulated campaign through real agents, after loadgen has reconciled its
+# counters: 2013 at scale 0.005 is 8 devices.
+if ! agentsim_out=$("$scratch/bin/agentsim" -servers "$addrs" -year 2013 -scale 0.005 2>&1); then
+    echo "$agentsim_out" >&2
+    echo "agentsim exited non-zero" >&2
+    exit 1
+fi
+echo "$agentsim_out"
+agentsim_uploaded=$(echo "$agentsim_out" | sed -n 's/.* uploaded=\([0-9]*\) .*/\1/p')
+if [ -z "$agentsim_uploaded" ]; then
+    echo "could not read agentsim's uploaded sample count" >&2
+    exit 1
+fi
 
 # Graceful drain: SIGTERM must exit 0 (checkpoint cut, spool flushed).
 for r in $(seq 0 $((REPLICAS - 1))); do
@@ -109,10 +125,10 @@ for r in $(seq 0 $((REPLICAS - 1))); do
 done
 merge_out=$("$scratch/bin/tiermerge" -o "$scratch/merged.trace" "${spools[@]}" 2>&1)
 echo "$merge_out"
-want=$((AGENTS * BATCHES * BATCH))
+want=$((loadgen_uploaded + agentsim_uploaded))
 if ! echo "$merge_out" | grep -q " $want unique "; then
-    echo "merged trace does not hold exactly $want unique samples" >&2
+    echo "merged trace does not hold exactly $want unique samples ($loadgen_uploaded from loadgen, $agentsim_uploaded from agentsim)" >&2
     exit 1
 fi
 
-echo "external smoke PASS: $want samples through $REPLICAS collectd processes, merged exactly-once"
+echo "external smoke PASS: $want samples ($loadgen_uploaded from loadgen, $agentsim_uploaded from agentsim) through $REPLICAS collectd processes, merged exactly-once"
