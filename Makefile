@@ -58,10 +58,10 @@ bench-diff:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./... | \
 		$(GO) run ./cmd/benchjson -o $(BENCH_DIFF_OUT) -diff $(BENCH_JSON)
 
-# Multi-core scaling gate: times both analysis passes (BuildPrep plus Run)
-# over a campaign decoded into in-memory Shards at N shards against one shard
-# (the decode excluded) and (on >= 4 cores) asserts a >= 2x speedup. On
-# smaller machines the ratio is logged but not enforced.
+# Multi-core scaling gate: times both analysis passes (BuildPrep plus Run,
+# each decoding the encoded in-memory Shards it reads) at N shards against
+# one shard and (on >= 4 cores) asserts a >= 2x speedup. On smaller machines
+# the ratio is logged but not enforced.
 bench-multicore:
 	$(GO) test -run TestMultiCoreSpeedup -count=1 -v ./internal/core
 

@@ -9,9 +9,10 @@
 // experiment's result from an already-simulated campaign: prepass-derived
 // experiments (Tables 1/3/4, Figs. 3/5/10/14-16/19...) re-run their
 // derivation; streaming experiments (Figs. 2/6/9/11-13/17/18, Table 6)
-// re-run their analyzer over the campaign held as one in-memory shard, which
-// Run reads inline, so they time the analyzer rather than a decode or batch
-// copy.
+// re-run their analyzer over the campaign's decoded samples streamed on one
+// worker, so they time the analyzer and the fan-out's batch copy, not a
+// decode. (An in-memory Shards holds its samples encoded, and each pass over
+// it decodes them again.)
 package smartusage_test
 
 import (
@@ -44,7 +45,7 @@ type fixture struct {
 	sim     *sim.Simulator
 	samples []trace.Sample
 	src     analysis.Source
-	sh      *analysis.Shards // the campaign as one shard, never released
+	in      analysis.Input // src streamed on one worker
 	prep    *analysis.Prep
 	meta    analysis.Meta
 }
@@ -73,12 +74,9 @@ func getFixture(b *testing.B) *fixture {
 			panic(err)
 		}
 		f.src = analysis.SliceSource(f.samples)
-		f.sh = analysis.NewShards(1)
-		if err := f.src(f.sh.Add); err != nil {
-			panic(err)
-		}
+		f.in = analysis.Stream(f.src, 1)
 		release := cfg.Update.Release
-		if f.prep, err = analysis.BuildPrep(f.meta, f.sh, &release); err != nil {
+		if f.prep, err = analysis.BuildPrep(f.meta, f.in, &release); err != nil {
 			panic(err)
 		}
 		fix = f
@@ -215,7 +213,7 @@ func BenchmarkPrepass(b *testing.B) {
 	release := f.cfg.Update.Release
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.BuildPrep(f.meta, f.sh, &release); err != nil {
+		if _, err := analysis.BuildPrep(f.meta, f.in, &release); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -312,11 +310,11 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-// runAnalyzer replays the fixture's one shard through one analyzer with the
+// runAnalyzer replays the fixture's samples through one analyzer with the
 // paper's cleaning rules applied.
 func runAnalyzer(b *testing.B, f *fixture, a analysis.Analyzer) {
 	b.Helper()
-	if err := analysis.Run(f.sh, f.prep, []analysis.Analyzer{a}, nil); err != nil {
+	if err := analysis.Run(f.in, f.prep, []analysis.Analyzer{a}, nil); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -474,7 +472,7 @@ func BenchmarkFig18(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ut := analysis.NewUpdateTiming(f.meta, f.prep, release)
-		if err := analysis.Run(f.sh, f.prep, nil, []analysis.Analyzer{ut}); err != nil {
+		if err := analysis.Run(f.in, f.prep, nil, []analysis.Analyzer{ut}); err != nil {
 			b.Fatal(err)
 		}
 		_ = ut.Result()

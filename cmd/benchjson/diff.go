@@ -53,18 +53,30 @@ type manifestEntry struct {
 	AllocsOp *int64  `json:"allocs_per_op"`
 }
 
-// loadManifest reads a committed benchmark manifest.
-func loadManifest(path string) (map[string]Result, error) {
+// loadManifest reads a committed benchmark manifest and the machine it
+// records, zero for a manifest written before manifests recorded one.
+func loadManifest(path string) (map[string]Result, Machine, error) {
+	var m Machine
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, m, err
 	}
-	var entries map[string]manifestEntry
+	var entries map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &entries); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, m, fmt.Errorf("%s: %w", path, err)
 	}
 	out := make(map[string]Result, len(entries))
-	for key, e := range entries {
+	for key, v := range entries {
+		if key == machineKey {
+			if err := json.Unmarshal(v, &m); err != nil {
+				return nil, m, fmt.Errorf("%s: %s: %w", path, key, err)
+			}
+			continue
+		}
+		var e manifestEntry
+		if err := json.Unmarshal(v, &e); err != nil {
+			return nil, m, fmt.Errorf("%s: %s: %w", path, key, err)
+		}
 		r := Result{NsPerOp: e.NsPerOp, BPerOp: -1, AllocsOp: -1}
 		if e.BPerOp != nil {
 			r.BPerOp = *e.BPerOp
@@ -74,7 +86,25 @@ func loadManifest(path string) (map[string]Result, error) {
 		}
 		out[key] = r
 	}
-	return out, nil
+	return out, m, nil
+}
+
+// machineNote describes the anchor's machine and this run's, and says when
+// they differ: ns/op moves with the machine, so a diff across machines is
+// read with that in mind. It never gates.
+func machineNote(anchor, run Machine) string {
+	describe := func(m Machine) string {
+		if m == (Machine{}) {
+			return "not recorded"
+		}
+		return fmt.Sprintf("%s/%s, %q, GOMAXPROCS %d of %d CPUs, %s",
+			m.GOOS, m.GOARCH, m.CPU, m.GOMAXPROCS, m.NumCPU, m.Go)
+	}
+	note := fmt.Sprintf("anchor machine: %s\nthis machine:   %s\n", describe(anchor), describe(run))
+	if anchor != run {
+		note += "machines differ: compare ns/op with care\n"
+	}
+	return note
 }
 
 // regression is one metric exceeding its tolerance.

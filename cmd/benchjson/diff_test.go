@@ -21,10 +21,10 @@ func TestDiffRoundTripThroughManifest(t *testing.T) {
 		res("p", "BenchmarkB", 80, -1, -1),
 	)
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, marshal(results), 0o644); err != nil {
+	if err := os.WriteFile(path, marshal(Machine{}, results), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old, err := loadManifest(path)
+	old, _, err := loadManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,19 +114,64 @@ func TestDiffReportsMissingWithoutFailing(t *testing.T) {
 // TestDiffAgainstParsedBenchOutput exercises the full stdin → parse → diff
 // path the CI gate runs.
 func TestDiffAgainstParsedBenchOutput(t *testing.T) {
-	results, err := parse(bufio.NewScanner(strings.NewReader(sampleBenchOutput)))
+	results, _, err := parse(bufio.NewScanner(strings.NewReader(sampleBenchOutput)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "anchor.json")
-	if err := os.WriteFile(path, marshal(results), 0o644); err != nil {
+	if err := os.WriteFile(path, marshal(Machine{}, results), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old, err := loadManifest(path)
+	old, _, err := loadManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, regs := diff(old, results, DefaultTolerances()); len(regs) != 0 {
 		t.Fatalf("self-diff regressed: %v", regs)
+	}
+}
+
+// TestMachineRoundTrip reads the machine from benchmark output, writes it
+// under the reserved key and loads it back, without the key ever reaching
+// the benchmarks; -diff's note says when the anchor's machine differs.
+func TestMachineRoundTrip(t *testing.T) {
+	results, m, err := parse(bufio.NewScanner(strings.NewReader(sampleBenchOutput)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.NumCPU, m.Go = 8, "go1.24.0"
+	want := Machine{GOOS: "linux", GOARCH: "amd64", CPU: "some cpu", GOMAXPROCS: 8, NumCPU: 8, Go: "go1.24.0"}
+	if m != want {
+		t.Fatalf("parsed machine %+v, want %+v", m, want)
+	}
+	path := filepath.Join(t.TempDir(), "anchor.json")
+	if err := os.WriteFile(path, marshal(m, results), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, anchor, err := loadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if anchor != m {
+		t.Errorf("machine round trip: got %+v, want %+v", anchor, m)
+	}
+	if _, ok := old[machineKey]; ok || len(old) != len(results) {
+		t.Errorf("loaded %d benchmarks (machine key among them: %v), want %d", len(old), ok, len(results))
+	}
+	if report, regs := diff(old, results, DefaultTolerances()); len(regs) != 0 || strings.Contains(report, machineKey) {
+		t.Errorf("self-diff with a machine: %v\n%s", regs, report)
+	}
+
+	if note := machineNote(anchor, m); strings.Contains(note, "differ") || !strings.Contains(note, "GOMAXPROCS 8 of 8 CPUs") {
+		t.Errorf("same machine noted as:\n%s", note)
+	}
+	other := m
+	other.GOMAXPROCS, other.NumCPU = 2, 2
+	note := machineNote(anchor, other)
+	if !strings.Contains(note, "machines differ") || !strings.Contains(note, "GOMAXPROCS 2 of 2 CPUs") {
+		t.Errorf("different machine noted as:\n%s", note)
+	}
+	if note := machineNote(Machine{}, m); !strings.Contains(note, "not recorded") || !strings.Contains(note, "machines differ") {
+		t.Errorf("anchor without a machine noted as:\n%s", note)
 	}
 }

@@ -1,6 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON benchmark manifest: one object keyed by
-// "<package>.<Benchmark>" mapping to ns/op, B/op, and allocs/op. CI runs it
+// "<package>.<Benchmark>" mapping to ns/op, B/op, and allocs/op, plus a
+// "_machine" key recording the machine the run came from. CI runs it
 // after the benchmark smoke pass and publishes the result (BENCH_8.json) as
 // an artifact, so the perf trajectory of a branch is one download away
 // instead of buried in a log.
@@ -10,6 +11,8 @@
 // regresses beyond its tolerance, which is how CI gates performance: loose
 // on wall-clock (noisy at -benchtime=1x on shared runners, and not judged
 // at all below -min-ns), tight on bytes/op and allocs/op (deterministic).
+// It prints the anchor's machine and this run's first, and says when they
+// differ, without gating on it.
 //
 // Usage:
 //
@@ -23,6 +26,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 )
 
 func main() {
@@ -37,14 +41,15 @@ func main() {
 	flag.Float64Var(&tol.AllocsFrac, "tol-allocs", tol.AllocsFrac, "allowed fractional allocs/op growth")
 	flag.Parse()
 
-	results, err := parse(bufio.NewScanner(os.Stdin))
+	results, machine, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		log.Fatal(err)
 	}
 	if len(results) == 0 {
 		log.Fatal("no benchmark lines on stdin (did the bench pass run with -bench?)")
 	}
-	b := marshal(results)
+	machine.NumCPU, machine.Go = runtime.NumCPU(), runtime.Version()
+	b := marshal(machine, results)
 
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -64,12 +69,12 @@ func main() {
 	}
 
 	if *diffPath != "" {
-		old, err := loadManifest(*diffPath)
+		old, anchor, err := loadManifest(*diffPath)
 		if err != nil {
 			log.Fatal(err)
 		}
 		report, regs := diff(old, results, tol)
-		fmt.Print(report)
+		fmt.Print(machineNote(anchor, machine), report)
 		if len(regs) > 0 {
 			log.Fatalf("%d metric(s) regressed beyond tolerance vs %s", len(regs), *diffPath)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,18 +18,46 @@ type Result struct {
 	AllocsOp int64   `json:"allocs_per_op"`
 }
 
+// Machine records where a run came from: the goos, goarch and cpu header
+// lines of the benchmark output, GOMAXPROCS from the benchmark names' -N
+// suffix (absent at 1), and the CPU count and Go version benchjson itself
+// sees, running on the same machine.
+type Machine struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	Go         string `json:"go"`
+}
+
+// machineKey is the manifest key that holds the Machine; it cannot clash
+// with a "<package>.<Benchmark>" key.
+const machineKey = "_machine"
+
 // parse reads `go test -bench` output and returns one Result per benchmark
-// line, tagged with the package from the most recent "pkg:" header.
-func parse(sc *bufio.Scanner) ([]Result, error) {
+// line, tagged with the package from the most recent "pkg:" header, and the
+// machine its header lines and benchmark names describe.
+func parse(sc *bufio.Scanner) ([]Result, Machine, error) {
 	var (
 		results []Result
 		pkg     string
+		m       Machine
 	)
 	for sc.Scan() {
 		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
-			pkg = strings.TrimSpace(rest)
-			continue
+		if key, val, ok := strings.Cut(line, ": "); ok {
+			val = strings.TrimSpace(val)
+			switch key {
+			case "pkg":
+				pkg = val
+			case "goos":
+				m.GOOS = val
+			case "goarch":
+				m.GOARCH = val
+			case "cpu":
+				m.CPU = val
+			}
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
@@ -39,6 +68,10 @@ func parse(sc *bufio.Scanner) ([]Result, error) {
 			continue
 		}
 		r := Result{Pkg: pkg, Name: trimProcs(fields[0]), BPerOp: -1, AllocsOp: -1}
+		m.GOMAXPROCS = 1
+		if suffix := fields[0][len(r.Name):]; suffix != "" {
+			m.GOMAXPROCS, _ = strconv.Atoi(suffix[1:]) // trimProcs checked it
+		}
 		seen := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			val, unit := fields[i], fields[i+1]
@@ -46,20 +79,20 @@ func parse(sc *bufio.Scanner) ([]Result, error) {
 			case "ns/op":
 				f, err := strconv.ParseFloat(val, 64)
 				if err != nil {
-					return nil, err
+					return nil, m, err
 				}
 				r.NsPerOp = f
 				seen = true
 			case "B/op":
 				n, err := strconv.ParseInt(val, 10, 64)
 				if err != nil {
-					return nil, err
+					return nil, m, err
 				}
 				r.BPerOp = n
 			case "allocs/op":
 				n, err := strconv.ParseInt(val, 10, 64)
 				if err != nil {
-					return nil, err
+					return nil, m, err
 				}
 				r.AllocsOp = n
 			}
@@ -68,7 +101,7 @@ func parse(sc *bufio.Scanner) ([]Result, error) {
 			results = append(results, r)
 		}
 	}
-	return results, sc.Err()
+	return results, m, sc.Err()
 }
 
 // trimProcs strips the -GOMAXPROCS suffix (BenchmarkX-8 → BenchmarkX) so
@@ -82,10 +115,11 @@ func trimProcs(name string) string {
 	return name
 }
 
-// marshal renders the manifest deterministically: keys sorted, one
-// benchmark per line, trailing newline. Hand-rolled for the same reason as
+// marshal renders the manifest deterministically: the machine first, under
+// machineKey unless m is zero, then the benchmarks with keys sorted, one per
+// line, trailing newline. Hand-rolled for the same reason as
 // obs.Snapshot.MarshalJSON — byte-stable output diffs cleanly between runs.
-func marshal(results []Result) []byte {
+func marshal(m Machine, results []Result) []byte {
 	sort.Slice(results, func(i, j int) bool {
 		if results[i].Pkg != results[j].Pkg {
 			return results[i].Pkg < results[j].Pkg
@@ -94,6 +128,16 @@ func marshal(results []Result) []byte {
 	})
 	var b []byte
 	b = append(b, "{\n"...)
+	if m != (Machine{}) {
+		mj, _ := json.Marshal(m) // strings and ints: cannot fail
+		b = append(b, "  "...)
+		b = strconv.AppendQuote(b, machineKey)
+		b = append(b, ": "...)
+		b = append(b, mj...)
+		if len(results) > 0 {
+			b = append(b, ",\n"...)
+		}
+	}
 	for i, r := range results {
 		if i > 0 {
 			b = append(b, ",\n"...)

@@ -21,7 +21,7 @@ ok  	smartusage/internal/trace	0.01s
 `
 
 func TestParse(t *testing.T) {
-	results, err := parse(bufio.NewScanner(strings.NewReader(sampleBenchOutput)))
+	results, _, err := parse(bufio.NewScanner(strings.NewReader(sampleBenchOutput)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,17 +45,17 @@ func TestParse(t *testing.T) {
 }
 
 func TestMarshalDeterministic(t *testing.T) {
-	results, err := parse(bufio.NewScanner(strings.NewReader(sampleBenchOutput)))
+	results, _, err := parse(bufio.NewScanner(strings.NewReader(sampleBenchOutput)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := string(marshal(results))
+	a := string(marshal(Machine{}, results))
 	// Reversed input order must yield identical bytes.
 	rev := make([]Result, len(results))
 	for i, r := range results {
 		rev[len(results)-1-i] = r
 	}
-	b := string(marshal(rev))
+	b := string(marshal(Machine{}, rev))
 	if a != b {
 		t.Errorf("marshal is input-order dependent:\n%s\nvs\n%s", a, b)
 	}

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"smartusage/internal/config"
+	"smartusage/internal/sim"
 	"smartusage/internal/trace"
 )
 
@@ -247,8 +249,10 @@ func TestStreamingDriverBoundedMemory(t *testing.T) {
 // TestShardsReleaseReturnsHeap fills an in-memory campaign partition far
 // larger than streamHeapSlack and releases it, keeping the Shards. After a
 // GC the heap must be back within streamHeapSlack of its baseline: a
-// finished campaign pins none of its slabs, not even through the Shards
-// its caller keeps.
+// finished campaign pins none of its chunks, not even through the Shards
+// its caller keeps. The parts hold their samples encoded, about 55 B each
+// here, so the fill is large enough for the partition to exceed four times
+// the slack.
 func TestShardsReleaseReturnsHeap(t *testing.T) {
 	runtime.GC()
 	var base, filled, after runtime.MemStats
@@ -260,7 +264,7 @@ func TestShardsReleaseReturnsHeap(t *testing.T) {
 		Apps: make([]trace.AppTraffic, 2),
 		APs:  make([]trace.APObs, 4),
 	}
-	for i := 0; i < 200_000; i++ {
+	for i := 0; i < 500_000; i++ {
 		s.Device, s.Time = trace.DeviceID(i%1000), int64(i/1000)*600
 		if err := sh.Add(&s); err != nil {
 			t.Fatal(err)
@@ -288,6 +292,64 @@ func TestShardsReleaseReturnsHeap(t *testing.T) {
 	if n := sh.Len(); n != 0 {
 		t.Errorf("released partition still holds %d samples", n)
 	}
+}
+
+// TestShardsHoldEncodedSamples fills a two-way partition from a simulated
+// campaign and requires it to cost about the campaign's trace size: after a
+// GC the heap may grow by at most 1.25 times the samples' AppendSample
+// bytes, plus per part one partly filled chunk and its Writer's buffers.
+// The bound tells encoded parts from deep-copied samples, which take about
+// four times the encoded bytes (247 B per sample here against 63).
+func TestShardsHoldEncodedSamples(t *testing.T) {
+	cfg, err := config.ForYear(2013, 0.02, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var samples []trace.Sample
+	var rec []byte
+	encoded := 0
+	if err := sm.Run(func(s *trace.Sample) error {
+		samples = append(samples, *s.Clone())
+		rec = trace.AppendSample(rec[:0], s)
+		encoded += len(rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	runtime.GC()
+	var base, filled runtime.MemStats
+	runtime.ReadMemStats(&base)
+	sh := NewShards(2)
+	for i := range samples {
+		if err := sh.Add(&samples[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&filled)
+	if n := sh.Len(); n != len(samples) {
+		t.Fatalf("partition holds %d of %d samples", n, len(samples))
+	}
+
+	var growth uint64
+	if filled.HeapAlloc > base.HeapAlloc {
+		growth = filled.HeapAlloc - base.HeapAlloc
+	}
+	const slack = 2 * (maxPartChunk + 80<<10)
+	limit := uint64(encoded)*5/4 + slack
+	t.Logf("%d samples, %d B encoded (%.1f B/sample): partition +%.1f MiB (%.1f B/sample), limit %.1f MiB",
+		len(samples), encoded, float64(encoded)/float64(len(samples)),
+		float64(growth)/(1<<20), float64(growth)/float64(len(samples)), float64(limit)/(1<<20))
+	if growth > limit {
+		t.Errorf("partition of %d samples holds %.1f MiB, over 1.25x their %.1f MiB encoded plus %.1f MiB slack",
+			len(samples), float64(growth)/(1<<20), float64(encoded)/(1<<20), float64(slack)/(1<<20))
+	}
+	runtime.KeepAlive(samples)
 }
 
 // sampleSize is the in-memory size of one trace.Sample header.

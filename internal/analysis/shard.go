@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -42,9 +44,8 @@ func shardOf(dev trace.DeviceID, n int) int {
 }
 
 // Chunk sizes, in elements: a chunk list starts at minChunk and each new
-// chunk doubles the last up to maxChunk, so a part the size of a campaign
-// wastes at most one chunk. minChunk is one fan-out batch, whose samples
-// thus fill exactly one chunk.
+// chunk doubles the last up to maxChunk. minChunk is one fan-out batch,
+// whose samples thus fill exactly one chunk.
 const (
 	minChunk = fanOutBatch
 	maxChunk = 64 << 10
@@ -107,10 +108,9 @@ func (c *chunks[T]) reset() {
 	c.cur = 0
 }
 
-// slab is a run of deep-copied samples that owns its memory: the samples
-// plus the AP observations and app records their slices point into, each in
-// a chunk list of its own. It serves as one device partition of a Shards and
-// as one fan-out batch.
+// slab is a fan-out batch of deep-copied samples that owns its memory: the
+// samples plus the AP observations and app records their slices point into,
+// each in a chunk list of its own.
 type slab struct {
 	samples chunks[trace.Sample]
 	aps     chunks[trace.APObs]
@@ -148,6 +148,74 @@ func (p *slab) reset() {
 	p.n = 0
 }
 
+// Part chunk sizes, in bytes: a part's first chunk holds one flush of its
+// trace.Writer's 64 KiB buffer and each new chunk doubles the last up to
+// maxPartChunk, so a part wastes at most one partly filled chunk.
+const (
+	minPartChunk = 64 << 10
+	maxPartChunk = 1 << 20
+)
+
+// part is one device partition of a Shards: its samples as a binary trace,
+// written by a trace.Writer into byte chunks that are never moved or
+// regrown, so growth allocates a new chunk instead of copying what is held.
+type part struct {
+	w      *trace.Writer // nil until the part's first sample
+	chunks [][]byte
+	n      int // samples held
+}
+
+// add appends s's record to the part.
+func (p *part) add(s *trace.Sample) error {
+	if p.w == nil {
+		p.w = trace.NewWriter(p)
+	}
+	p.n++
+	return p.w.Write(s)
+}
+
+// Write appends b to the chunks; it is the io.Writer under p.w.
+func (p *part) Write(b []byte) (int, error) {
+	n := len(b)
+	for len(b) > 0 {
+		k := len(p.chunks) - 1
+		if k < 0 || len(p.chunks[k]) == cap(p.chunks[k]) {
+			size := minPartChunk
+			if k >= 0 {
+				size = min(2*cap(p.chunks[k]), maxPartChunk)
+			}
+			p.chunks = append(p.chunks, make([]byte, 0, size))
+			k++
+		}
+		c := p.chunks[k]
+		m := copy(c[len(c):cap(c)], b)
+		p.chunks[k] = c[:len(c)+m]
+		b = b[m:]
+	}
+	return n, nil
+}
+
+// each flushes p.w into the chunks, decodes them through a trace.Reader
+// and calls work(w, s) for every sample in order, stopping at the first
+// error. The Reader reuses s between calls, as a fan-out batch is reset
+// after its analysis, and interns decoded ESSIDs as copies, never aliases
+// of the chunks, so a Prep that keeps them outlives Release.
+func (p *part) each(w int, work func(int, *trace.Sample) error) error {
+	if p.w == nil {
+		return nil
+	}
+	if err := p.w.Flush(); err != nil {
+		return err
+	}
+	rs := make([]io.Reader, len(p.chunks))
+	for i, c := range p.chunks {
+		rs[i] = bytes.NewReader(c)
+	}
+	return trace.NewReader(io.MultiReader(rs...)).ReadAll(func(s *trace.Sample) error {
+		return work(w, s)
+	})
+}
+
 // Input is what a pass reads, in one of two forms: a Source decoded once per
 // pass (Stream), or a campaign held in memory as a device partition
 // (*Shards). Its methods are unexported, so those are its only forms. Either
@@ -173,24 +241,25 @@ var (
 	runPass  = pass{stream: "analysis:run", shards: "analysis:run-shards", shard: "analysis:shard"}
 )
 
-// Shards holds a campaign's samples partitioned by device in memory, so both
-// passes read them in place without touching the codec again. Each part is a
-// slab that owns its chunks, so a part costs what it holds.
+// Shards holds a campaign partitioned by device in memory, each part as a
+// binary trace: Add encodes a sample into its device's part, and every pass
+// decodes each part on the goroutine that analyzes it. Encoded, a campaign
+// costs about its trace size, a third to a quarter of its samples decoded,
+// at the price of one decode per sample per pass.
 type Shards struct {
-	parts []slab
+	parts []part
 }
 
 // NewShards returns an empty n-way partition (n < 1 is treated as 1).
 func NewShards(n int) *Shards {
-	return &Shards{parts: make([]slab, max(n, 1))}
+	return &Shards{parts: make([]part, max(n, 1))}
 }
 
-// Add routes one sample to its device's shard. The sample is deep-copied,
-// so Add is safe to use as a simulation sink or Source callback whose
+// Add routes one sample to its device's shard. The sample is encoded, so
+// Add is safe to use as a simulation sink or Source callback whose
 // *trace.Sample is reused. Not safe for concurrent use.
 func (sh *Shards) Add(s *trace.Sample) error {
-	sh.parts[shardOf(s.Device, len(sh.parts))].add(s)
-	return nil
+	return sh.parts[shardOf(s.Device, len(sh.parts))].add(s)
 }
 
 // Len returns the total number of samples held.
@@ -204,8 +273,8 @@ func (sh *Shards) Len() int {
 
 // Release drops the parts, leaving an empty partition of the same width, so
 // a caller that keeps the Shards does not keep the campaign. Analyzers never
-// retain a sample's slices past Add (see DESIGN.md "Memory"), so results
-// assembled before Release stay valid.
+// retain a sample's slices past Add, and decoded ESSIDs are copies (see
+// DESIGN.md "Memory"), so results assembled before Release stay valid.
 func (sh *Shards) Release() {
 	clear(sh.parts)
 }
@@ -216,9 +285,9 @@ func (sh *Shards) span(p pass) *obs.Span {
 	return traceStart(p.shards).Arg("shards", strconv.Itoa(len(sh.parts)))
 }
 
-// each reads the parts in place, with no decode and no copy. A one-part
-// partition is read on the calling goroutine; otherwise each part gets a
-// goroutine and a trace track of its own.
+// each decodes every part where it is analyzed: a one-part partition on
+// the calling goroutine, otherwise each part on a goroutine and a trace
+// track of its own. Reading does not consume the parts.
 func (sh *Shards) each(p pass, work func(int, *trace.Sample) error) error {
 	if len(sh.parts) == 1 {
 		return sh.parts[0].each(0, work)

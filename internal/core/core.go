@@ -138,10 +138,11 @@ func RunCampaign(year int, opts Options) (*CampaignRun, error) {
 // the entry point for what-if studies that perturb policies (see
 // examples/capsim).
 //
-// In-memory runs (no TraceDir) feed simulator output straight into
-// device-partitioned sample shards, so the analysis passes never touch the
-// trace codec. TraceDir runs spool the binary trace to disk and stream the
-// passes from the file, keeping memory bounded.
+// In-memory runs (no TraceDir) encode simulator output into
+// device-partitioned Shards, which hold the campaign at about its trace
+// size, and each pass decodes every shard on the goroutine that analyzes
+// it. TraceDir runs spool the binary trace to disk and stream the passes
+// from the file, keeping memory bounded.
 func RunWithConfig(cfg config.Campaign, opts Options) (*CampaignRun, error) {
 	opts = opts.withDefaults()
 	year := strconv.Itoa(cfg.Year)
@@ -315,9 +316,10 @@ func AnalyzeCampaign(cfg config.Campaign, sm *sim.Simulator, src analysis.Source
 }
 
 // AnalyzeCampaignShards runs the two-pass pipeline over pre-partitioned
-// in-memory shards, one goroutine per shard. It releases sh before returning,
-// successfully or not, so a caller that keeps sh does not keep the campaign;
-// sh then holds no samples.
+// in-memory shards, each pass decoding every shard on a goroutine of its
+// own (on the calling goroutine when sh has one shard). It releases sh
+// before returning, successfully or not, so a caller that keeps sh does not
+// keep the campaign; sh then holds no samples.
 func AnalyzeCampaignShards(cfg config.Campaign, sm *sim.Simulator, sh *analysis.Shards, opts Options) (*CampaignRun, error) {
 	defer sh.Release()
 	return analyze(cfg, sm, sh, opts)

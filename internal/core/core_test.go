@@ -544,12 +544,13 @@ func compareRuns(t *testing.T, label string, want, got *core.CampaignRun) {
 	}
 }
 
-// inlineAnalyze is the oracle for the streaming driver: it decodes the trace
-// once into a single in-memory shard and runs both passes over it inline on
-// the calling goroutine, with no fan-out, batch copy or decode-ahead.
+// inlineAnalyze is the oracle for the streaming driver: it reads the trace
+// into a single in-memory shard and runs both passes over it on the calling
+// goroutine, each decoding the shard inline, with no fan-out, batch copy or
+// decode-ahead.
 func inlineAnalyze(t *testing.T, cfg config.Campaign, src analysis.Source, opts core.Options) *core.CampaignRun {
 	t.Helper()
-	run, err := analyzeDecodedOnce(cfg, src, 1, opts)
+	run, err := analyzeInShards(cfg, src, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,19 +10,20 @@ import (
 	"smartusage/internal/core"
 )
 
-// TestMultiCoreSpeedup times the sharded analysis compute — BuildPrep plus
-// Run over a campaign already decoded into in-memory Shards — at N shards
-// against the same code at one shard. On a machine with at least four cores
-// the N-shard run must win by >= 2x — the whole point of sharding — and a
-// regression that quietly serializes it (a stray lock on the hot path, a
-// worker pool collapsing to one goroutine) fails here before it ships. The
-// decode into Shards is excluded from both timings: the one-worker streaming
-// driver already overlaps decode with analysis, so timing decode here would
-// measure that overlap rather than the sharding. The end-to-end ratio of the
-// streaming one-worker AnalyzeCampaign to an N-shard decode-once analysis is
-// logged alongside. On smaller machines both ratios are only logged:
-// timing a 1-2 core box proves nothing about the sharding, and the
-// result-equality check still runs everywhere.
+// TestMultiCoreSpeedup times the sharded analysis — BuildPrep plus Run over
+// a campaign already read into in-memory Shards — at N shards against the
+// same code at one shard. On a machine with at least four cores the N-shard
+// run must win by >= 2x — the whole point of sharding — and a regression
+// that quietly serializes it (a stray lock on the hot path, a worker pool
+// collapsing to one goroutine) fails here before it ships. Shards hold
+// their samples encoded and each pass decodes every part on the goroutine
+// that analyzes it, so both timings include that decode, at N shards spread
+// over N goroutines and at one shard on one; reading the trace into the
+// Shards stays outside them. The end-to-end ratio of the streaming
+// one-worker AnalyzeCampaign to an N-shard in-memory analysis is logged
+// alongside. On smaller machines both ratios are only logged: timing a 1-2
+// core box proves nothing about the sharding, and the result-equality check
+// still runs everywhere.
 func TestMultiCoreSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup timing is noise under -short")
@@ -38,7 +39,7 @@ func TestMultiCoreSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := analyzeDecodedOnce(cfg, src, workers, core.Options{})
+	parRes, err := analyzeInShards(cfg, src, workers, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestMultiCoreSpeedup(t *testing.T) {
 		return err
 	}))
 	par := best(timed(func() error {
-		_, err := analyzeDecodedOnce(cfg, src, workers, core.Options{})
+		_, err := analyzeInShards(cfg, src, workers, core.Options{})
 		return err
 	}))
 

@@ -255,6 +255,7 @@ func BenchmarkCounterNil(b *testing.B) {
 	var r *Registry
 	c := r.Counter("bench_total")
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
 	}
@@ -263,6 +264,7 @@ func BenchmarkCounterNil(b *testing.B) {
 func BenchmarkCounterHot(b *testing.B) {
 	c := NewRegistry().Counter("bench_total")
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
 	}
@@ -271,6 +273,7 @@ func BenchmarkCounterHot(b *testing.B) {
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewRegistry().Histogram("bench_seconds", nil)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Observe(0.0042)
 	}
@@ -280,6 +283,7 @@ func BenchmarkSnapshotPrometheus(b *testing.B) {
 	r := buildGoldenRegistry()
 	var buf bytes.Buffer
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
 		r.Snapshot().WritePrometheus(&buf)

@@ -68,6 +68,7 @@ func TestDistinctMergeIdempotent(t *testing.T) {
 func BenchmarkDistinctAdd(b *testing.B) {
 	d := NewDistinct()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.AddUint64(uint64(i))
 	}

@@ -178,6 +178,7 @@ func TestQuantileFootprintFixed(t *testing.T) {
 func BenchmarkQuantileAdd(b *testing.B) {
 	q := NewQuantile()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Add(float64(i%100000) + 0.5)
 	}

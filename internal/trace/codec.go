@@ -127,7 +127,7 @@ func (it *interner) internESSID(bssid BSSID, b []byte) string {
 // DecodeSample decodes one sample previously encoded by AppendSample and
 // returns the number of bytes consumed.
 func DecodeSample(buf []byte, s *Sample) (int, error) {
-	return decodeSample(buf, s, nil, false)
+	return countDecode(decodeSample(buf, s, nil, false))
 }
 
 // DecodeSampleAlias is DecodeSample with zero-copy strings: decoded ESSIDs
@@ -139,7 +139,15 @@ func DecodeSample(buf []byte, s *Sample) (int, error) {
 // strings must never be handed to an interner: the intern table would pin
 // the entire buffer and serve mutated strings after it is reused.
 func DecodeSampleAlias(buf []byte, s *Sample) (int, error) {
-	return decodeSample(buf, s, nil, true)
+	return countDecode(decodeSample(buf, s, nil, true))
+}
+
+// countDecode adds a successful one-sample decode to decodeCount.
+func countDecode(n int, err error) (int, error) {
+	if err == nil {
+		decodeCount.Add(1)
+	}
+	return n, err
 }
 
 func decodeSample(buf []byte, s *Sample, it *interner, alias bool) (int, error) {
@@ -210,18 +218,20 @@ func decodeSample(buf []byte, s *Sample, it *interner, alias bool) (int, error) 
 	if d.err != nil {
 		return 0, fmt.Errorf("trace: decode sample: %w", d.err)
 	}
-	decodeCount.Add(1)
 	return d.off, nil
 }
 
-// decodeCount counts every successful DecodeSample since process start. It
-// exists so benchmarks and tests can verify how many decode passes a
-// pipeline performs (the analysis engine promises a single decode per
-// campaign); it is not a correctness mechanism.
+// decodeCount counts the samples decoded since process start: one per
+// successful DecodeSample or DecodeSampleAlias, and a Reader's samples in
+// one addition when a read ends. It exists so benchmarks and tests can
+// verify how many decode passes a pipeline performs; it is not a
+// correctness mechanism.
 var decodeCount atomic.Uint64
 
-// DecodeCount returns the cumulative number of samples decoded by
-// DecodeSample in this process.
+// DecodeCount returns the cumulative number of samples decoded in this
+// process by DecodeSample, DecodeSampleAlias and Readers. A Reader adds its
+// samples when ReadAll returns and when Read returns an error, io.EOF
+// included, so the count is exact whenever no read is running.
 func DecodeCount() uint64 { return decodeCount.Load() }
 
 // decoder tracks an offset and a sticky error across field reads. The
@@ -440,6 +450,9 @@ type Reader struct {
 	buf     []byte
 	it      interner
 	checked bool
+	// decoded counts the samples read but not yet added to decodeCount, so
+	// concurrent Readers share no counter per sample.
+	decoded uint64
 }
 
 // NewReader returns a Reader over r.
@@ -449,6 +462,24 @@ func NewReader(r io.Reader) *Reader {
 
 // Read decodes the next sample into s, reusing s's slices. It returns io.EOF
 // at a clean end of stream.
+func (r *Reader) Read(s *Sample) error {
+	if err := r.read(s); err != nil {
+		r.addCount()
+		return err
+	}
+	r.decoded++
+	return nil
+}
+
+// addCount adds the samples read since the last call to decodeCount.
+func (r *Reader) addCount() {
+	if r.decoded > 0 {
+		decodeCount.Add(r.decoded)
+		r.decoded = 0
+	}
+}
+
+// read decodes the next record into s.
 //
 // A record whose length prefix and body are already buffered is decoded in
 // place from the bufio buffer and then discarded; that is safe because
@@ -456,7 +487,7 @@ func NewReader(r io.Reader) *Reader {
 // a record is within MaxSampleSize because the buffer is. A record
 // straddling the buffer's end, or longer than the buffer, is read out into
 // r.buf first.
-func (r *Reader) Read(s *Sample) error {
+func (r *Reader) read(s *Sample) error {
 	if !r.checked {
 		hdr := make([]byte, len(fileMagic))
 		if _, err := io.ReadFull(r.br, hdr); err != nil {
@@ -512,6 +543,7 @@ func (r *Reader) decode(rec []byte, s *Sample) error {
 // ReadAll drains the stream, calling fn for each sample. The *Sample passed
 // to fn is reused between calls; fn must copy it to retain it.
 func (r *Reader) ReadAll(fn func(*Sample) error) error {
+	defer r.addCount()
 	var s Sample
 	for {
 		err := r.Read(&s)

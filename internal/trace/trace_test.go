@@ -569,3 +569,69 @@ func TestSniffEmptyInput(t *testing.T) {
 		t.Fatalf("want the short-header ErrBadMagic, got %v", err)
 	}
 }
+
+// TestReaderAddsDecodeCountWhenReadEnds checks when a Reader's samples
+// reach DecodeCount: not while ReadAll runs, so concurrent Readers share no
+// counter per sample, but all of them when it returns, also when fn stops
+// it early, and when Read returns io.EOF.
+func TestReaderAddsDecodeCountWhenReadEnds(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	const n = 100
+	for i := 0; i < n; i++ {
+		s := randomSample(rng)
+		if err := w.Write(&s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+
+	start := DecodeCount()
+	seen := 0
+	if err := NewReader(bytes.NewReader(enc)).ReadAll(func(*Sample) error {
+		if got := DecodeCount(); got != start {
+			t.Fatalf("DecodeCount moved by %d during ReadAll", got-start)
+		}
+		seen++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := DecodeCount() - start; got != n || seen != n {
+		t.Fatalf("ReadAll of %d samples: fn saw %d, DecodeCount rose by %d", n, seen, got)
+	}
+
+	start = DecodeCount()
+	stop := errors.New("stop")
+	seen = 0
+	err := NewReader(bytes.NewReader(enc)).ReadAll(func(*Sample) error {
+		if seen++; seen == 10 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("ReadAll returned %v, want fn's error", err)
+	}
+	if got := DecodeCount() - start; got != 10 {
+		t.Fatalf("ReadAll stopped after 10 samples: DecodeCount rose by %d", got)
+	}
+
+	start = DecodeCount()
+	r := NewReader(bytes.NewReader(enc))
+	var s Sample
+	for {
+		if err := r.Read(&s); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := DecodeCount() - start; got != n {
+		t.Fatalf("Read to io.EOF over %d samples: DecodeCount rose by %d", n, got)
+	}
+}

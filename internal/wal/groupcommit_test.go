@@ -327,6 +327,7 @@ func BenchmarkGroupCommitParallel(b *testing.B) {
 	defer l.Close()
 	payload := make([]byte, 512)
 	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			if _, err := l.Append(1, payload); err != nil {
