@@ -158,8 +158,10 @@ external-smoke:
 
 # The local CI gate: what CI's lint and test jobs run — lint (formatting,
 # vet, smuvet), smuvet output determinism, race-enabled shuffled tests,
-# pipebench self-tests, benchmark smoke, fuzz smoke, chaos + kill-restart +
-# tier-failover soaks — plus the in-process and external ingest smokes.
+# pipebench self-tests, fuzz smoke, chaos + kill-restart + tier-failover
+# soaks — plus the in-process and external ingest smokes. The benchmark
+# smoke stands in for CI's bench-diff, which runs the same one-iteration
+# suite against BENCH_8.json and fails on everything the smoke fails on.
 # CI-only: bench-diff and the 100k-device sketch soak (make soak-1m).
 check: lint
 	$(MAKE) smuvet-determinism
@@ -175,11 +177,12 @@ check: lint
 
 # Regenerate EXPERIMENTS.md, the golden that pipebench's
 # TestReportFullReproducesExperiments byte-compares (make pipebench-test):
-# the paper-sized study, scale 1.0 and seed 1, rendered the way that test
-# renders it — each campaign spooled to a trace file and streamed back. Needs
-# ~2 GB of temp disk for the traces.
+# the paper-sized study, scale 1.0 and seed 1. Every run spools each campaign
+# to a trace file and streams it back; without -tracedir the three traces
+# (~1.2 GB at this scale) live in temp dirs under $TMPDIR that the run
+# removes.
 experiments:
-	$(GO) run ./cmd/report -scale 1.0 -seed 1 -tracedir $${TMPDIR:-/tmp}/smartusage-traces -o EXPERIMENTS.md
+	$(GO) run ./cmd/report -scale 1.0 -seed 1 -o EXPERIMENTS.md
 
 # Removes run artifacts from the repo root (collectd spool/WAL dirs as named
 # in the docs, gentrace/traceconv/report/agentsim outputs, tiermerge's
@@ -187,8 +190,9 @@ experiments:
 # scratch kept via -scratch, pipebench's build cache, binary and scratch
 # (.bench_build/), and scratch left in TMPDIR by killed runs: soak test dirs
 # (a completed run cleans its own t.TempDir), loadgen's and
-# examples/pipeline's temp dirs, and tiermerge's sorted runs (a merge
+# examples/pipeline's temp dirs, a campaign run's spooled trace (removed by
+# the run unless it is killed), and tiermerge's sorted runs (a merge
 # removes its own scratch dir unless killed mid-merge).
 clean:
 	rm -f campaign-*.trace campaign-*.jsonl collected.trace merged.trace bench-current.json ingest-current.json
-	rm -rf spool wal loadgen-scratch .bench_build $${TMPDIR:-/tmp}/TestChaosSoak* $${TMPDIR:-/tmp}/TestCrashRestartSoak* $${TMPDIR:-/tmp}/TestTierFailoverSoak* $${TMPDIR:-/tmp}/loadgen-* $${TMPDIR:-/tmp}/pipeline-example-* $${TMPDIR:-/tmp}/tiermerge-*
+	rm -rf spool wal loadgen-scratch .bench_build $${TMPDIR:-/tmp}/TestChaosSoak* $${TMPDIR:-/tmp}/TestCrashRestartSoak* $${TMPDIR:-/tmp}/TestTierFailoverSoak* $${TMPDIR:-/tmp}/loadgen-* $${TMPDIR:-/tmp}/pipeline-example-* $${TMPDIR:-/tmp}/smartusage-campaign-* $${TMPDIR:-/tmp}/tiermerge-*

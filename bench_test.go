@@ -9,10 +9,10 @@
 // experiment's result from an already-simulated campaign: prepass-derived
 // experiments (Tables 1/3/4, Figs. 3/5/10/14-16/19...) re-run their
 // derivation; streaming experiments (Figs. 2/6/9/11-13/17/18, Table 6)
-// re-run their analyzer over the campaign's decoded samples streamed on one
-// worker, so they time the analyzer and the fan-out's batch copy, not a
-// decode. (An in-memory Shards holds its samples encoded, and each pass over
-// it decodes them again.)
+// feed their analyzer's Add, on the calling goroutine, the samples the
+// paper's cleaning rules keep (every sample for Fig. 18's raw analyzer),
+// which the fixture holds decoded, so they time the analyzer alone: no
+// decode, batch copy or goroutine hand-off.
 package smartusage_test
 
 import (
@@ -44,10 +44,22 @@ type fixture struct {
 	cfg     config.Campaign
 	sim     *sim.Simulator
 	samples []trace.Sample
+	cleaned []trace.Sample // the samples the cleaning rules keep, in stream order
 	src     analysis.Source
 	in      analysis.Input // src streamed on one worker
 	prep    *analysis.Prep
 	meta    analysis.Meta
+}
+
+// keeper is an Analyzer that keeps a deep copy of every sample it is given:
+// as a pass's one cleaned analyzer it records the samples that survive the
+// cleaning rules.
+type keeper struct{ samples []trace.Sample }
+
+func (k *keeper) Add(s *trace.Sample)         { k.samples = append(k.samples, *s.Clone()) }
+func (k *keeper) NewShard() analysis.Analyzer { return &keeper{} }
+func (k *keeper) Merge(shard analysis.Analyzer) {
+	k.samples = append(k.samples, shard.(*keeper).samples...)
 }
 
 var (
@@ -79,6 +91,11 @@ func getFixture(b *testing.B) *fixture {
 		if f.prep, err = analysis.BuildPrep(f.meta, f.in, &release); err != nil {
 			panic(err)
 		}
+		var keep keeper
+		if err := analysis.Run(f.in, f.prep, []analysis.Analyzer{&keep}, nil); err != nil {
+			panic(err)
+		}
+		f.cleaned = keep.samples
 		fix = f
 	})
 	return fix
@@ -310,12 +327,11 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-// runAnalyzer replays the fixture's samples through one analyzer with the
-// paper's cleaning rules applied.
-func runAnalyzer(b *testing.B, f *fixture, a analysis.Analyzer) {
-	b.Helper()
-	if err := analysis.Run(f.in, f.prep, []analysis.Analyzer{a}, nil); err != nil {
-		b.Fatal(err)
+// runAnalyzer feeds one analyzer the fixture's cleaned samples on the
+// calling goroutine.
+func runAnalyzer(f *fixture, a analysis.Analyzer) {
+	for i := range f.cleaned {
+		a.Add(&f.cleaned[i])
 	}
 }
 
@@ -324,7 +340,7 @@ func BenchmarkFig2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agg := analysis.NewAggregate(f.meta)
-		runAnalyzer(b, f, agg)
+		runAnalyzer(f, agg)
 		_ = agg.Result()
 	}
 }
@@ -361,7 +377,7 @@ func BenchmarkFig6(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := analysis.NewWiFiRatios(f.meta, f.prep)
-		runAnalyzer(b, f, r)
+		runAnalyzer(f, r)
 		_ = r.Result()
 	}
 }
@@ -371,7 +387,7 @@ func BenchmarkFig9(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		is := analysis.NewInterfaceState(f.meta)
-		runAnalyzer(b, f, is)
+		runAnalyzer(f, is)
 		_ = is.Result()
 	}
 }
@@ -397,7 +413,7 @@ func BenchmarkFig11(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lt := analysis.NewLocationTraffic(f.meta, f.prep)
-		runAnalyzer(b, f, lt)
+		runAnalyzer(f, lt)
 		_ = lt.Result()
 	}
 }
@@ -407,7 +423,7 @@ func BenchmarkFig12(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		apd := analysis.NewAPsPerDay(f.meta, f.prep)
-		runAnalyzer(b, f, apd)
+		runAnalyzer(f, apd)
 		_ = apd.Result()
 	}
 }
@@ -417,7 +433,7 @@ func BenchmarkFig13(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ad := analysis.NewAssocDuration(f.meta, f.prep, false)
-		runAnalyzer(b, f, ad)
+		runAnalyzer(f, ad)
 		_ = ad.Result()
 	}
 }
@@ -451,7 +467,7 @@ func BenchmarkFig17(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pa := analysis.NewPublicAvailability(f.prep)
-		runAnalyzer(b, f, pa)
+		runAnalyzer(f, pa)
 		_ = pa.Result()
 	}
 }
@@ -461,7 +477,7 @@ func BenchmarkTable6(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ab := analysis.NewAppBreakdown(f.meta, f.prep)
-		runAnalyzer(b, f, ab)
+		runAnalyzer(f, ab)
 		_ = ab.Result()
 	}
 }
@@ -472,8 +488,8 @@ func BenchmarkFig18(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ut := analysis.NewUpdateTiming(f.meta, f.prep, release)
-		if err := analysis.Run(f.in, f.prep, nil, []analysis.Analyzer{ut}); err != nil {
-			b.Fatal(err)
+		for j := range f.samples {
+			ut.Add(&f.samples[j])
 		}
 		_ = ut.Result()
 	}
@@ -563,7 +579,7 @@ func BenchmarkBattery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ba := analysis.NewBattery(f.meta)
-		runAnalyzer(b, f, ba)
+		runAnalyzer(f, ba)
 		_ = ba.Result()
 	}
 }
@@ -573,7 +589,7 @@ func BenchmarkCarrierRatios(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cr := analysis.NewCarrierRatios()
-		runAnalyzer(b, f, cr)
+		runAnalyzer(f, cr)
 		_ = cr.Result()
 	}
 }

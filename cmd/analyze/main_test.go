@@ -47,10 +47,10 @@ func TestExperimentsPrintInBothModes(t *testing.T) {
 }
 
 // TestTraceMatchesInMemory runs every experiment id on one small 2015
-// campaign twice: simulated in memory, and loaded the way -trace loads it,
-// streamed with bounded memory from the campaign's trace spooled to disk.
-// Both must print the same lines, except the survey tables: a trace carries
-// no simulated world, so they print their omit -trace note.
+// campaign twice: simulated afresh, and loaded the way -trace loads it,
+// from the campaign's trace kept in a TraceDir. Both must print the same
+// lines, except the survey tables: a trace carries no simulated world, so
+// they print their omit -trace note.
 func TestTraceMatchesInMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a campaign twice")
@@ -84,7 +84,7 @@ func TestTraceMatchesInMemory(t *testing.T) {
 			}
 		default:
 			if got.String() != want.String() {
-				t.Errorf("%s: trace run printed\n%s\nin-memory run printed\n%s", id, got.String(), want.String())
+				t.Errorf("%s: trace run printed\n%s\nsimulated run printed\n%s", id, got.String(), want.String())
 			}
 		}
 	}

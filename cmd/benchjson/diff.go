@@ -17,33 +17,19 @@ import (
 // deterministic, so they gate tightly and catch allocation regressions the
 // timing gate would drown in noise.
 
-// Tolerances configures the regression gate.
-type Tolerances struct {
-	// NsFrac is the allowed fractional ns/op growth (0.5 = +50%).
-	NsFrac float64
-	// NsFloor exempts benchmarks whose baseline ns/op is below it; timing
-	// of sub-floor benchmarks is pure noise at -benchtime=1x.
-	NsFloor float64
-	// BytesFrac / AllocsFrac are the allowed fractional growths, each with
-	// a small absolute slack so one-time pool or map warmup jitter on tiny
-	// benchmarks does not trip the gate.
-	BytesFrac   float64
-	AllocsFrac  float64
-	bytesSlack  int64
-	allocsSlack int64
-}
-
-// DefaultTolerances matches the CI gate.
-func DefaultTolerances() Tolerances {
-	return Tolerances{
-		NsFrac:      0.50,
-		NsFloor:     1e6, // 1 ms
-		BytesFrac:   0.10,
-		AllocsFrac:  0.10,
-		bytesSlack:  512,
-		allocsSlack: 8,
-	}
-}
+// The regression gate's tolerances: the allowed fractional growth of each
+// metric (0.5 = +50%); the ns/op floor, below which a baseline's timing is
+// pure noise at -benchtime=1x and is not judged; and a small absolute
+// slack on B/op and allocs/op, so one-time map or buffer warm-up jitter on
+// tiny benchmarks does not trip the gate.
+const (
+	nsFrac      = 0.50
+	nsFloor     = 1e6 // 1 ms
+	bytesFrac   = 0.10
+	bytesSlack  = 512
+	allocsFrac  = 0.10
+	allocsSlack = 8
+)
 
 // manifestEntry mirrors one marshal() value; pointers distinguish absent
 // metrics from zero.
@@ -119,7 +105,7 @@ type regression struct {
 // former have nothing to regress from, and failing the latter would turn
 // every benchmark rename into a red build instead of a stale-anchor review
 // comment.
-func diff(old map[string]Result, results []Result, tol Tolerances) (string, []regression) {
+func diff(old map[string]Result, results []Result) (string, []regression) {
 	var (
 		b       strings.Builder
 		regs    []regression
@@ -160,13 +146,13 @@ func diff(old map[string]Result, results []Result, tol Tolerances) (string, []re
 			floor     float64
 		}
 		metrics := []metric{
-			{"ns/op", base.NsPerOp, r.NsPerOp, tol.NsFrac, 0, tol.NsFloor},
+			{"ns/op", base.NsPerOp, r.NsPerOp, nsFrac, 0, nsFloor},
 		}
 		if base.BPerOp >= 0 && r.BPerOp >= 0 {
-			metrics = append(metrics, metric{"B/op", float64(base.BPerOp), float64(r.BPerOp), tol.BytesFrac, float64(tol.bytesSlack), 0})
+			metrics = append(metrics, metric{"B/op", float64(base.BPerOp), float64(r.BPerOp), bytesFrac, bytesSlack, 0})
 		}
 		if base.AllocsOp >= 0 && r.AllocsOp >= 0 {
-			metrics = append(metrics, metric{"allocs/op", float64(base.AllocsOp), float64(r.AllocsOp), tol.AllocsFrac, float64(tol.allocsSlack), 0})
+			metrics = append(metrics, metric{"allocs/op", float64(base.AllocsOp), float64(r.AllocsOp), allocsFrac, allocsSlack, 0})
 		}
 		for _, m := range metrics {
 			if m.floor > 0 && m.oldV < m.floor && m.new < m.floor {

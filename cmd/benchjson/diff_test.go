@@ -34,7 +34,7 @@ func TestDiffRoundTripThroughManifest(t *testing.T) {
 	if got := old["p.BenchmarkB"]; got.BPerOp != -1 || got.AllocsOp != -1 {
 		t.Fatalf("absent metrics must load as -1: %+v", got)
 	}
-	report, regs := diff(old, results, DefaultTolerances())
+	report, regs := diff(old, results)
 	if len(regs) != 0 {
 		t.Fatalf("identical run regressed: %v\n%s", regs, report)
 	}
@@ -45,34 +45,33 @@ func TestDiffCatchesRegressions(t *testing.T) {
 		"p.BenchmarkSlow":  {NsPerOp: 10e6, BPerOp: 100_000, AllocsOp: 1000},
 		"p.BenchmarkMicro": {NsPerOp: 50, BPerOp: 64, AllocsOp: 2},
 	}
-	tol := DefaultTolerances()
 
 	// ns/op regression beyond +50% on a benchmark above the floor.
-	_, regs := diff(old, mkResults(res("p", "BenchmarkSlow", 16e6, 100_000, 1000)), tol)
+	_, regs := diff(old, mkResults(res("p", "BenchmarkSlow", 16e6, 100_000, 1000)))
 	if len(regs) != 1 || regs[0].metric != "ns/op" {
 		t.Fatalf("ns regression not caught: %v", regs)
 	}
 
 	// The same relative slowdown below the floor is noise, not a failure.
-	_, regs = diff(old, mkResults(res("p", "BenchmarkMicro", 80, 64, 2)), tol)
+	_, regs = diff(old, mkResults(res("p", "BenchmarkMicro", 80, 64, 2)))
 	if len(regs) != 0 {
 		t.Fatalf("sub-floor ns jitter failed the gate: %v", regs)
 	}
 
 	// Alloc growth beyond tolerance+slack fails even with flat timing.
-	_, regs = diff(old, mkResults(res("p", "BenchmarkSlow", 10e6, 100_000, 1200)), tol)
+	_, regs = diff(old, mkResults(res("p", "BenchmarkSlow", 10e6, 100_000, 1200)))
 	if len(regs) != 1 || regs[0].metric != "allocs/op" {
 		t.Fatalf("alloc regression not caught: %v", regs)
 	}
 
 	// Byte growth beyond tolerance fails.
-	_, regs = diff(old, mkResults(res("p", "BenchmarkSlow", 10e6, 120_000, 1000)), tol)
+	_, regs = diff(old, mkResults(res("p", "BenchmarkSlow", 10e6, 120_000, 1000)))
 	if len(regs) != 1 || regs[0].metric != "B/op" {
 		t.Fatalf("bytes regression not caught: %v", regs)
 	}
 
 	// Small absolute alloc jitter on tiny benchmarks passes (slack).
-	_, regs = diff(old, mkResults(res("p", "BenchmarkMicro", 50, 64, 4)), tol)
+	_, regs = diff(old, mkResults(res("p", "BenchmarkMicro", 50, 64, 4)))
 	if len(regs) != 0 {
 		t.Fatalf("slack did not absorb tiny alloc jitter: %v", regs)
 	}
@@ -85,7 +84,7 @@ func TestDiffImprovementsAndNewBenchmarksPass(t *testing.T) {
 	report, regs := diff(old, mkResults(
 		res("p", "BenchmarkSlow", 4e6, 40_000, 300), // big improvement
 		res("p", "BenchmarkFresh", 5e6, 10, 1),      // no baseline
-	), DefaultTolerances())
+	))
 	if len(regs) != 0 {
 		t.Fatalf("improvement or new benchmark failed the gate: %v\n%s", regs, report)
 	}
@@ -102,7 +101,7 @@ func TestDiffReportsMissingWithoutFailing(t *testing.T) {
 		"p.BenchmarkGone": {NsPerOp: 1e6, BPerOp: 10, AllocsOp: 1},
 		"p.BenchmarkKept": {NsPerOp: 1e6, BPerOp: 10, AllocsOp: 1},
 	}
-	report, regs := diff(old, mkResults(res("p", "BenchmarkKept", 1e6, 10, 1)), DefaultTolerances())
+	report, regs := diff(old, mkResults(res("p", "BenchmarkKept", 1e6, 10, 1)))
 	if len(regs) != 0 {
 		t.Fatalf("missing benchmark failed the gate: %v", regs)
 	}
@@ -126,7 +125,7 @@ func TestDiffAgainstParsedBenchOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, regs := diff(old, results, DefaultTolerances()); len(regs) != 0 {
+	if _, regs := diff(old, results); len(regs) != 0 {
 		t.Fatalf("self-diff regressed: %v", regs)
 	}
 }
@@ -158,7 +157,7 @@ func TestMachineRoundTrip(t *testing.T) {
 	if _, ok := old[machineKey]; ok || len(old) != len(results) {
 		t.Errorf("loaded %d benchmarks (machine key among them: %v), want %d", len(old), ok, len(results))
 	}
-	if report, regs := diff(old, results, DefaultTolerances()); len(regs) != 0 || strings.Contains(report, machineKey) {
+	if report, regs := diff(old, results); len(regs) != 0 || strings.Contains(report, machineKey) {
 		t.Errorf("self-diff with a machine: %v\n%s", regs, report)
 	}
 

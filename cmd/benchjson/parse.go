@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,7 +38,9 @@ const machineKey = "_machine"
 
 // parse reads `go test -bench` output and returns one Result per benchmark
 // line, tagged with the package from the most recent "pkg:" header, and the
-// machine its header lines and benchmark names describe.
+// machine its header lines and benchmark names describe. A "--- FAIL" or
+// "FAIL" line (a failed or panicking benchmark, a package that did not
+// build) is an error: the run's manifest would lack keys without saying so.
 func parse(sc *bufio.Scanner) ([]Result, Machine, error) {
 	var (
 		results []Result
@@ -46,6 +49,9 @@ func parse(sc *bufio.Scanner) ([]Result, Machine, error) {
 	)
 	for sc.Scan() {
 		line := sc.Text()
+		if failed(line) {
+			return nil, m, fmt.Errorf("the benchmark run failed: %s", strings.TrimSpace(line))
+		}
 		if key, val, ok := strings.Cut(line, ": "); ok {
 			val = strings.TrimSpace(val)
 			switch key {
@@ -102,6 +108,14 @@ func parse(sc *bufio.Scanner) ([]Result, Machine, error) {
 		}
 	}
 	return results, m, sc.Err()
+}
+
+// failed reports whether line marks a failure in go test's output: "---
+// FAIL:" before a failed benchmark (indented for a sub-benchmark), and
+// "FAIL" alone or before a package that failed or did not build.
+func failed(line string) bool {
+	f := strings.Fields(line)
+	return len(f) > 0 && f[0] == "FAIL" || len(f) > 1 && f[0] == "---" && f[1] == "FAIL:"
 }
 
 // trimProcs strips the -GOMAXPROCS suffix (BenchmarkX-8 → BenchmarkX) so

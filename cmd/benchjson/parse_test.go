@@ -44,6 +44,30 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseRejectsFailedRun: output in which a benchmark failed, a
+// sub-benchmark failed or a package did not build must not parse, or the
+// manifest written from it would silently lack keys.
+func TestParseRejectsFailedRun(t *testing.T) {
+	for name, out := range map[string]string{
+		"failed benchmark": `pkg: smartusage
+BenchmarkFig1-2   	1	2100 ns/op	912 B/op	14 allocs/op
+--- FAIL: BenchmarkFig2
+    bench_test.go:301: simulate: boom
+FAIL
+exit status 1
+FAIL	smartusage	1.234s
+`,
+		"failed sub-benchmark": `pkg: smartusage
+    --- FAIL: BenchmarkFig2/inner
+`,
+		"build failure": "FAIL\tsmartusage/internal/obs [build failed]\n" + sampleBenchOutput,
+	} {
+		if results, _, err := parse(bufio.NewScanner(strings.NewReader(out))); err == nil {
+			t.Errorf("%s: parsed %d results and no error", name, len(results))
+		}
+	}
+}
+
 func TestMarshalDeterministic(t *testing.T) {
 	results, _, err := parse(bufio.NewScanner(strings.NewReader(sampleBenchOutput)))
 	if err != nil {

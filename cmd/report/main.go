@@ -39,7 +39,7 @@ func run(args []string) (err error) {
 		scale      = fs.Float64("scale", 0.25, "panel scale (1.0 = paper size)")
 		seed       = fs.Int64("seed", 1, "random seed")
 		out        = fs.String("o", "", "output file (default stdout)")
-		traceDir   = fs.String("tracedir", "", "spool traces to this directory instead of memory")
+		traceDir   = fs.String("tracedir", "", "keep each campaign's trace here (default: a temp dir the run removes)")
 		anaWorkers = fs.Int("analysis-workers", 0, "analysis workers (0 = one, -1 = all cores)")
 		sketchMode = fs.Bool("sketch", false, "bounded-memory sketch analyzers (~1% quantile error)")
 		traceOut   = fs.String("trace-out", "", "write per-stage spans (simulate, prepass, shards, merges) as Chrome trace JSONL to this file")

@@ -340,7 +340,7 @@ func TestShardsHoldEncodedSamples(t *testing.T) {
 	if filled.HeapAlloc > base.HeapAlloc {
 		growth = filled.HeapAlloc - base.HeapAlloc
 	}
-	const slack = 2 * (maxPartChunk + 80<<10)
+	const slack = 2 * (1<<20 + 80<<10) // per part: its partly filled last chunk and the Writer's buffers, with room to spare
 	limit := uint64(encoded)*5/4 + slack
 	t.Logf("%d samples, %d B encoded (%.1f B/sample): partition +%.1f MiB (%.1f B/sample), limit %.1f MiB",
 		len(samples), encoded, float64(encoded)/float64(len(samples)),

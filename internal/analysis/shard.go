@@ -45,7 +45,8 @@ func shardOf(dev trace.DeviceID, n int) int {
 
 // Chunk sizes, in elements: a chunk list starts at minChunk and each new
 // chunk doubles the last up to maxChunk. minChunk is one fan-out batch,
-// whose samples thus fill exactly one chunk.
+// whose samples thus fill exactly one chunk. A Shards part's bytes come in
+// flushes of its Writer's 64 KiB buffer, maxChunk bytes, one per chunk.
 const (
 	minChunk = fanOutBatch
 	maxChunk = 64 << 10
@@ -148,20 +149,11 @@ func (p *slab) reset() {
 	p.n = 0
 }
 
-// Part chunk sizes, in bytes: a part's first chunk holds one flush of its
-// trace.Writer's 64 KiB buffer and each new chunk doubles the last up to
-// maxPartChunk, so a part wastes at most one partly filled chunk.
-const (
-	minPartChunk = 64 << 10
-	maxPartChunk = 1 << 20
-)
-
 // part is one device partition of a Shards: its samples as a binary trace,
-// written by a trace.Writer into byte chunks that are never moved or
-// regrown, so growth allocates a new chunk instead of copying what is held.
+// written by a trace.Writer into a byte chunk list.
 type part struct {
 	w      *trace.Writer // nil until the part's first sample
-	chunks [][]byte
+	chunks chunks[byte]
 	n      int // samples held
 }
 
@@ -176,23 +168,7 @@ func (p *part) add(s *trace.Sample) error {
 
 // Write appends b to the chunks; it is the io.Writer under p.w.
 func (p *part) Write(b []byte) (int, error) {
-	n := len(b)
-	for len(b) > 0 {
-		k := len(p.chunks) - 1
-		if k < 0 || len(p.chunks[k]) == cap(p.chunks[k]) {
-			size := minPartChunk
-			if k >= 0 {
-				size = min(2*cap(p.chunks[k]), maxPartChunk)
-			}
-			p.chunks = append(p.chunks, make([]byte, 0, size))
-			k++
-		}
-		c := p.chunks[k]
-		m := copy(c[len(c):cap(c)], b)
-		p.chunks[k] = c[:len(c)+m]
-		b = b[m:]
-	}
-	return n, nil
+	return copy(p.chunks.alloc(len(b)), b), nil
 }
 
 // each flushes p.w into the chunks, decodes them through a trace.Reader
@@ -207,8 +183,8 @@ func (p *part) each(w int, work func(int, *trace.Sample) error) error {
 	if err := p.w.Flush(); err != nil {
 		return err
 	}
-	rs := make([]io.Reader, len(p.chunks))
-	for i, c := range p.chunks {
+	rs := make([]io.Reader, len(p.chunks.list))
+	for i, c := range p.chunks.list {
 		rs[i] = bytes.NewReader(c)
 	}
 	return trace.NewReader(io.MultiReader(rs...)).ReadAll(func(s *trace.Sample) error {

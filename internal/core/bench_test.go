@@ -8,6 +8,7 @@ import (
 	"smartusage/internal/analysis"
 	"smartusage/internal/config"
 	"smartusage/internal/core"
+	"smartusage/internal/sim"
 	"smartusage/internal/trace"
 )
 
@@ -34,14 +35,14 @@ func benchCampaign(b testing.TB) (config.Campaign, analysis.Source, int) {
 // analyzeInShards reads src once into an n-way in-memory device partition,
 // which holds it encoded, and analyzes the campaign there: each pass decodes
 // every part on the goroutine that analyzes it, with memory that grows with
-// the trace.
-func analyzeInShards(cfg config.Campaign, src analysis.Source, n int, opts core.Options) (*core.CampaignRun, error) {
+// the trace. sm may be nil, which skips the survey.
+func analyzeInShards(cfg config.Campaign, sm *sim.Simulator, src analysis.Source, n int, opts core.Options) (*core.CampaignRun, error) {
 	sh := analysis.NewShards(n)
 	if err := src(sh.Add); err != nil {
 		sh.Release()
 		return nil, err
 	}
-	return core.AnalyzeCampaignShards(cfg, nil, sh, opts)
+	return core.AnalyzeCampaignShards(cfg, sm, sh, opts)
 }
 
 // BenchmarkAnalyzeCampaignSequential is the baseline: the one-worker
@@ -104,13 +105,13 @@ func BenchmarkAnalyzeCampaignParallel(b *testing.B) {
 		workers = 4
 	}
 	// An untimed first run takes the page faults.
-	if _, err := analyzeInShards(cfg, src, workers, core.Options{}); err != nil {
+	if _, err := analyzeInShards(cfg, nil, src, workers, core.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	start := trace.DecodeCount()
 	for i := 0; i < b.N; i++ {
-		if _, err := analyzeInShards(cfg, src, workers, core.Options{}); err != nil {
+		if _, err := analyzeInShards(cfg, nil, src, workers, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,9 +37,12 @@ type Options struct {
 	Scale float64
 	// Seed drives all randomness; zero defaults to 1.
 	Seed int64
-	// TraceDir, when non-empty, spools each campaign's trace to
-	// <TraceDir>/campaign-<year>.trace and streams analyses from disk
-	// instead of memory.
+	// TraceDir, when non-empty, keeps each campaign's trace as
+	// <TraceDir>/campaign-<year>.trace. Every run spools its trace and
+	// streams both analysis passes from the file; without TraceDir the file
+	// goes into a private directory under os.TempDir, removed before the
+	// run returns, so a run needs temp disk for its trace (about 70 B per
+	// sample).
 	TraceDir string
 	// Years restricts the campaigns to run; nil means all three.
 	Years []int
@@ -78,8 +81,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// analysisWorkers resolves AnalysisWorkers to a shard count; zero passes
-// through, and analysis.Stream and analysis.NewShards read it as one.
+// analysisWorkers resolves AnalysisWorkers to a worker count; zero passes
+// through, and analysis.Stream reads it as one.
 func (o Options) analysisWorkers() int {
 	if o.AnalysisWorkers < 0 {
 		return runtime.GOMAXPROCS(0)
@@ -138,33 +141,31 @@ func RunCampaign(year int, opts Options) (*CampaignRun, error) {
 // the entry point for what-if studies that perturb policies (see
 // examples/capsim).
 //
-// In-memory runs (no TraceDir) encode simulator output into
-// device-partitioned Shards, which hold the campaign at about its trace
-// size, and each pass decodes every shard on the goroutine that analyzes
-// it. TraceDir runs spool the binary trace to disk and stream the passes
-// from the file, keeping memory bounded.
-func RunWithConfig(cfg config.Campaign, opts Options) (*CampaignRun, error) {
+// The simulation is spooled as a binary trace, into opts.TraceDir when set
+// and otherwise into a temporary directory removed before RunWithConfig
+// returns (a failed removal fails the run), and AnalyzeCampaign streams
+// both passes from the file, so memory stays bounded whatever the
+// campaign's length.
+func RunWithConfig(cfg config.Campaign, opts Options) (run *CampaignRun, err error) {
 	opts = opts.withDefaults()
-	year := strconv.Itoa(cfg.Year)
-	sp := opts.Tracer.Start("core:campaign").Arg("year", year)
+	sp := opts.Tracer.Start("core:campaign").Arg("year", strconv.Itoa(cfg.Year))
 	defer sp.End()
 	sm, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	runSim := func(sink sim.Sink) error {
-		ssp := opts.Tracer.Start("core:simulate").Arg("year", year)
-		defer ssp.End()
-		return sm.Run(sink)
-	}
-	if opts.TraceDir == "" {
-		sh := analysis.NewShards(opts.analysisWorkers())
-		if err := runSim(sh.Add); err != nil {
-			return nil, fmt.Errorf("core: simulate %d: %w", cfg.Year, err)
+	dir := opts.TraceDir
+	if dir == "" {
+		if dir, err = os.MkdirTemp("", "smartusage-campaign-*"); err != nil {
+			return nil, fmt.Errorf("core: trace dir: %w", err)
 		}
-		return AnalyzeCampaignShards(cfg, sm, sh, opts)
+		defer func() {
+			if rerr := os.RemoveAll(dir); rerr != nil && err == nil {
+				run, err = nil, fmt.Errorf("core: remove trace dir: %w", rerr)
+			}
+		}()
 	}
-	path, err := spoolTrace(sm, opts.TraceDir, runSim)
+	path, err := spoolTrace(sm, dir, opts.Tracer)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +174,7 @@ func RunWithConfig(cfg config.Campaign, opts Options) (*CampaignRun, error) {
 
 // spoolTrace executes the simulation once, writing the binary trace under
 // dir, and returns the file path.
-func spoolTrace(sm *sim.Simulator, dir string, runSim func(sim.Sink) error) (string, error) {
+func spoolTrace(sm *sim.Simulator, dir string, tracer *obs.Tracer) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("core: trace dir: %w", err)
 	}
@@ -183,7 +184,10 @@ func spoolTrace(sm *sim.Simulator, dir string, runSim func(sim.Sink) error) (str
 		return "", fmt.Errorf("core: create trace: %w", err)
 	}
 	w := trace.NewWriter(f)
-	if err := runSim(w.Write); err != nil {
+	sp := tracer.Start("core:simulate").Arg("year", strconv.Itoa(sm.Cfg.Year))
+	err = sm.Run(w.Write)
+	sp.End()
+	if err != nil {
 		f.Close()
 		return "", fmt.Errorf("core: simulate %d: %w", sm.Cfg.Year, err)
 	}
@@ -315,9 +319,10 @@ func AnalyzeCampaign(cfg config.Campaign, sm *sim.Simulator, src analysis.Source
 	return analyze(cfg, sm, analysis.Stream(src, opts.analysisWorkers()), opts)
 }
 
-// AnalyzeCampaignShards runs the two-pass pipeline over pre-partitioned
-// in-memory shards, each pass decoding every shard on a goroutine of its
-// own (on the calling goroutine when sh has one shard). It releases sh
+// AnalyzeCampaignShards runs the two-pass pipeline over a campaign its
+// caller already holds in memory as pre-partitioned shards, each pass
+// decoding every shard on a goroutine of its own (on the calling goroutine
+// when sh has one shard); RunWithConfig never builds one. It releases sh
 // before returning, successfully or not, so a caller that keeps sh does not
 // keep the campaign; sh then holds no samples.
 func AnalyzeCampaignShards(cfg config.Campaign, sm *sim.Simulator, sh *analysis.Shards, opts Options) (*CampaignRun, error) {

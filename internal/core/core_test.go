@@ -338,9 +338,9 @@ func TestShapeSurvey(t *testing.T) {
 	}
 }
 
-// TestTraceDirRoundTrip runs a campaign spooled to disk and re-analyzes the
-// file, confirming the file path produces identical results to the in-memory
-// path.
+// TestTraceDirRoundTrip runs a campaign that keeps its trace in TraceDir and
+// one whose trace goes to a private temp dir, confirming the kept file
+// exists and both produce identical results.
 func TestTraceDirRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("disk round trip skipped in -short mode")
@@ -550,7 +550,7 @@ func compareRuns(t *testing.T, label string, want, got *core.CampaignRun) {
 // decode-ahead.
 func inlineAnalyze(t *testing.T, cfg config.Campaign, src analysis.Source, opts core.Options) *core.CampaignRun {
 	t.Helper()
-	run, err := analyzeInShards(cfg, src, 1, opts)
+	run, err := analyzeInShards(cfg, nil, src, 1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,10 +619,11 @@ func TestShardsPrepError(t *testing.T) {
 }
 
 // TestAnalysisWorkersEquivalence checks the tentpole determinism guarantee
-// end to end: a campaign analyzed with sharded workers — both the in-memory
-// shard path and the streaming trace-file path — produces a CampaignRun
-// identical to the one-worker analysis, experiment by experiment. 2015 is
-// used so the update-timing (raw) analyzer runs too.
+// end to end: a campaign analyzed with sharded workers — both the streaming
+// trace-file path and a 4-way in-memory partition of the same trace, the
+// form pipebench's pipeline analyzes — produces a CampaignRun identical to
+// the one-worker analysis, experiment by experiment. 2015 is used so the
+// update-timing (raw) analyzer runs too.
 func TestAnalysisWorkersEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence campaigns skipped in -short mode")
@@ -633,16 +634,17 @@ func TestAnalysisWorkersEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.AnalysisWorkers = 4
-	par, err := core.RunCampaign(2015, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareRuns(t, "in-memory shards", seq, par)
-
 	opts.TraceDir = t.TempDir()
 	stream, err := core.RunCampaign(2015, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareRuns(t, "streaming fan-out", seq, stream)
+
+	src := analysis.FileSource(filepath.Join(opts.TraceDir, "campaign-2015.trace"))
+	par, err := analyzeInShards(seq.Cfg, seq.Sim, src, 4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareRuns(t, "in-memory shards", seq, par)
 }

@@ -39,7 +39,7 @@ func TestMultiCoreSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := analyzeInShards(cfg, src, workers, core.Options{})
+	parRes, err := analyzeInShards(cfg, nil, src, workers, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMultiCoreSpeedup(t *testing.T) {
 		return err
 	}))
 	par := best(timed(func() error {
-		_, err := analyzeInShards(cfg, src, workers, core.Options{})
+		_, err := analyzeInShards(cfg, nil, src, workers, core.Options{})
 		return err
 	}))
 
