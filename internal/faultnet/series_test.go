@@ -59,8 +59,8 @@ counter wal_append_bytes_total{wal="agent_spool"} # Framed bytes appended to the
 counter wal_append_bytes_total{wal="collector"} # Framed bytes appended to the write-ahead log.
 counter wal_appends_total{wal="agent_spool"} # Records appended to the write-ahead log.
 counter wal_appends_total{wal="collector"} # Records appended to the write-ahead log.
-counter wal_fsyncs_total{wal="agent_spool"} # fsync calls issued against WAL segments.
-counter wal_fsyncs_total{wal="collector"} # fsync calls issued against WAL segments.
+counter wal_fsyncs_total{wal="agent_spool"} # Syncs (fsync or fdatasync) committing WAL records or sealing segments.
+counter wal_fsyncs_total{wal="collector"} # Syncs (fsync or fdatasync) committing WAL records or sealing segments.
 counter wal_rotations_total{wal="agent_spool"} # Segment rotations.
 counter wal_rotations_total{wal="collector"} # Segment rotations.
 counter wal_torn_bytes_total{wal="agent_spool"} # Torn-tail bytes truncated during open-time repair.
@@ -70,6 +70,8 @@ gauge collector_devices
 gauge collector_replica_id # This instance's index within the collector tier.
 histogram agent_backoff_seconds # Backoff delays slept before retries.
 histogram collector_sink_seconds # Per-sample sink call latency.
+histogram wal_sync_seconds{wal="agent_spool"} # Latency of each WAL segment sync (fsync or fdatasync).
+histogram wal_sync_seconds{wal="collector"} # Latency of each WAL segment sync (fsync or fdatasync).
 `
 
 // seriesList renders each series in reg as its kind, name and label set,

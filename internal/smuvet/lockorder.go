@@ -16,8 +16,9 @@ import (
 //     and B while A elsewhere — the classic ABBA deadlock; acquiring the
 //     same mutex expression twice on one path is the degenerate self-cycle;
 //   - blocking under a lock: a call that waits for an fsync
-//     (wal.Log.Append/Commit/Sync/Close/Rotate/Reset, or os.File.Sync on a
-//     writable handle) while any mutex is held. The group-commit split of
+//     (wal.Log.Append/Commit/Sync/Close/Rotate/Reset, os.File.Sync on a
+//     writable handle, syscall.Fdatasync, or the wal package's datasync
+//     helper) while any mutex is held. The group-commit split of
 //     PR 7 exists precisely so AppendAsync happens under the collector lock
 //     and the fsync wait does not; holding a lock across Commit reintroduces
 //     the serialization the split removed.
@@ -261,6 +262,14 @@ func collectLockEvents(pass *Pass, file *ast.File, fd *ast.FuncDecl, body *ast.B
 
 // blockingCallDesc classifies call as an fsync-waiting operation, or "".
 func blockingCallDesc(pass *Pass, file *ast.File, call *ast.CallExpr, fn *types.Func) string {
+	if fn.Pkg() != nil && fn.Type().(*types.Signature).Recv() == nil {
+		switch pkg := fn.Pkg().Path(); {
+		case pkg == "syscall" && fn.Name() == "Fdatasync":
+			return "syscall.Fdatasync"
+		case pathBase(pkg) == "wal" && fn.Name() == "datasync":
+			return "wal.datasync"
+		}
+	}
 	pkgBase, typeName := recvNamed(fn)
 	switch {
 	case pkgBase == "wal" && typeName == "Log" && walBlockingMethods[fn.Name()]:

@@ -42,7 +42,7 @@ func TestCommitPair(t *testing.T) {
 }
 
 func TestLockOrder(t *testing.T) {
-	smuvettest.Run(t, ".", []*smuvet.Analyzer{smuvet.LockOrderAnalyzer}, "./testdata/src/collector")
+	smuvettest.Run(t, ".", []*smuvet.Analyzer{smuvet.LockOrderAnalyzer}, "./testdata/src/collector", "./testdata/src/datasync/wal")
 }
 
 // TestStaleAllow exercises the stale-allow sweep: it rides along with any
@@ -65,6 +65,7 @@ func TestAllAnalyzers(t *testing.T) {
 		"./testdata/src/zerocopy",
 		"./testdata/src/commit",
 		"./testdata/src/collector",
+		"./testdata/src/datasync/wal",
 		"./testdata/src/macro",
 	)
 }

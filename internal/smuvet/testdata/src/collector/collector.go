@@ -4,7 +4,9 @@
 package collector
 
 import (
+	"os"
 	"sync"
+	"syscall"
 
 	"smartusage/internal/wal"
 )
@@ -21,6 +23,13 @@ func (s *Server) CommitUnderLock(seq int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Commit(seq) // want `wal\.Log\.Commit can wait on an fsync while s\.mu is held`
+}
+
+// DatasyncUnderLock holds the server lock across an fdatasync of a file.
+func (s *Server) DatasyncUnderLock(f *os.File) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return syscall.Fdatasync(int(f.Fd())) // want `syscall\.Fdatasync can wait on an fsync while s\.mu is held`
 }
 
 // GroupCommit is the approved split: AppendAsync under the lock, the fsync

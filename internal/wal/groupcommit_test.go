@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"smartusage/internal/obs"
 )
 
 // TestGroupCommitCoalesces proves that concurrent FsyncRecord appends share
@@ -317,10 +319,11 @@ func TestGroupCommitCloseWakesFollowers(t *testing.T) {
 }
 
 // BenchmarkGroupCommitParallel measures FsyncRecord append throughput with
-// concurrent appenders sharing fsyncs — the collector's many-connections
-// shape. Compare with -cpu=1,4 to see coalescing scale.
+// concurrent appenders sharing syncs — the collector's many-connections
+// shape. Compare with -cpu=1,4 to see coalescing scale. A one-iteration run
+// times the segment's first round, which also lays its first padding step.
 func BenchmarkGroupCommitParallel(b *testing.B) {
-	l, err := Open(b.TempDir(), Options{Policy: FsyncRecord})
+	l, err := Open(b.TempDir(), Options{Policy: FsyncRecord, Metrics: obs.NewRegistry()})
 	if err != nil {
 		b.Fatalf("open: %v", err)
 	}

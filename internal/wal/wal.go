@@ -15,10 +15,27 @@
 // residue of a crash mid-append and is truncated away. Corruption anywhere
 // else (a sealed segment, or mid-segment with intact records after it) is
 // not a crash artifact and stops Replay with ErrCorrupt.
+//
+// Under FsyncRecord every group-commit round syncs with fdatasync(2), which
+// writes the file's data and the metadata needed to read it back (the size
+// and block allocation, when they changed) but not the timestamps. A leader
+// whose records have outgrown the active segment's zero padding first
+// writes the next padStep bytes of zeros after them, so its own fdatasync
+// commits the new size once. The rounds after it end inside that padding:
+// they overwrite blocks the file already has, below a size already on disk,
+// so fdatasync has no metadata left to commit and the file system pays no
+// journal commit for a growing file on every round. Elsewhere than Linux
+// the round falls back to fsync. Only the active segment is padded: seal
+// and Close truncate the padding before their sync, so a sealed segment is
+// exactly its records. No intact record starts with a run of zeros (the
+// CRC-32C of a lone zero type byte is not zero), so Open reads a zero tail
+// after the last record as the end of the log: it is truncated, and not
+// counted as torn.
 package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,6 +57,14 @@ var segMagic = []byte("SWAL1")
 // below this by the proto frame limit.
 const MaxRecordSize = 8 << 20
 
+// padStep is how much zero padding one step lays past an FsyncRecord
+// segment's records.
+const padStep = 1 << 20
+
+// zeroPad is the source of every padding write. It is never written, so its
+// pages stay unbacked.
+var zeroPad [padStep]byte
+
 // Fsync policies.
 type Policy int
 
@@ -47,9 +72,11 @@ const (
 	// FsyncRecord syncs the segment file after every append: an
 	// acknowledged record survives power loss. This is the collector
 	// default — an acked batch must never be lost. Concurrent appenders
-	// group-commit: one fsync covers every record flushed before it
-	// started, so N connections committing together pay ~1 fsync, not N
-	// (each Append still blocks until a sync covers its own record).
+	// group-commit: one sync covers every record flushed before it
+	// started, so N connections committing together pay ~1 sync, not N
+	// (each Append still blocks until a sync covers its own record). A
+	// round syncs with fdatasync, inside the segment's zero padding (see
+	// the package comment).
 	FsyncRecord Policy = iota
 	// FsyncInterval syncs at most every Options.Interval: bounded data loss
 	// on power failure, far fewer fsyncs under load.
@@ -98,26 +125,36 @@ type Options struct {
 	// "pre-fsync") for fault injection; a non-nil return aborts the
 	// operation as a crash would. See faultnet.CrashPlan. It is also
 	// consulted at "group-fsync" by a group-commit leader immediately
-	// before its fsync, with the log lock released — a hook that sleeps
-	// there models a stalled disk while appenders keep queueing behind the
-	// commit; a non-nil return fails that commit round.
+	// before its sync (fsync or fdatasync), with the log lock released —
+	// a hook that sleeps there models a stalled disk while appenders keep
+	// queueing behind the commit; a non-nil return fails that commit
+	// round.
 	Hook func(point string) error
 	// Metrics, when non-nil, receives wal_* counters (appends, bytes,
-	// fsyncs, rotations, torn-tail bytes) labeled wal=MetricsName.
+	// syncs, rotations, torn-tail bytes) and the wal_sync_seconds
+	// histogram, labeled wal=MetricsName.
 	Metrics *obs.Registry
 	// MetricsName distinguishes multiple logs in one registry (e.g.
 	// "collector" vs "agent_spool"). Default "wal".
 	MetricsName string
 }
 
+// syncBuckets bound wal_sync_seconds: DefBuckets plus the tens of
+// microseconds a sync takes on a local disk, below their first bound.
+var syncBuckets = append([]float64{1e-5, 2.5e-5, 5e-5}, obs.DefBuckets...)
+
 // walMetrics holds the log's instruments; all fields are nil (no-op) when
 // Options.Metrics is unset.
 type walMetrics struct {
-	appends   *obs.Counter
-	bytes     *obs.Counter
-	fsyncs    *obs.Counter
-	rotations *obs.Counter
-	torn      *obs.Counter
+	appends     *obs.Counter
+	bytes       *obs.Counter
+	fsyncs      *obs.Counter
+	rotations   *obs.Counter
+	torn        *obs.Counter
+	syncSeconds *obs.Histogram
+	// timed is set when a registry is present: the clock is read around a
+	// sync only then.
+	timed bool
 }
 
 func newWALMetrics(reg *obs.Registry, name string) walMetrics {
@@ -127,15 +164,18 @@ func newWALMetrics(reg *obs.Registry, name string) walMetrics {
 	l := obs.L("wal", name)
 	reg.SetHelp("wal_appends_total", "Records appended to the write-ahead log.")
 	reg.SetHelp("wal_append_bytes_total", "Framed bytes appended to the write-ahead log.")
-	reg.SetHelp("wal_fsyncs_total", "fsync calls issued against WAL segments.")
+	reg.SetHelp("wal_fsyncs_total", "Syncs (fsync or fdatasync) committing WAL records or sealing segments.")
 	reg.SetHelp("wal_rotations_total", "Segment rotations.")
 	reg.SetHelp("wal_torn_bytes_total", "Torn-tail bytes truncated during open-time repair.")
+	reg.SetHelp("wal_sync_seconds", "Latency of each WAL segment sync (fsync or fdatasync).")
 	return walMetrics{
-		appends:   reg.Counter("wal_appends_total", l),
-		bytes:     reg.Counter("wal_append_bytes_total", l),
-		fsyncs:    reg.Counter("wal_fsyncs_total", l),
-		rotations: reg.Counter("wal_rotations_total", l),
-		torn:      reg.Counter("wal_torn_bytes_total", l),
+		appends:     reg.Counter("wal_appends_total", l),
+		bytes:       reg.Counter("wal_append_bytes_total", l),
+		fsyncs:      reg.Counter("wal_fsyncs_total", l),
+		rotations:   reg.Counter("wal_rotations_total", l),
+		torn:        reg.Counter("wal_torn_bytes_total", l),
+		syncSeconds: reg.Histogram("wal_sync_seconds", syncBuckets, l),
+		timed:       reg != nil,
 	}
 }
 
@@ -185,9 +225,12 @@ type Log struct {
 	bw       *bufio.Writer // guarded by mu
 	// seq is the current segment sequence. guarded by mu
 	seq uint64
-	// off is the current segment size (bytes written incl. header).
+	// off is the current segment's record bytes (written incl. header).
 	// guarded by mu
-	off     int64
+	off int64
+	// padEnd is where the zero padding written past the current segment's
+	// records ends; 0 for an unpadded segment. guarded by mu
+	padEnd  int64
 	records int64 // guarded by mu
 	// torn counts bytes truncated during Open's tail repair. guarded by mu
 	torn int64
@@ -198,7 +241,7 @@ type Log struct {
 	// durableSeq < writeSeq is the old "dirty" state. guarded by mu
 	writeSeq   int64
 	durableSeq int64
-	// syncing marks a group-commit leader's fsync in flight (running with
+	// syncing marks a group-commit leader's sync in flight (running with
 	// mu released so appenders keep writing behind it). guarded by mu
 	syncing bool
 	// syncedCond is broadcast whenever durableSeq advances or the log
@@ -250,9 +293,14 @@ func Open(dir string, opts Options) (*Log, error) {
 		}
 		l.torn = n
 		l.m.torn.Add(n)
-		f, err := os.OpenFile(l.segPath(last), os.O_WRONLY|os.O_APPEND, 0o644)
+		// Not O_APPEND: WriteAt, which lays the padding, refuses such a
+		// file. The writer starts at the repaired end instead.
+		f, err := os.OpenFile(l.segPath(last), os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: reopen segment: %w", err)
+		}
+		if _, err := f.Seek(size, io.SeekStart); err != nil {
+			return nil, errors.Join(fmt.Errorf("wal: reopen segment: %w", err), f.Close())
 		}
 		l.f, l.bw = f, bufio.NewWriterSize(f, 64<<10)
 		l.seq, l.off = last, size
@@ -322,53 +370,72 @@ func repairTail(path string) (size, torn int64, err error) {
 		}
 		return int64(len(segMagic)), total, nil
 	}
-	good, _, err := scanSegment(f, nil)
+	good, err := scanSegment(f, total, nil)
 	if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		return 0, 0, err
 	}
 	if good < total {
+		// The zero padding after the records (and after a torn record) is
+		// the end of the log, not part of the tear.
+		torn, err := tornBytes(f, good, total)
+		if err != nil {
+			return 0, 0, err
+		}
 		if err := f.Truncate(good); err != nil {
 			return 0, 0, fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
-		return good, total - good, nil
+		return good, torn, nil
 	}
 	return total, 0, nil
 }
 
-// scanSegment reads records from the segment's start, calling fn (when
+// tornBytes returns how many bytes of f's range [from, to) precede its
+// trailing run of zeros.
+func tornBytes(f *os.File, from, to int64) (int64, error) {
+	buf := make([]byte, 64<<10)
+	var torn int64
+	for off := from; off < to; {
+		n, err := f.ReadAt(buf[:min(int64(len(buf)), to-off)], off)
+		if k := len(bytes.TrimRight(buf[:n], "\x00")); k > 0 {
+			torn = off + int64(k) - from
+		}
+		if err != nil {
+			return 0, fmt.Errorf("wal: read torn tail: %w", err)
+		}
+		off += int64(n)
+	}
+	return torn, nil
+}
+
+// scanSegment reads the segment's first size bytes, calling fn (when
 // non-nil) for each intact record with its starting offset. It returns the
 // offset of the first byte past the last intact record; err reports why the
 // scan stopped early (io.EOF for a clean end is mapped to nil).
-func scanSegment(f *os.File, fn func(off int64, typ byte, payload []byte) error) (int64, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, err
-	}
-	br := bufio.NewReaderSize(f, 64<<10)
+func scanSegment(f *os.File, size int64, fn func(off int64, typ byte, payload []byte) error) (int64, error) {
+	br := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 64<<10)
 	hdr := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(br, hdr); err != nil {
-		return 0, 0, fmt.Errorf("wal: segment header: %w", err)
+		return 0, fmt.Errorf("wal: segment header: %w", err)
 	}
 	if string(hdr) != string(segMagic) {
-		return 0, 0, fmt.Errorf("wal: bad segment magic %q", hdr)
+		return 0, fmt.Errorf("wal: bad segment magic %q", hdr)
 	}
 	off := int64(len(segMagic))
-	var n int64
 	var buf []byte
 	for {
 		typ, payload, used, err := readRecord(br, &buf)
 		if err == io.EOF {
-			return off, n, nil
+			return off, nil
 		}
 		if err != nil {
-			return off, n, err
+			return off, err
 		}
 		if fn != nil {
 			if err := fn(off, typ, payload); err != nil {
-				return off, n, err
+				return off, err
 			}
 		}
 		off += used
-		n++
 	}
 }
 
@@ -454,7 +521,22 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 	}
 	l.f, l.bw = f, bw
 	l.seq, l.off = seq, int64(len(segMagic))
+	l.padEnd = 0
 	return nil
+}
+
+// trimPadLocked truncates the active segment's padding, so the file is
+// exactly its records, and reports whether there was any to cut. Callers
+// hold l.mu and have flushed the buffered writer.
+func (l *Log) trimPadLocked() (bool, error) {
+	if l.padEnd <= l.off {
+		return false, nil
+	}
+	if err := l.f.Truncate(l.off); err != nil {
+		return false, fmt.Errorf("wal: trim padding: %w", err)
+	}
+	l.padEnd = 0
+	return true, nil
 }
 
 // Append writes one record and flushes it to the OS; per policy it also
@@ -496,11 +578,13 @@ func (l *Log) AppendAsync(typ byte, payload []byte) (LSN, int64, error) {
 		}
 	}
 
-	var frame []byte
-	frame = append(frame, typ)
+	// The frame is built in the writer's own free buffer, which every
+	// append leaves flushed, so a frame that fits allocates nothing and
+	// the Write below copies it onto itself.
+	frame := append(l.bw.AvailableBuffer(), typ)
 	frame = binary.AppendUvarint(frame, uint64(len(payload)))
 	frame = append(frame, payload...)
-	sum := crc32.Update(0, crcTable, []byte{typ})
+	sum := crc32.Update(0, crcTable, frame[:1])
 	sum = crc32.Update(sum, crcTable, payload)
 	frame = binary.BigEndian.AppendUint32(frame, sum)
 
@@ -567,25 +651,37 @@ func (l *Log) Barrier() int64 {
 	return l.writeSeq
 }
 
-// commitLocked blocks until an fsync covers append number seq — the group
+// commitLocked blocks until a sync covers append number seq — the group
 // commit. Called (and returning) with l.mu held. The first waiter whose
 // record is not yet durable becomes the leader: it captures the current file
-// and writeSeq, releases the lock, fsyncs, and re-acquires to publish the
-// new durable horizon. Appends that land while the leader's fsync is in
+// and writeSeq, releases the lock, syncs, and re-acquires to publish the
+// new durable horizon. Appends that land while the leader's sync is in
 // flight keep writing into the buffer and queue behind the next leader, so a
-// burst of N concurrent appends is committed by ~1 fsync instead of N —
+// burst of N concurrent appends is committed by ~1 sync instead of N —
 // without weakening the contract that Append(FsyncRecord) only returns once
 // its own record is on stable storage.
+//
+// Every round syncs with fdatasync. A leader whose records have outgrown
+// the padding first writes the next step after them, still under the lock;
+// AppendAsync leaves the buffered writer flushed, so the segment's header
+// and records are in the file before the padding lands behind them.
 func (l *Log) commitLocked(seq int64) error {
 	for l.durableSeq < seq {
 		if l.closed {
 			return ErrClosed
 		}
 		if l.syncing {
-			// A leader's fsync is in flight; it may have started before our
+			// A leader's sync is in flight; it may have started before our
 			// record was flushed, so wait for its verdict and re-check.
 			l.syncedCond.Wait()
 			continue
+		}
+		if l.off > l.padEnd {
+			n, err := l.f.WriteAt(zeroPad[:], l.off)
+			l.padEnd = l.off + int64(n)
+			if err != nil {
+				return fmt.Errorf("wal: pad segment: %w", err)
+			}
 		}
 		l.syncing = true
 		f, target := l.f, l.writeSeq
@@ -595,7 +691,14 @@ func (l *Log) commitLocked(seq int64) error {
 			err = h("group-fsync")
 		}
 		if err == nil {
-			err = f.Sync()
+			var t0 time.Time
+			if l.m.timed {
+				t0 = time.Now()
+			}
+			err = datasync(f)
+			if l.m.timed {
+				l.m.syncSeconds.Observe(time.Since(t0).Seconds())
+			}
 		}
 		l.mu.Lock()
 		l.syncing = false
@@ -629,16 +732,26 @@ func (l *Log) Sync() error {
 	if err := l.bw.Flush(); err != nil {
 		return err
 	}
-	return l.syncLocked()
+	return l.syncLocked(false)
 }
 
-func (l *Log) syncLocked() error {
-	if l.durableSeq >= l.writeSeq {
+// syncLocked fsyncs the active segment if an append is not yet durable, or
+// if trimmed says its padding was just cut, so its new size is not yet
+// durable either.
+func (l *Log) syncLocked(trimmed bool) error {
+	if l.durableSeq >= l.writeSeq && !trimmed {
 		return nil
+	}
+	var t0 time.Time
+	if l.m.timed {
+		t0 = time.Now()
 	}
 	//smuvet:allow lockorder -- seal/Sync/interval path: callers asked for a synchronous barrier, so the lock stays held; the per-record path goes through commitLocked, which releases l.mu around the fsync
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
+	}
+	if l.m.timed {
+		l.m.syncSeconds.Observe(time.Since(t0).Seconds())
 	}
 	l.durableSeq = l.writeSeq
 	l.m.fsyncs.Inc()
@@ -659,7 +772,7 @@ func (l *Log) syncLoop() {
 			l.mu.Lock()
 			if !l.closed {
 				l.bw.Flush()
-				l.syncLocked()
+				l.syncLocked(false)
 			}
 			l.mu.Unlock()
 		case <-l.stopSync:
@@ -689,13 +802,17 @@ func (l *Log) rotateLocked() error {
 	return l.syncDir()
 }
 
-// sealLocked flushes, syncs, and closes the current segment, recording it as
-// sealed.
+// sealLocked flushes, trims the padding off, syncs, and closes the current
+// segment, recording it as sealed.
 func (l *Log) sealLocked() error {
 	if err := l.bw.Flush(); err != nil {
 		return err
 	}
-	if err := l.syncLocked(); err != nil {
+	trimmed, err := l.trimPadLocked()
+	if err != nil {
+		return err
+	}
+	if err := l.syncLocked(trimmed); err != nil {
 		return err
 	}
 	if err := l.f.Close(); err != nil {
@@ -719,7 +836,9 @@ func (l *Log) syncDir() error {
 // Replay streams every record, sealed segments first then the active one, in
 // append order. A CRC failure in a sealed segment (or anywhere that is not
 // the repaired tail) surfaces as ErrCorrupt with the segment named. Replay
-// flushes pending appends first, so it observes everything appended so far.
+// flushes pending appends first, so it observes everything appended so far;
+// it reads the active segment only up to its last record, not into the
+// padding past it.
 func (l *Log) Replay(fn func(lsn LSN, typ byte, payload []byte) error) error {
 	l.mu.Lock()
 	if l.closed {
@@ -730,24 +849,21 @@ func (l *Log) Replay(fn func(lsn LSN, typ byte, payload []byte) error) error {
 		l.mu.Unlock()
 		return err
 	}
-	segs := make([]uint64, 0, len(l.sealedSt)+1)
-	for _, s := range l.sealedSt {
-		segs = append(segs, s.seq)
-	}
-	segs = append(segs, l.seq)
+	segs := append(make([]sealed, 0, len(l.sealedSt)+1), l.sealedSt...)
+	segs = append(segs, sealed{seq: l.seq, bytes: l.off})
 	l.mu.Unlock()
 
-	for _, seq := range segs {
-		f, err := os.Open(l.segPath(seq))
+	for _, s := range segs {
+		f, err := os.Open(l.segPath(s.seq))
 		if err != nil {
 			return fmt.Errorf("wal: replay: %w", err)
 		}
-		_, _, err = scanSegment(f, func(off int64, typ byte, payload []byte) error {
-			return fn(LSN{Seg: seq, Off: off}, typ, payload)
+		_, err = scanSegment(f, s.bytes, func(off int64, typ byte, payload []byte) error {
+			return fn(LSN{Seg: s.seq, Off: off}, typ, payload)
 		})
 		f.Close()
 		if err != nil {
-			return fmt.Errorf("wal: replay segment %d: %w", seq, err)
+			return fmt.Errorf("wal: replay segment %d: %w", s.seq, err)
 		}
 	}
 	return nil
@@ -823,7 +939,11 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	err := l.bw.Flush()
-	if serr := l.syncLocked(); err == nil {
+	trimmed, terr := l.trimPadLocked()
+	if err == nil {
+		err = terr
+	}
+	if serr := l.syncLocked(trimmed); err == nil {
 		err = serr
 	}
 	if cerr := l.f.Close(); err == nil {
@@ -848,7 +968,8 @@ func (l *Log) Segments() int {
 	return len(l.sealedSt) + 1
 }
 
-// Bytes returns the total size of all live segments.
+// Bytes returns the total size of all live segments' headers and records;
+// the active segment's padding is not counted.
 func (l *Log) Bytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
