@@ -72,19 +72,23 @@ loc:
 	@./scripts/loc.sh
 
 # Ingest load test: 1000 concurrent agents replayed against an in-process
-# WAL-backed collector through the real retry/spool machinery; fails on any
-# conservation error or a samples/sec below the floor. ingest-json writes the
-# committed throughput anchor (INGEST_7.json).
+# collector, whose WAL group-commits every batch, through the real
+# retry/spool machinery; fails on any conservation error or a samples/sec
+# below the floor. ingest-json writes the committed throughput anchor
+# (INGEST_7.json).
 INGEST_JSON ?= INGEST_7.json
 INGEST_MIN_RATE ?= 5000
 ingest-smoke:
-	$(GO) run ./cmd/loadgen -agents 1000 -batches 6 -batch 24 -wal -min-rate $(INGEST_MIN_RATE) -out ingest-current.json
+	$(GO) run ./cmd/loadgen -agents 1000 -batches 6 -batch 24 -min-rate $(INGEST_MIN_RATE) -out ingest-current.json
 
 ingest-json:
-	$(GO) run ./cmd/loadgen -agents 1000 -batches 6 -batch 24 -wal -min-rate $(INGEST_MIN_RATE) -out $(INGEST_JSON)
+	$(GO) run ./cmd/loadgen -agents 1000 -batches 6 -batch 24 -min-rate $(INGEST_MIN_RATE) -out $(INGEST_JSON)
 
 # Short fuzz pass over every fuzz target: catches decoder panics and
-# round-trip regressions without a dedicated fuzzing farm.
+# round-trip regressions without a dedicated fuzzing farm. The last three
+# cover every decoder that reads bytes back from disk: WAL framing, the
+# collector's checkpoint records (its batch records decode with
+# FuzzDecodeBatch's proto.DecodeBatchAlias) and the agent's journal replay.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	for t in FuzzDecodeSample FuzzDecodeSampleMatchesReference FuzzUnmarshalJSONSample; do \
@@ -94,6 +98,8 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/proto || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWALRecord$$' -fuzztime $(FUZZTIME) ./internal/wal || exit 1
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/collector || exit 1
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayJournal$$' -fuzztime $(FUZZTIME) ./internal/agent || exit 1
 
 # The repo's own multichecker, seven analyzers: aliasret, closeerr,
 # commitpair, determinism, guardedby, lockorder, shardmerge. See

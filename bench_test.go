@@ -34,6 +34,7 @@ import (
 	"smartusage/internal/sim"
 	"smartusage/internal/survey"
 	"smartusage/internal/trace"
+	"smartusage/internal/wal/waltest"
 )
 
 // The fixture simulation is deterministic, so analyzer benchmarks are
@@ -247,6 +248,7 @@ func BenchmarkAgentCollector(b *testing.B) {
 	f := getFixture(b)
 	n := 0
 	srv, err := collector.New(collector.Config{
+		WAL:  waltest.Open(b),
 		Addr: "127.0.0.1:0",
 		Sink: func(*trace.Sample) error { n++; return nil },
 		Logf: func(string, ...any) {},

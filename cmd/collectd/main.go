@@ -7,9 +7,10 @@
 // deadline expires with connections still active, or the listener, the
 // final checkpoint or a close fails — collectd exits non-zero.
 //
-// With -wal-dir, collection is crash-safe: every accepted batch is written
-// (and fsynced per -fsync) to a write-ahead log before it is sinked or
-// acked, periodic checkpoints bound the log, and a restart replays the log —
+// Collection is crash-safe: every accepted batch is written as received to
+// a write-ahead log under -wal-dir before it is sinked, and group-committed
+// (fsynced together with the batches of concurrent connections) before it
+// is acked; periodic checkpoints bound the log, and a restart replays it —
 // rebuilding per-device dedup state and any samples the spool had not yet
 // made durable — so `kill -9` loses nothing that was acked and double-sinks
 // nothing on agent retry.
@@ -17,7 +18,7 @@
 // Usage:
 //
 //	collectd -addr :7020 -spool-dir spool/ -token s3cret
-//	collectd -addr :7020 -spool-dir spool/ -wal-dir wal/ -fsync batch
+//	collectd -addr :7020 -spool-dir spool/ -wal-dir wal/
 //
 // A horizontal tier runs N of these, each with its own -wal-dir/-spool-dir
 // and a distinct -replica-id (agents take the full address list and fail
@@ -60,9 +61,7 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline")
 		maxFrame     = flag.Int("maxframe", proto.MaxFrameSize, "per-frame payload cap (bytes)")
 		maxConns     = flag.Int("maxconns", 256, "concurrent connection cap")
-		walDir       = flag.String("wal-dir", "", "write-ahead log directory (enables crash-safe collection)")
-		fsync        = flag.String("fsync", "batch", "WAL fsync policy: batch (per accepted batch), interval, or off")
-		fsyncEvery   = flag.Duration("fsync-interval", time.Second, "sync period for -fsync interval")
+		walDir       = flag.String("wal-dir", "wal", "write-ahead log directory")
 		walSeg       = flag.Int64("wal-seg", 64<<20, "WAL segment rotation size (bytes)")
 		ckptEvery    = flag.Duration("checkpoint-interval", time.Minute, "WAL checkpoint (and retention) period")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget; expiry with active connections exits non-zero")
@@ -99,29 +98,15 @@ func main() {
 		SpoolDir:        *spoolDir,
 		SpoolBytes:      *maxSeg,
 		WALDir:          *walDir,
+		WAL:             wal.Options{SegmentBytes: *walSeg, Metrics: reg, MetricsName: "collector"},
 		CheckpointEvery: *ckptEvery,
 		Health:          health,
-	}
-	if *walDir != "" {
-		policy, err := wal.ParsePolicy(*fsync)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rcfg.WAL = wal.Options{
-			SegmentBytes: *walSeg,
-			Policy:       policy,
-			Interval:     *fsyncEvery,
-			Metrics:      reg,
-			MetricsName:  "collector",
-		}
 	}
 	rep, err := collector.StartReplica(rcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if rec := rep.Recovery(); rec != nil {
-		log.Printf("recovered: %s", rec)
-	}
+	log.Printf("recovered: %s", rep.Recovery())
 	srv := rep.Server()
 	dest := filepath.Join(*spoolDir, "spool-*.trace")
 	if *replicas > 0 {
@@ -144,13 +129,9 @@ func main() {
 	}
 
 	st := srv.Stats()
-	walSegs, walBytes := 0, int64(0)
-	if walLog := rep.WAL(); walLog != nil {
-		walSegs, walBytes = walLog.Segments(), walLog.Bytes()
-	}
 	log.Printf("done: %d conns (%d active), %d devices, %d batches (%d dup), %d samples, %d auth failures, %d sink errors, %d errors, wal %d segments / %d bytes",
 		st.Conns.Load(), st.ActiveConns.Load(), st.Devices.Load(), st.Batches.Load(), st.DupBatches.Load(),
-		st.Samples.Load(), st.AuthFails.Load(), st.SinkErrs.Load(), st.Errors.Load(), walSegs, walBytes)
+		st.Samples.Load(), st.AuthFails.Load(), st.SinkErrs.Load(), st.Errors.Load(), rep.WAL().Segments(), rep.WAL().Bytes())
 	if err != nil {
 		os.Exit(1)
 	}

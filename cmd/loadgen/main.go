@@ -15,7 +15,7 @@
 // The results are written as a machine-readable manifest (-out), committed
 // next to BENCH_*.json as INGEST_*.json — the ingest performance anchor:
 //
-//	loadgen -agents 1000 -batches 6 -batch 24 -wal -out INGEST.json
+//	loadgen -agents 1000 -batches 6 -batch 24 -out INGEST.json
 //	loadgen -addrs collectd.host:7020 -metrics http://collectd.host:9090 -token s3cret
 //
 // Against a collector tier, pass every replica to -addrs and every metrics
@@ -27,11 +27,11 @@
 //	        -metrics http://host:9090,http://host:9091,http://host:9092
 //
 // In-process mode runs the collector as a collector.Replica — a rotating
-// spool and, with -wal, a write-ahead log whose "batch" fsync policy
-// exercises group commit under concurrent connections — in a scratch
-// directory that also holds the -agent-spool journals. It is deleted when the
-// run ends, pass or fail, unless -scratch names a path to keep; a re-run on a
-// kept -scratch recovers the previous run's WAL before it serves.
+// spool and a write-ahead log whose group commit runs under concurrent
+// connections — in a scratch directory that also holds the -agent-spool
+// journals. It is deleted when the run ends, pass or fail, unless -scratch
+// names a path to keep; a re-run on a kept -scratch recovers the previous
+// run's WAL before it serves.
 package main
 
 import (
@@ -68,9 +68,6 @@ type options struct {
 	token                string
 	seed                 int64
 	scratch              string
-	useWAL               bool
-	fsync                string
-	fsyncLag             time.Duration
 	spool                bool
 	out                  string
 	minRate              float64
@@ -94,9 +91,6 @@ func main() {
 	flag.StringVar(&o.token, "token", "", "shared auth token")
 	flag.Int64Var(&o.seed, "seed", 1, "workload rng seed (same seed, same samples)")
 	flag.StringVar(&o.scratch, "scratch", "", "scratch dir for in-process collector state and agent spools (kept; empty uses a deleted temp dir)")
-	flag.BoolVar(&o.useWAL, "wal", false, "give the in-process collector a write-ahead log")
-	flag.StringVar(&o.fsync, "fsync", "batch", "WAL fsync policy: batch (group commit), interval, or off")
-	flag.DurationVar(&o.fsyncLag, "fsync-delay", 0, "emulate slow-disk fsync by sleeping this long per WAL fsync (shows group-commit coalescing on fast disks)")
 	flag.BoolVar(&o.spool, "agent-spool", false, "journal each agent's queue to a disk spool in scratch")
 	flag.StringVar(&o.out, "out", "", "write the JSON manifest here (stdout always gets a summary)")
 	flag.Float64Var(&o.minRate, "min-rate", 0, "fail unless samples/sec reaches this floor (0 disables)")
@@ -159,28 +153,9 @@ func run(o options, stdout io.Writer) (err error) {
 			},
 			SpoolDir:   filepath.Join(scratch, "spool"),
 			SpoolBytes: 256 << 20,
+			WALDir:     filepath.Join(scratch, "wal"),
+			WAL:        wal.Options{Metrics: reg, MetricsName: "collector"},
 			WrapSink:   o.wrapSink,
-		}
-		if o.useWAL {
-			policy, err := wal.ParsePolicy(o.fsync)
-			if err != nil {
-				return err
-			}
-			rcfg.WALDir = filepath.Join(scratch, "wal")
-			rcfg.WAL = wal.Options{Policy: policy, Metrics: reg, MetricsName: "collector"}
-			if d := o.fsyncLag; d > 0 {
-				// On fast local disks fsync returns in microseconds, so
-				// group-commit rounds rarely overlap and the fsyncs/appends
-				// ratio stays near 1. This hook stretches each fsync to a
-				// realistic spinning-disk latency so coalescing is visible
-				// in the manifest.
-				rcfg.WAL.Hook = func(point string) error {
-					if point == "group-fsync" {
-						time.Sleep(d)
-					}
-					return nil
-				}
-			}
 		}
 		if rep, err = collector.StartReplica(rcfg); err != nil {
 			return err
@@ -188,7 +163,7 @@ func run(o options, stdout io.Writer) (err error) {
 		defer func() { err = errors.Join(err, rep.Drain(ctx)) }()
 		spooledBefore = rep.Spool().Samples()
 		servers = []string{rep.Server().Addr().String()}
-		log.Printf("in-process collector on %s (scratch %s, wal=%v fsync=%s)", servers[0], scratch, o.useWAL, o.fsync)
+		log.Printf("in-process collector on %s (scratch %s)", servers[0], scratch)
 	}
 
 	before, err := snapshot()
@@ -226,9 +201,7 @@ func run(o options, stdout io.Writer) (err error) {
 		if n := rep.Server().Stats().SinkErrs.Load(); n != 0 {
 			man.conservation("%d sink errors", n)
 		}
-		if o.useWAL {
-			man.WAL = &walManifest{Fsync: o.fsync, Appends: diffCounter(before, after, "wal_appends_total"), Fsyncs: diffCounter(before, after, "wal_fsyncs_total")}
-		}
+		man.WAL = &walManifest{Fsync: wal.FsyncRecord.String(), Appends: diffCounter(before, after, "wal_appends_total"), Fsyncs: diffCounter(before, after, "wal_fsyncs_total")}
 	}
 
 	data, err := json.MarshalIndent(map[string]*manifest{"loadgen": man}, "", "  ")

@@ -25,8 +25,7 @@ func TestScratchRemovedAfterConservationFailure(t *testing.T) {
 	var seen atomic.Int64
 	var during atomic.Int64 // scratch dirs present while the sink ran
 	o := options{
-		agents: 4, batches: 2, batch: 6, aps: 1, essids: 8,
-		useWAL: true, fsync: "batch", spool: true,
+		agents: 4, batches: 2, batch: 6, aps: 1, essids: 8, spool: true,
 		timeout: time.Minute, readTimeout: 10 * time.Second,
 		wrapSink: func(next collector.Sink) collector.Sink {
 			return func(s *trace.Sample) error {
@@ -62,7 +61,6 @@ func TestTimeoutReturnsWithLiveConnections(t *testing.T) {
 	defer close(release)
 	o := options{
 		agents: 2, batches: 1, batch: 4, aps: 1, essids: 8,
-		useWAL: true, fsync: "batch",
 		timeout: 200 * time.Millisecond, readTimeout: time.Minute,
 		wrapSink: func(next collector.Sink) collector.Sink {
 			return func(s *trace.Sample) error {

@@ -1,8 +1,8 @@
 // Pipeline: the full measurement system end to end, in one process — a
-// collector replica spooling into a temporary directory, a fleet of device
-// agents uploading over real TCP (with injected connection failures to
-// exercise the cache-and-retry path), and the analysis pipeline run over
-// what the collector actually spooled. This is the §2 architecture: device
+// collector replica with its WAL and spool in a temporary directory, a
+// fleet of device agents uploading over real TCP (with injected connection
+// failures to exercise the cache-and-retry path), and the analysis pipeline
+// run over what the collector actually spooled. This is the §2 architecture: device
 // sampler → upload → central server → analysis.
 //
 //	go run ./examples/pipeline [-scale 0.05] [-failrate 0.2]
@@ -61,6 +61,7 @@ func run(scale float64, seed int64, failrate float64) (err error) {
 	rep, err := collector.StartReplica(collector.ReplicaConfig{
 		Server:   collector.Config{Addr: "127.0.0.1:0", Token: "panel-2015", Logf: func(string, ...any) {}},
 		SpoolDir: spool,
+		WALDir:   filepath.Join(dir, "wal"),
 	})
 	if err != nil {
 		return err

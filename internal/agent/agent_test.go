@@ -10,6 +10,7 @@ import (
 
 	"smartusage/internal/collector"
 	"smartusage/internal/trace"
+	"smartusage/internal/wal/waltest"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -155,6 +156,7 @@ func liveCollector(t *testing.T, token string) (addr string, count func() int, s
 	var mu sync.Mutex
 	n := 0
 	srv, err := collector.New(collector.Config{
+		WAL:   waltest.Open(t),
 		Addr:  "127.0.0.1:0",
 		Token: token,
 		Sink: func(*trace.Sample) error {

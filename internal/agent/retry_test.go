@@ -14,6 +14,7 @@ import (
 
 	"smartusage/internal/collector"
 	"smartusage/internal/trace"
+	"smartusage/internal/wal/waltest"
 )
 
 // timedCollector spins a collector that records the Time of every sinked
@@ -23,6 +24,7 @@ func timedCollector(t *testing.T) (addr string, times func() []int64, stop func(
 	var mu sync.Mutex
 	var got []int64
 	srv, err := collector.New(collector.Config{
+		WAL:         waltest.Open(t),
 		Addr:        "127.0.0.1:0",
 		ReadTimeout: time.Second,
 		Sink: func(s *trace.Sample) error {
@@ -145,6 +147,7 @@ func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 // attempts or sleep on them.
 func TestPermanentErrorSkipsRetry(t *testing.T) {
 	srv, err := collector.New(collector.Config{
+		WAL:  waltest.Open(t),
 		Addr: "127.0.0.1:0", Token: "right", ReadTimeout: time.Second,
 		Sink: func(*trace.Sample) error { return nil },
 		Logf: func(string, ...any) {},
@@ -260,6 +263,7 @@ func TestIOSFilterEndToEnd(t *testing.T) {
 	var mu sync.Mutex
 	var got []trace.Sample
 	srv, err := collector.New(collector.Config{
+		WAL:         waltest.Open(t),
 		Addr:        "127.0.0.1:0",
 		ReadTimeout: time.Second,
 		Sink: func(s *trace.Sample) error {

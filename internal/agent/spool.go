@@ -73,19 +73,21 @@ func (a *Agent) replaySpool() error {
 			}
 			a.pending = append(a.pending, *sample.Clone())
 		case spoolFreeze:
-			id, count := d.Uvarint(), int(d.Uvarint())
+			// Counts stay uint64 until checked against the queue: a count
+			// past int's range must not turn negative and pass the check.
+			id, count := d.Uvarint(), d.Uvarint()
 			if err := d.Finish("agent: spool freeze"); err != nil {
 				return err
 			}
 			switch {
 			case a.inflight == nil:
-				if count > len(a.pending) {
+				if count > uint64(len(a.pending)) {
 					return fmt.Errorf("agent: spool freeze at %s: %d samples frozen, %d pending", lsn, count, len(a.pending))
 				}
 				a.inflight = a.pending[:count:count]
 				a.pending = a.pending[count:]
 				a.inflightID = id
-			case count == len(a.inflight):
+			case count == uint64(len(a.inflight)):
 				// Renumbered in place (a fresh freeze collided with the
 				// server's sequence; see flushInflight).
 				a.inflightID = id
@@ -105,14 +107,11 @@ func (a *Agent) replaySpool() error {
 			}
 			a.inflight = nil
 		case spoolDrop:
-			n := int(d.Uvarint())
+			n := d.Uvarint()
 			if err := d.Finish("agent: spool drop"); err != nil {
 				return err
 			}
-			if n > len(a.pending) {
-				n = len(a.pending)
-			}
-			a.pending = a.pending[n:]
+			a.pending = a.pending[min(n, uint64(len(a.pending))):]
 		case spoolSeq:
 			id := d.Uvarint()
 			if err := d.Finish("agent: spool seq"); err != nil {

@@ -7,6 +7,7 @@ package collector
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -61,11 +62,11 @@ type Config struct {
 	MaxFrameBytes int
 	// MaxConns caps concurrent connections (default 256).
 	MaxConns int
-	// WAL, when non-nil, makes accepted batches durable: each is appended
-	// (and fsynced per the log's policy) before it is sinked or acked, and
-	// recovery rebuilds dedup state and un-checkpointed sink contents from
-	// it after a crash (a Replica does both). Nil keeps the in-memory-only
-	// behaviour.
+	// WAL makes accepted batches durable and is required: each batch is
+	// appended as received before its first sample reaches the sink, and
+	// committed per the log's policy (a group commit under FsyncRecord)
+	// before it is acked; recovery rebuilds dedup state and un-checkpointed
+	// sink contents from it after a crash (a Replica does both).
 	WAL *wal.Log
 	// Hook, when non-nil, is consulted at crash points ("pre-sink",
 	// "pre-ack") for fault injection; a non-nil return aborts the
@@ -204,6 +205,9 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Sink == nil {
 		return nil, errors.New("collector: nil sink")
+	}
+	if cfg.WAL == nil {
+		return nil, errors.New("collector: nil WAL")
 	}
 	if cfg.ReadTimeout == 0 {
 		cfg.ReadTimeout = 30 * time.Second
@@ -406,28 +410,26 @@ func (s *Server) handle(ctx context.Context, nc net.Conn) error {
 			return nil
 		case proto.FrameBatch:
 			// Zero-copy: sample ESSIDs alias payload (the connection's reused
-			// frame buffer). accept() fully consumes the batch — WAL record
-			// re-encoded into its own buffer, sinks copy what they retain —
-			// before the next ReadFrame overwrites it.
+			// frame buffer). accept() fully consumes the batch — the payload
+			// copied into the WAL, sinks copy what they retain — before the
+			// next ReadFrame overwrites it.
 			if err := proto.DecodeBatchAlias(payload, &batch); err != nil {
 				return s.fail(nc, c, "bad batch: %v", err)
 			}
 			s.m.bytes.Add(int64(len(payload)))
-			accepted, commitSeq, err := s.accept(hello.Device, &batch)
+			accepted, commitSeq, err := s.accept(hello.Device, payload, &batch)
 			if err != nil {
 				if errors.Is(err, errBadBatch) {
 					return s.fail(nc, c, "bad batch: %v", err)
 				}
 				return fmt.Errorf("sink: %w", err)
 			}
-			if s.cfg.WAL != nil {
-				// Group commit: the server lock is released, so this fsync
-				// wait coalesces with commits from concurrent connections.
-				// Must precede the ack — WAL-durable-before-ack is the
-				// exactly-once invariant recovery depends on.
-				if err := s.cfg.WAL.Commit(commitSeq); err != nil {
-					return fmt.Errorf("wal commit: %w", err)
-				}
+			// Group commit: the server lock is released, so this fsync wait
+			// coalesces with commits from concurrent connections. Must
+			// precede the ack — WAL-durable-before-ack is the exactly-once
+			// invariant recovery depends on.
+			if err := s.cfg.WAL.Commit(commitSeq); err != nil {
+				return fmt.Errorf("wal commit: %w", err)
 			}
 			if s.cfg.Hook != nil {
 				// Crash point: the batch is committed (WAL + sink +
@@ -480,8 +482,9 @@ func (s *Server) deviceLocked(dev trace.DeviceID) *deviceState {
 // failures); the peer gets an explicit error frame.
 var errBadBatch = errors.New("invalid batch")
 
-// accept deduplicates and spools a batch, returning how many samples were
-// newly accepted plus a WAL commit token (0 when nothing needs committing).
+// accept deduplicates and spools b, the batch decoded from the frame
+// payload, returning how many samples were newly accepted plus a WAL commit
+// token (0 when nothing needs committing).
 // accept runs under s.mu, so it must not wait on an fsync — it appends
 // asynchronously and the caller commits the token after the lock is
 // released, letting concurrent connections share group-commit fsync rounds.
@@ -494,7 +497,7 @@ var errBadBatch = errors.New("invalid batch")
 // already-spooled prefix, breaking exactly-once delivery. Sink failures
 // after validation record how far the batch got (deviceState.partialNext)
 // so the retry resumes exactly at the first unsinked sample.
-func (s *Server) accept(dev trace.DeviceID, b *proto.Batch) (uint32, int64, error) {
+func (s *Server) accept(dev trace.DeviceID, payload []byte, b *proto.Batch) (uint32, int64, error) {
 	for i := range b.Samples {
 		sample := &b.Samples[i]
 		if sample.Device != dev {
@@ -527,30 +530,24 @@ func (s *Server) accept(dev trace.DeviceID, b *proto.Batch) (uint32, int64, erro
 			start = len(b.Samples)
 		}
 	}
-	var commitSeq int64
-	if s.cfg.WAL != nil {
-		if start == 0 {
-			// Durability point: the batch enters the WAL (flushed to the OS
-			// here, fsynced by the caller's Commit before the ack) ahead of
-			// the first sample reaching the sink, so a crash from here on
-			// can always rebuild it.
-			s.walBuf = appendBatchRec(s.walBuf[:0], dev, b)
-			var err error
-			if _, commitSeq, err = s.cfg.WAL.AppendAsync(recBatch, s.walBuf); err != nil {
-				return 0, 0, fmt.Errorf("wal append: %w", err)
-			}
-		} else {
-			// Partial-sink resume: the first attempt appended the record but
-			// its connection died before committing, so the record may still
-			// be unsynced. A barrier token makes the caller's Commit cover it
-			// before this attempt's ack.
-			commitSeq = s.cfg.WAL.Barrier()
-		}
+	// Durability point: the batch enters the WAL as received, the device
+	// then the frame payload (flushed to the OS here, fsynced by the
+	// caller's Commit before the ack), ahead of the first sample reaching
+	// the sink, so a crash from here on can always rebuild it. A
+	// partial-sink resume logs it again: the first attempt's record may sit
+	// before a checkpoint that snapshotted the partial cursor, and recovery
+	// re-sinks only records past the checkpoint. Its commit also covers the
+	// first record, which that attempt's dead connection never committed.
+	s.walBuf = binary.AppendUvarint(s.walBuf[:0], uint64(dev))
+	s.walBuf = append(s.walBuf, payload...)
+	_, commitSeq, err := s.cfg.WAL.AppendAsync(recBatch, s.walBuf)
+	if err != nil {
+		return 0, 0, fmt.Errorf("wal append: %w", err)
 	}
 	if s.cfg.Hook != nil {
 		// Crash point: batch flushed to the WAL, nothing sinked yet.
 		if err := s.cfg.Hook("pre-sink"); err != nil {
-			//smuvet:allow commitpair -- no ack is sent on this path, so the agent retries; the retry's Barrier covers the still-unsynced record before its ack
+			//smuvet:allow commitpair -- no ack is sent on this path, so the agent retries; the retry's own append and commit cover this still-unsynced record before its ack
 			return 0, 0, err
 		}
 	}
@@ -570,7 +567,7 @@ func (s *Server) accept(dev trace.DeviceID, b *proto.Batch) (uint32, int64, erro
 			s.m.samples.Add(int64(i - start))
 			s.stats.SinkErrs.Add(1)
 			s.m.sinkErrs.Inc()
-			//smuvet:allow commitpair -- partial-sink state is remembered and no ack is sent; the retry resumes here and its Barrier commits the record before the ack
+			//smuvet:allow commitpair -- partial-sink state is remembered and no ack is sent; the retry resumes here and its own commit covers this record before the ack
 			return 0, 0, err
 		}
 	}

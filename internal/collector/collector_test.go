@@ -13,6 +13,7 @@ import (
 	"smartusage/internal/agent"
 	"smartusage/internal/proto"
 	"smartusage/internal/trace"
+	"smartusage/internal/wal/waltest"
 )
 
 // startServer spins a collector on a random port, returning it, its
@@ -21,6 +22,7 @@ func startServer(t *testing.T, token string) (*Server, string, *sampleStore, fun
 	t.Helper()
 	store := &sampleStore{}
 	srv, err := New(Config{
+		WAL:         waltest.Open(t),
 		Addr:        "127.0.0.1:0",
 		Token:       token,
 		Sink:        store.add,
@@ -351,8 +353,11 @@ func TestManyConcurrentAgents(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(Config{WAL: waltest.Open(t)}); err == nil {
 		t.Fatal("nil sink accepted")
+	}
+	if _, err := New(Config{Sink: func(*trace.Sample) error { return nil }}); err == nil {
+		t.Fatal("nil WAL accepted")
 	}
 }
 
@@ -433,6 +438,7 @@ func TestRotatingSpool(t *testing.T) {
 func TestMaxConnsQueues(t *testing.T) {
 	store := &sampleStore{}
 	srv, err := New(Config{
+		WAL:      waltest.Open(t),
 		Addr:     "127.0.0.1:0",
 		Sink:     store.add,
 		MaxConns: 1,

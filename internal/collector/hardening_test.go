@@ -15,6 +15,7 @@ import (
 	"smartusage/internal/faultnet"
 	"smartusage/internal/proto"
 	"smartusage/internal/trace"
+	"smartusage/internal/wal/waltest"
 )
 
 // rawSession dials addr and completes the hello handshake for dev.
@@ -102,6 +103,7 @@ func TestFlakySinkResumesExactlyOnce(t *testing.T) {
 		return store.add(s)
 	}
 	srv, err := New(Config{
+		WAL:         waltest.Open(t),
 		Addr:        "127.0.0.1:0",
 		Sink:        sink,
 		ReadTimeout: time.Second,
@@ -169,6 +171,7 @@ func TestWriteDeadlineUnsticksStalledPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{
+		WAL:          waltest.Open(t),
 		Listener:     inj.Listener(inner),
 		Sink:         (&sampleStore{}).add,
 		ReadTimeout:  time.Second,
@@ -222,6 +225,7 @@ func TestWriteDeadlineUnsticksStalledPeer(t *testing.T) {
 func TestFrameSizeCapEnforced(t *testing.T) {
 	store := &sampleStore{}
 	srv, err := New(Config{
+		WAL:           waltest.Open(t),
 		Addr:          "127.0.0.1:0",
 		Sink:          store.add,
 		MaxFrameBytes: 1 << 10,

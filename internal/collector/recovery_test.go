@@ -7,6 +7,7 @@ package collector
 
 import (
 	"context"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
@@ -26,6 +27,12 @@ func mkBatch(dev trace.DeviceID, id uint64, per int) proto.Batch {
 		b.Samples = append(b.Samples, mkSample(dev, int(id-1)*per+j))
 	}
 	return b
+}
+
+// acceptBatch hands srv's accept b with the frame payload an agent would
+// send for it.
+func acceptBatch(srv *Server, dev trace.DeviceID, b *proto.Batch) (uint32, int64, error) {
+	return srv.accept(dev, proto.AppendBatch(nil, b), b)
 }
 
 func newWALServer(t *testing.T, walDir string, sink Sink) (*Server, *wal.Log) {
@@ -57,7 +64,7 @@ func TestRecoverColdStartTornTail(t *testing.T) {
 	srv1, w1 := newWALServer(t, walDir, store1.add)
 	for id := uint64(1); id <= batches; id++ {
 		b := mkBatch(dev, id, per)
-		if _, _, err := srv1.accept(dev, &b); err != nil {
+		if _, _, err := acceptBatch(srv1, dev, &b); err != nil {
 			t.Fatalf("accept batch %d: %v", id, err)
 		}
 	}
@@ -219,7 +226,7 @@ func TestCheckpointSpoolRestore(t *testing.T) {
 	srv1, w1 := newWALServer(t, walDir, sp1.Sink())
 	for id := uint64(1); id <= 3; id++ {
 		b := mkBatch(dev, id, per)
-		if _, _, err := srv1.accept(dev, &b); err != nil {
+		if _, _, err := acceptBatch(srv1, dev, &b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,7 +242,7 @@ func TestCheckpointSpoolRestore(t *testing.T) {
 	// recovery must not depend on it).
 	for id := uint64(4); id <= 5; id++ {
 		b := mkBatch(dev, id, per)
-		if _, _, err := srv1.accept(dev, &b); err != nil {
+		if _, _, err := acceptBatch(srv1, dev, &b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,11 +266,11 @@ func TestCheckpointSpoolRestore(t *testing.T) {
 
 	// A retry of the last batch dedups; the next fresh batch lands.
 	dup := mkBatch(dev, 5, per)
-	if n, _, err := srv2.accept(dev, &dup); err != nil || n != 0 {
+	if n, _, err := acceptBatch(srv2, dev, &dup); err != nil || n != 0 {
 		t.Fatalf("retried batch accepted %d samples (err=%v)", n, err)
 	}
 	fresh := mkBatch(dev, 6, per)
-	if n, _, err := srv2.accept(dev, &fresh); err != nil || n != per {
+	if n, _, err := acceptBatch(srv2, dev, &fresh); err != nil || n != per {
 		t.Fatalf("fresh batch accepted %d samples (err=%v)", n, err)
 	}
 	if err := sp2.Close(); err != nil {
@@ -278,5 +285,74 @@ func TestCheckpointSpoolRestore(t *testing.T) {
 		if want := int64(1_000_000 + i*600); ts != want {
 			t.Fatalf("spool position %d holds time %d, want %d (loss, duplicate, or reorder)", i, ts, want)
 		}
+	}
+}
+
+// A checkpoint cut between a partial-sink failure and its resume snapshots
+// the partial cursor and seals the prefix into the spool. The resume is
+// acked, so its agent never sends the batch again: the resumed samples must
+// survive a crash before the next checkpoint, which they can only do from a
+// WAL record past the checkpoint.
+func TestPartialResumeAcrossCheckpointSurvivesCrash(t *testing.T) {
+	dir := t.TempDir()
+	walDir, spoolDir := filepath.Join(dir, "wal"), filepath.Join(dir, "spool")
+	const dev, per = trace.DeviceID(9), 6
+	sp1, err := NewRotatingSpool(spoolDir, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failAt := -1 // sink call, counted from 0, to fail once
+	sink := sp1.Sink()
+	srv1, _ := newWALServer(t, walDir, func(s *trace.Sample) error {
+		if failAt == 0 {
+			failAt = -1
+			return errors.New("injected sink failure")
+		}
+		failAt--
+		return sink(s)
+	})
+	b1, b2 := mkBatch(dev, 1, per), mkBatch(dev, 2, per)
+	if _, _, err := acceptBatch(srv1, dev, &b1); err != nil {
+		t.Fatal(err)
+	}
+	failAt = 2
+	if _, _, err := acceptBatch(srv1, dev, &b2); err == nil {
+		t.Fatal("batch 2 survived its injected sink failure")
+	}
+	if err := srv1.checkpoint(sp1.Seal); err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := acceptBatch(srv1, dev, &b2); err != nil || n != per-2 {
+		t.Fatalf("resume accepted %d samples (err=%v), want %d", n, err, per-2)
+	}
+	// Crash: sp1 and the WAL are abandoned.
+
+	sp2, err := NewRotatingSpool(spoolDir, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2, w2 := newWALServer(t, walDir, sp2.Sink())
+	defer w2.Close()
+	rec, err := srv2.recoverWAL(sp2.Restore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Resinked != per-2 {
+		t.Errorf("recovery re-sinked %d samples, want the %d the resume sinked", rec.Resinked, per-2)
+	}
+	times := readSpoolTimes(t, spoolDir)
+	if len(times) != 2*per {
+		t.Fatalf("spool holds %d samples after recovery, want %d", len(times), 2*per)
+	}
+	for i, ts := range times {
+		if want := int64(1_000_000 + i*600); ts != want {
+			t.Fatalf("spool position %d holds time %d, want %d (loss, duplicate, or reorder)", i, ts, want)
+		}
+	}
+	if ds, _ := srv2.Device(dev); ds.LastBatch != 2 || ds.Samples != 2*per {
+		t.Fatalf("recovered device state %+v, want batch 2 and %d samples", ds, 2*per)
 	}
 }

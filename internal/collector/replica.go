@@ -19,9 +19,9 @@ type ReplicaConfig struct {
 	// (<= 0 defaults to 256 MiB).
 	SpoolDir   string
 	SpoolBytes int64
-	// WALDir, when set, makes the replica crash-safe: a write-ahead log
-	// opened there with WAL's options is recovered before serving and
-	// checkpointed against the spool. Empty runs without a WAL.
+	// WALDir holds the replica's write-ahead log, opened there with WAL's
+	// options (group commit unless WAL.Policy says otherwise), recovered
+	// before serving and checkpointed against the spool. It is required.
 	WALDir string
 	WAL    wal.Options
 	// CheckpointEvery is the checkpoint period while serving; 0 cuts only
@@ -36,9 +36,9 @@ type ReplicaConfig struct {
 }
 
 // Replica is one collector process: a Server, the RotatingSpool it sinks
-// into and, when crash-safe, the WAL whose checkpoints align with sealed
-// spool segments. It alone pairs recovery with the spool rewind and closes
-// things in one order (DESIGN.md "Durability & recovery"). Create it with
+// into and the WAL whose checkpoints align with sealed spool segments. It
+// alone pairs recovery with the spool rewind and closes things in one order
+// (DESIGN.md "Durability & recovery"). Create it with
 // StartReplica and stop it with exactly one call to Drain or Kill.
 type Replica struct {
 	srv    *Server
@@ -60,6 +60,9 @@ func StartReplica(cfg ReplicaConfig) (_ *Replica, err error) {
 	if cfg.Server.Sink != nil || cfg.Server.WAL != nil {
 		return nil, errors.New("collector: a replica brings its own sink and WAL")
 	}
+	if cfg.WALDir == "" {
+		return nil, errors.New("collector: a replica needs a WAL directory")
+	}
 	r := &Replica{health: cfg.Health, served: make(chan struct{}), ckptDone: make(chan struct{})}
 	defer func() {
 		if err != nil {
@@ -69,13 +72,11 @@ func StartReplica(cfg ReplicaConfig) (_ *Replica, err error) {
 	if r.spool, err = NewRotatingSpool(cfg.SpoolDir, cfg.SpoolBytes); err != nil {
 		return nil, err
 	}
-	if cfg.WALDir != "" {
-		// Opening the WAL repairs a torn tail, so the window in which a
-		// failover client must route around this replica starts here.
-		r.health.SetRecovering(true)
-		if r.wal, err = wal.Open(cfg.WALDir, cfg.WAL); err != nil {
-			return nil, err
-		}
+	// Opening the WAL repairs a torn tail, so the window in which a
+	// failover client must route around this replica starts here.
+	r.health.SetRecovering(true)
+	if r.wal, err = wal.Open(cfg.WALDir, cfg.WAL); err != nil {
+		return nil, err
 	}
 	sc := cfg.Server
 	sc.Sink, sc.WAL = r.spool.Sink(), r.wal
@@ -85,12 +86,10 @@ func StartReplica(cfg ReplicaConfig) (_ *Replica, err error) {
 	if r.srv, err = New(sc); err != nil {
 		return nil, err
 	}
-	if r.wal != nil {
-		if r.rec, err = r.srv.recoverWAL(r.spool.Restore); err != nil {
-			return nil, err
-		}
-		r.health.SetRecovering(false)
+	if r.rec, err = r.srv.recoverWAL(r.spool.Restore); err != nil {
+		return nil, err
 	}
+	r.health.SetRecovering(false)
 	if err = r.srv.Listen(); err != nil {
 		return nil, err
 	}
@@ -106,7 +105,7 @@ func StartReplica(cfg ReplicaConfig) (_ *Replica, err error) {
 
 func (r *Replica) checkpointLoop(ctx context.Context, every time.Duration) {
 	defer close(r.ckptDone)
-	if r.wal == nil || every <= 0 {
+	if every <= 0 {
 		return
 	}
 	t := time.NewTicker(every)
@@ -142,10 +141,8 @@ func (r *Replica) Drain(ctx context.Context) error {
 	select {
 	case <-r.served: // the connections finished, if only at the deadline
 		err = r.serveErr
-		if r.wal != nil {
-			if cerr := r.srv.checkpoint(r.spool.Seal); cerr != nil {
-				err = errors.Join(err, fmt.Errorf("collector: final checkpoint: %w", cerr))
-			}
+		if cerr := r.srv.checkpoint(r.spool.Seal); cerr != nil {
+			err = errors.Join(err, fmt.Errorf("collector: final checkpoint: %w", cerr))
 		}
 	default:
 		err = fmt.Errorf("collector: drain: %w with %d connections still active", ctx.Err(), r.srv.stats.ActiveConns.Load())
@@ -164,7 +161,7 @@ func (r *Replica) Kill() {
 	<-r.served
 }
 
-// close closes the spool, then the WAL.
+// close closes the spool, then the WAL, whichever StartReplica opened.
 func (r *Replica) close() error {
 	var err error
 	if r.spool != nil {
@@ -182,10 +179,10 @@ func (r *Replica) Server() *Server { return r.srv }
 // Spool returns the replica's spool.
 func (r *Replica) Spool() *RotatingSpool { return r.spool }
 
-// WAL returns the replica's log, or nil without one.
+// WAL returns the replica's log.
 func (r *Replica) WAL() *wal.Log { return r.wal }
 
-// Recovery reports what the start-up replay rebuilt, or nil without a WAL.
+// Recovery reports what the start-up replay rebuilt.
 func (r *Replica) Recovery() *Recovery { return r.rec }
 
 // Done is closed once the replica stops serving: after Drain or Kill, or

@@ -12,10 +12,12 @@ import (
 	"smartusage/internal/obs"
 	"smartusage/internal/proto"
 	"smartusage/internal/trace"
+	"smartusage/internal/wal/waltest"
 )
 
 func TestTierConfigValidation(t *testing.T) {
 	sink := func(*trace.Sample) error { return nil }
+	w := waltest.Open(t)
 	for _, tc := range []struct {
 		name     string
 		id, tier int
@@ -28,7 +30,7 @@ func TestTierConfigValidation(t *testing.T) {
 		{"negative id", -1, 3, false},
 		{"id without tier", 1, 0, false},
 	} {
-		_, err := New(Config{Sink: sink, ReplicaID: tc.id, TierReplicas: tc.tier})
+		_, err := New(Config{Sink: sink, WAL: w, ReplicaID: tc.id, TierReplicas: tc.tier})
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: ReplicaID=%d TierReplicas=%d: err=%v, want ok=%v", tc.name, tc.id, tc.tier, err, tc.ok)
 		}
@@ -40,6 +42,7 @@ func TestTierConfigValidation(t *testing.T) {
 func TestFailoverSessionCounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, err := New(Config{
+		WAL:  waltest.Open(t),
 		Addr: "127.0.0.1:0", ReadTimeout: time.Second,
 		ReplicaID: 1, TierReplicas: 3,
 		Sink:    func(*trace.Sample) error { return nil },

@@ -1,10 +1,10 @@
 package collector
 
 // Collector durability on top of internal/wal: every batch that passes
-// validation and dedup is appended to the WAL *before* any sample reaches
-// the sink or any ack reaches the agent, so an acked batch is always
-// reconstructible. Checkpoints snapshot the per-device dedup/sequence state
-// plus an opaque sink-state blob supplied by the sink's owner; recovery
+// validation and dedup is appended to the WAL as received *before* any
+// sample reaches the sink or any ack reaches the agent, so an acked batch is
+// always reconstructible. Checkpoints snapshot the per-device dedup/sequence
+// state plus an opaque sink-state blob supplied by the sink's owner; recovery
 // loads the last checkpoint and replays only the records after it — batches
 // older than the checkpoint live in the sink already, batches after it are
 // re-sinked, and the rebuilt dedup state absorbs agent retries of anything
@@ -22,59 +22,11 @@ import (
 
 // WAL record types.
 const (
-	recBatch      byte = 1 // one accepted batch: device, batch ID, samples
+	// recBatch is one accepted batch as received: the session's device as
+	// a uvarint, then the FrameBatch payload (proto.AppendBatch's bytes).
+	recBatch      byte = 1
 	recCheckpoint byte = 2 // device-state snapshot + opaque sink state
 )
-
-// appendBatchRec encodes one accepted batch as a WAL record payload.
-func appendBatchRec(dst []byte, dev trace.DeviceID, b *proto.Batch) []byte {
-	dst = binary.AppendUvarint(dst, uint64(dev))
-	dst = binary.AppendUvarint(dst, b.BatchID)
-	dst = binary.AppendUvarint(dst, uint64(len(b.Samples)))
-	var sample []byte
-	for i := range b.Samples {
-		sample = trace.AppendSample(sample[:0], &b.Samples[i])
-		dst = binary.AppendUvarint(dst, uint64(len(sample)))
-		dst = append(dst, sample...)
-	}
-	return dst
-}
-
-// batchRec is a decoded recBatch payload.
-type batchRec struct {
-	dev     trace.DeviceID
-	batchID uint64
-	samples []trace.Sample
-}
-
-// decodeBatchRec decodes a recBatch payload, reusing r.samples.
-func decodeBatchRec(buf []byte, r *batchRec) error {
-	d := proto.NewFieldReader(buf)
-	r.dev = trace.DeviceID(d.Uvarint())
-	r.batchID = d.Uvarint()
-	n := d.Uvarint()
-	if d.Err() == nil && n > uint64(len(buf)) {
-		return fmt.Errorf("collector: wal batch: corrupt sample count %d", n)
-	}
-	if cap(r.samples) < int(n) {
-		r.samples = make([]trace.Sample, n)
-	}
-	r.samples = r.samples[:n]
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		raw := d.Bytes()
-		if d.Err() != nil {
-			break
-		}
-		used, err := trace.DecodeSample(raw, &r.samples[i])
-		if err != nil {
-			return fmt.Errorf("collector: wal batch sample %d: %w", i, err)
-		}
-		if used != len(raw) {
-			return fmt.Errorf("collector: wal batch sample %d: trailing bytes", i)
-		}
-	}
-	return d.Finish("collector: decode wal batch")
-}
 
 // appendCheckpoint encodes the device map and sink state as a recCheckpoint
 // payload. Only durability-relevant fields are snapshotted: dedup state and
@@ -205,8 +157,10 @@ func (s *Server) recoverWAL(restore func(sinkState []byte) error) (*Recovery, er
 
 	// Pass 2: apply and re-sink everything past the checkpoint, in log
 	// order, deduplicating exactly as live accept() would — a batch that
-	// was WAL-appended twice (partial-sink retry) replays once.
-	var b batchRec
+	// was WAL-appended twice (partial-sink retry) replays once. The samples
+	// alias the replayed record, as live ones alias the frame, until the
+	// next record.
+	var b proto.Batch
 	err = w.Replay(func(lsn wal.LSN, typ byte, payload []byte) error {
 		if typ != recBatch {
 			return nil
@@ -214,30 +168,34 @@ func (s *Server) recoverWAL(restore func(sinkState []byte) error) (*Recovery, er
 		if found && !ckLSN.Before(lsn) {
 			return nil // covered by the snapshot (and by the sink state)
 		}
-		if err := decodeBatchRec(payload, &b); err != nil {
-			return err
+		dev, n := binary.Uvarint(payload)
+		if n <= 0 {
+			return fmt.Errorf("collector: wal batch at %s: bad device", lsn)
 		}
-		st := s.deviceLocked(b.dev)
-		if st.haveLast && b.batchID <= st.lastBatch {
+		if err := proto.DecodeBatchAlias(payload[n:], &b); err != nil {
+			return fmt.Errorf("collector: wal batch at %s: %w", lsn, err)
+		}
+		st := s.deviceLocked(trace.DeviceID(dev))
+		if st.haveLast && b.BatchID <= st.lastBatch {
 			return nil
 		}
 		start := 0
-		if st.partialID == b.batchID && st.partialNext > 0 {
+		if st.partialID == b.BatchID && st.partialNext > 0 {
 			start = st.partialNext
-			if start > len(b.samples) {
-				start = len(b.samples)
+			if start > len(b.Samples) {
+				start = len(b.Samples)
 			}
 		}
-		for i := start; i < len(b.samples); i++ {
-			if err := s.sink(&b.samples[i]); err != nil {
+		for i := start; i < len(b.Samples); i++ {
+			if err := s.sink(&b.Samples[i]); err != nil {
 				return fmt.Errorf("collector: recovery sink: %w", err)
 			}
 		}
-		st.haveLast, st.lastBatch = true, b.batchID
+		st.haveLast, st.lastBatch = true, b.BatchID
 		st.partialID, st.partialNext = 0, 0
-		st.samples += int64(len(b.samples) - start)
+		st.samples += int64(len(b.Samples) - start)
 		rec.Batches++
-		rec.Resinked += int64(len(b.samples) - start)
+		rec.Resinked += int64(len(b.Samples) - start)
 		return nil
 	})
 	if err != nil {

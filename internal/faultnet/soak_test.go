@@ -21,6 +21,7 @@ import (
 	"smartusage/internal/obs"
 	"smartusage/internal/trace"
 	"smartusage/internal/wal"
+	"smartusage/internal/wal/waltest"
 )
 
 const (
@@ -108,7 +109,9 @@ func runSoak(t *testing.T, fcfg faultnet.Config, seed int64, walStall time.Durat
 	inj := faultnet.New(fcfg)
 
 	var walLog *wal.Log
-	if walStall > 0 {
+	if walStall == 0 {
+		walLog = waltest.Open(t)
+	} else {
 		var err error
 		walLog, err = wal.Open(t.TempDir(), wal.Options{
 			Policy:      wal.FsyncRecord,
@@ -293,11 +296,18 @@ func runSoak(t *testing.T, fcfg faultnet.Config, seed int64, walStall time.Durat
 		t.Errorf("batch conservation broken: frames %d != dups %d + accepted %d", frames, dups, accepted)
 	}
 
-	// WAL conservation under group commit: every accepted batch was appended
-	// exactly once (dups and retries never re-append), every append is
-	// physically in the log, and the stalled fsyncs actually ran as
+	// WAL conservation: every accepted batch was appended exactly once
+	// (dups never re-append, and with a sink that never fails no batch is
+	// resumed) and every append is physically in the log. Under group commit the stalled fsyncs also actually ran as
 	// group-commit rounds (never more fsyncs than appends).
-	if walLog != nil {
+	var logged int64
+	if err := walLog.Replay(func(wal.LSN, byte, []byte) error { logged++; return nil }); err != nil {
+		t.Fatalf("wal replay: %v", err)
+	}
+	if logged != accepted {
+		t.Errorf("wal replay saw %d records, accepted %d batches", logged, accepted)
+	}
+	if walStall > 0 {
 		wl := obs.L("wal", "collector")
 		appends := reg.Counter("wal_appends_total", wl).Value()
 		fsyncs := reg.Counter("wal_fsyncs_total", wl).Value()
@@ -306,10 +316,6 @@ func runSoak(t *testing.T, fcfg faultnet.Config, seed int64, walStall time.Durat
 		}
 		if fsyncs == 0 || fsyncs > appends {
 			t.Errorf("wal fsyncs = %d with %d appends; group commit degenerated", fsyncs, appends)
-		}
-		var logged int64
-		if err := walLog.Replay(func(wal.LSN, byte, []byte) error { logged++; return nil }); err != nil {
-			t.Fatalf("wal replay: %v", err)
 		}
 		if logged != appends {
 			t.Errorf("wal replay saw %d records, appended %d", logged, appends)

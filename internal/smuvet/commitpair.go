@@ -9,13 +9,13 @@ import (
 
 // CommitPairAnalyzer enforces the group-commit durability pairing from
 // DESIGN.md: wal.Log.AppendAsync makes a record *visible* but not *durable*;
-// durability needs a later Commit(token) or Barrier round. A commit token
+// durability needs a later Commit(token) round. A commit token
 // that is dropped — discarded at the call, or alive on some path that
 // returns without passing it to Commit, returning it, or storing it for a
 // later round — is a silent durability hole: the acknowledged record may not
 // survive a crash.
 //
-// Per function, lexically after each AppendAsync/Barrier call (or a call to
+// Per function, lexically after each AppendAsync call (or a call to
 // a same-package function that returns such a token), every return must
 // either mention the token, have a consumption (a call taking the token, a
 // store to caller-visible memory, or a deferred commit) between the source
@@ -23,7 +23,7 @@ import (
 var CommitPairAnalyzer = &Analyzer{
 	Name: "commitpair",
 	Doc: "require every wal.Log.AppendAsync commit token to reach " +
-		"Commit/Barrier (or the caller) on all paths, including early " +
+		"Commit (or the caller) on all paths, including early " +
 		"error returns",
 	Run: runCommitPair,
 }
@@ -94,11 +94,8 @@ func commitTokenCall(pass *Pass, call *ast.CallExpr, summaries map[types.Object]
 		return 0, -1, false
 	}
 	if pkgBase, typeName := recvNamed(fn); pkgBase == "wal" && typeName == "Log" {
-		switch fn.Name() {
-		case "AppendAsync":
+		if fn.Name() == "AppendAsync" {
 			return 1, 2, true
-		case "Barrier":
-			return 0, -1, true
 		}
 	}
 	if s, found := summaries[fn]; found {
@@ -159,7 +156,7 @@ func resultCount(pass *Pass, fd *ast.FuncDecl) int {
 
 // collectCommitGroups finds the token sources of fd, seeds a value flow with
 // their token objects, and groups sources sharing a token variable.
-// directOnly restricts to AppendAsync/Barrier and reports nothing (the
+// directOnly restricts to AppendAsync and reports nothing (the
 // summary phase must not duplicate phase-2 diagnostics).
 func collectCommitGroups(pass *Pass, fd *ast.FuncDecl, summaries map[types.Object]commitTokenSummary, directOnly bool) (map[token.Pos]*commitGroup, *valueFlow) {
 	vf := newValueFlow(pass, fd, nil)
@@ -182,17 +179,10 @@ func collectCommitGroups(pass *Pass, fd *ast.FuncDecl, summaries map[types.Objec
 					return true
 				}
 				pkgBase, typeName := recvNamed(fn)
-				if pkgBase != "wal" || typeName != "Log" {
+				if pkgBase != "wal" || typeName != "Log" || fn.Name() != "AppendAsync" {
 					return true
 				}
-				switch fn.Name() {
-				case "AppendAsync":
-					tokenIdx, errIdx = 1, 2
-				case "Barrier":
-					tokenIdx, errIdx = 0, -1
-				default:
-					return true
-				}
+				tokenIdx, errIdx = 1, 2
 			} else if ti, ei, ok := commitTokenCall(pass, call, summaries); ok {
 				tokenIdx, errIdx = ti, ei
 			} else {
@@ -208,7 +198,7 @@ func collectCommitGroups(pass *Pass, fd *ast.FuncDecl, summaries map[types.Objec
 			if tokID.Name == "_" {
 				if !directOnly {
 					pass.Reportf(call.Pos(),
-						"commit token from %s discarded: without a later Commit/Barrier the appended record is not durable",
+						"commit token from %s discarded: without a later Commit the appended record is not durable",
 						exprString(call.Fun))
 				}
 				return true
@@ -245,8 +235,7 @@ func collectCommitGroups(pass *Pass, fd *ast.FuncDecl, summaries map[types.Objec
 			if fn == nil {
 				return true
 			}
-			if pkgBase, typeName := recvNamed(fn); pkgBase == "wal" && typeName == "Log" &&
-				(fn.Name() == "AppendAsync" || fn.Name() == "Barrier") {
+			if pkgBase, typeName := recvNamed(fn); pkgBase == "wal" && typeName == "Log" && fn.Name() == "AppendAsync" {
 				pass.Reportf(call.Pos(),
 					"result of %s discarded: the commit token is the only handle that makes the append durable",
 					exprString(call.Fun))
@@ -417,7 +406,7 @@ func checkReturnsAfter(pass *Pass, fd *ast.FuncDecl, vf *valueFlow, seed token.P
 		}
 		reported[ret.Pos()] = true
 		pass.Reportf(ret.Pos(),
-			"returns without committing the token from %s (line %d): on this path the appended record is never fsynced — call Commit/Barrier or hand the token out before returning",
+			"returns without committing the token from %s (line %d): on this path the appended record is never fsynced — call Commit or hand the token out before returning",
 			exprString(src.call.Fun), pass.Fset.Position(src.call.Pos()).Line)
 		return true
 	})

@@ -42,8 +42,8 @@ var lockOrderPackages = map[string]bool{
 }
 
 // walBlockingMethods are the wal.Log methods that can wait on an fsync.
-// AppendAsync and Barrier are deliberately absent: they are the approved
-// under-lock half of the group-commit split.
+// AppendAsync is deliberately absent: it is the approved under-lock half of
+// the group-commit split.
 var walBlockingMethods = map[string]bool{
 	"Append": true, "Commit": true, "Sync": true, "Close": true,
 	"Rotate": true, "Reset": true,

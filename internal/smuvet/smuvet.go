@@ -9,7 +9,7 @@
 //     packages (wal, agent, collector, trace) and the command binaries must
 //     be checked.
 //   - commitpair: every wal.Log.AppendAsync commit token must reach
-//     Commit/Barrier (or the caller) on all paths.
+//     Commit (or the caller) on all paths.
 //   - determinism: no wall clock, global math/rand, or map-iteration-order
 //     dependent output inside the simulation and analysis packages.
 //   - guardedby: struct fields annotated `// guarded by mu` may only be

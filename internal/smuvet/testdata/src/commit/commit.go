@@ -1,6 +1,6 @@
 // Package commit is a smuvet commitpair fixture: every wal.Log.AppendAsync
-// commit token must reach Commit/Barrier, the caller, or caller-visible
-// memory on every path. It is compiled only by the analyzer tests.
+// commit token must reach Commit, the caller, or caller-visible memory on
+// every path. It is compiled only by the analyzer tests.
 package commit
 
 import "smartusage/internal/wal"
@@ -12,9 +12,9 @@ func BlankToken(l *wal.Log, p []byte) error {
 	return err
 }
 
-// BareBarrier drops the whole result tuple.
-func BareBarrier(l *wal.Log) {
-	l.Barrier() // want `result of l\.Barrier discarded`
+// BareAppend drops the whole result tuple.
+func BareAppend(l *wal.Log, p []byte) {
+	l.AppendAsync(1, p) // want `result of l\.AppendAsync discarded`
 }
 
 // EarlyReturn commits on the main path but leaks the token on the !flush
@@ -68,7 +68,10 @@ func CommitViaHelper(l *wal.Log, p []byte) error {
 // DeferredCommit schedules the commit at return, covering every path out of
 // the function.
 func DeferredCommit(l *wal.Log, p []byte) int {
-	seq := l.Barrier()
+	_, seq, err := l.AppendAsync(1, p)
+	if err != nil {
+		return 0
+	}
 	defer func() { _ = l.Commit(seq) }()
 	if len(p) == 0 {
 		return 0

@@ -5,25 +5,33 @@ import (
 	"syscall"
 )
 
-// datasync commits f's data with fdatasync(2): unlike fsync it leaves the
-// timestamps unwritten, and writes the size only when the size changed.
-func datasync(f *os.File) error {
-	rc, err := f.SyscallConn()
-	if err != nil {
-		return err
-	}
-	var serr error
-	if err := rc.Control(func(fd uintptr) {
+// dsync commits a segment's data with fdatasync(2): unlike fsync it leaves
+// the timestamps unwritten, and writes the size only when the size changed.
+// The callback is built once per log and the RawConn captured once per
+// segment, so a commit round allocates nothing.
+type dsync struct {
+	fn  func(fd uintptr)
+	err error // fn's result
+}
+
+func (d *dsync) init() {
+	d.fn = func(fd uintptr) {
 		for {
-			if serr = syscall.Fdatasync(int(fd)); serr != syscall.EINTR {
+			if d.err = syscall.Fdatasync(int(fd)); d.err != syscall.EINTR {
 				return
 			}
 		}
-	}); err != nil {
+	}
+}
+
+// sync runs fdatasync on f through rc, f's RawConn: a concurrent seal that
+// closes f makes Control fail instead of recycling the descriptor.
+func (d *dsync) sync(f *os.File, rc syscall.RawConn) error {
+	if err := rc.Control(d.fn); err != nil {
 		return err
 	}
-	if serr != nil {
-		return &os.PathError{Op: "fdatasync", Path: f.Name(), Err: serr}
+	if d.err != nil {
+		return &os.PathError{Op: "fdatasync", Path: f.Name(), Err: d.err}
 	}
 	return nil
 }

@@ -2,7 +2,14 @@
 
 package wal
 
-import "os"
+import (
+	"os"
+	"syscall"
+)
 
-// datasync falls back to fsync where fdatasync(2) is not at hand.
-func datasync(f *os.File) error { return f.Sync() }
+// dsync falls back to fsync where fdatasync(2) is not at hand.
+type dsync struct{}
+
+func (*dsync) init() {}
+
+func (*dsync) sync(f *os.File, _ syscall.RawConn) error { return f.Sync() }

@@ -245,9 +245,8 @@ func TestSegmentCreatedWithoutRecordsReopens(t *testing.T) {
 // across several padding steps, failing every third sync round. Checked
 // from the group-fsync hook, every round's records end inside padding its
 // leader has written, and the padding reaches at most one step past them.
-// A disk that keeps failing must not grow the segment either: the agent
-// retries a failed batch with a Barrier token, which appends nothing, so no
-// retry may lay another step.
+// A disk that keeps failing must not grow the segment either: a retried
+// commit appends nothing, so no retry may lay another step.
 func TestRoundsEndInsidePadding(t *testing.T) {
 	boom := errors.New("injected sync failure")
 	var (
@@ -298,11 +297,15 @@ func TestRoundsEndInsidePadding(t *testing.T) {
 	}
 
 	failAll = true
-	if _, err := l.Append(1, buf[:100]); !errors.Is(err, boom) {
+	_, seq, err := l.AppendAsync(1, buf[:100])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(seq); !errors.Is(err, boom) {
 		t.Fatalf("append on a failing disk: err = %v, want the injected failure", err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := l.Commit(l.Barrier()); !errors.Is(err, boom) {
+		if err := l.Commit(seq); !errors.Is(err, boom) {
 			t.Fatalf("retry %d on a failing disk: err = %v, want the injected failure", i, err)
 		}
 	}

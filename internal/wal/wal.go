@@ -1,8 +1,10 @@
 // Package wal is a segment-based append-only write-ahead log shared by the
 // collector (batch durability + dedup recovery) and the agent (disk spool).
 // Records survive process death: every append is flushed to the OS before it
-// is acknowledged, and an fsync policy (per-record, interval, or off)
-// controls durability across power loss as well.
+// is acknowledged. Under FsyncRecord, the collector's policy, they survive
+// power loss as well: each append is acknowledged only once a group-commit
+// round has synced it. FsyncOff, the agent journal's, leaves write-back to
+// the OS.
 //
 // On-disk layout: a directory of numbered segment files, each starting with
 // a 5-byte magic header followed by records. One record is
@@ -45,6 +47,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"syscall"
 	"time"
 
 	"smartusage/internal/obs"
@@ -70,42 +73,24 @@ type Policy int
 
 const (
 	// FsyncRecord syncs the segment file after every append: an
-	// acknowledged record survives power loss. This is the collector
-	// default — an acked batch must never be lost. Concurrent appenders
+	// acknowledged record survives power loss. This is the collector's
+	// policy — an acked batch must never be lost. Concurrent appenders
 	// group-commit: one sync covers every record flushed before it
 	// started, so N connections committing together pay ~1 sync, not N
 	// (each Append still blocks until a sync covers its own record). A
 	// round syncs with fdatasync, inside the segment's zero padding (see
 	// the package comment).
 	FsyncRecord Policy = iota
-	// FsyncInterval syncs at most every Options.Interval: bounded data loss
-	// on power failure, far fewer fsyncs under load.
-	FsyncInterval
 	// FsyncOff never syncs explicitly (the OS writes back on its own
 	// schedule). Appends still survive process death, not power loss.
 	FsyncOff
 )
-
-// ParsePolicy parses a -fsync flag value: "batch"/"record", "interval", "off".
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "batch", "record":
-		return FsyncRecord, nil
-	case "interval":
-		return FsyncInterval, nil
-	case "off":
-		return FsyncOff, nil
-	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want batch, interval, or off)", s)
-}
 
 // String implements fmt.Stringer.
 func (p Policy) String() string {
 	switch p {
 	case FsyncRecord:
 		return "batch"
-	case FsyncInterval:
-		return "interval"
 	case FsyncOff:
 		return "off"
 	}
@@ -119,8 +104,6 @@ type Options struct {
 	SegmentBytes int64
 	// Policy is the fsync policy (default FsyncRecord).
 	Policy Policy
-	// Interval is the FsyncInterval period (default 1s).
-	Interval time.Duration
 	// Hook, when non-nil, is consulted at crash points ("wal-append",
 	// "pre-fsync") for fault injection; a non-nil return aborts the
 	// operation as a crash would. See faultnet.CrashPlan. It is also
@@ -223,6 +206,9 @@ type Log struct {
 	sealedSt []sealed      // guarded by mu
 	f        *os.File      // guarded by mu
 	bw       *bufio.Writer // guarded by mu
+	// rc is f's descriptor, captured when the segment opens, through which
+	// a group-commit round reaches datasync. guarded by mu
+	rc syscall.RawConn
 	// seq is the current segment sequence. guarded by mu
 	seq uint64
 	// off is the current segment's record bytes (written incl. header).
@@ -248,9 +234,9 @@ type Log struct {
 	// closes, waking group-commit followers.
 	syncedCond *sync.Cond
 	closed     bool // guarded by mu
-
-	stopSync chan struct{} // interval-policy syncer
-	syncDone chan struct{}
+	// ds is the datasync callback, built once by Open; only the round's
+	// leader, the one that set syncing, runs it.
+	ds dsync
 }
 
 // Open opens (creating if needed) the log in dir, repairing a torn tail
@@ -260,22 +246,23 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 64 << 20
 	}
-	if opts.Interval <= 0 {
-		opts.Interval = time.Second
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir: %w", err)
 	}
 	l := &Log{dir: dir, opts: opts, m: newWALMetrics(opts.Metrics, opts.MetricsName)}
 	l.syncedCond = sync.NewCond(&l.mu)
+	l.ds.init()
 	seqs, err := l.scanDir()
 	if err != nil {
 		return nil, err
 	}
 	if len(seqs) == 0 {
+		// As after every new segment: the first one's directory entry is
+		// made durable too.
 		if err := l.openSegmentLocked(0); err != nil {
 			return nil, err
 		}
+		l.syncDir()
 	} else {
 		// All but the last are sealed; the last is repaired and reopened
 		// for appending.
@@ -302,13 +289,12 @@ func Open(dir string, opts Options) (*Log, error) {
 		if _, err := f.Seek(size, io.SeekStart); err != nil {
 			return nil, errors.Join(fmt.Errorf("wal: reopen segment: %w", err), f.Close())
 		}
-		l.f, l.bw = f, bufio.NewWriterSize(f, 64<<10)
+		rc, err := f.SyscallConn()
+		if err != nil {
+			return nil, errors.Join(fmt.Errorf("wal: reopen segment: %w", err), f.Close())
+		}
+		l.f, l.rc, l.bw = f, rc, bufio.NewWriterSize(f, 64<<10)
 		l.seq, l.off = last, size
-	}
-	if opts.Policy == FsyncInterval {
-		l.stopSync = make(chan struct{})
-		l.syncDone = make(chan struct{})
-		go l.syncLoop()
 	}
 	return l, nil
 }
@@ -514,12 +500,16 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
+	rc, err := f.SyscallConn()
+	if err != nil {
+		return errors.Join(fmt.Errorf("wal: create segment: %w", err), f.Close())
+	}
 	bw := bufio.NewWriterSize(f, 64<<10)
 	if _, err := bw.Write(segMagic); err != nil {
 		f.Close() //smuvet:allow closeerr -- write error is primary; the segment is abandoned
 		return err
 	}
-	l.f, l.bw = f, bw
+	l.f, l.rc, l.bw = f, rc, bw
 	l.seq, l.off = seq, int64(len(segMagic))
 	l.padEnd = 0
 	return nil
@@ -626,9 +616,8 @@ func (l *Log) AppendAsync(typ byte, payload []byte) (LSN, int64, error) {
 
 // Commit blocks until the append identified by a token from AppendAsync is
 // covered by an fsync, joining (or leading) a group-commit round. Under
-// policies other than FsyncRecord it is a no-op: FsyncInterval and FsyncOff
-// accept a bounded durability window by design, and the interval loop or
-// Close picks the record up. A zero token (no append happened) is a no-op.
+// FsyncOff it is a no-op: that policy leaves write-back to the OS, and
+// Close syncs what is left. A zero token (no append happened) is a no-op.
 func (l *Log) Commit(seq int64) error {
 	if seq <= 0 || l.opts.Policy != FsyncRecord {
 		return nil
@@ -639,16 +628,6 @@ func (l *Log) Commit(seq int64) error {
 		return ErrClosed
 	}
 	return l.commitLocked(seq)
-}
-
-// Barrier returns a commit token covering every append flushed so far. Pass
-// it to Commit to make all of them durable — the collector uses it on the
-// partial-resume path, where the batch's WAL record was appended by an
-// earlier attempt whose connection died before committing.
-func (l *Log) Barrier() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.writeSeq
 }
 
 // commitLocked blocks until a sync covers append number seq — the group
@@ -684,7 +663,7 @@ func (l *Log) commitLocked(seq int64) error {
 			}
 		}
 		l.syncing = true
-		f, target := l.f, l.writeSeq
+		f, rc, target := l.f, l.rc, l.writeSeq
 		l.mu.Unlock()
 		var err error
 		if h := l.opts.Hook; h != nil {
@@ -695,7 +674,7 @@ func (l *Log) commitLocked(seq int64) error {
 			if l.m.timed {
 				t0 = time.Now()
 			}
-			err = datasync(f)
+			err = l.ds.sync(f, rc)
 			if l.m.timed {
 				l.m.syncSeconds.Observe(time.Since(t0).Seconds())
 			}
@@ -746,7 +725,7 @@ func (l *Log) syncLocked(trimmed bool) error {
 	if l.m.timed {
 		t0 = time.Now()
 	}
-	//smuvet:allow lockorder -- seal/Sync/interval path: callers asked for a synchronous barrier, so the lock stays held; the per-record path goes through commitLocked, which releases l.mu around the fsync
+	//smuvet:allow lockorder -- seal/Sync/Close path: callers asked for a synchronous barrier, so the lock stays held; the per-record path goes through commitLocked, which releases l.mu around the fsync
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
@@ -756,29 +735,9 @@ func (l *Log) syncLocked(trimmed bool) error {
 	l.durableSeq = l.writeSeq
 	l.m.fsyncs.Inc()
 	// Group-commit followers may be parked on the condvar; this sync (from
-	// a seal, Sync call, or the interval loop) covers their records too.
+	// a seal, Sync or Close) covers their records too.
 	l.syncedCond.Broadcast()
 	return nil
-}
-
-// syncLoop services the FsyncInterval policy.
-func (l *Log) syncLoop() {
-	defer close(l.syncDone)
-	t := time.NewTicker(l.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			l.mu.Lock()
-			if !l.closed {
-				l.bw.Flush()
-				l.syncLocked(false)
-			}
-			l.mu.Unlock()
-		case <-l.stopSync:
-			return
-		}
-	}
 }
 
 // Rotate seals the current segment and opens the next one.
@@ -954,10 +913,6 @@ func (l *Log) Close() error {
 	// anyway, unless it failed).
 	l.syncedCond.Broadcast()
 	l.mu.Unlock()
-	if l.stopSync != nil {
-		close(l.stopSync)
-		<-l.syncDone
-	}
 	return err
 }
 
@@ -994,6 +949,3 @@ func (l *Log) Torn() int64 {
 	defer l.mu.Unlock()
 	return l.torn
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -10,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // appendN appends n records with recognizable payloads and returns their
@@ -374,29 +372,6 @@ func TestReset(t *testing.T) {
 		t.Fatalf("replayed %d records after reset, want 0", got)
 	}
 	if _, err := l.Append(1, []byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFsyncPolicies(t *testing.T) {
-	for _, s := range []string{"batch", "record", "interval", "off"} {
-		if _, err := ParsePolicy(s); err != nil {
-			t.Errorf("ParsePolicy(%q): %v", s, err)
-		}
-	}
-	if _, err := ParsePolicy("sometimes"); err == nil {
-		t.Error("ParsePolicy accepted garbage")
-	}
-	// The interval syncer must start, sync, and stop cleanly.
-	l, err := Open(t.TempDir(), Options{Policy: FsyncInterval, Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(1, bytes.Repeat([]byte("x"), 100)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
