@@ -156,9 +156,9 @@ soak-1m:
 		$(GO) test -run '^TestSketchSoak$$' -count=1 -v -timeout 30m ./internal/analysis
 
 # External tier smoke: three real collectd processes on loopback driven by
-# loadgen over the wire protocol, SIGTERM-drained, and tiermerged — covers
-# the built binaries, flags, signals, and HTTP surface the in-process suites
-# cannot.
+# two loadgen runs over the wire protocol (a synthetic fleet, then a
+# simulated campaign), SIGTERM-drained, and tiermerged — covers the built
+# binaries, flags, signals, and HTTP surface the in-process suites cannot.
 external-smoke:
 	./scripts/external-smoke.sh
 
@@ -191,7 +191,7 @@ experiments:
 	$(GO) run ./cmd/report -scale 1.0 -seed 1 -o EXPERIMENTS.md
 
 # Removes run artifacts from the repo root (collectd spool/WAL dirs as named
-# in the docs, gentrace/traceconv/report/agentsim outputs, tiermerge's
+# in the docs, gentrace/traceconv/report outputs, tiermerge's
 # output as the docs name it and by default, loadgen manifests), loadgen
 # scratch kept via -scratch, pipebench's build cache, binary and scratch
 # (.bench_build/), and scratch left in TMPDIR by killed runs: soak test dirs

@@ -1,37 +1,30 @@
-// Command loadgen stress-tests the ingest path: it replays many concurrent
-// synthetic agents against a collector — an in-process one by default, or a
-// running collectd over TCP via -addrs — driving every upload through the real
-// agent batching/retry/spool machinery and the real wire protocol.
+// Command loadgen drives real measurement agents into a collector (an
+// in-process one, or collectd processes over TCP via -addrs) through the
+// real agent batching/retry/spool machinery and wire protocol. The agents
+// record a synthetic fleet, or with -campaign a simulated panel, one agent
+// per device: the §2 pipeline end to end. -faults wraps every agent's dial
+// in faultnet: a failed upload stays cached for the next, and only samples
+// Close abandons fail an agent. On a tier a lost ack lets a retry land on a
+// second replica too, which only tiermerge absorbs: fault a tier with dial=.
 //
-// It reports client-side ack latency percentiles (p50/p95/p99/max, measured
-// per batch flush), sustained samples/sec, and server-side counters — read
-// from the in-process collector's obs registry, or scraped from each -metrics
-// endpoint of a remote one — then cross-checks exactly-once
-// conservation: every sample the fleet reports uploaded must be accepted by
-// the collector exactly once (frames == accepted + duplicates, accepted
-// samples == fleet uploads, sink receipt == acceptance). Any imbalance
-// counts as a conservation error and fails the run.
-//
-// The results are written as a machine-readable manifest (-out), committed
-// next to BENCH_*.json as INGEST_*.json — the ingest performance anchor:
+// It reports client-side ack latency percentiles (p50/p95/p99/max per
+// batch flush), samples/sec, and server-side counters — from the in-process
+// collector's obs registry, or summed over the -metrics endpoints of remote
+// ones — then checks exactly-once conservation (frames == accepted +
+// duplicates, accepted samples == fleet uploads, sink receipt ==
+// acceptance): any imbalance fails the run. The default fleet's manifest
+// (-out) is committed as INGEST_*.json, the ingest performance anchor:
 //
 //	loadgen -agents 1000 -batches 6 -batch 24 -out INGEST.json
-//	loadgen -addrs collectd.host:7020 -metrics http://collectd.host:9090 -token s3cret
-//
-// Against a collector tier, pass every replica to -addrs and every metrics
-// endpoint to -metrics; the fleet spreads across replicas by rendezvous
-// hashing and fails over on refusal, and server counters are summed across
-// endpoints before reconciliation:
-//
+//	loadgen -campaign 2015 -scale 0.02 -faults dial=0.05,ackloss=0.05
 //	loadgen -addrs host:7020,host:7021,host:7022 \
 //	        -metrics http://host:9090,http://host:9091,http://host:9092
 //
-// In-process mode runs the collector as a collector.Replica — a rotating
-// spool and a write-ahead log whose group commit runs under concurrent
-// connections — in a scratch directory that also holds the -agent-spool
-// journals. It is deleted when the run ends, pass or fail, unless -scratch
-// names a path to keep; a re-run on a kept -scratch recovers the previous
-// run's WAL before it serves.
+// In-process mode runs the collector as a collector.Replica (rotating
+// spool, group-committed WAL) in a scratch directory that also holds the
+// -agent-spool journals. It is deleted when the run ends, pass or fail,
+// unless -scratch names a path to keep; a re-run on a kept -scratch
+// recovers the previous run's WAL before it serves.
 package main
 
 import (
@@ -43,6 +36,7 @@ import (
 	"io"
 	"log"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -54,7 +48,10 @@ import (
 
 	"smartusage/internal/agent"
 	"smartusage/internal/collector"
+	"smartusage/internal/config"
+	"smartusage/internal/faultnet"
 	"smartusage/internal/obs"
+	"smartusage/internal/sim"
 	"smartusage/internal/trace"
 	"smartusage/internal/wal"
 )
@@ -65,7 +62,9 @@ type options struct {
 	addrs, metrics       string
 	agents, batches      int
 	batch, aps, essids   int
-	token                string
+	campaign             int
+	scale                float64
+	faults, token        string
 	seed                 int64
 	scratch              string
 	spool                bool
@@ -88,8 +87,11 @@ func main() {
 	flag.IntVar(&o.batch, "batch", 24, "samples per batch")
 	flag.IntVar(&o.aps, "aps", 2, "AP observations per sample")
 	flag.IntVar(&o.essids, "essids", 512, "distinct ESSID universe")
+	flag.IntVar(&o.campaign, "campaign", 0, "replay this year's simulated panel (2013, 2014 or 2015), one agent per device, instead of the synthetic fleet")
+	flag.Float64Var(&o.scale, "scale", 0.01, "panel scale of the -campaign replay")
+	flag.StringVar(&o.faults, "faults", "", "inject network faults into every agent's connections, e.g. dial=0.1,reset=0.05,ackloss=0.1 (see faultnet.ParseSpec)")
 	flag.StringVar(&o.token, "token", "", "shared auth token")
-	flag.Int64Var(&o.seed, "seed", 1, "workload rng seed (same seed, same samples)")
+	flag.Int64Var(&o.seed, "seed", 1, "seed of the synthetic samples, the simulated panel and the fault schedule (same seed, same samples)")
 	flag.StringVar(&o.scratch, "scratch", "", "scratch dir for in-process collector state and agent spools (kept; empty uses a deleted temp dir)")
 	flag.BoolVar(&o.spool, "agent-spool", false, "journal each agent's queue to a disk spool in scratch")
 	flag.StringVar(&o.out, "out", "", "write the JSON manifest here (stdout always gets a summary)")
@@ -97,6 +99,12 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 5*time.Minute, "overall run deadline")
 	flag.DurationVar(&o.readTimeout, "read-timeout", 30*time.Second, "in-process collector per-frame read deadline")
 	flag.Parse()
+	owned := map[string]bool{"agents": false, "batches": false, "aps": false, "essids": false, "scale": true} // true: -campaign's
+	flag.Visit(func(f *flag.Flag) {
+		if campaign, ok := owned[f.Name]; ok && campaign != (o.campaign != 0) {
+			log.Fatalf("-%s does not apply to this run's sample source (-campaign selects the simulated panel)", f.Name)
+		}
+	})
 	// Every failure returns through run, so its deferred cleanup — the
 	// in-process collector's shutdown and the temp scratch removal — runs
 	// before the process exits.
@@ -110,8 +118,25 @@ func main() {
 // bad options, setup errors, the -timeout deadline, any conservation error,
 // or a rate under -min-rate.
 func run(o options, stdout io.Writer) (err error) {
-	if o.agents <= 0 || o.batches <= 0 || o.batch <= 0 {
+	if o.batch <= 0 || o.campaign == 0 && (o.agents <= 0 || o.batches <= 0) {
 		return errors.New("-agents, -batches, and -batch must be positive")
+	}
+	src := synthetic(&o)
+	if o.campaign != 0 {
+		if src, err = simulated(o.campaign, o.scale, o.seed); err != nil {
+			return err
+		}
+	}
+	var dial func(string, time.Duration) (net.Conn, error) // nil: the agent's own
+	faults := &faultnet.Stats{}
+	if o.faults != "" {
+		fcfg, err := faultnet.ParseSpec(o.faults)
+		if err != nil {
+			return err
+		}
+		fcfg.Seed = o.seed
+		inj := faultnet.New(fcfg)
+		dial, faults = inj.Dial(nil), inj.Stats()
 	}
 	scratch := o.scratch
 	if scratch == "" {
@@ -147,7 +172,7 @@ func run(o options, stdout io.Writer) (err error) {
 				Addr:        "127.0.0.1:0",
 				Token:       o.token,
 				ReadTimeout: o.readTimeout,
-				MaxConns:    o.agents + 16,
+				MaxConns:    src.agents + 16,
 				Metrics:     reg,
 				Logf:        func(string, ...any) {},
 			},
@@ -173,9 +198,7 @@ func run(o options, stdout io.Writer) (err error) {
 
 	// --- drive the fleet ---------------------------------------------------
 	fleetDone := make(chan fleetResult, 1)
-	go func() {
-		fleetDone <- runFleet(servers, o.token, o.agents, o.batches, o.batch, o.aps, o.essids, o.seed, o.spool, scratch)
-	}()
+	go func() { fleetDone <- runFleet(&o, servers, src, dial, scratch) }()
 	var fleet fleetResult
 	select {
 	case fleet = <-fleetDone:
@@ -189,14 +212,15 @@ func run(o options, stdout io.Writer) (err error) {
 	}
 
 	// --- reconcile ---------------------------------------------------------
-	man := buildManifest(fleet, before, after, o.agents, o.batches, o.batch)
+	man := buildManifest(fleet, before, after, src, o.batch)
+	man.Client.Faults = faults.Total()
 	if rep != nil {
 		// Count only this run's samples: a kept -scratch spool also holds
 		// the previous run's, and recovery re-sinks its WAL tail.
 		spooled := rep.Spool().Samples() - spooledBefore
 		man.Server.SinkSamples = spooled
-		if spooled != fleet.uploaded {
-			man.conservation("sink received %d samples, fleet uploaded %d", spooled, fleet.uploaded)
+		if spooled != man.Client.Uploaded {
+			man.conservation("sink received %d samples, fleet uploaded %d", spooled, man.Client.Uploaded)
 		}
 		if n := rep.Server().Stats().SinkErrs.Load(); n != 0 {
 			man.conservation("%d sink errors", n)
@@ -218,12 +242,15 @@ func run(o options, stdout io.Writer) (err error) {
 		return err
 	}
 
-	log.Printf("%d agents x %d batches x %d samples: %.0f samples/sec, ack p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms, %d retries, %d conservation errors",
-		o.agents, o.batches, o.batch, man.SamplesPerSec,
+	log.Printf("%d agents, %d samples in batches of %d: %.0f samples/sec, ack p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms, %d retries, %d conservation errors",
+		src.agents, src.samples, o.batch, man.SamplesPerSec,
 		man.AckLatencyMS.P50, man.AckLatencyMS.P95, man.AckLatencyMS.P99, man.AckLatencyMS.Max,
 		man.Client.Retries, len(man.ConservationErrors))
 	if len(servers) > 1 {
 		log.Printf("tier: %d replicas, %d failovers", len(servers), man.Client.Failovers)
+	}
+	if o.faults != "" {
+		log.Printf("faults: %s", faults)
 	}
 	for _, e := range man.ConservationErrors {
 		log.Printf("CONSERVATION: %s", e)
@@ -239,42 +266,90 @@ func run(o options, stdout io.Writer) (err error) {
 
 // fleetResult aggregates the client side of a run.
 type fleetResult struct {
+	client    clientManifest
 	latencies []time.Duration // one per batch flush, all agents
 	duration  time.Duration
-	uploaded  int64
-	recorded  int64
-	dropped   int64
-	retries   int64
-	failovers int64
-	spoolErrs int64
-	failures  int64 // agents that errored (flush after retries, or close)
-	errs      []string
+	errs      []string // of the first agents that failed
+}
+
+// source is where the fleet's samples come from: agent i is device dev on
+// OS platform, recording n samples that next returns in turn.
+type source struct {
+	agents, batches int // batches is 0 when each agent's samples set it
+	samples         int64
+	agent           func(i int) (dev trace.DeviceID, platform trace.OS, n int, next func() *trace.Sample)
+}
+
+// synthetic is o's fleet of synthetic Android handsets, each drawing its
+// samples from its own rng.
+func synthetic(o *options) *source {
+	n := o.batches * o.batch
+	return &source{agents: o.agents, batches: o.batches, samples: int64(o.agents) * int64(n),
+		agent: func(i int) (trace.DeviceID, trace.OS, int, func() *trace.Sample) {
+			rng := rand.New(rand.NewSource(o.seed + int64(i)))
+			t := int64(1_400_000_000) + int64(i) - 600
+			return trace.DeviceID(1 + i), trace.Android, n, func() *trace.Sample {
+				t += 600
+				s := synthSample(rng, t, o.aps, o.essids)
+				return &s
+			}
+		}}
+}
+
+// simulated is year's panel at scale, simulated into memory before the
+// fleet starts: one agent per device, recording its samples in time order.
+func simulated(year int, scale float64, seed int64) (*source, error) {
+	cfg, err := config.ForYear(year, scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	sm, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	src := &source{}
+	var devs [][]trace.Sample
+	err = sm.Run(func(s *trace.Sample) error { // one device after another
+		if n := len(devs); n == 0 || devs[n-1][0].Device != s.Device {
+			devs = append(devs, nil)
+		}
+		devs[len(devs)-1] = append(devs[len(devs)-1], *s.Clone())
+		src.samples++
+		return nil
+	})
+	src.agents = len(devs)
+	src.agent = func(i int) (trace.DeviceID, trace.OS, int, func() *trace.Sample) {
+		ss, j := devs[i], -1
+		return ss[0].Device, ss[0].OS, len(ss), func() *trace.Sample { j++; return &ss[j] }
+	}
+	return src, err
 }
 
 // runFleet spawns the agents, runs every upload, and merges their stats.
-func runFleet(servers []string, token string, agents, batches, batchSz, aps, essids int, seed int64, spool bool, scratch string) fleetResult {
+func runFleet(o *options, servers []string, src *source, dial func(string, time.Duration) (net.Conn, error), scratch string) fleetResult {
 	var (
 		mu  sync.Mutex
 		res fleetResult
 	)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for i := 0; i < agents; i++ {
+	for i := 0; i < src.agents; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			lats, st, err := runAgent(servers, token, i, batches, batchSz, aps, essids, seed, spool, scratch)
+			lats, st, err := runAgent(o, servers, src, i, dial, scratch)
 			mu.Lock()
 			defer mu.Unlock()
 			res.latencies = append(res.latencies, lats...)
-			res.uploaded += int64(st.Uploaded)
-			res.recorded += int64(st.Recorded)
-			res.dropped += int64(st.Dropped)
-			res.retries += int64(st.Retries)
-			res.failovers += int64(st.Failovers)
-			res.spoolErrs += int64(st.SpoolErrs)
+			c := &res.client
+			c.Uploaded += int64(st.Uploaded)
+			c.Recorded += int64(st.Recorded)
+			c.Dropped += int64(st.Dropped)
+			c.Retries += int64(st.Retries)
+			c.Failovers += int64(st.Failovers)
+			c.SpoolErrs += int64(st.SpoolErrs)
 			if err != nil {
-				res.failures++
+				c.Failures++
 				if len(res.errs) < 8 {
 					res.errs = append(res.errs, err.Error())
 				}
@@ -286,38 +361,38 @@ func runFleet(servers []string, token string, agents, batches, batchSz, aps, ess
 	return res
 }
 
-// runAgent is one synthetic handset: batches uploads of batchSz samples
-// each, every flush timed as one ack latency observation.
-func runAgent(servers []string, token string, idx, batches, batchSz, aps, essids int, seed int64, spool bool, scratch string) ([]time.Duration, agent.Stats, error) {
+// runAgent is agent i of the fleet: it uploads its samples -batch at a
+// time, every flush timed as one ack latency observation.
+func runAgent(o *options, servers []string, src *source, i int, dial func(string, time.Duration) (net.Conn, error), scratch string) ([]time.Duration, agent.Stats, error) {
+	dev, platform, n, next := src.agent(i)
 	cfg := agent.Config{
 		Servers:   servers,
-		Device:    trace.DeviceID(1 + idx),
-		OS:        trace.Android,
-		Token:     token,
+		Device:    dev,
+		OS:        platform,
+		Token:     o.token,
 		BatchSize: 1 << 30, // flush manually so each batch is one timed upload
-		MaxCache:  batchSz * (batches + 1),
+		MaxCache:  n + o.batch,
+		Dial:      dial,
 	}
-	if spool {
-		cfg.SpoolDir = filepath.Join(scratch, "agent-spool", fmt.Sprintf("a%05d", idx))
+	if o.spool {
+		cfg.SpoolDir = filepath.Join(scratch, "agent-spool", fmt.Sprintf("a%05d", i))
 	}
 	a, err := agent.New(cfg)
 	if err != nil {
 		return nil, agent.Stats{}, err
 	}
-	rng := rand.New(rand.NewSource(seed + int64(idx)))
-	lats := make([]time.Duration, 0, batches)
-	t := int64(1_400_000_000) + int64(idx)
+	lats := make([]time.Duration, 0, (n+o.batch-1)/o.batch)
 	var firstErr error
-	for b := 0; b < batches; b++ {
-		for s := 0; s < batchSz; s++ {
-			smp := synthSample(rng, t, aps, essids)
-			a.Record(&smp)
-			t += 600
+	for j := 0; j < n; {
+		for end := min(j+o.batch, n); j < end; j++ {
+			a.Record(next())
 		}
 		t0 := time.Now()
 		err := a.Flush()
 		lats = append(lats, time.Since(t0))
-		if err != nil && firstErr == nil {
+		// Under -faults a failed flush keeps its samples cached for the
+		// next one, and only what Close abandons fails the agent.
+		if err != nil && firstErr == nil && o.faults == "" {
 			firstErr = err
 		}
 	}
@@ -377,6 +452,7 @@ type clientManifest struct {
 	Dropped   int64 `json:"dropped_samples"`
 	Retries   int64 `json:"retries"`
 	Failovers int64 `json:"failovers,omitempty"`
+	Faults    int64 `json:"faults_injected,omitempty"`
 	SpoolErrs int64 `json:"spool_errors"`
 	Failures  int64 `json:"agent_failures"`
 }
@@ -429,7 +505,7 @@ func (m *manifest) conservation(format string, args ...any) {
 // buildManifest reconciles the fleet's view with the scraped server deltas;
 // counter deltas are summed across every scraped endpoint, so a tier of
 // share-nothing replicas reconciles as one logical collector.
-func buildManifest(fleet fleetResult, before, after []*obs.Snapshot, agents, batches, batchSz int) *manifest {
+func buildManifest(fleet fleetResult, before, after []*obs.Snapshot, src *source, batchSz int) *manifest {
 	m := &manifest{
 		Machine: machineManifest{
 			NumCPU:     runtime.NumCPU(),
@@ -438,23 +514,16 @@ func buildManifest(fleet fleetResult, before, after []*obs.Snapshot, agents, bat
 			GOARCH:     runtime.GOARCH,
 			GoVersion:  runtime.Version(),
 		},
-		Agents:             agents,
-		BatchesPerAgent:    batches,
+		Agents:             src.agents,
+		BatchesPerAgent:    src.batches,
 		SamplesPerBatch:    batchSz,
 		DurationSeconds:    fleet.duration.Seconds(),
 		ConservationErrors: []string{},
-		Client: clientManifest{
-			Uploaded:  fleet.uploaded,
-			Recorded:  fleet.recorded,
-			Dropped:   fleet.dropped,
-			Retries:   fleet.retries,
-			Failovers: fleet.failovers,
-			SpoolErrs: fleet.spoolErrs,
-			Failures:  fleet.failures,
-		},
+		Client:             fleet.client,
 	}
+	c := &m.Client
 	if fleet.duration > 0 {
-		m.SamplesPerSec = float64(fleet.uploaded) / fleet.duration.Seconds()
+		m.SamplesPerSec = float64(c.Uploaded) / fleet.duration.Seconds()
 		m.BatchesPerSec = float64(len(fleet.latencies)) / fleet.duration.Seconds()
 	}
 	sort.Slice(fleet.latencies, func(i, j int) bool { return fleet.latencies[i] < fleet.latencies[j] })
@@ -465,18 +534,17 @@ func buildManifest(fleet fleetResult, before, after []*obs.Snapshot, agents, bat
 		Max: ms(pct(fleet.latencies, 100)),
 	}
 
-	expected := int64(agents) * int64(batches) * int64(batchSz)
-	if fleet.recorded != expected {
-		m.conservation("fleet recorded %d samples, expected %d", fleet.recorded, expected)
+	if c.Recorded != src.samples {
+		m.conservation("fleet recorded %d samples, expected %d", c.Recorded, src.samples)
 	}
-	if fleet.uploaded != fleet.recorded {
-		m.conservation("fleet uploaded %d of %d recorded samples", fleet.uploaded, fleet.recorded)
+	if c.Uploaded != c.Recorded {
+		m.conservation("fleet uploaded %d of %d recorded samples", c.Uploaded, c.Recorded)
 	}
-	if fleet.dropped != 0 {
-		m.conservation("fleet dropped %d samples", fleet.dropped)
+	if c.Dropped != 0 {
+		m.conservation("fleet dropped %d samples", c.Dropped)
 	}
-	if fleet.failures != 0 {
-		m.conservation("%d agents failed: %v", fleet.failures, fleet.errs)
+	if c.Failures != 0 {
+		m.conservation("%d agents failed: %v", c.Failures, fleet.errs)
 	}
 
 	if len(after) > 0 {
@@ -496,8 +564,8 @@ func buildManifest(fleet fleetResult, before, after []*obs.Snapshot, agents, bat
 			m.conservation("server frames %d != accepted %d + dups %d",
 				m.Server.Frames, m.Server.Accepted, m.Server.DupBatches)
 		}
-		if m.Server.Samples != fleet.uploaded {
-			m.conservation("server accepted %d samples, fleet uploaded %d", m.Server.Samples, fleet.uploaded)
+		if m.Server.Samples != c.Uploaded {
+			m.conservation("server accepted %d samples, fleet uploaded %d", m.Server.Samples, c.Uploaded)
 		}
 		if m.Server.SinkErrs != 0 {
 			m.conservation("%d server sink errors", m.Server.SinkErrs)
@@ -521,22 +589,13 @@ func pct(sorted []time.Duration, p int) time.Duration {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := (len(sorted)*p + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
+	return sorted[(len(sorted)*p+99)/100-1] // p >= 1, so the rank is >= 1
 }
 
-// splitList parses a comma-separated flag value, dropping empty entries.
+// splitList parses a comma-separated flag value, dropping spaces and empty
+// entries.
 func splitList(s string) []string {
-	var out []string
-	for _, e := range strings.Split(s, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			out = append(out, e)
-		}
-	}
-	return out
+	return strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' })
 }
 
 // scrapeAll fetches and parses the JSON metrics exposition from every

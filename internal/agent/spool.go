@@ -33,8 +33,9 @@ const (
 // spoolSegmentBytes is the journal's segment rotation size.
 const spoolSegmentBytes = 8 << 20
 
-// openSpool opens (or creates) the journal and replays it into the agent's
-// queue state. Called from New before any recording happens.
+// openSpool opens (or creates) the journal, replays it into the agent's
+// queue state and rewrites it as just that queue. Called from New before
+// any recording happens.
 func (a *Agent) openSpool() error {
 	// Process-death durability is the goal for a handset-side spool; the
 	// OS writes back on its own schedule, no fsync per sample.
@@ -48,96 +49,100 @@ func (a *Agent) openSpool() error {
 		return fmt.Errorf("agent: open spool: %w", err)
 	}
 	a.spool = log
-	if err := a.replaySpool(); err != nil {
+	if err := log.Replay(a.replayRecord); err != nil {
 		log.Close() //smuvet:allow closeerr -- replay error is primary; nothing was written yet
 		return err
 	}
 	a.stats.Resumed = a.Pending()
-	return a.compactSpool()
-}
-
-// replaySpool applies the journal in order, reconstructing pending,
-// inflight, inflightID, and the batch-ID high-water mark.
-func (a *Agent) replaySpool() error {
-	var sample trace.Sample
-	return a.spool.Replay(func(lsn wal.LSN, typ byte, payload []byte) error {
-		d := proto.NewFieldReader(payload)
-		switch typ {
-		case spoolSample:
-			used, err := trace.DecodeSample(payload, &sample)
-			if err != nil {
-				return fmt.Errorf("agent: spool sample at %s: %w", lsn, err)
-			}
-			if used != len(payload) {
-				return fmt.Errorf("agent: spool sample at %s: trailing bytes", lsn)
-			}
-			a.pending = append(a.pending, *sample.Clone())
-		case spoolFreeze:
-			// Counts stay uint64 until checked against the queue: a count
-			// past int's range must not turn negative and pass the check.
-			id, count := d.Uvarint(), d.Uvarint()
-			if err := d.Finish("agent: spool freeze"); err != nil {
-				return err
-			}
-			switch {
-			case a.inflight == nil:
-				if count > uint64(len(a.pending)) {
-					return fmt.Errorf("agent: spool freeze at %s: %d samples frozen, %d pending", lsn, count, len(a.pending))
-				}
-				a.inflight = a.pending[:count:count]
-				a.pending = a.pending[count:]
-				a.inflightID = id
-			case count == uint64(len(a.inflight)):
-				// Renumbered in place (a fresh freeze collided with the
-				// server's sequence; see flushInflight).
-				a.inflightID = id
-			default:
-				return fmt.Errorf("agent: spool freeze at %s: %d frozen while %d already in flight", lsn, count, len(a.inflight))
-			}
-			if id > a.batchID {
-				a.batchID = id
-			}
-		case spoolAck:
-			id := d.Uvarint()
-			if err := d.Finish("agent: spool ack"); err != nil {
-				return err
-			}
-			if a.inflight == nil || id != a.inflightID {
-				return fmt.Errorf("agent: spool ack at %s: batch %d not in flight", lsn, id)
-			}
-			a.inflight = nil
-		case spoolDrop:
-			n := d.Uvarint()
-			if err := d.Finish("agent: spool drop"); err != nil {
-				return err
-			}
-			a.pending = a.pending[min(n, uint64(len(a.pending))):]
-		case spoolSeq:
-			id := d.Uvarint()
-			if err := d.Finish("agent: spool seq"); err != nil {
-				return err
-			}
-			if id > a.batchID {
-				a.batchID = id
-			}
-		default:
-			return fmt.Errorf("agent: spool record type %d at %s", typ, lsn)
-		}
-		return nil
+	if err := log.Reset(); err != nil {
+		return fmt.Errorf("agent: compact spool: %w", err)
+	}
+	return a.compacted(func(typ byte, payload []byte) error {
+		_, err := log.Append(typ, payload)
+		return err
 	})
 }
 
-// compactSpool rewrites the journal to just the live queue: the in-flight
-// samples, the pending samples, the freeze record, and the sequence mark.
-func (a *Agent) compactSpool() error {
-	if err := a.spool.Reset(); err != nil {
-		return fmt.Errorf("agent: compact spool: %w", err)
+// replayRecord applies the journal record at lsn to the queue: pending,
+// inflight, inflightID, and the batch-ID high-water mark.
+func (a *Agent) replayRecord(lsn wal.LSN, typ byte, payload []byte) error {
+	d := proto.NewFieldReader(payload)
+	switch typ {
+	case spoolSample:
+		var sample trace.Sample
+		used, err := trace.DecodeSample(payload, &sample)
+		if err != nil {
+			return fmt.Errorf("agent: spool sample at %s: %w", lsn, err)
+		}
+		if used != len(payload) {
+			return fmt.Errorf("agent: spool sample at %s: trailing bytes", lsn)
+		}
+		a.pending = append(a.pending, *sample.Clone())
+	case spoolFreeze:
+		// Counts stay uint64 until checked against the queue: a count past
+		// int's range must not turn negative and pass the check.
+		id, count := d.Uvarint(), d.Uvarint()
+		if err := d.Finish("agent: spool freeze"); err != nil {
+			return err
+		}
+		switch {
+		case a.inflight == nil:
+			// Flush freezes only a non-empty queue: an empty batch in
+			// flight would not survive compaction, which writes it as
+			// a freeze in front of no samples.
+			if count == 0 || count > uint64(len(a.pending)) {
+				return fmt.Errorf("agent: spool freeze at %s: %d samples frozen, %d pending", lsn, count, len(a.pending))
+			}
+			a.inflight = a.pending[:count:count]
+			a.pending = a.pending[count:]
+			a.inflightID = id
+		case count == uint64(len(a.inflight)):
+			// Renumbered in place (a fresh freeze collided with the
+			// server's sequence; see flushInflight).
+			a.inflightID = id
+		default:
+			return fmt.Errorf("agent: spool freeze at %s: %d frozen while %d already in flight", lsn, count, len(a.inflight))
+		}
+		if id > a.batchID {
+			a.batchID = id
+		}
+	case spoolAck:
+		id := d.Uvarint()
+		if err := d.Finish("agent: spool ack"); err != nil {
+			return err
+		}
+		if a.inflight == nil || id != a.inflightID {
+			return fmt.Errorf("agent: spool ack at %s: batch %d not in flight", lsn, id)
+		}
+		a.inflight = nil
+	case spoolDrop:
+		n := d.Uvarint()
+		if err := d.Finish("agent: spool drop"); err != nil {
+			return err
+		}
+		a.pending = a.pending[min(n, uint64(len(a.pending))):]
+	case spoolSeq:
+		id := d.Uvarint()
+		if err := d.Finish("agent: spool seq"); err != nil {
+			return err
+		}
+		if id > a.batchID {
+			a.batchID = id
+		}
+	default:
+		return fmt.Errorf("agent: spool record type %d at %s", typ, lsn)
 	}
+	return nil
+}
+
+// compacted emits the records of a journal that holds just the live queue:
+// the in-flight samples, the freeze record, the pending samples, and the
+// sequence mark. The payload is reused after emit returns.
+func (a *Agent) compacted(emit func(typ byte, payload []byte) error) error {
 	var buf []byte
 	appendSample := func(s *trace.Sample) error {
 		buf = trace.AppendSample(buf[:0], s)
-		_, err := a.spool.Append(spoolSample, buf)
-		return err
+		return emit(spoolSample, buf)
 	}
 	for i := range a.inflight {
 		if err := appendSample(&a.inflight[i]); err != nil {
@@ -145,10 +150,8 @@ func (a *Agent) compactSpool() error {
 		}
 	}
 	if a.inflight != nil {
-		buf = buf[:0]
-		buf = binary.AppendUvarint(buf, a.inflightID)
-		buf = binary.AppendUvarint(buf, uint64(len(a.inflight)))
-		if _, err := a.spool.Append(spoolFreeze, buf); err != nil {
+		buf = binary.AppendUvarint(binary.AppendUvarint(buf[:0], a.inflightID), uint64(len(a.inflight)))
+		if err := emit(spoolFreeze, buf); err != nil {
 			return err
 		}
 	}
@@ -158,9 +161,7 @@ func (a *Agent) compactSpool() error {
 		}
 	}
 	if a.batchID > 0 {
-		if _, err := a.spool.Append(spoolSeq, binary.AppendUvarint(buf[:0], a.batchID)); err != nil {
-			return err
-		}
+		return emit(spoolSeq, binary.AppendUvarint(buf[:0], a.batchID))
 	}
 	return nil
 }

@@ -179,6 +179,43 @@ type deviceState struct {
 	sessions    int64
 	partialID   uint64
 	partialNext int
+	// commit is the WAL commit token of the device's last logged batch
+	// record (0 for none since Open, which synced what it replays).
+	commit int64
+}
+
+// dup reports whether batch id was already applied: it, or a later batch,
+// reached the sink whole.
+func (st *deviceState) dup(id uint64) bool { return st.haveLast && id <= st.lastBatch }
+
+// sinkBatchLocked sinks the samples of b the sink has not taken (a failed
+// sink's prefix is skipped) and records the outcome: b is applied once its
+// last sample is sunk, and a failure leaves the cursor a retry resumes at.
+// It returns how many samples it sank. Callers have ruled out st.dup.
+func (s *Server) sinkBatchLocked(st *deviceState, b *proto.Batch) (int, error) {
+	start := 0
+	if st.partialID == b.BatchID {
+		start = min(st.partialNext, len(b.Samples))
+	}
+	for i := start; i < len(b.Samples); i++ {
+		var t0 time.Time
+		if s.m.timed {
+			t0 = time.Now()
+		}
+		err := s.sink(&b.Samples[i])
+		if s.m.timed {
+			s.m.sinkSeconds.Observe(time.Since(t0).Seconds())
+		}
+		if err != nil {
+			st.partialID, st.partialNext = b.BatchID, i
+			st.samples += int64(i - start)
+			return i - start, err
+		}
+	}
+	st.haveLast, st.lastBatch = true, b.BatchID
+	st.partialID, st.partialNext = 0, 0
+	st.samples += int64(len(b.Samples) - start)
+	return len(b.Samples) - start, nil
 }
 
 // Server is the collection server. Create with New, start with Serve.
@@ -483,13 +520,12 @@ func (s *Server) deviceLocked(dev trace.DeviceID) *deviceState {
 var errBadBatch = errors.New("invalid batch")
 
 // accept deduplicates and spools b, the batch decoded from the frame
-// payload, returning how many samples were newly accepted plus a WAL commit
-// token (0 when nothing needs committing).
+// payload, returning how many samples were newly accepted plus the WAL
+// commit token the ack must wait on: the new record's, or for a duplicate
+// the device's last record's, whose round may still be in flight.
 // accept runs under s.mu, so it must not wait on an fsync — it appends
 // asynchronously and the caller commits the token after the lock is
 // released, letting concurrent connections share group-commit fsync rounds.
-// The ack is only written after Commit returns, so the durable-before-ack
-// ordering is unchanged.
 //
 // The whole batch is validated before any sample reaches the sink: a
 // poisoned mid-batch sample must reject the batch atomically, because a
@@ -514,21 +550,12 @@ func (s *Server) accept(dev trace.DeviceID, payload []byte, b *proto.Batch) (uin
 	s.m.frames.Inc()
 	st := s.deviceLocked(dev)
 	st.batches++
-	if st.haveLast && b.BatchID <= st.lastBatch {
-		// A dup was acked before, and acks only follow a commit, so its WAL
-		// record is already durable: no commit token needed.
+	if st.dup(b.BatchID) {
+		// The original's ack may still wait on the round that syncs its
+		// record, or never come if that round fails: so must the dup's.
 		s.stats.DupBatches.Add(1)
 		s.m.dups.Inc()
-		return 0, 0, nil
-	}
-	start := 0
-	if st.partialID == b.BatchID && st.partialNext > 0 {
-		// Resuming a batch whose sink failed midway; the agent resends the
-		// identical frozen batch, so skip the already-spooled prefix.
-		start = st.partialNext
-		if start > len(b.Samples) {
-			start = len(b.Samples)
-		}
+		return 0, st.commit, nil
 	}
 	// Durability point: the batch enters the WAL as received, the device
 	// then the frame payload (flushed to the OS here, fsynced by the
@@ -544,6 +571,7 @@ func (s *Server) accept(dev trace.DeviceID, payload []byte, b *proto.Batch) (uin
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal append: %w", err)
 	}
+	st.commit = commitSeq
 	if s.cfg.Hook != nil {
 		// Crash point: batch flushed to the WAL, nothing sinked yet.
 		if err := s.cfg.Hook("pre-sink"); err != nil {
@@ -551,34 +579,17 @@ func (s *Server) accept(dev trace.DeviceID, payload []byte, b *proto.Batch) (uin
 			return 0, 0, err
 		}
 	}
-	for i := start; i < len(b.Samples); i++ {
-		var t0 time.Time
-		if s.m.timed {
-			t0 = time.Now()
-		}
-		err := s.sink(&b.Samples[i])
-		if s.m.timed {
-			s.m.sinkSeconds.Observe(time.Since(t0).Seconds())
-		}
-		if err != nil {
-			st.partialID, st.partialNext = b.BatchID, i
-			st.samples += int64(i - start)
-			s.stats.Samples.Add(int64(i - start))
-			s.m.samples.Add(int64(i - start))
-			s.stats.SinkErrs.Add(1)
-			s.m.sinkErrs.Inc()
-			//smuvet:allow commitpair -- partial-sink state is remembered and no ack is sent; the retry resumes here and its own commit covers this record before the ack
-			return 0, 0, err
-		}
+	sunk, err := s.sinkBatchLocked(st, b)
+	s.stats.Samples.Add(int64(sunk))
+	s.m.samples.Add(int64(sunk))
+	if err != nil {
+		s.stats.SinkErrs.Add(1)
+		s.m.sinkErrs.Inc()
+		// No ack: the retry resumes at the cursor, its commit covering this.
+		return 0, 0, err
 	}
-	st.haveLast, st.lastBatch = true, b.BatchID
-	st.partialID, st.partialNext = 0, 0
 	s.m.accepted.Inc()
-	accepted := len(b.Samples) - start
-	st.samples += int64(accepted)
-	s.stats.Samples.Add(int64(accepted))
-	s.m.samples.Add(int64(accepted))
-	return uint32(accepted), commitSeq, nil
+	return uint32(sunk), commitSeq, nil
 }
 
 // fail sends an error frame (under a write deadline) then reports the

@@ -1,13 +1,16 @@
 package collector
 
 // Regression and hardening tests for the upload path: atomic batch
-// validation, exactly-once resume across sink failures, write deadlines
-// against stalled peers, and the per-frame size cap.
+// validation, exactly-once resume across sink failures, durable acks of
+// duplicates, write deadlines against stalled peers, and the per-frame size
+// cap.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"smartusage/internal/faultnet"
 	"smartusage/internal/proto"
 	"smartusage/internal/trace"
+	"smartusage/internal/wal"
 	"smartusage/internal/wal/waltest"
 )
 
@@ -274,5 +278,118 @@ func TestFrameSizeCapEnforced(t *testing.T) {
 	}
 	if store.len() != 0 {
 		t.Fatal("oversized frame reached the sink")
+	}
+}
+
+// A duplicate of a batch whose WAL record still waits on its group-commit
+// round must not be acked before that round: its ack would tell the agent
+// the batch is delivered while no sync covers it. Session one uploads batch
+// 1 and its round parks at the group-fsync hook; session two sends the same
+// batch. Neither may be acked while the round is parked; both are acked
+// when it succeeds, and neither when it fails.
+func TestDuplicateAckWaitsForOriginalRound(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		verdict error
+	}{
+		{"round succeeds", nil},
+		{"round fails", errors.New("injected fsync failure")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parked, ended := make(chan struct{}), make(chan struct{})
+			release := make(chan error)
+			var once sync.Once
+			hook := func(point string) error {
+				if point != "group-fsync" {
+					return nil
+				}
+				var verdict error
+				once.Do(func() {
+					close(parked)
+					select {
+					case verdict = <-release:
+					case <-ended: // the test failed first; unpark
+					}
+				})
+				return verdict
+			}
+			w, err := wal.Open(t.TempDir(), wal.Options{Policy: wal.FsyncRecord, Hook: hook})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			store := &sampleStore{}
+			srv, err := New(Config{WAL: w, Addr: "127.0.0.1:0", Sink: store.add, Logf: func(string, ...any) {}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Listen(); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				srv.Serve(ctx)
+			}()
+			defer func() {
+				cancel()
+				<-done
+			}()
+			defer close(ended)
+
+			const dev = 12
+			batch := mkBatch(dev, 1, 3)
+			payload := proto.AppendBatch(nil, &batch)
+			acks := make(chan *proto.BatchAck, 2)
+			upload := func() {
+				conn, pc := rawSession(t, srv.Addr().String(), dev)
+				if err := pc.WriteFrame(proto.FrameBatch, payload); err != nil {
+					t.Error(err)
+				}
+				go func() {
+					defer conn.Close()
+					ft, body, err := pc.ReadFrame()
+					if err != nil || ft != proto.FrameBatchAck {
+						acks <- nil
+						return
+					}
+					var ack proto.BatchAck
+					if err := proto.DecodeBatchAck(body, &ack); err != nil {
+						t.Error(err)
+					}
+					acks <- &ack
+				}()
+			}
+			upload()
+			<-parked
+			upload()
+			select {
+			case ack := <-acks:
+				t.Fatalf("answered %+v while the original's round was parked", ack)
+			case <-time.After(200 * time.Millisecond):
+			}
+			release <- tc.verdict
+			var accepted []uint32
+			for i := 0; i < 2; i++ {
+				select {
+				case ack := <-acks:
+					if ack != nil {
+						accepted = append(accepted, ack.Accepted)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("no answer after the round ended")
+				}
+			}
+			if tc.verdict != nil {
+				if len(accepted) != 0 {
+					t.Fatalf("acked %v after the round that held the batch failed", accepted)
+				}
+				return
+			}
+			if len(accepted) != 2 || accepted[0]+accepted[1] != 3 || store.len() != 3 {
+				t.Fatalf("acks accepted %v, sink holds %d: want the batch's 3 samples acked and sunk once", accepted, store.len())
+			}
+		})
 	}
 }

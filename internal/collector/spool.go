@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"smartusage/internal/trace"
+	"smartusage/internal/wal"
 )
 
 // RotatingSpool is a Sink that writes accepted samples to numbered binary
@@ -115,10 +116,10 @@ func (sp *RotatingSpool) finishLocked() error {
 }
 
 // Seal finishes (flush + fsync + close) the active segment, if any, and
-// returns an opaque state blob for a WAL checkpoint: everything spooled so
-// far is durable in segments 0..seq-1, and Restore with this blob brings a
-// crashed spool back to exactly this boundary. The next sample opens a new
-// segment.
+// fsyncs the spool directory, and returns an opaque state blob for a WAL
+// checkpoint: everything spooled so far is durable in segments 0..seq-1,
+// directory entries included, and Restore with this blob brings a crashed
+// spool back to exactly this boundary. The next sample opens a new segment.
 func (sp *RotatingSpool) Seal() ([]byte, error) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -127,6 +128,9 @@ func (sp *RotatingSpool) Seal() ([]byte, error) {
 	}
 	if err := sp.finishLocked(); err != nil {
 		return nil, err
+	}
+	if err := wal.SyncDir(sp.dir); err != nil {
+		return nil, fmt.Errorf("collector: spool: %w", err)
 	}
 	return binary.AppendUvarint(nil, uint64(sp.seq)), nil
 }

@@ -156,10 +156,10 @@ func (s *Server) recoverWAL(restore func(sinkState []byte) error) (*Recovery, er
 	}
 
 	// Pass 2: apply and re-sink everything past the checkpoint, in log
-	// order, deduplicating exactly as live accept() would — a batch that
-	// was WAL-appended twice (partial-sink retry) replays once. The samples
-	// alias the replayed record, as live ones alias the frame, until the
-	// next record.
+	// order, by the rule live accept() follows (deviceState.dup and
+	// sinkBatchLocked) — a batch that was WAL-appended twice (partial-sink
+	// retry) replays once. The samples alias the replayed record, as live
+	// ones alias the frame, until the next record.
 	var b proto.Batch
 	err = w.Replay(func(lsn wal.LSN, typ byte, payload []byte) error {
 		if typ != recBatch {
@@ -176,26 +176,15 @@ func (s *Server) recoverWAL(restore func(sinkState []byte) error) (*Recovery, er
 			return fmt.Errorf("collector: wal batch at %s: %w", lsn, err)
 		}
 		st := s.deviceLocked(trace.DeviceID(dev))
-		if st.haveLast && b.BatchID <= st.lastBatch {
+		if st.dup(b.BatchID) {
 			return nil
 		}
-		start := 0
-		if st.partialID == b.BatchID && st.partialNext > 0 {
-			start = st.partialNext
-			if start > len(b.Samples) {
-				start = len(b.Samples)
-			}
+		sunk, err := s.sinkBatchLocked(st, &b)
+		if err != nil {
+			return fmt.Errorf("collector: recovery sink: %w", err)
 		}
-		for i := start; i < len(b.Samples); i++ {
-			if err := s.sink(&b.Samples[i]); err != nil {
-				return fmt.Errorf("collector: recovery sink: %w", err)
-			}
-		}
-		st.haveLast, st.lastBatch = true, b.BatchID
-		st.partialID, st.partialNext = 0, 0
-		st.samples += int64(len(b.Samples) - start)
 		rec.Batches++
-		rec.Resinked += int64(len(b.Samples) - start)
+		rec.Resinked += int64(sunk)
 		return nil
 	})
 	if err != nil {

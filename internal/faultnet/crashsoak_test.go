@@ -6,9 +6,10 @@ package faultnet_test
 // pre-sink, pre-ack) — or the agents themselves are killed and rebuilt from
 // their disk spools. The collector is then cold-started from its WAL and
 // spool directory, the agents retry through the outage, and the end state is
-// asserted exactly-once: every recorded sample appears in the spool exactly
-// once, in per-device order. Runs under -race; every (point, seed) pair is
-// deterministic in its crash trigger, so a passing pair stays passing.
+// asserted exactly-once: every recorded sample (a simulated device's)
+// appears in the spool exactly once, in per-device order and unaltered.
+// Runs under -race; every (point, seed) pair is deterministic in its crash
+// trigger, so a passing pair stays passing.
 
 import (
 	"context"
@@ -122,10 +123,13 @@ func runCrashSoak(t *testing.T, point string, seed int64) {
 		err error
 	}
 	results := make(chan result, crashAgents)
+	want := make(map[trace.DeviceID][]trace.Sample, crashAgents)
 	for d := 0; d < crashAgents; d++ {
 		dev := trace.DeviceID(9000*seed + int64(d) + 1)
+		platform, samples := panelSamples(t, dev, crashSamples)
+		want[dev] = samples
 		go func() {
-			results <- result{dev: dev, err: runCrashAgent(dir, addr, dev, point, reg)}
+			results <- result{dev: dev, err: runCrashAgent(dir, addr, dev, platform, samples, point, reg)}
 		}()
 	}
 
@@ -163,9 +167,10 @@ func runCrashSoak(t *testing.T, point string, seed int64) {
 	}
 
 	// Exactly-once, in order, at the durable sink: read back every spool
-	// segment and check each device's time series is precisely what its
-	// agent recorded — no loss, no duplicate, no reorder, across the kill.
-	byDev := make(map[trace.DeviceID][]int64)
+	// segment and check each device's samples are precisely what its agent
+	// recorded — no loss, no duplicate, no reorder, no field lost, across
+	// the kill.
+	byDev := make(map[trace.DeviceID][]trace.Sample)
 	segs, err := filepath.Glob(filepath.Join(dir, "spool", "spool-*.trace"))
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +182,7 @@ func runCrashSoak(t *testing.T, point string, seed int64) {
 			t.Fatal(err)
 		}
 		err = trace.NewReader(f).ReadAll(func(s *trace.Sample) error {
-			byDev[s.Device] = append(byDev[s.Device], s.Time)
+			byDev[s.Device] = append(byDev[s.Device], *s.Clone())
 			return nil
 		})
 		f.Close()
@@ -188,15 +193,8 @@ func runCrashSoak(t *testing.T, point string, seed int64) {
 	if len(byDev) != crashAgents {
 		t.Fatalf("spool holds %d devices, want %d", len(byDev), crashAgents)
 	}
-	for dev, times := range byDev {
-		if len(times) != crashSamples {
-			t.Fatalf("device %s: spool holds %d samples, want %d", dev, len(times), crashSamples)
-		}
-		for j, ts := range times {
-			if ts != int64(j)*600 {
-				t.Fatalf("device %s: spool position %d holds time %d, want %d (duplicate or reorder)", dev, j, ts, int64(j)*600)
-			}
-		}
+	for dev, got := range byDev {
+		checkSamples(t, "spool", dev, got, want[dev])
 	}
 
 	// Metrics conservation across the kill: the registry outlived every
@@ -235,15 +233,15 @@ func runCrashSoak(t *testing.T, point string, seed int64) {
 	}
 }
 
-// runCrashAgent records crashSamples samples through the faulty world,
-// draining with retries until everything is uploaded. For the agent-kill
-// point the agent object is dropped mid-campaign (journal never closed) and
-// rebuilt from its spool directory.
-func runCrashAgent(dir, addr string, dev trace.DeviceID, point string, reg *obs.Registry) error {
+// runCrashAgent records samples through the faulty world, draining with
+// retries until everything is uploaded. For the agent-kill point the agent
+// object is dropped mid-campaign (journal never closed) and rebuilt from its
+// spool directory.
+func runCrashAgent(dir, addr string, dev trace.DeviceID, platform trace.OS, samples []trace.Sample, point string, reg *obs.Registry) error {
 	cfg := agent.Config{
 		Servers:     []string{addr},
 		Device:      dev,
-		OS:          trace.Android,
+		OS:          platform,
 		Token:       "crash",
 		BatchSize:   crashBatchSize,
 		MaxAttempts: 3,
@@ -258,10 +256,7 @@ func runCrashAgent(dir, addr string, dev trace.DeviceID, point string, reg *obs.
 	if err != nil {
 		return err
 	}
-	record := func(i int) {
-		s := trace.Sample{Device: dev, OS: trace.Android, Time: int64(i) * 600, Battery: 50}
-		a.Record(&s)
-	}
+	record := func(i int) { a.Record(&samples[i]) }
 	killAt := crashSamples // never, unless this is the agent-kill point
 	if point == faultnet.CrashAgentKill {
 		// Two samples past the last auto-flush boundary, so the kill

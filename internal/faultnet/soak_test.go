@@ -1,10 +1,11 @@
 package faultnet_test
 
-// The chaos soak: N simulated agents push M batches each through a faulty
-// network at every fault mix, and the exactly-once delivery invariant is
-// asserted end to end — every recorded sample reaches the sink exactly
-// once, in per-device order, with the agent's Uploaded/Dropped counters and
-// the collector's DupBatches/Samples counters reconciling to zero loss.
+// The chaos soak: N agents push M batches each of a simulated device's
+// samples through a faulty network at every fault mix, and the exactly-once
+// delivery invariant is asserted end to end — every recorded sample reaches
+// the sink exactly once, in per-device order and unaltered, with the agent's
+// Uploaded/Dropped counters and the collector's DupBatches/Samples counters
+// reconciling to zero loss.
 // Each mix runs for several distinct seeds; because faultnet's schedule is
 // deterministic, a passing (mix, seed) pair stays passing.
 
@@ -71,13 +72,13 @@ var soakMixes = []struct {
 // deviceStore is a per-device sink for the conservation check.
 type deviceStore struct {
 	mu   sync.Mutex
-	byID map[trace.DeviceID][]int64 // sample times, arrival order
+	byID map[trace.DeviceID][]trace.Sample // arrival order
 }
 
 func (d *deviceStore) sink(s *trace.Sample) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.byID[s.Device] = append(d.byID[s.Device], s.Time)
+	d.byID[s.Device] = append(d.byID[s.Device], *s.Clone())
 	return nil
 }
 
@@ -130,7 +131,7 @@ func runSoak(t *testing.T, fcfg faultnet.Config, seed int64, walStall time.Durat
 		defer walLog.Close()
 	}
 
-	store := &deviceStore{byID: make(map[trace.DeviceID][]int64)}
+	store := &deviceStore{byID: make(map[trace.DeviceID][]trace.Sample)}
 	srv, err := collector.New(collector.Config{
 		Addr:         "127.0.0.1:0",
 		Token:        "soak",
@@ -164,13 +165,16 @@ func runSoak(t *testing.T, fcfg faultnet.Config, seed int64, walStall time.Durat
 		err   error
 	}
 	results := make(chan result, soakAgents)
+	want := make(map[trace.DeviceID][]trace.Sample, soakAgents)
 	for d := 0; d < soakAgents; d++ {
 		dev := trace.DeviceID(1000*seed + int64(d) + 1)
+		platform, samples := panelSamples(t, dev, soakSamples)
+		want[dev] = samples
 		go func() {
 			a, err := agent.New(agent.Config{
 				Servers:     []string{srv.Addr().String()},
 				Device:      dev,
-				OS:          trace.Android,
+				OS:          platform,
 				Token:       "soak",
 				BatchSize:   soakBatchSize,
 				MaxAttempts: 5,
@@ -185,9 +189,8 @@ func runSoak(t *testing.T, fcfg faultnet.Config, seed int64, walStall time.Durat
 				results <- result{dev: dev, err: err}
 				return
 			}
-			for i := 0; i < soakSamples; i++ {
-				s := trace.Sample{Device: dev, OS: trace.Android, Time: int64(i) * 600, Battery: 50}
-				a.Record(&s) // auto-flushes per batch; failures stay cached
+			for i := range samples {
+				a.Record(&samples[i]) // auto-flushes per batch; failures stay cached
 			}
 			// Drain the cache through the faulty network; with fault
 			// probability < 1 this converges, and the cap turns a livelock
@@ -221,18 +224,11 @@ func runSoak(t *testing.T, fcfg faultnet.Config, seed int64, walStall time.Durat
 		totalRetries += int64(st.Retries)
 
 		// Exactly-once, in order: the sink holds precisely the recorded
-		// time series, no duplicates, no gaps, no reordering.
+		// samples, no duplicates, no gaps, no reordering, no field lost.
 		store.mu.Lock()
-		times := store.byID[r.dev]
+		got := store.byID[r.dev]
 		store.mu.Unlock()
-		if len(times) != soakSamples {
-			t.Fatalf("device %s: sink holds %d samples, want %d", r.dev, len(times), soakSamples)
-		}
-		for j, ts := range times {
-			if ts != int64(j)*600 {
-				t.Fatalf("device %s: sink position %d holds time %d, want %d (duplicate or reorder)", r.dev, j, ts, int64(j)*600)
-			}
-		}
+		checkSamples(t, "sink", r.dev, got, want[r.dev])
 
 		// The collector's per-device bookkeeping agrees with the sink.
 		ds, ok := srv.Device(r.dev)

@@ -7,9 +7,9 @@ package faultnet_test
 // at a chosen point in the durability pipeline. Each killed replica is
 // cold-restarted from its own WAL and spool. The end state is asserted
 // exactly-once across the tier: the tiermerge union of the per-replica
-// spools holds every recorded sample exactly once, in per-device order, and
-// is DeepEqual to the spool of a fault-free single-collector run of the
-// identical workload. Obs counters spanning every incarnation must
+// spools holds every recorded sample (a simulated device's) exactly once,
+// in per-device order and unaltered, and is DeepEqual to the spool of a
+// fault-free single-collector run of the identical workload. Obs counters spanning every incarnation must
 // reconcile: zero lost, zero double-sunk. Runs under -race.
 
 import (
@@ -150,10 +150,13 @@ func runTierSoak(t *testing.T, point string, seed int64) {
 		err error
 	}
 	results := make(chan result, tierAgents)
+	want := make(map[trace.DeviceID][]trace.Sample, tierAgents)
 	for d := 0; d < tierAgents; d++ {
 		dev := devs[d]
+		platform, samples := panelSamples(t, dev, tierSamples)
+		want[dev] = samples
 		go func() {
-			results <- result{dev: dev, err: runTierAgent(filepath.Join(dir, "agents"), addrs, dev, reg)}
+			results <- result{dev: dev, err: runTierAgent(filepath.Join(dir, "agents"), addrs, dev, platform, samples, reg)}
 		}()
 	}
 
@@ -190,22 +193,15 @@ func runTierSoak(t *testing.T, point string, seed int64) {
 	if st.Unique != tierAgents*tierSamples {
 		t.Fatalf("tiermerge found %d unique samples, want %d (stats %+v)", st.Unique, tierAgents*tierSamples, st)
 	}
-	byDev := make(map[trace.DeviceID][]int64)
+	byDev := make(map[trace.DeviceID][]trace.Sample)
 	for i := range merged {
-		byDev[merged[i].Device] = append(byDev[merged[i].Device], merged[i].Time)
+		byDev[merged[i].Device] = append(byDev[merged[i].Device], merged[i])
 	}
 	if len(byDev) != tierAgents {
 		t.Fatalf("merged stream holds %d devices, want %d", len(byDev), tierAgents)
 	}
-	for dev, times := range byDev {
-		if len(times) != tierSamples {
-			t.Fatalf("device %s: %d samples after merge, want %d", dev, len(times), tierSamples)
-		}
-		for j, ts := range times {
-			if ts != int64(j)*600 {
-				t.Fatalf("device %s: merge position %d holds time %d, want %d (loss or reorder)", dev, j, ts, int64(j)*600)
-			}
-		}
+	for dev, got := range byDev {
+		checkSamples(t, "merge", dev, got, want[dev])
 	}
 
 	// The tier must be invisible downstream: the same deterministic workload
@@ -265,8 +261,9 @@ func runBaselineCampaign(t *testing.T, dir string, devs []trace.DeviceID) []trac
 	errs := make(chan error, len(devs))
 	for _, dev := range devs {
 		dev := dev
+		platform, samples := panelSamples(t, dev, tierSamples)
 		go func() {
-			errs <- runTierAgent(filepath.Join(dir, "agents"), []string{addr}, dev, reg)
+			errs <- runTierAgent(filepath.Join(dir, "agents"), []string{addr}, dev, platform, samples, reg)
 		}()
 	}
 	for range devs {
@@ -281,13 +278,13 @@ func runBaselineCampaign(t *testing.T, dir string, devs []trace.DeviceID) []trac
 	return merged
 }
 
-// runTierAgent records tierSamples samples through the faulty tier, draining
-// with retries until everything is uploaded.
-func runTierAgent(spoolRoot string, servers []string, dev trace.DeviceID, reg *obs.Registry) error {
+// runTierAgent records samples through the faulty tier, draining with
+// retries until everything is uploaded.
+func runTierAgent(spoolRoot string, servers []string, dev trace.DeviceID, platform trace.OS, samples []trace.Sample, reg *obs.Registry) error {
 	a, err := agent.New(agent.Config{
 		Servers:     servers,
 		Device:      dev,
-		OS:          trace.Android,
+		OS:          platform,
 		Token:       "tier",
 		BatchSize:   tierBatchSize,
 		MaxAttempts: 3,
@@ -301,9 +298,8 @@ func runTierAgent(spoolRoot string, servers []string, dev trace.DeviceID, reg *o
 	if err != nil {
 		return err
 	}
-	for i := 0; i < tierSamples; i++ {
-		s := trace.Sample{Device: dev, OS: trace.Android, Time: int64(i) * 600, Battery: 50}
-		a.Record(&s)
+	for i := range samples {
+		a.Record(&samples[i])
 	}
 	for try := 0; a.Pending() > 0; try++ {
 		if try > crashDrainTries {

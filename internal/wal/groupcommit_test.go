@@ -191,15 +191,71 @@ func TestGroupCommitLeaderError(t *testing.T) {
 	if _, err := l.Append(1, []byte("doomed")); !errors.Is(err, boom) {
 		t.Fatalf("append during failing fsync: err = %v, want %v", err, boom)
 	}
+	// The failed sync may have dropped the doomed record's dirty pages, and
+	// a later sync could report success over them: the log stays failed
+	// after the disk recovers.
 	fail.Store(false)
-	if _, err := l.Append(1, []byte("recovered")); err != nil {
-		t.Fatalf("append after fsync recovered: %v", err)
+	if _, err := l.Append(1, []byte("refused")); !errors.Is(err, boom) {
+		t.Fatalf("append after fsync recovered: err = %v, want %v", err, boom)
 	}
-	// Both records were flushed to the OS (the failure was the sync, not the
-	// write), so replay sees both; only the second was acked as durable.
+	// The doomed record was flushed to the OS (the failure was the sync,
+	// not the write), so replay sees it; the refused one never reached it.
 	_, payloads := replayAll(t, l)
-	if len(payloads) != 2 || payloads[1] != "recovered" {
-		t.Fatalf("replay = %q, want [doomed recovered]", payloads)
+	if len(payloads) != 1 || payloads[0] != "doomed" {
+		t.Fatalf("replay = %q, want [doomed]", payloads)
+	}
+}
+
+// TestFailedRoundRefusesLaterOperations: once a sync round fails, the log
+// refuses every later append, commit, sync, rotation and close with that
+// failure, even when the disk would sync again, and no further round runs.
+func TestFailedRoundRefusesLaterOperations(t *testing.T) {
+	boom := errors.New("injected fsync failure")
+	var rounds atomic.Int64
+	hook := func(point string) error {
+		if point == "group-fsync" && rounds.Add(1) == 2 {
+			return boom
+		}
+		return nil
+	}
+	l, err := Open(t.TempDir(), Options{Policy: FsyncRecord, Hook: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, durable, err := l.AppendAsync(1, []byte("durable"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(durable); err != nil {
+		t.Fatalf("first round: %v", err)
+	}
+	_, doomed, err := l.AppendAsync(1, []byte("doomed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(doomed); !errors.Is(err, boom) {
+		t.Fatalf("failing round: err = %v, want %v", err, boom)
+	}
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"append", func() error { _, _, err := l.AppendAsync(1, []byte("late")); return err }},
+		{"commit", func() error { return l.Commit(doomed) }},
+		{"commit of a synced record", func() error { return l.Commit(durable) }},
+		{"sync", l.Sync},
+		{"rotate", l.Rotate},
+		{"blocking append", func() error { _, err := l.Append(1, []byte("late")); return err }},
+	} {
+		if err := op.run(); !errors.Is(err, boom) {
+			t.Errorf("%s after a failed round: err = %v, want %v", op.name, err, boom)
+		}
+	}
+	if n := rounds.Load(); n != 2 {
+		t.Errorf("%d sync rounds ran, want 2: a failed log must not sync again", n)
+	}
+	if err := l.Close(); !errors.Is(err, boom) {
+		t.Errorf("close after a failed round: err = %v, want %v", err, boom)
 	}
 }
 

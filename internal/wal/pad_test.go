@@ -242,11 +242,11 @@ func TestSegmentCreatedWithoutRecordsReopens(t *testing.T) {
 }
 
 // TestRoundsEndInsidePadding appends records of random sizes up to 64 KiB
-// across several padding steps, failing every third sync round. Checked
-// from the group-fsync hook, every round's records end inside padding its
-// leader has written, and the padding reaches at most one step past them.
-// A disk that keeps failing must not grow the segment either: a retried
-// commit appends nothing, so no retry may lay another step.
+// across several padding steps, then fails one sync round at its end.
+// Checked from the group-fsync hook, every round's records end inside
+// padding its leader has written, and the padding reaches at most one step
+// past them. A failed round must not grow the segment either: the log
+// refuses every retried commit, so no retry runs a round or lays a step.
 func TestRoundsEndInsidePadding(t *testing.T) {
 	boom := errors.New("injected sync failure")
 	var (
@@ -273,7 +273,7 @@ func TestRoundsEndInsidePadding(t *testing.T) {
 		if padEnd != lastPad {
 			steps, lastPad = steps+1, padEnd
 		}
-		if failAll || rounds%3 == 0 {
+		if failAll {
 			failed++
 			return boom
 		}
@@ -288,12 +288,12 @@ func TestRoundsEndInsidePadding(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	buf := make([]byte, 64<<10)
 	for i := 0; i < 300; i++ {
-		if _, err := l.Append(1, buf[:1+rng.IntN(len(buf))]); err != nil && !errors.Is(err, boom) {
+		if _, err := l.Append(1, buf[:1+rng.IntN(len(buf))]); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	if steps < 6 || failed == 0 {
-		t.Fatalf("%d rounds (%d failed) laid %d padding steps: too few to test", rounds, failed, steps)
+	if steps < 6 {
+		t.Fatalf("%d rounds laid %d padding steps: too few to test", rounds, steps)
 	}
 
 	failAll = true
@@ -309,11 +309,14 @@ func TestRoundsEndInsidePadding(t *testing.T) {
 			t.Fatalf("retry %d on a failing disk: err = %v, want the injected failure", i, err)
 		}
 	}
+	if failed != 1 {
+		t.Fatalf("%d rounds failed, want 1: a retried commit on a failed log ran a round", failed)
+	}
 	l.mu.Lock()
 	off, path := l.off, l.segPath(l.seq)
 	l.mu.Unlock()
 	if size := fileSize(t, path); size > off+padStep {
-		t.Fatalf("after 6 failed rounds the segment is %d bytes for %d bytes of records: padding grew past one step", size, off)
+		t.Fatalf("after a failed round and 5 retries the segment is %d bytes for %d bytes of records: padding grew past one step", size, off)
 	}
 	t.Logf("%d rounds (%d failed) laid %d padding steps", rounds, failed, steps)
 }

@@ -45,6 +45,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"syscall"
@@ -233,7 +234,8 @@ type Log struct {
 	// syncedCond is broadcast whenever durableSeq advances or the log
 	// closes, waking group-commit followers.
 	syncedCond *sync.Cond
-	closed     bool // guarded by mu
+	closed     bool  // guarded by mu
+	failed     error // of a sync that left records unsynced (usableLocked); guarded by mu
 	// ds is the datasync callback, built once by Open; only the round's
 	// leader, the one that set syncing, runs it.
 	ds dsync
@@ -262,7 +264,9 @@ func Open(dir string, opts Options) (*Log, error) {
 		if err := l.openSegmentLocked(0); err != nil {
 			return nil, err
 		}
-		l.syncDir()
+		if err := SyncDir(dir); err != nil {
+			return nil, errors.Join(err, l.f.Close())
+		}
 	} else {
 		// All but the last are sealed; the last is repaired and reopened
 		// for appending.
@@ -290,6 +294,11 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, errors.Join(fmt.Errorf("wal: reopen segment: %w", err), f.Close())
 		}
 		rc, err := f.SyscallConn()
+		if err == nil && opts.Policy == FsyncRecord {
+			// The collector acks retries of the records it replays with no
+			// commit, so what a crash left in the page cache goes to disk.
+			err = f.Sync()
+		}
 		if err != nil {
 			return nil, errors.Join(fmt.Errorf("wal: reopen segment: %w", err), f.Close())
 		}
@@ -559,8 +568,8 @@ func (l *Log) AppendAsync(typ byte, payload []byte) (LSN, int64, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return LSN{}, 0, ErrClosed
+	if err := l.usableLocked(); err != nil {
+		return LSN{}, 0, err
 	}
 	if l.off >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
@@ -618,14 +627,15 @@ func (l *Log) AppendAsync(typ byte, payload []byte) (LSN, int64, error) {
 // covered by an fsync, joining (or leading) a group-commit round. Under
 // FsyncOff it is a no-op: that policy leaves write-back to the OS, and
 // Close syncs what is left. A zero token (no append happened) is a no-op.
+// Once a round has failed, every Commit returns its error.
 func (l *Log) Commit(seq int64) error {
 	if seq <= 0 || l.opts.Policy != FsyncRecord {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed && l.durableSeq < seq {
-		return ErrClosed
+	if l.failed != nil {
+		return l.failed
 	}
 	return l.commitLocked(seq)
 }
@@ -646,8 +656,8 @@ func (l *Log) Commit(seq int64) error {
 // and records are in the file before the padding lands behind them.
 func (l *Log) commitLocked(seq int64) error {
 	for l.durableSeq < seq {
-		if l.closed {
-			return ErrClosed
+		if err := l.usableLocked(); err != nil {
+			return err
 		}
 		if l.syncing {
 			// A leader's sync is in flight; it may have started before our
@@ -684,15 +694,14 @@ func (l *Log) commitLocked(seq int64) error {
 		if err == nil && target > l.durableSeq {
 			l.durableSeq = target
 			l.m.fsyncs.Inc()
-		}
-		l.syncedCond.Broadcast()
-		if err != nil && l.durableSeq < seq {
+		} else if err != nil && l.durableSeq < target {
 			// A rotation can seal (flush + sync + close) the captured file
 			// while the leader runs unlocked; the seal's own sync then
-			// already covered seq and the stale-handle error is moot.
-			// Reaching here means no sync covered this record: real failure.
-			return fmt.Errorf("wal: fsync: %w", err)
+			// already covered the round and the stale-handle error is moot.
+			// Reaching here means no sync covered its records: the log fails.
+			l.failed = fmt.Errorf("wal: fsync: %w", err)
 		}
+		l.syncedCond.Broadcast()
 	}
 	return nil
 }
@@ -701,12 +710,22 @@ func (l *Log) commitLocked(seq int64) error {
 // behind; faultnet returns it for the "wal-append" crash point.
 var ErrCrashTorn = errors.New("wal: injected crash mid-append")
 
+// usableLocked returns ErrClosed on a closed log, and on a failed one the
+// failure: Linux may drop a failed fsync's dirty pages and report a retried
+// sync of them as a success, so no write may follow a failed sync.
+func (l *Log) usableLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.failed
+}
+
 // Sync fsyncs the current segment file.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	if err := l.bw.Flush(); err != nil {
 		return err
@@ -727,7 +746,8 @@ func (l *Log) syncLocked(trimmed bool) error {
 	}
 	//smuvet:allow lockorder -- seal/Sync/Close path: callers asked for a synchronous barrier, so the lock stays held; the per-record path goes through commitLocked, which releases l.mu around the fsync
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		l.failed = fmt.Errorf("wal: fsync: %w", err)
+		return l.failed
 	}
 	if l.m.timed {
 		l.m.syncSeconds.Observe(time.Since(t0).Seconds())
@@ -744,8 +764,8 @@ func (l *Log) syncLocked(trimmed bool) error {
 func (l *Log) Rotate() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	return l.rotateLocked()
 }
@@ -758,7 +778,7 @@ func (l *Log) rotateLocked() error {
 		return err
 	}
 	l.m.rotations.Inc()
-	return l.syncDir()
+	return SyncDir(l.dir)
 }
 
 // sealLocked flushes, trims the padding off, syncs, and closes the current
@@ -781,14 +801,19 @@ func (l *Log) sealLocked() error {
 	return nil
 }
 
-// syncDir fsyncs the log directory so renames/creates/removals are durable.
-func (l *Log) syncDir() error {
-	d, err := os.Open(l.dir)
-	if err != nil {
-		return nil // best effort; not all platforms allow dir fsync
+// SyncDir fsyncs directory dir, so the files created in and removed from it
+// survive power loss. Windows cannot sync a directory; there it does nothing.
+func SyncDir(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
 	}
-	defer d.Close()
-	d.Sync()
+	d, err := os.Open(dir)
+	if err == nil {
+		err = errors.Join(d.Sync(), d.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("wal: sync dir: %w", err)
+	}
 	return nil
 }
 
@@ -852,7 +877,7 @@ func (l *Log) TruncateBefore(lsn LSN) (int, error) {
 	}
 	l.sealedSt = kept
 	if removed > 0 {
-		l.syncDir()
+		return removed, SyncDir(l.dir)
 	}
 	return removed, nil
 }
@@ -886,7 +911,7 @@ func (l *Log) Reset() error {
 	if err := l.openSegmentLocked(0); err != nil {
 		return err
 	}
-	return l.syncDir()
+	return SyncDir(l.dir)
 }
 
 // Close flushes, syncs, and closes the log.
@@ -897,13 +922,17 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	err := l.bw.Flush()
-	trimmed, terr := l.trimPadLocked()
+	// A failed log syncs nothing more; its failure is the close's error.
+	err := l.failed
 	if err == nil {
-		err = terr
-	}
-	if serr := l.syncLocked(trimmed); err == nil {
-		err = serr
+		err = l.bw.Flush()
+		trimmed, terr := l.trimPadLocked()
+		if err == nil {
+			err = terr
+		}
+		if serr := l.syncLocked(trimmed); err == nil {
+			err = serr
+		}
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # External ingest smoke: a real 3-replica collectd tier as separate OS
-# processes on loopback, driven by loadgen and then by agentsim (a tiny
-# simulated campaign) through the wire protocol, then gracefully drained
-# with SIGTERM and unioned with tiermerge.
+# processes on loopback, driven by loadgen twice through the wire protocol —
+# a synthetic fleet, then a tiny simulated campaign under network faults —
+# then gracefully drained with SIGTERM and unioned with tiermerge.
 #
 # This is the one test layer the in-process suites cannot cover: the actual
 # built binaries, flag parsing, signal handling, process-exit codes, and the
 # /healthz + /metrics HTTP surface, all talking over real sockets. It fails
-# on any loadgen conservation error, a non-zero agentsim or collectd exit, a
-# tiermerge merge error, or a merged sample count that disagrees with what
-# loadgen's fleet and agentsim's agents uploaded.
+# on any loadgen conservation error, a non-zero loadgen or collectd exit, a
+# tiermerge merge error, or a merged sample count that disagrees with the
+# uploads both loadgen manifests report.
 #
 # Fixed loopback ports (17020-17022 data, 19090-19092 metrics) keep the run
 # reproducible; override with SMOKE_PORT_BASE / SMOKE_METRICS_BASE if they
@@ -43,7 +43,7 @@ cleanup() {
 trap cleanup EXIT
 
 echo "building binaries..."
-go build -o "$scratch/bin/" ./cmd/collectd ./cmd/loadgen ./cmd/agentsim ./cmd/tiermerge
+go build -o "$scratch/bin/" ./cmd/collectd ./cmd/loadgen ./cmd/tiermerge
 
 # http_status <host:port> <path> — status line of a GET, via /dev/tcp so the
 # script has no curl/wget dependency.
@@ -89,20 +89,27 @@ echo "tier up: $addrs"
 "$scratch/bin/loadgen" \
     -addrs "$addrs" -metrics "$metrics" \
     -agents "$AGENTS" -batches "$BATCHES" -batch "$BATCH" \
-    -out "$scratch/ingest.json"
-loadgen_uploaded=$((AGENTS * BATCHES * BATCH))
+    -out "$scratch/ingest.json" >/dev/null
 
-# A simulated campaign through real agents, after loadgen has reconciled its
-# counters: 2013 at scale 0.005 is 8 devices.
-if ! agentsim_out=$("$scratch/bin/agentsim" -servers "$addrs" -year 2013 -scale 0.005 2>&1); then
-    echo "$agentsim_out" >&2
-    echo "agentsim exited non-zero" >&2
-    exit 1
-fi
-echo "$agentsim_out"
-agentsim_uploaded=$(echo "$agentsim_out" | sed -n 's/.* uploaded=\([0-9]*\) .*/\1/p')
-if [ -z "$agentsim_uploaded" ]; then
-    echo "could not read agentsim's uploaded sample count" >&2
+# A simulated campaign through real agents, after the synthetic leg has
+# reconciled its counters: 2013 at scale 0.005 is 8 devices. Refused dials
+# make them retry and fail over between replicas. Only refusals: a lost ack
+# or a reset after the send would let a retry land on a second replica,
+# which the tier accepts twice until tiermerge drops the copy, and the
+# ledger's accepted == uploaded check would then fail.
+"$scratch/bin/loadgen" \
+    -addrs "$addrs" -metrics "$metrics" \
+    -campaign 2013 -scale 0.005 -faults dial=0.1 \
+    -out "$scratch/campaign.json" >/dev/null
+
+# uploaded <manifest> — the fleet's uploaded_samples from a loadgen manifest.
+uploaded() {
+    sed -n 's/.*"uploaded_samples": \([0-9]*\).*/\1/p' "$1"
+}
+loadgen_uploaded=$(uploaded "$scratch/ingest.json")
+campaign_uploaded=$(uploaded "$scratch/campaign.json")
+if [ -z "$loadgen_uploaded" ] || [ -z "$campaign_uploaded" ]; then
+    echo "could not read uploaded_samples from the loadgen manifests" >&2
     exit 1
 fi
 
@@ -125,10 +132,10 @@ for r in $(seq 0 $((REPLICAS - 1))); do
 done
 merge_out=$("$scratch/bin/tiermerge" -o "$scratch/merged.trace" "${spools[@]}" 2>&1)
 echo "$merge_out"
-want=$((loadgen_uploaded + agentsim_uploaded))
+want=$((loadgen_uploaded + campaign_uploaded))
 if ! echo "$merge_out" | grep -q " $want unique "; then
-    echo "merged trace does not hold exactly $want unique samples ($loadgen_uploaded from loadgen, $agentsim_uploaded from agentsim)" >&2
+    echo "merged trace does not hold exactly $want unique samples ($loadgen_uploaded synthetic, $campaign_uploaded simulated)" >&2
     exit 1
 fi
 
-echo "external smoke PASS: $want samples ($loadgen_uploaded from loadgen, $agentsim_uploaded from agentsim) through $REPLICAS collectd processes, merged exactly-once"
+echo "external smoke PASS: $want samples ($loadgen_uploaded synthetic, $campaign_uploaded simulated) through $REPLICAS collectd processes, merged exactly-once"
